@@ -1,15 +1,15 @@
 """Ground-to-HAP offload link.
 
 Rician MIMO channel sampling, achievable-rate laws, closed-form CCDF bounds
-built on the Marcum Q-function, and the transmission-side energy/latency
-quantities the offload planner consumes.
+built on the Marcum Q-function with a Monte Carlo estimate to check them,
+and the transmission-side energy/latency quantities the offload planner
+consumes.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,22 +18,6 @@ from .errors import LinkRateError, LinkSaturationWarning
 from .specfun import marcum_q
 
 _LN2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class OutageCurve:
-    """Rate-CCDF curves over an arrival-rate grid.
-
-    ``ccdf_empirical`` and ``empirical_se`` are None when no Monte Carlo
-    pass was run; ``drop_rate`` is one minus the lower bound exactly.
-    """
-
-    lambdas: tuple[float, ...]
-    ccdf_lower: tuple[float, ...]
-    ccdf_upper: tuple[float, ...]
-    ccdf_empirical: tuple[float, ...] | None
-    empirical_se: tuple[float, ...] | None
-    drop_rate: tuple[float, ...]
 
 
 def mean_channel(ch: ChannelConfig) -> np.ndarray:
@@ -155,9 +139,33 @@ def ccdf_upper(ch: ChannelConfig, demand: float) -> float:
     return marcum_q(orders, noncentral, math.sqrt(2.0 * scale * threshold))
 
 
-def outage_bounds(ch: ChannelConfig, demand: float) -> tuple[float, float]:
-    """(lower, upper) bounds on the rate CCDF at the given spectral demand."""
-    return ccdf_lower(ch, demand), ccdf_upper(ch, demand)
+def exceedances(ch: ChannelConfig, demands: np.ndarray, count: int,
+                rng: np.random.Generator) -> np.ndarray:
+    """Count, per spectral demand, how many of ``count`` channel draws
+    from ``rng`` have a full-covariance rate above it.
+
+    Callers that split their samples into batches (``empirical_ccdf``, the
+    chunk-keyed outage sweep) add up the counts and hand the total to
+    ``ccdf_estimate``.
+    """
+    ch = ch.resolved()
+    thresholds = demands * ch.bandwidth_hz
+    rates = channel_rate(ch, sample_channel(ch, count, rng))
+    return (rates[None, :] > thresholds[:, None]).sum(axis=1)
+
+
+def ccdf_estimate(counts: np.ndarray, samples: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Exceedance probability and its standard error from ``counts`` hits
+    out of ``samples`` draws.
+
+    The standard error uses a half-count continuity adjustment when a
+    count is 0 or ``samples``, so the error bar never collapses to zero.
+    """
+    prob = counts / samples
+    edge = (counts == 0) | (counts == samples)
+    adjusted = np.where(edge, (counts + 0.5) / (samples + 1.0), prob)
+    return prob, np.sqrt(adjusted * (1.0 - adjusted) / samples)
 
 
 def empirical_ccdf(ch: ChannelConfig, demands, samples: int = 100_000,
@@ -165,39 +173,22 @@ def empirical_ccdf(ch: ChannelConfig, demands, samples: int = 100_000,
                    batch: int = 20_000) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo CCDF of the full-covariance rate at each spectral demand.
 
-    Returns (probability, standard error) arrays.  The standard error uses
-    a half-count continuity adjustment when a demand lands on 0 or
-    ``samples`` exceedances so the error bar never collapses to zero.
+    Returns the (probability, standard error) arrays of ``ccdf_estimate``
+    over ``samples`` draws taken in batches of ``batch``.
     """
     if rng is None:
         rng = np.random.default_rng()
-    ch = ch.resolved()
     demands = np.atleast_1d(np.asarray(demands, dtype=float))
-    thresholds = demands * ch.bandwidth_hz
     counts = np.zeros(demands.shape, dtype=np.int64)
-    done = 0
-    while done < samples:
-        n = min(batch, samples - done)
-        rates = channel_rate(ch, sample_channel(ch, n, rng))
-        counts += (rates[None, :] > thresholds[:, None]).sum(axis=1)
-        done += n
-    prob = counts / samples
-    edge = (counts == 0) | (counts == samples)
-    adjusted = np.where(edge, (counts + 0.5) / (samples + 1.0), prob)
-    se = np.sqrt(adjusted * (1.0 - adjusted) / samples)
-    return prob, se
+    for done in range(0, samples, batch):
+        counts += exceedances(ch, demands, min(batch, samples - done), rng)
+    return ccdf_estimate(counts, samples)
 
 
 def drop_probability(ch: ChannelConfig, workload: WorkloadSpec,
                      arrival_rate: float, task_len: float | None = None) -> float:
     """Conservative per-task drop probability: one minus the CCDF lower bound."""
     return 1.0 - ccdf_lower(ch, spectral_demand(ch, workload, arrival_rate, task_len))
-
-
-def dropped_rate(ch: ChannelConfig, workload: WorkloadSpec,
-                 arrival_rate: float, task_len: float | None = None) -> float:
-    """Average rate of offloaded tasks lost to outage, task/s."""
-    return arrival_rate * drop_probability(ch, workload, arrival_rate, task_len)
 
 
 def max_reliable_rate(ch: ChannelConfig, workload: WorkloadSpec,
@@ -267,22 +258,3 @@ def round_trip_time(ch: ChannelConfig, workload: WorkloadSpec,
     if rate <= 0.0:
         raise LinkRateError("link reference rate is not positive")
     return 2.0 * offered_bit_rate(workload, arrival_rate, task_len) / rate
-
-
-def outage_curve(ch: ChannelConfig, workload: WorkloadSpec,
-                 lambdas, samples: int = 0, rng=None,
-                 task_len: float | None = None) -> OutageCurve:
-    """Bundle the analytic CCDF bounds (and optionally a Monte Carlo
-    estimate) for each arrival rate in ``lambdas``."""
-    ch = ch.resolved()
-    lam = tuple(float(x) for x in lambdas)
-    demands = [spectral_demand(ch, workload, x, task_len) for x in lam]
-    lower = tuple(ccdf_lower(ch, d) for d in demands)
-    upper = tuple(ccdf_upper(ch, d) for d in demands)
-    drops = tuple(1.0 - p for p in lower)
-    emp = se = None
-    if samples > 0:
-        probs, errs = empirical_ccdf(ch, demands, samples, rng)
-        emp = tuple(float(p) for p in probs)
-        se = tuple(float(e) for e in errs)
-    return OutageCurve(lam, lower, upper, emp, se, drops)

@@ -234,7 +234,6 @@ class ChannelConfig:
 
     tx_antennas: int = 2
     rx_antennas: int = 16
-    carrier_hz: float = 31.0e9
     bandwidth_hz: float = 100.0e6
     rician_factor: float = 10.0
     ref_gain: float = 1.0e-6
@@ -263,8 +262,8 @@ class ChannelConfig:
     def validate(self):
         if self.tx_antennas < 1 or self.rx_antennas < 1:
             raise ValidationError("ChannelConfig: antenna counts must be at least 1")
-        if self.carrier_hz <= 0 or self.bandwidth_hz <= 0:
-            raise ValidationError("ChannelConfig: carrier_hz and bandwidth_hz must be positive")
+        if self.bandwidth_hz <= 0:
+            raise ValidationError("ChannelConfig: bandwidth_hz must be positive")
         if self.rician_factor < 0:
             raise ValidationError("ChannelConfig: rician_factor must be non-negative")
         if self.ref_gain <= 0 or self.link_distance <= 0:

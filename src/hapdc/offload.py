@@ -90,14 +90,11 @@ def lambda_max(latitude_deg: float, day: float, hap_servers: int,
                cfg: ModelConfig) -> float:
     """Largest admissible per-server arrival rate on the platform, task/s.
 
-    The harvest balance and the utilization ceiling both cap it; clamped at
-    zero when harvest cannot even hold the fleet idle.
+    The first element of ``fly_point``: the harvest balance and the
+    utilization ceiling both cap it, and it is zero when harvest cannot
+    even hold the fleet idle.
     """
-    if hap_servers < 1:
-        raise ValueError("lambda_max needs at least one airborne server")
-    bind = _harvest_bound_rate(latitude_deg, day, hap_servers, cfg)
-    cap = high_load_threshold(cfg.server, cfg.workload.task_length_instr)
-    return max(0.0, min(bind, cap))
+    return fly_point(latitude_deg, day, hap_servers, cfg)[0]
 
 
 def fly_point(latitude_deg: float, day: float, hap_servers: int,

@@ -19,7 +19,6 @@ import numpy as np
 from .errors import StabilityError
 
 _VACATION_CHUNK = 8192
-_EVENT_BLOCK = 1 << 17
 
 
 def utilization(arrival_rate: float, service_rate: float) -> float:
@@ -70,8 +69,6 @@ class SimulationResult:
     mean_wait: float
     stderr: float | None
     cycles: int
-    mean_queue_length: float
-    little_queue_length: float
     busy_fraction: float
 
 
@@ -98,9 +95,6 @@ def simulate_mm1_vacations(arrival_rate: float, service_rate: float,
     The standard error is the regenerative ratio estimator over the
     cycles that start at each arrival to an empty system (the last one is
     cut by the end of the run and counted as it stands).
-    ``mean_queue_length`` is recomputed from the merged arrival and
-    service-start events independently of the per-task waits so Little's
-    law can be checked against ``little_queue_length``.
     """
     if arrival_rate <= 0:
         raise ValueError("arrival_rate must be positive")
@@ -165,32 +159,6 @@ def simulate_mm1_vacations(arrival_rate: float, service_rate: float,
         mean_wait=mean,
         stderr=stderr,
         cycles=cycles,
-        mean_queue_length=_waiting_area(arrivals, starts, horizon) / horizon,
-        little_queue_length=float((n_tasks / horizon) * mean),
         busy_fraction=float(total_work / horizon),
     )
 
-
-def _waiting_area(arrivals: np.ndarray, starts: np.ndarray,
-                  horizon: float) -> float:
-    """Time integral of the waiting-room occupancy, walked event by event.
-
-    Arrivals and service starts are merged in time order (an arrival goes
-    first on a tie) and each occupancy is held until the next event, the
-    last one until ``horizon``.  The walk goes in blocks of arrivals, each
-    with the service starts that fall before the next block's first
-    arrival, so the temporaries stay small.
-    """
-    n = len(arrivals)
-    area = 0.0
-    first = 0
-    for lo in range(0, n, _EVENT_BLOCK):
-        hi = min(lo + _EVENT_BLOCK, n)
-        until = arrivals[hi] if hi < n else horizon
-        stop = int(np.searchsorted(starts, until, side="left")) if hi < n else n
-        times = np.concatenate([arrivals[lo:hi], starts[first:stop]])
-        order = np.argsort(times, kind="stable")
-        occupancy = (lo - first) + np.cumsum(np.where(order < hi - lo, 1, -1))
-        area += float(np.dot(occupancy, np.diff(times[order], append=until)))
-        first = stop
-    return area

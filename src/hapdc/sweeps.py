@@ -7,6 +7,11 @@ same config, seed, and worker count produce byte-identical files; the
 worker count itself never changes the numbers because random draws are
 keyed to fixed chunk indices, not to scheduling order.
 
+Each of the four analyses (flying condition, energy saving, outage,
+delay) is one ``_Analysis`` record: metric columns, a row function, its
+fleet and axis needs, and an optional step over all rows at the end (the
+outage Monte Carlo pass).  One engine runs them all.
+
 Per-point failures (a polar night, an overloaded fleet) land in the
 row's ``error`` column and the sweep carries on; a sweep where every
 point failed is reported as infeasible by the caller.  A failure blanks
@@ -14,6 +19,9 @@ only the columns that depend on it: an outage row keeps its link columns
 when the fleet overloads, and a delay row whose simulation saw too few
 regeneration cycles for an error bar leaves only its two simulation
 cells empty.
+
+Grid points whose offered traffic saturates the link are counted, each
+once, in the result's ``notes`` rather than in the data rows.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ import io
 import json
 import math
 import warnings
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -168,16 +177,6 @@ def apply_axis(cfg: ModelConfig, axis: str, value: float) -> ModelConfig:
     raise ConfigError(f"unknown sweep axis {axis!r}")
 
 
-def _base_manifest(cfg: ModelConfig, spec: SweepSpec) -> dict[str, str]:
-    return {
-        "tool": f"hapdc {__version__}",
-        "config": config_hash(cfg),
-        "seed": str(spec.seed),
-        "axis": spec.axis,
-        "range": f"{spec.start!r}:{spec.stop!r}:{spec.step!r}",
-    }
-
-
 def _map_points(fn, args, workers: int):
     if workers > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -185,70 +184,41 @@ def _map_points(fn, args, workers: int):
     return [fn(a) for a in args]
 
 
-# --- flying-condition sweep -------------------------------------------------
+# --- the analyses -----------------------------------------------------------
 
-def _fly_row(args):
-    cfg, axis, value = args
-    try:
-        pt = apply_axis(cfg, axis, value)
-        sc = pt.scenario
-        lam, threshold, binding = offload.fly_point(
-            sc.latitude_deg, sc.day_of_year, sc.hap_servers, pt)
-        return [value, lam, threshold, binding, None]
-    except _ROW_ERRORS as exc:
-        return [value, None, None, None, str(exc)]
+@dataclass(frozen=True)
+class _Analysis:
+    """One sweep kind: its metric columns and how a grid point is answered.
 
+    ``row(cfg, spec, index, value)`` returns the metric cells in column
+    order and the row's error message or None; a ``_ROW_ERRORS`` exception
+    that escapes it blanks the whole row.  ``offload_rate`` analyses read
+    the grid value as the per-platform offload arrival rate instead of
+    applying it to the config, so they take only the ``arrival_rate`` axis,
+    head their first column ``lambda`` and record ``samples`` in the
+    manifest.  ``finish(cfg, spec, values, rows)`` runs once after the walk.
+    """
 
-def run_flying_sweep(cfg: ModelConfig, spec: SweepSpec) -> SweepResult:
-    """Admissible offload rate and its binding limit along the axis."""
-    cfg = apply_fixed(cfg, spec.fixed)
-    if cfg.scenario.hap_servers < 1:
-        raise ConfigError("flying sweep needs at least one airborne server")
-    vals = spec.values()
-    rows = _map_points(_fly_row, [(cfg, spec.axis, v) for v in vals],
-                       spec.workers)
-    header = [spec.axis, "lambda_max", "threshold", "binding", "error"]
-    return _select_columns(SweepResult(header, rows, _base_manifest(cfg, spec)),
-                           spec.outputs)
+    name: str
+    columns: tuple[str, ...]
+    row: Callable
+    needs_fleet: bool = False
+    offload_rate: bool = False
+    finish: Callable | None = None
 
 
-# --- energy-saving sweep ----------------------------------------------------
-
-def _energy_row(args):
-    cfg, axis, value = args
-    try:
-        pt = apply_axis(cfg, axis, value)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            sc = offload.allocated_scenario(pt)
-            rep = offload.saving(sc, pt, with_retransmission=True)
-        saturated = sum(1 for w in caught
-                        if issubclass(w.category, LinkSaturationWarning))
-        return ([value, rep.e_tdc_j, rep.e_hybrid_j, rep.saved_rate,
-                 rep.retransmissions, None], saturated)
-    except _ROW_ERRORS as exc:
-        return [value, None, None, None, None, str(exc)], 0
+def _fly_row(cfg, spec, index, value):
+    sc = cfg.scenario
+    return list(offload.fly_point(sc.latitude_deg, sc.day_of_year,
+                                  sc.hap_servers, cfg)), None
 
 
-def run_energy_sweep(cfg: ModelConfig, spec: SweepSpec) -> SweepResult:
-    """Baseline vs. split-system energy (retransmission variant) along the axis."""
-    cfg = apply_fixed(cfg, spec.fixed)
-    vals = spec.values()
-    out = _map_points(_energy_row, [(cfg, spec.axis, v) for v in vals],
-                      spec.workers)
-    rows = [row for row, _ in out]
-    saturated = sum(n for _, n in out)
-    result = SweepResult(
-        [spec.axis, "e_tdc", "e_hybrid", "saved_rate", "n_retx", "error"],
-        rows, _base_manifest(cfg, spec))
-    if saturated:
-        result.notes.append(
-            f"{saturated} grid point(s) offered more traffic than the link "
-            "carries; their energy figures assume the backlog still goes out")
-    return _select_columns(result, spec.outputs)
+def _energy_row(cfg, spec, index, value):
+    rep = offload.saving(offload.allocated_scenario(cfg), cfg,
+                         with_retransmission=True)
+    return [rep.e_tdc_j, rep.e_hybrid_j, rep.saved_rate,
+            rep.retransmissions], None
 
-
-# --- outage sweep -----------------------------------------------------------
 
 def _offload_scenario(cfg: ModelConfig, per_link_rate: float):
     """Scenario whose platforms each carry ``per_link_rate`` of offload.
@@ -264,32 +234,142 @@ def _offload_scenario(cfg: ModelConfig, per_link_rate: float):
     return replace(sc, hap_rates=hap, ground_rates=ground)
 
 
-def _outage_row(args):
-    cfg, value = args
+def _outage_row(cfg, spec, index, value):
     ch = cfg.channel.resolved()
     demand = channel.spectral_demand(ch, cfg.workload, value)
     lb = channel.ccdf_lower(ch, demand)
     ub = channel.ccdf_upper(ch, demand)
-    # the Monte Carlo cells are filled in once every row's threshold is known
-    link = [value, lb, ub, None, None, 1.0 - lb]
+    # the Monte Carlo cells are filled by _outage_mc once every row is in
+    link = [lb, ub, None, None, 1.0 - lb]
     try:
         sc = _offload_scenario(cfg, value)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", LinkSaturationWarning)
-            with_r = offload.saving(sc, cfg, with_retransmission=True)
-            without = offload.saving(sc, cfg, with_retransmission=False)
+        with_r = offload.saving(sc, cfg, with_retransmission=True)
+        without = offload.saving(sc, cfg, with_retransmission=False)
     except _ROW_ERRORS as exc:
-        return link + [None, None, str(exc)]
-    return link + [with_r.saved_rate, without.saved_rate, None]
+        return link + [None, None], str(exc)
+    return link + [with_r.saved_rate, without.saved_rate], None
 
 
 def _mc_chunk(args):
-    cfg, thresholds, count, seed, chunk_index = args
+    ch, demands, count, seed, chunk_index = args
     rng = np.random.default_rng(
         np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
+    return channel.exceedances(ch, demands, count, rng)
+
+
+def _outage_mc(cfg: ModelConfig, spec: SweepSpec, values, rows) -> None:
+    """Fill every outage row's Monte Carlo cells from one chunked pass."""
     ch = cfg.channel.resolved()
-    rates = channel.channel_rate(ch, channel.sample_channel(ch, count, rng))
-    return (rates[None, :] > thresholds[:, None]).sum(axis=1)
+    demands = np.array([channel.spectral_demand(ch, cfg.workload, v)
+                        for v in values])
+    chunk_args = [(ch, demands, min(MC_CHUNK, spec.samples - first),
+                   spec.seed, c)
+                  for c, first in enumerate(range(0, spec.samples, MC_CHUNK))]
+    counts = sum(_map_points(_mc_chunk, chunk_args, spec.workers))
+    prob, se = channel.ccdf_estimate(counts, spec.samples)
+    for row, p, e in zip(rows, prob, se):
+        row[3], row[4] = float(p), float(e)
+
+
+def _delay_row(cfg, spec, index, value):
+    rep = offload.end_to_end_delay(cfg, value)
+    regime = "transport" if rep.transport_dominated else "queueing"
+    des_wait = des_se = None
+    if value > 0.0:
+        service_rate = (cfg.scenario.hap_servers
+                        * cfg.server.service_rate_ips
+                        / cfg.workload.task_length_instr)
+        rng = np.random.default_rng(
+            np.random.SeedSequence(spec.seed, spawn_key=(index,)))
+        sim = queueing.simulate_mm1_vacations(
+            value, service_rate, cfg.workload.vacation_rate, spec.samples, rng)
+        # a run of fewer than two regeneration cycles has no error bar,
+        # and a mean without one is not reported
+        if sim.stderr is not None:
+            des_wait, des_se = sim.mean_wait, sim.stderr
+    return [rep.mean_wait_s, des_wait, des_se, rep.rtt_s,
+            rep.total_delay_s, regime], None
+
+
+_FLY = _Analysis("flying", ("lambda_max", "threshold", "binding"), _fly_row,
+                 needs_fleet=True)
+_ENERGY = _Analysis("energy", ("e_tdc", "e_hybrid", "saved_rate", "n_retx"),
+                    _energy_row)
+_OUTAGE = _Analysis("outage", ("ccdf_lb", "ccdf_ub", "ccdf_mc", "ccdf_mc_se",
+                               "drop_rate", "saved_with_retx",
+                               "saved_without"),
+                    _outage_row, needs_fleet=True, offload_rate=True,
+                    finish=_outage_mc)
+_DELAY = _Analysis("delay", ("analytic_wait", "des_wait", "des_se", "rtt",
+                             "total", "regime"),
+                   _delay_row, needs_fleet=True, offload_rate=True)
+
+
+# --- the engine -------------------------------------------------------------
+
+def _point(args):
+    """One grid point: its row and whether it offered the link more
+    traffic than it carries."""
+    analysis, cfg, spec, index, value = args
+    if not analysis.offload_rate:
+        cfg = apply_axis(cfg, spec.axis, value)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", LinkSaturationWarning)
+        try:
+            cells, error = analysis.row(cfg, spec, index, value)
+        except _ROW_ERRORS as exc:
+            cells, error = [None] * len(analysis.columns), str(exc)
+    saturated = False
+    for w in caught:
+        if issubclass(w.category, LinkSaturationWarning):
+            saturated = True
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return [value, *cells, error], saturated
+
+
+def _run(analysis: _Analysis, cfg: ModelConfig, spec: SweepSpec) -> SweepResult:
+    if analysis.offload_rate and spec.axis != "arrival_rate":
+        raise ConfigError(
+            f"{analysis.name} sweeps run over the arrival_rate axis")
+    cfg = apply_fixed(cfg, spec.fixed)
+    if analysis.needs_fleet and cfg.scenario.hap_servers < 1:
+        raise ConfigError(
+            f"{analysis.name} sweep needs at least one airborne server")
+    values = spec.values()
+    points = _map_points(_point, [(analysis, cfg, spec, i, v)
+                                  for i, v in enumerate(values)], spec.workers)
+    rows = [row for row, _ in points]
+    if analysis.finish is not None:
+        analysis.finish(cfg, spec, values, rows)
+
+    manifest = {
+        "tool": f"hapdc {__version__}",
+        "config": config_hash(cfg),
+        "seed": str(spec.seed),
+        "axis": spec.axis,
+        "range": f"{spec.start!r}:{spec.stop!r}:{spec.step!r}",
+    }
+    if analysis.offload_rate:
+        manifest["samples"] = str(spec.samples)
+    first = "lambda" if analysis.offload_rate else spec.axis
+    result = SweepResult([first, *analysis.columns, "error"], rows, manifest)
+    saturated = sum(flag for _, flag in points)
+    if saturated:
+        result.notes.append(
+            f"{saturated} grid point(s) offered more traffic than the link "
+            "carries; their energy figures assume the backlog still goes out")
+    return _select_columns(result, spec.outputs)
+
+
+def run_flying_sweep(cfg: ModelConfig, spec: SweepSpec) -> SweepResult:
+    """Admissible offload rate and its binding limit along the axis."""
+    return _run(_FLY, cfg, spec)
+
+
+def run_energy_sweep(cfg: ModelConfig, spec: SweepSpec) -> SweepResult:
+    """Baseline vs. split-system energy (retransmission variant) along the axis."""
+    return _run(_ENERGY, cfg, spec)
 
 
 def run_outage_sweep(cfg: ModelConfig, spec: SweepSpec) -> SweepResult:
@@ -302,63 +382,7 @@ def run_outage_sweep(cfg: ModelConfig, spec: SweepSpec) -> SweepResult:
     ground residual) blanks only the two saving columns and names itself
     in ``error``.
     """
-    if spec.axis != "arrival_rate":
-        raise ConfigError("outage sweeps run over the arrival_rate axis")
-    cfg = apply_fixed(cfg, spec.fixed)
-    if cfg.scenario.hap_servers < 1:
-        raise ConfigError("outage sweep needs at least one airborne server")
-    vals = spec.values()
-    rows = _map_points(_outage_row, [(cfg, v) for v in vals], spec.workers)
-
-    ch = cfg.channel.resolved()
-    demands = np.array([channel.spectral_demand(ch, cfg.workload, v)
-                        for v in vals])
-    thresholds = demands * ch.bandwidth_hz
-    sizes = [MC_CHUNK] * (spec.samples // MC_CHUNK)
-    if spec.samples % MC_CHUNK:
-        sizes.append(spec.samples % MC_CHUNK)
-    chunk_args = [(cfg, thresholds, n, spec.seed, c)
-                  for c, n in enumerate(sizes)]
-    counts = sum(_map_points(_mc_chunk, chunk_args, spec.workers))
-    prob = counts / spec.samples
-    edge = (counts == 0) | (counts == spec.samples)
-    adjusted = np.where(edge, (counts + 0.5) / (spec.samples + 1.0), prob)
-    se = np.sqrt(adjusted * (1.0 - adjusted) / spec.samples)
-    for i, row in enumerate(rows):
-        row[3] = float(prob[i])
-        row[4] = float(se[i])
-
-    manifest = _base_manifest(cfg, spec)
-    manifest["samples"] = str(spec.samples)
-    header = ["lambda", "ccdf_lb", "ccdf_ub", "ccdf_mc", "ccdf_mc_se",
-              "drop_rate", "saved_with_retx", "saved_without", "error"]
-    return _select_columns(SweepResult(header, rows, manifest), spec.outputs)
-
-
-# --- delay sweep ------------------------------------------------------------
-
-def _delay_row(args):
-    cfg, value, seed, index, n_tasks = args
-    try:
-        rep = offload.end_to_end_delay(cfg, value)
-    except _ROW_ERRORS as exc:
-        return [value, None, None, None, None, None, None, str(exc)]
-    regime = "transport" if rep.transport_dominated else "queueing"
-    des_wait = des_se = None
-    if value > 0.0:
-        service_rate = (cfg.scenario.hap_servers
-                        * cfg.server.service_rate_ips
-                        / cfg.workload.task_length_instr)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(seed, spawn_key=(index,)))
-        sim = queueing.simulate_mm1_vacations(
-            value, service_rate, cfg.workload.vacation_rate, n_tasks, rng)
-        # a run of fewer than two regeneration cycles has no error bar,
-        # and a mean without one is not reported
-        if sim.stderr is not None:
-            des_wait, des_se = sim.mean_wait, sim.stderr
-    return [value, rep.mean_wait_s, des_wait, des_se, rep.rtt_s,
-            rep.total_delay_s, regime, None]
+    return _run(_OUTAGE, cfg, spec)
 
 
 def run_delay_sweep(cfg: ModelConfig, spec: SweepSpec) -> SweepResult:
@@ -367,19 +391,7 @@ def run_delay_sweep(cfg: ModelConfig, spec: SweepSpec) -> SweepResult:
     ``des_wait`` and ``des_se`` stay empty at zero load and where the
     simulation saw fewer than two regeneration cycles.
     """
-    if spec.axis != "arrival_rate":
-        raise ConfigError("delay sweeps run over the arrival_rate axis")
-    cfg = apply_fixed(cfg, spec.fixed)
-    if cfg.scenario.hap_servers < 1:
-        raise ConfigError("delay sweep needs at least one airborne server")
-    vals = spec.values()
-    args = [(cfg, v, spec.seed, i, spec.samples) for i, v in enumerate(vals)]
-    rows = _map_points(_delay_row, args, spec.workers)
-    manifest = _base_manifest(cfg, spec)
-    manifest["samples"] = str(spec.samples)
-    header = ["lambda", "analytic_wait", "des_wait", "des_se", "rtt",
-              "total", "regime", "error"]
-    return _select_columns(SweepResult(header, rows, manifest), spec.outputs)
+    return _run(_DELAY, cfg, spec)
 
 
 # --- rendering --------------------------------------------------------------

@@ -131,13 +131,6 @@ def test_bounds_ordered_and_monotone():
         assert hi[k] <= hi[k - 1] + 1e-12
 
 
-def test_outage_bounds_pair():
-    ch = ChannelConfig()
-    lo, hi = channel.outage_bounds(ch, 1.5)
-    assert lo == channel.ccdf_lower(ch, 1.5)
-    assert hi == channel.ccdf_upper(ch, 1.5)
-
-
 def test_empirical_ccdf_sandwich():
     ch = ChannelConfig()
     demands = np.linspace(0.5, 4.0, 6)
@@ -175,8 +168,6 @@ def test_drop_probability_complements_lower_bound():
     lam = 4.0
     d = channel.spectral_demand(ch, w, lam)
     assert channel.drop_probability(ch, w, lam) == 1.0 - channel.ccdf_lower(ch, d)
-    assert math.isclose(channel.dropped_rate(ch, w, lam),
-                        lam * channel.drop_probability(ch, w, lam), rel_tol=1e-12)
 
 
 def test_max_reliable_rate_boundary():
@@ -219,21 +210,3 @@ def test_round_trip_time():
     ref = channel.reference_rate(ch)
     lam = ref / w.bits_per_task()  # offered bits match the link rate
     assert math.isclose(channel.round_trip_time(ch, w, lam), 2.0, rel_tol=1e-12)
-
-
-def test_outage_curve_bundle():
-    ch = ChannelConfig()
-    w = WorkloadSpec()
-    lams = [1.0, 2.0, 4.0]
-    curve = channel.outage_curve(ch, w, lams)
-    assert curve.lambdas == (1.0, 2.0, 4.0)
-    assert curve.ccdf_empirical is None and curve.empirical_se is None
-    for k, lam in enumerate(lams):
-        d = channel.spectral_demand(ch, w, lam)
-        assert curve.ccdf_lower[k] == channel.ccdf_lower(ch, d)
-        assert curve.ccdf_upper[k] == channel.ccdf_upper(ch, d)
-        assert curve.drop_rate[k] == 1.0 - curve.ccdf_lower[k]
-    with_mc = channel.outage_curve(ch, w, lams, samples=4000,
-                                   rng=np.random.default_rng(12))
-    assert len(with_mc.ccdf_empirical) == 3
-    assert all(s > 0.0 for s in with_mc.empirical_se)

@@ -73,14 +73,6 @@ def test_simulation_low_load_sees_vacation_tail():
     assert abs(sim.mean_wait - 1.0 / 0.05) <= 3.0 * sim.stderr
 
 
-def test_simulation_littles_law_self_consistent():
-    sim = queueing.simulate_mm1_vacations(
-        1.0, 2.0, 1.0, 100_000, rng=np.random.default_rng(17))
-    # occupancy integrated from the event walk vs arrival rate times wait
-    assert math.isclose(sim.mean_queue_length, sim.little_queue_length,
-                        rel_tol=1e-9)
-
-
 def test_simulation_seed_deterministic():
     a = queueing.simulate_mm1_vacations(1.0, 2.0, 1.0, 5000,
                                         rng=np.random.default_rng(4))

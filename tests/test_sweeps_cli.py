@@ -1,9 +1,13 @@
 """Sweep engine and command line behavior."""
 
+import ast
 import csv
+import importlib
 import io
 import json
 import math
+import os
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -12,7 +16,7 @@ from hapdc import channel, cli, offload, sweeps
 from hapdc.config import ModelConfig, WorkloadSpec, load_config
 from hapdc.errors import ConfigError
 
-from conftest import SHIPPED_CONFIG
+from conftest import REPO_ROOT, SHIPPED_CONFIG
 
 
 # --- SweepSpec ---------------------------------------------------------------
@@ -174,6 +178,29 @@ def test_energy_sweep_second_platform(shipped_cfg):
     assert two.rows[0][3] > one.rows[0][3]
 
 
+def test_saturation_note_counts_grid_points(shipped_cfg):
+    # the retransmission variant prices the uplink more than once per row,
+    # so a count of warnings would report six points here
+    out = sweeps.run_energy_sweep(
+        shipped_cfg, sweeps.SweepSpec("day", 150.0, 152.0, 1.0))
+    assert len(out.notes) == 1
+    assert out.notes[0].startswith("3 grid point(s) offered more traffic")
+
+
+def test_sweep_passes_other_warnings_on(shipped_cfg, monkeypatch):
+    allocated = offload.allocated_scenario
+
+    def noisy(cfg):
+        warnings.warn("unrelated", UserWarning)
+        return allocated(cfg)
+
+    monkeypatch.setattr(offload, "allocated_scenario", noisy)
+    with pytest.warns(UserWarning, match="unrelated"):
+        out = sweeps.run_energy_sweep(
+            shipped_cfg, sweeps.SweepSpec("day", 150.0, 150.0, 1.0))
+    assert out.notes[0].startswith("1 grid point(s)")
+
+
 # --- outage sweep ------------------------------------------------------------
 
 def test_outage_sweep_columns_and_ordering(shipped_cfg):
@@ -244,6 +271,19 @@ def test_outage_sweep_worker_count_invariant(shipped_cfg):
     assert sweeps.render_csv(a) == sweeps.render_csv(b)
 
 
+def test_outage_sweep_notes_saturated_rows(shipped_cfg):
+    spec = sweeps.SweepSpec("arrival_rate", 0.0, 12000.0, 2000.0, samples=1)
+    out = sweeps.run_outage_sweep(shipped_cfg, spec)
+    ch = shipped_cfg.channel
+    over = sum(channel.airtime_fraction(ch, shipped_cfg.workload, lam) > 1.0
+               for lam in spec.values())
+    assert 0 < over < len(out.rows)
+    assert out.notes == [
+        f"{over} grid point(s) offered more traffic than the link carries; "
+        "their energy figures assume the backlog still goes out"]
+    assert "backlog" not in sweeps.render_csv(out)
+
+
 # --- delay sweep -------------------------------------------------------------
 
 def test_delay_sweep_rows(shipped_cfg):
@@ -297,6 +337,40 @@ def test_delay_sweep_unstable_rows_error(shipped_cfg):
     assert out.rows[1][7] is not None
     assert out.rows[2][7] is not None
     assert not out.all_failed
+
+
+# --- every sweep ------------------------------------------------------------
+
+@pytest.mark.parametrize("kind, axis, bounds, samples", [
+    ("fly", "latitude", (-30.0, 30.0, 30.0), 1),
+    ("energy", "day", (150.0, 152.0, 1.0), 1),
+    ("outage", "arrival_rate", (2000.0, 6000.0, 2000.0), 2000),
+    ("delay", "arrival_rate", (1000.0, 3000.0, 1000.0), 2000),
+])
+def test_sweep_worker_count_invariant(shipped_cfg, kind, axis, bounds, samples):
+    spec = sweeps.SweepSpec(axis, *bounds, seed=6, samples=samples)
+    one = sweeps.RUNNERS[kind](shipped_cfg, spec)
+    two = sweeps.RUNNERS[kind](shipped_cfg, replace(spec, workers=2))
+    assert sweeps.render_csv(one) == sweeps.render_csv(two)
+    assert one.notes == two.notes
+
+
+def test_bench_tracer_targets_exist():
+    # the benchmark tracer wraps these by name and finds the runners in
+    # RUNNERS by identity, so each must stay a module-level function
+    with open(os.path.join(REPO_ROOT, "bench", "tracer.py"),
+              encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    targets = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets] == ["TARGETS"])
+    for module, func in targets:
+        assert callable(getattr(importlib.import_module(f"hapdc.{module}"),
+                                func, None)), (module, func)
+    assert set(sweeps.RUNNERS) == {"fly", "energy", "outage", "delay"}
+    for runner in sweeps.RUNNERS.values():
+        assert ("sweeps", runner.__name__) in targets
+        assert getattr(sweeps, runner.__name__) is runner
 
 
 # --- rendering ---------------------------------------------------------------
