@@ -130,7 +130,6 @@ def ccdf_upper(ch: ChannelConfig, demand: float) -> float:
     """
     if demand <= 0.0:
         return 1.0
-    ch = ch.resolved()
     orders, noncentral, scale = _bound_params(ch)
     rank = min(ch.tx_antennas, ch.rx_antennas)
     if (demand / rank) * _LN2 > 700.0:

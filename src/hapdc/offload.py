@@ -10,13 +10,22 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from . import aero, channel, queueing, solar, thermal
-from .config import ModelConfig, Scenario, ServerSpec, uniform_split
+from .config import (ModelConfig, Scenario, ServerSpec, WorkloadSpec,
+                     uniform_split)
 from .errors import LinkRateError, OverloadError
 
 
 @lru_cache(maxsize=32)
-def _reliable_rate(ch, workload, task_len: float) -> float:
-    """Arrival rate where the link first shows measurable outage, task/s."""
+def _reliable_rate(ch, bits_per_instruction: float, task_len: float) -> float:
+    """Arrival rate where the link first shows measurable outage, task/s.
+
+    The inversion reads the workload only through its bits per task,
+    ``task_len * bits_per_instruction``, so the cache key holds the channel
+    and those two numbers, not the whole ``WorkloadSpec``.  In particular
+    the offered load ``arrival_rate_total`` is left out: the threshold does
+    not depend on it, and an arrival-rate sweep changes it at every point.
+    """
+    workload = WorkloadSpec(bits_per_instruction=bits_per_instruction)
     try:
         return channel.max_reliable_rate(ch, workload, task_len)
     except LinkRateError:
@@ -232,8 +241,8 @@ def saving(scenario: Scenario, cfg: ModelConfig,
     # Below the reliable-rate threshold the drop bound is vanishingly
     # small; treat the link as lossless there so both branches agree.
     pr_drop = 0.0
-    if per_link > 0 and per_link >= _reliable_rate(cfg.channel, cfg.workload,
-                                                   task_len):
+    if per_link > 0 and per_link >= _reliable_rate(
+            cfg.channel, cfg.workload.bits_per_instruction, task_len):
         pr_drop = channel.drop_probability(cfg.channel, cfg.workload,
                                            per_link, task_len)
     window = scenario.window_length

@@ -119,6 +119,9 @@ def marcum_q(m: int, a: float, y: float) -> float:
 
     Equivalent to the canonical series e^{-(a^2+y^2)/2} sum (a/y)^k I_k(ay)
     over k >= 1-m, evaluated here through its Poisson-mixture resummation.
+    Past the Poisson centre the series stops at the first term below 1e-18
+    of a running sum, so its cost is linear in the term count; the value
+    returned is one exactly rounded ``math.fsum`` of all the terms kept.
     """
     if m != int(m) or m < 1:
         raise ValueError("order m must be a positive integer")
@@ -141,15 +144,16 @@ def marcum_q(m: int, a: float, y: float) -> float:
     g, t = _erlang_tail(m + jlo, x)
 
     terms = []
+    running = 0.0
     j = jlo
     n = m + jlo
     cap = j0 + 12 * half_width + 4000
     while True:
         term = p * g
         terms.append(term)
+        running += term
         if j > j0 + half_width:
-            total = math.fsum(terms)
-            if term == 0.0 or term < total * 1e-18:
+            if term == 0.0 or term < running * 1e-18:
                 break
             if j > cap:
                 raise NumericsError(

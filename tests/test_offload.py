@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from hapdc import aero, channel, offload, queueing, solar, thermal
+from hapdc import aero, channel, offload, queueing, solar, sweeps, thermal
 from hapdc.config import (
     HapPlatform,
     ModelConfig,
@@ -209,6 +209,32 @@ def test_saving_with_beats_without_above_onset(shipped_cfg):
         without = offload.saving(scen, shipped_cfg, with_retransmission=False)
         assert with_r.saved_j >= without.saved_j
         assert with_r.retransmissions > 0
+
+
+def test_reliable_rate_inverted_once_per_link(shipped_cfg, monkeypatch):
+    # the threshold does not depend on the offered load, so a load sweep
+    # inverts the link once, and only the bits per task start a new inversion
+    calls = []
+    real = channel.max_reliable_rate
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(channel, "max_reliable_rate", counting)
+    offload._reliable_rate.cache_clear()
+    spec = sweeps.SweepSpec("arrival_rate", 4000.0, 8000.0, 1000.0, workers=1)
+    result = sweeps.run_energy_sweep(shipped_cfg, spec)
+    assert all(row[-1] is None for row in result.rows)
+    assert len(calls) == 1
+    longer = replace(shipped_cfg, workload=replace(
+        shipped_cfg.workload, task_length_instr=2.0e6))
+    sweeps.run_energy_sweep(longer, spec)
+    assert len(calls) == 2
+    busier = replace(shipped_cfg, workload=replace(
+        shipped_cfg.workload, arrival_rate_total=12345.0))
+    sweeps.run_energy_sweep(busier, spec)
+    assert len(calls) == 2
 
 
 def test_retransmission_budget_formula(shipped_cfg):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from hapdc.errors import NumericsError
-from hapdc.specfun import bessel_i, marcum_q
+from hapdc.specfun import _erlang_tail, bessel_i, marcum_q
 
 # (n, x, I_n(x)) truncated from 40 significant digits
 BESSEL_CASES = [
@@ -150,3 +150,63 @@ def test_marcum_domain_errors():
         marcum_q(1, -0.1, 1.0)
     with pytest.raises(ValueError):
         marcum_q(1, 1.0, -0.1)
+
+
+def _marcum_q_quadratic(m, a, y):
+    """The Poisson-mixture series with a fresh ``math.fsum`` over all terms
+    at every step past the centre: quadratic in the term count, kept as the
+    reference the linear-time stopping test must match bit for bit."""
+    if y == 0.0:
+        return 1.0
+    x = 0.5 * y * y
+    h = 0.5 * a * a
+    if h == 0.0:
+        return _erlang_tail(m, x)[0]
+    j0 = int(h)
+    p = math.exp(-h + j0 * math.log(h) - math.lgamma(j0 + 1.0))
+    half_width = int(12.0 * math.sqrt(h)) + 25
+    jlo = max(0, j0 - half_width)
+    for j in range(j0, jlo, -1):
+        p *= j / h
+    g, t = _erlang_tail(m + jlo, x)
+    terms = []
+    j = jlo
+    n = m + jlo
+    while True:
+        term = p * g
+        terms.append(term)
+        if j > j0 + half_width:
+            total = math.fsum(terms)
+            if term == 0.0 or term < total * 1e-18:
+                break
+        j += 1
+        p *= h / j
+        t *= x / n
+        g = min(g + t, 1.0)
+        n += 1
+    return min(math.fsum(terms), 1.0)
+
+
+def test_marcum_bitwise_equal_to_quadratic_series():
+    rng = np.random.default_rng(939)
+    points = []
+    for _ in range(600):
+        m = int(rng.integers(1, 65))
+        a = float(rng.uniform(0.0, 40.0))
+        y = abs(a + float(rng.normal(0.0, 8.0)))
+        points.append((m, a, y))
+    for m in (1, 5, 64):
+        # a = 0: the Erlang-tail path
+        points += [(m, 0.0, float(y)) for y in rng.uniform(0.0, 30.0, 20)]
+        # far above the centre the tail underflows to subnormals, then to 0
+        for a in (0.5, 12.0, 40.0):
+            points += [(m, a, float(a + d)) for d in np.arange(30.0, 46.0, 0.25)]
+    values = []
+    for m, a, y in points:
+        got = marcum_q(m, a, y)
+        assert got == _marcum_q_quadratic(m, a, y), (m, a, y)
+        values.append(got)
+    values = np.array(values)
+    # the grid reaches both sides of the centre and the underflowing tail
+    assert (values > 0.99).any() and (values < 1e-3).any()
+    assert (values == 0.0).any() and ((values > 0.0) & (values < 1e-300)).any()
