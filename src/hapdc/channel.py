@@ -20,25 +20,28 @@ from .specfun import marcum_q
 _LN2 = math.log(2.0)
 
 
-def mean_channel(ch: ChannelConfig) -> np.ndarray:
-    """Deterministic line-of-sight component: rank-1, co-phased, unit entries."""
-    return np.ones((ch.rx_antennas, ch.tx_antennas), dtype=complex)
-
-
 def sample_channel(ch: ChannelConfig, count: int,
                    rng: np.random.Generator | None = None) -> np.ndarray:
-    """Draw ``count`` Rician channel matrices, shape (count, rx, tx)."""
+    """Draw ``count`` Rician channel matrices, shape (count, rx, tx).
+
+    The line-of-sight part is rank one, co-phased, with unit entries, so it
+    adds ``los`` to every entry.  The matrices are built in one complex
+    array: the real parts take the first normal draw, the imaginary parts
+    the second.
+    """
     if rng is None:
         rng = np.random.default_rng()
     ch = ch.resolved()
     shape = (count, ch.rx_antennas, ch.tx_antennas)
-    scatter = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    scatter *= math.sqrt(0.5)
+    h = np.empty(shape, dtype=complex)
+    h.real = rng.standard_normal(shape)
+    h.imag = rng.standard_normal(shape)
     zeta = ch.rician_factor
-    gain = math.sqrt(ch.ref_gain) / ch.link_distance
-    los = math.sqrt(zeta / (zeta + 1.0))
-    nlos = math.sqrt(1.0 / (zeta + 1.0))
-    return gain * (los * mean_channel(ch) + nlos * scatter)
+    h *= math.sqrt(0.5)
+    h *= math.sqrt(1.0 / (zeta + 1.0))
+    h += math.sqrt(zeta / (zeta + 1.0))
+    h *= math.sqrt(ch.ref_gain) / ch.link_distance
+    return h
 
 
 def mrt_precoder(ch: ChannelConfig) -> np.ndarray:

@@ -9,6 +9,8 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
+import numpy as np
+
 from . import aero, channel, queueing, solar, thermal
 from .config import (ModelConfig, Scenario, ServerSpec, WorkloadSpec,
                      uniform_split)
@@ -74,9 +76,8 @@ def payload_energy(hap_rates, server: ServerSpec, task_len: float,
     The stratosphere cools the platform for free, so payload energy is
     compute only; OverloadError if any rate breaks the utilization ceiling.
     """
-    return math.fsum(
-        thermal.compute_energy(server, rate, task_len, window) for rate in hap_rates
-    )
+    return math.fsum(thermal.compute_energy(
+        server, np.asarray(hap_rates, dtype=float), task_len, window).tolist())
 
 
 def high_load_threshold(server: ServerSpec, task_len: float) -> float:
@@ -190,12 +191,11 @@ def hybrid_total_energy(scenario: Scenario, cfg: ModelConfig) -> thermal.EnergyB
     """
     task_len = cfg.workload.task_length_instr
     window = scenario.window
+    ground = np.array(scenario.ground_rates, dtype=float)
     compute = math.fsum(
-        thermal.compute_energy(cfg.server, r, task_len, window)
-        for r in scenario.ground_rates
-    )
+        thermal.compute_energy(cfg.server, ground, task_len, window).tolist())
     cooling = thermal.grouped_cooling_energy(
-        list(scenario.ground_rates), cfg.server, cfg.cooling, task_len, window)
+        ground, cfg.server, cfg.cooling, task_len, window)
     if scenario.hap_servers == 0:
         return thermal.EnergyBreakdown.from_parts(compute_j=compute, cooling_j=cooling)
     k = scenario.hap_count

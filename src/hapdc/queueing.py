@@ -90,7 +90,8 @@ def simulate_mm1_vacations(arrival_rate: float, service_rate: float,
     ``j`` starts at the first vacation end past the running maximum of the
     virtual arrival times (a cumulative-max Lindley recursion), plus the
     work ahead of it.  The draws are taken in the order arrivals, services,
-    then vacations in pools of 8192.
+    then vacations in pools of 8192, and each pool is searched as it is
+    drawn, so memory holds one pool of ends, not all of them.
 
     The standard error is the regenerative ratio estimator over the
     cycles that start at each arrival to an empty system (the last one is
@@ -121,26 +122,28 @@ def simulate_mm1_vacations(arrival_rate: float, service_rate: float,
     # their running maximum
     virtual = np.subtract(arrivals, work_ahead, out=services)
     np.maximum.accumulate(virtual, out=virtual)
-    pools, last = [], 0.0
-    while last <= virtual[-1]:
-        pool = np.cumsum(rng.exponential(1.0 / vacation_rate, _VACATION_CHUNK))
-        pool += last
-        pools.append(pool)
-        last = pool[-1]
-    vacation_ends = np.concatenate(pools)
     # a vacation end lands on the first task whose running virtual arrival
     # reaches it.  A task that receives one arrived to an empty system and
     # starts a cycle (as does the first task), served by the vacation end
-    # right after the last one to land on it.
-    landed = np.concatenate(
-        ([0], np.searchsorted(virtual, vacation_ends, side="left")))
-    served_by = np.flatnonzero(np.diff(landed, append=n_tasks + 1))
-    cycle_starts = landed[served_by]
-    inside = cycle_starts < n_tasks
-    cycle_starts, served_by = cycle_starts[inside], served_by[inside]
+    # right after the last one to land on it.  The ends are drawn, searched
+    # and dropped one pool at a time; only the landing of the last end seen
+    # crosses a pool boundary.
+    starts_of, served_at = [], []
+    landing, last = 0, 0.0
+    while last <= virtual[-1]:
+        pool = np.cumsum(rng.exponential(1.0 / vacation_rate, _VACATION_CHUNK))
+        pool += last
+        landed = np.searchsorted(virtual, pool, side="left")
+        before = np.concatenate(([landing], landed[:-1]))
+        moved = np.flatnonzero(landed != before)
+        starts_of.append(before[moved])
+        served_at.append(pool[moved])
+        landing, last = landed[-1], pool[-1]
+    # no landing exceeds n_tasks, so every cycle found starts at a task
+    cycle_starts = np.concatenate(starts_of)
     sizes = np.diff(np.append(cycle_starts, n_tasks))
     del services, virtual  # frees one n-task buffer before the starts
-    starts = np.repeat(vacation_ends[served_by], sizes)
+    starts = np.repeat(np.concatenate(served_at), sizes)
     starts += work_ahead
     horizon = float(starts[-1] + last_service)
 

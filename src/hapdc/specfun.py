@@ -20,6 +20,7 @@ from .errors import NumericsError
 _MAX_EXP = 709.0  # ln of the largest double
 _SERIES_CUTOFF = 20.0
 _MAX_RECURRENCE_ARG = 3.0e4
+_BLOCK = 256  # Marcum series terms per block past the first
 
 
 def _bessel_series(n: int, x: float) -> float:
@@ -97,6 +98,10 @@ def _erlang_tail(n: int, x: float) -> tuple[float, float]:
         return 1.0, 1.0 if n == 1 else 0.0
     istar = min(n - 1, int(x))
     t_star = math.exp(-x + istar * math.log(x) - math.lgamma(istar + 1.0))
+    if t_star == 0.0:
+        # every other mass is a multiple of this one, so the loops below
+        # would only add zeros
+        return 0.0, 0.0
     total = t_star
     t = t_star
     i = istar
@@ -120,8 +125,17 @@ def marcum_q(m: int, a: float, y: float) -> float:
     Equivalent to the canonical series e^{-(a^2+y^2)/2} sum (a/y)^k I_k(ay)
     over k >= 1-m, evaluated here through its Poisson-mixture resummation.
     Past the Poisson centre the series stops at the first term below 1e-18
-    of a running sum, so its cost is linear in the term count; the value
-    returned is one exactly rounded ``math.fsum`` of all the terms kept.
+    of a running sum, so its cost is linear in the term count.
+
+    The series runs in blocks of numpy ``accumulate`` calls, which are
+    strictly sequential and so round exactly as a scalar loop would: the
+    Poisson weights and Erlang masses as running products, the Erlang tail
+    and the stopping rule's running sum as running sums.  The first block
+    ends at the first index the stopping rule checks, later ones hold
+    ``_BLOCK`` terms.  The value returned is one ``math.fsum`` of all the
+    terms kept; ``fsum`` is correctly rounded, so the order it reads them
+    in cannot change the result, and descending order keeps its list of
+    partials short.
     """
     if m != int(m) or m < 1:
         raise ValueError("order m must be a positive integer")
@@ -139,28 +153,56 @@ def marcum_q(m: int, a: float, y: float) -> float:
     p = math.exp(-h + j0 * math.log(h) - math.lgamma(j0 + 1.0))
     half_width = int(12.0 * math.sqrt(h)) + 25
     jlo = max(0, j0 - half_width)
-    for j in range(j0, jlo, -1):
-        p *= j / h
+    if j0 > jlo:
+        # back off from the centre: p *= j / h for j = j0 down to jlo + 1
+        back = np.empty(j0 - jlo + 1)
+        back[0] = p
+        np.divide(np.arange(j0, jlo, -1), h, out=back[1:])
+        p = float(np.multiply.accumulate(back, out=back)[-1])
     g, t = _erlang_tail(m + jlo, x)
+    if g == 0.0:
+        # then t == 0 too, every later t and g stay 0, and so does each term
+        return 0.0
 
-    terms = []
-    running = 0.0
-    j = jlo
-    n = m + jlo
+    # each block carries p, t, g and the running sum from its left edge j
+    # to its right edge: p *= h / i, t *= x / (m + i - 1), g = min(g + t, 1),
+    # term = p * g, running += term, for i = j + 1 .. end.  The first block
+    # starts at jlo and also keeps jlo's own term.
+    checked = j0 + half_width  # the stopping rule reads indices above this
     cap = j0 + 12 * half_width + 4000
+    blocks = []
+    running = 0.0
+    j, lead, end = jlo, 0, checked + 1
     while True:
-        term = p * g
-        terms.append(term)
-        running += term
-        if j > j0 + half_width:
-            if term == 0.0 or term < running * 1e-18:
-                break
-            if j > cap:
-                raise NumericsError(
-                    f"marcum_q failed to converge (m={m}, a={a}, y={y})")
-        j += 1
-        p *= h / j
-        t *= x / n
-        g = min(g + t, 1.0)
-        n += 1
-    return min(math.fsum(terms), 1.0)
+        steps = np.arange(j + 1, end + 1, dtype=float)
+        pt = np.empty((2, len(steps) + 1))
+        pt[:, 0] = p, t
+        np.divide(h, steps, out=pt[0, 1:])
+        steps += m - 1
+        np.divide(x, steps, out=pt[1, 1:])
+        ps, ts = np.multiply.accumulate(pt, axis=1, out=pt)
+        # every t >= 0, so a sum clamped at 1 stays there: clamping after
+        # the running sum gives the bits of clamping at every step
+        gs = ts.copy()
+        gs[0] = g
+        np.minimum(np.add.accumulate(gs, out=gs), 1.0, out=gs)
+        terms = ps[lead:] * gs[lead:]  # those of j + lead .. end
+        sums = np.empty(len(terms) + 1)
+        sums[0] = running
+        sums[1:] = terms
+        sums = np.add.accumulate(sums, out=sums)[1:]
+        first = max(0, checked + 1 - (j + lead))
+        stop = terms[first:] == 0.0
+        stop |= terms[first:] < sums[first:] * 1e-18
+        if stop.any():
+            blocks.append(terms[:first + stop.argmax() + 1])
+            break
+        blocks.append(terms)
+        if end > cap:
+            raise NumericsError(
+                f"marcum_q failed to converge (m={m}, a={a}, y={y})")
+        p, t, g, running = ps[-1], ts[-1], gs[-1], sums[-1]
+        j, lead, end = end, 1, min(end + _BLOCK, cap + 1)
+    terms = np.concatenate(blocks)
+    terms[::-1].sort()
+    return min(math.fsum(terms.tolist()), 1.0)

@@ -4,12 +4,20 @@ The transient model tracks each server's inlet and CPU temperature from the
 configured initial state toward steady state.  Cooling energy over a window
 has a closed form (sum of exponential relaxations); tests check it against
 direct quadrature of the instantaneous cooling power.
+
+The fleet sums take a whole rate vector at once.  Each server's power and
+heat addend is the scalar expression evaluated elementwise, a CRAC's heat
+is summed in server order with ``np.add.accumulate`` (strictly sequential,
+so it rounds as a scalar loop does), and compute and payload energies are
+one correctly rounded ``math.fsum`` over the array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .config import CoolingSpec, ModelConfig, Scenario, ServerSpec
 from .errors import OverloadError
@@ -19,23 +27,29 @@ KELVIN_OFFSET = 273.15
 ServerLoad = tuple[ServerSpec, float]
 
 
-def utilization(server: ServerSpec, rate: float, task_len: float) -> float:
-    """Fraction of the service rate consumed by ``rate`` tasks/s."""
+def utilization(server: ServerSpec, rate, task_len: float):
+    """Fraction of the service rate consumed by ``rate`` tasks/s (a number
+    or an array of per-server rates)."""
     return task_len * rate / server.service_rate_ips
 
 
-def compute_power(server: ServerSpec, rate: float, task_len: float) -> float:
-    """Electrical draw at the given arrival rate, W; linear idle-to-peak."""
+def compute_power(server: ServerSpec, rate, task_len: float):
+    """Electrical draw at the given arrival rate, W; linear idle-to-peak.
+
+    ``rate`` is one rate or an array of them, one per server; the
+    OverloadError names the first server over the ceiling."""
     u = utilization(server, rate, task_len)
-    if u > server.desired_utilization * (1.0 + 1e-12):
+    over = np.ravel(u > server.desired_utilization * (1.0 + 1e-12))
+    if over.any():
         raise OverloadError(
-            f"utilization {u:.4f} exceeds ceiling {server.desired_utilization}"
+            f"utilization {np.ravel(u)[over.argmax()]:.4f} exceeds ceiling "
+            f"{server.desired_utilization}"
         )
     return server.p_idle + (server.p_peak - server.p_idle) * u
 
 
-def compute_energy(server: ServerSpec, rate: float, task_len: float,
-                   window: tuple[float, float]) -> float:
+def compute_energy(server: ServerSpec, rate, task_len: float,
+                   window: tuple[float, float]):
     return compute_power(server, rate, task_len) * (window[1] - window[0])
 
 
@@ -115,26 +129,40 @@ def cooling_energy(server_loads: list[ServerLoad], cooling: CoolingSpec,
 
     Integrates fan power plus removed heat over the COP; the relaxation
     integrals are evaluated analytically."""
+    heat = np.array([_heat_integral(server, rate, cooling, task_len, window)
+                     for server, rate in server_loads])
+    return _crac_energy(heat, cooling, window)
+
+
+def _heat_integral(server: ServerSpec, rates, cooling: CoolingSpec,
+                   task_len: float, window: tuple[float, float]):
+    """Heat each server at ``rates`` hands its CRAC over the window, J.
+
+    The exponentials depend only on the server, the cooling spec and the
+    window, so they are taken once for the whole rate array."""
     t1, t2 = window
     span = t2 - t1
     nu = cooling.crac_influence_rate
     base = cooling.supply_temp + cooling.recirculation_raise
     d_cpu = cooling.t_cpu_initial - base
     d_in = cooling.t_in_initial - base
-    c = cop(cooling, cooling.supply_temp)
-    heat_integral = 0.0
-    for server, rate in server_loads:
-        r = server.thermal_resistance
-        cap = server.heat_capacity
-        rc = r * cap
-        k = nu + 1.0 / rc
-        p = compute_power(server, rate, task_len)
-        heat_integral += (
-            p * (span + rc * (math.exp(-t2 / rc) - math.exp(-t1 / rc)))
-            + cap * d_cpu * (math.exp(-t1 / rc) - math.exp(-t2 / rc))
-            + cap / (nu * rc + 1.0) * d_in * (math.exp(-k * t2) - math.exp(-k * t1))
-        )
-    return cooling.fan_power_w() * span + heat_integral / c
+    r = server.thermal_resistance
+    cap = server.heat_capacity
+    rc = r * cap
+    k = nu + 1.0 / rc
+    relax = span + rc * (math.exp(-t2 / rc) - math.exp(-t1 / rc))
+    cpu = cap * d_cpu * (math.exp(-t1 / rc) - math.exp(-t2 / rc))
+    inlet = cap / (nu * rc + 1.0) * d_in * (math.exp(-k * t2) - math.exp(-k * t1))
+    return compute_power(server, rates, task_len) * relax + cpu + inlet
+
+
+def _crac_energy(heat: np.ndarray, cooling: CoolingSpec,
+                 window: tuple[float, float]) -> float:
+    """Fan energy plus the heat of one CRAC's servers, summed in order,
+    over the COP, J."""
+    total = float(np.add.accumulate(heat)[-1]) if len(heat) else 0.0
+    return (cooling.fan_power_w() * (window[1] - window[0])
+            + total / cop(cooling, cooling.supply_temp))
 
 
 def partition_servers(count: int, crac_count: int) -> list[int]:
@@ -165,11 +193,12 @@ class EnergyBreakdown:
 def grouped_cooling_energy(rates, server: ServerSpec, cooling: CoolingSpec,
                             task_len: float, window) -> float:
     """Cooling energy with the rate list split near-uniformly across CRACs."""
+    heat = _heat_integral(server, np.asarray(rates, dtype=float), cooling,
+                          task_len, window)
     total = 0.0
     start = 0
-    for n in partition_servers(len(rates), cooling.crac_count):
-        group = [(server, r) for r in rates[start:start + n]]
-        total += cooling_energy(group, cooling, task_len, window)
+    for n in partition_servers(len(heat), cooling.crac_count):
+        total += _crac_energy(heat[start:start + n], cooling, window)
         start += n
     return total
 
@@ -179,11 +208,12 @@ def tdc_total_energy(scenario: Scenario, cfg: ModelConfig) -> EnergyBreakdown:
 
     The airborne rate vector (replicated per platform) joins the ground one,
     so the baseline serves the identical workload."""
-    rates = list(scenario.ground_rates) + list(scenario.hap_rates) * scenario.hap_count
+    rates = np.array(scenario.ground_rates
+                     + scenario.hap_rates * scenario.hap_count, dtype=float)
     task_len = cfg.workload.task_length_instr
     window = scenario.window
     compute = math.fsum(
-        compute_energy(cfg.server, r, task_len, window) for r in rates)
+        compute_energy(cfg.server, rates, task_len, window).tolist())
     cooling_total = grouped_cooling_energy(rates, cfg.server, cfg.cooling,
                                             task_len, window)
     return EnergyBreakdown.from_parts(compute_j=compute, cooling_j=cooling_total)

@@ -42,6 +42,35 @@ def test_sample_entry_power_any_factor():
         assert abs(np.mean(np.abs(h) ** 2) / gain2 - 1.0) < 0.03
 
 
+def _sample_channel_out_of_place(ch, count, rng):
+    """The draw as one expression with its temporaries: LOS matrix plus
+    scaled scatter, then the gain.  Kept as the reference of the in-place
+    build."""
+    ch = ch.resolved()
+    shape = (count, ch.rx_antennas, ch.tx_antennas)
+    scatter = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    scatter *= math.sqrt(0.5)
+    zeta = ch.rician_factor
+    gain = math.sqrt(ch.ref_gain) / ch.link_distance
+    los = math.sqrt(zeta / (zeta + 1.0))
+    nlos = math.sqrt(1.0 / (zeta + 1.0))
+    mean = np.ones((ch.rx_antennas, ch.tx_antennas), dtype=complex)
+    return gain * (los * mean + nlos * scatter)
+
+
+@pytest.mark.parametrize("zeta", [0.0, 10.0])
+@pytest.mark.parametrize("antennas", [1, 2, 3, 4])
+def test_sample_channel_bitwise_equal_to_out_of_place(antennas, zeta):
+    for tx, rx in ((antennas, antennas), (antennas, 16), (2, antennas)):
+        ch = ChannelConfig(tx_antennas=tx, rx_antennas=rx, rician_factor=zeta)
+        got = channel.sample_channel(ch, 3000, np.random.default_rng(antennas))
+        want = _sample_channel_out_of_place(ch, 3000,
+                                            np.random.default_rng(antennas))
+        assert got.shape == want.shape == (3000, rx, tx)
+        # compared as bit patterns, so signed zeros count too
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_strong_los_approaches_reference_rate():
     ch = ChannelConfig(rician_factor=1e12)
     rng = np.random.default_rng(3)

@@ -1,5 +1,6 @@
 """Vacation queue: closed form against the discrete-event simulation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -162,3 +163,60 @@ def test_simulation_guards():
     assert sim.cycles == 1
     assert sim.stderr is None
     assert sim.mean_wait > 0.0
+
+
+def _simulate_all_ends(arrival_rate, service_rate, vacation_rate, n_tasks, rng):
+    """The vectorised simulation with every vacation end of the run held in
+    one array and searched at once; kept as the reference of the pool-by-pool
+    search, which must give the same result bit for bit."""
+    arrivals = rng.exponential(1.0 / arrival_rate, n_tasks)
+    np.cumsum(arrivals, out=arrivals)
+    services = rng.exponential(1.0 / service_rate, n_tasks)
+    last_service = services[-1]
+    work_ahead = np.empty(n_tasks)
+    work_ahead[0] = 0.0
+    np.cumsum(services[:-1], out=work_ahead[1:])
+    total_work = work_ahead[-1] + last_service
+    virtual = np.maximum.accumulate(arrivals - work_ahead)
+    pools, last = [], 0.0
+    while last <= virtual[-1]:
+        pool = np.cumsum(rng.exponential(1.0 / vacation_rate, 8192))
+        pool += last
+        pools.append(pool)
+        last = pool[-1]
+    vacation_ends = np.concatenate(pools)
+    landed = np.concatenate(
+        ([0], np.searchsorted(virtual, vacation_ends, side="left")))
+    served_by = np.flatnonzero(np.diff(landed, append=n_tasks + 1))
+    cycle_starts = landed[served_by]
+    inside = cycle_starts < n_tasks
+    cycle_starts, served_by = cycle_starts[inside], served_by[inside]
+    sizes = np.diff(np.append(cycle_starts, n_tasks))
+    starts = np.repeat(vacation_ends[served_by], sizes)
+    starts += work_ahead
+    horizon = float(starts[-1] + last_service)
+    waits = starts - arrivals
+    mean = float(waits.mean())
+    cycles = len(cycle_starts)
+    stderr = None
+    if cycles >= 2:
+        totals = np.add.reduceat(waits, cycle_starts)
+        spread = np.sum((totals - mean * sizes) ** 2) / (cycles * (cycles - 1))
+        stderr = math.sqrt(spread) / sizes.mean()
+    return queueing.SimulationResult(
+        tasks=n_tasks, horizon=horizon, mean_wait=mean, stderr=stderr,
+        cycles=cycles, busy_fraction=float(total_work / horizon))
+
+
+@pytest.mark.parametrize("lam, mu, nu, n", [
+    (0.1, 1.0, 1.0, 20_000),        # short vacations: about 10 ends per task
+    (16000.0, 23200.0, 10.0, 50_000),  # the delay sweep's regime
+    (0.01, 100.0, 1.0, 2_000),      # idle limit: every task finds it empty
+    (1.0, 2.0, 1.0, 2),             # the smallest run allowed
+])
+def test_simulation_matches_all_ends_search(lam, mu, nu, n):
+    for seed in range(3):
+        got = queueing.simulate_mm1_vacations(
+            lam, mu, nu, n, rng=np.random.default_rng(seed))
+        want = _simulate_all_ends(lam, mu, nu, n, np.random.default_rng(seed))
+        assert dataclasses.astuple(got) == dataclasses.astuple(want)

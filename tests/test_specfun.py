@@ -210,3 +210,50 @@ def test_marcum_bitwise_equal_to_quadratic_series():
     # the grid reaches both sides of the centre and the underflowing tail
     assert (values > 0.99).any() and (values < 1e-3).any()
     assert (values == 0.0).any() and ((values > 0.0) & (values < 1e-300)).any()
+
+
+def _marcum_series_tail(m, a, y):
+    """How many terms the reference loop keeps past the first index its
+    stopping rule checks (``j0 + half_width + 1``); a copy of the loop in
+    ``_marcum_q_quadratic`` that counts instead of summing."""
+    x = 0.5 * y * y
+    h = 0.5 * a * a
+    j0 = int(h)
+    p = math.exp(-h + j0 * math.log(h) - math.lgamma(j0 + 1.0))
+    half_width = int(12.0 * math.sqrt(h)) + 25
+    jlo = max(0, j0 - half_width)
+    for j in range(j0, jlo, -1):
+        p *= j / h
+    g, t = _erlang_tail(m + jlo, x)
+    terms = []
+    j = jlo
+    n = m + jlo
+    while True:
+        term = p * g
+        terms.append(term)
+        if j > j0 + half_width:
+            total = math.fsum(terms)
+            if term == 0.0 or term < total * 1e-18:
+                return j - (j0 + half_width + 1)
+        j += 1
+        p *= h / j
+        t *= x / n
+        g = min(g + t, 1.0)
+        n += 1
+
+
+def test_marcum_bitwise_equal_past_the_first_block():
+    # thresholds well above the centre move the series' peak past it, so
+    # the terms run on for one or more blocks after the first check
+    points = [(m, a, a + d) for m in (1, 32)
+              for a in (3.0, 10.0, 25.3, 60.0)
+              for d in (10.0, 15.0, 20.0, 22.0)]
+    points.append((64, 60.0, 80.0))
+    tails = []
+    for m, a, y in points:
+        assert marcum_q(m, a, y) == _marcum_q_quadratic(m, a, y), (m, a, y)
+        tails.append(_marcum_series_tail(m, a, y))
+    # the grid holds series that stop inside the second block (after
+    # the first check, within 256 terms) and series that run past it
+    assert any(0 < k <= 256 for k in tails)
+    assert any(k > 256 for k in tails)

@@ -5,14 +5,17 @@ integration of the instantaneous cooling power (scipy is the oracle here,
 the library itself never calls it).
 """
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from hapdc import thermal
-from hapdc.config import CoolingSpec, ModelConfig, Scenario, ServerSpec
-from hapdc.errors import OverloadError
+from hapdc import aero, channel, offload, thermal
+from hapdc.config import (CoolingSpec, ModelConfig, Scenario, ServerSpec,
+                          WorkloadSpec, uniform_split)
+from hapdc.errors import LinkSaturationWarning, OverloadError
 
 
 def _random_instance(rng):
@@ -176,3 +179,184 @@ def test_energy_breakdown_total():
                                            payload_j=3.0, propulsion_j=4.0,
                                            transmission_j=5.0)
     assert b.total_j == 15.0
+
+
+# The per-server loops the fleet sums replaced, kept as the reference the
+# array kernels must match bit for bit.
+
+def _compute_power_loop(server, rate, task_len):
+    u = task_len * rate / server.service_rate_ips
+    if u > server.desired_utilization * (1.0 + 1e-12):
+        raise OverloadError(
+            f"utilization {u:.4f} exceeds ceiling {server.desired_utilization}"
+        )
+    return server.p_idle + (server.p_peak - server.p_idle) * u
+
+
+def _compute_sum_loop(rates, server, task_len, window):
+    return math.fsum(_compute_power_loop(server, r, task_len)
+                     * (window[1] - window[0]) for r in rates)
+
+
+def _cooling_energy_loop(server_loads, cooling, task_len, window):
+    t1, t2 = window
+    span = t2 - t1
+    nu = cooling.crac_influence_rate
+    base = cooling.supply_temp + cooling.recirculation_raise
+    d_cpu = cooling.t_cpu_initial - base
+    d_in = cooling.t_in_initial - base
+    c = thermal.cop(cooling, cooling.supply_temp)
+    heat_integral = 0.0
+    for server, rate in server_loads:
+        r = server.thermal_resistance
+        cap = server.heat_capacity
+        rc = r * cap
+        k = nu + 1.0 / rc
+        p = _compute_power_loop(server, rate, task_len)
+        heat_integral += (
+            p * (span + rc * (math.exp(-t2 / rc) - math.exp(-t1 / rc)))
+            + cap * d_cpu * (math.exp(-t1 / rc) - math.exp(-t2 / rc))
+            + cap / (nu * rc + 1.0) * d_in * (math.exp(-k * t2) - math.exp(-k * t1))
+        )
+    return cooling.fan_power_w() * span + heat_integral / c
+
+
+def _grouped_cooling_loop(rates, server, cooling, task_len, window):
+    total = 0.0
+    start = 0
+    for n in thermal.partition_servers(len(rates), cooling.crac_count):
+        group = [(server, r) for r in rates[start:start + n]]
+        total += _cooling_energy_loop(group, cooling, task_len, window)
+        start += n
+    return total
+
+
+def _tdc_loop(scenario, cfg):
+    rates = list(scenario.ground_rates) + list(scenario.hap_rates) * scenario.hap_count
+    task_len = cfg.workload.task_length_instr
+    compute = _compute_sum_loop(rates, cfg.server, task_len, scenario.window)
+    cooling = _grouped_cooling_loop(rates, cfg.server, cfg.cooling, task_len,
+                                    scenario.window)
+    return thermal.EnergyBreakdown.from_parts(compute_j=compute, cooling_j=cooling)
+
+
+def _hybrid_loop(scenario, cfg):
+    task_len = cfg.workload.task_length_instr
+    window = scenario.window
+    compute = _compute_sum_loop(scenario.ground_rates, cfg.server, task_len, window)
+    cooling = _grouped_cooling_loop(list(scenario.ground_rates), cfg.server,
+                                    cfg.cooling, task_len, window)
+    if scenario.hap_servers == 0:
+        return thermal.EnergyBreakdown.from_parts(compute_j=compute, cooling_j=cooling)
+    k = scenario.hap_count
+    payload = k * _compute_sum_loop(scenario.hap_rates, cfg.server, task_len, window)
+    wind = cfg.wind.speed_at(scenario.latitude_deg, scenario.day_of_year)
+    propulsion = k * aero.propulsion_energy(cfg.hap, wind, window)
+    transmission = k * channel.transmission_energy(
+        cfg.channel, cfg.workload, math.fsum(scenario.hap_rates),
+        scenario.window_length, task_len)
+    return thermal.EnergyBreakdown.from_parts(
+        compute_j=compute, cooling_j=cooling, payload_j=payload,
+        propulsion_j=propulsion, transmission_j=transmission)
+
+
+def _random_fleet(rng):
+    """A random server and cooling spec, a task length, a window, and a
+    rate maker that gives ``n`` per-server rates under the ceiling, split
+    uniformly or drawn one by one."""
+    server = ServerSpec(
+        service_rate_mips=float(rng.uniform(100.0, 2000.0)),
+        p_idle=float(rng.uniform(50.0, 400.0)),
+        p_peak=float(rng.uniform(500.0, 1200.0)),
+        desired_utilization=float(rng.uniform(0.5, 1.0)),
+        heat_capacity=float(rng.uniform(100.0, 900.0)),
+        thermal_resistance=float(rng.uniform(0.05, 1.5)),
+    )
+    cooling = CoolingSpec(
+        crac_count=int(rng.integers(1, 7)),
+        supply_temp=float(rng.uniform(285.0, 303.0)),
+        fan_power=float(rng.uniform(0.0, 900.0)),
+        air_heat_capacity_flow=float(rng.uniform(10.0, 120.0)),
+        recirculation_raise=float(rng.uniform(0.0, 5.0)),
+        crac_influence_rate=float(rng.uniform(0.005, 0.5)),
+        t_in_initial=float(rng.uniform(300.0, 320.0)),
+        t_cpu_initial=float(rng.uniform(305.0, 330.0)),
+    )
+    task_len = float(rng.uniform(1e5, 1e7))
+    t1 = float(rng.uniform(0.0, 500.0))
+    window = (t1, t1 + float(rng.uniform(10.0, 86400.0)))
+    cap = server.desired_utilization * server.service_rate_ips / task_len
+
+    def rates(n, uniform):
+        if uniform:
+            return uniform_split(n * float(rng.uniform(0.0, 1.0)) * cap, n)
+        return tuple(float(u) * cap for u in rng.uniform(0.0, 1.0, n))
+
+    return server, cooling, task_len, window, rates
+
+
+def test_fleet_sums_bitwise_equal_to_loops():
+    rng = np.random.default_rng(2024)
+    for trial in range(60):
+        server, cooling, task_len, window, rates = _random_fleet(rng)
+        uniform = bool(trial % 2)
+        ground = rates(int(rng.integers(0, 90)), uniform)
+        got = thermal.grouped_cooling_energy(list(ground), server, cooling,
+                                             task_len, window)
+        assert got == _grouped_cooling_loop(list(ground), server, cooling,
+                                            task_len, window)
+        hap = rates(int(rng.integers(1, 50)), uniform)
+        assert offload.payload_energy(hap, server, task_len, window) \
+            == _compute_sum_loop(hap, server, task_len, window)
+        cfg = ModelConfig(server=server, cooling=cooling,
+                          workload=WorkloadSpec(task_length_instr=task_len))
+        for hap_count in (0, 1, 3):
+            scen = Scenario(ground_servers=len(ground),
+                            hap_servers=len(hap) if hap_count else 0,
+                            hap_count=max(hap_count, 1), window=window,
+                            ground_rates=ground,
+                            hap_rates=hap if hap_count else ())
+            assert thermal.tdc_total_energy(scen, cfg) == _tdc_loop(scen, cfg)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", LinkSaturationWarning)
+                assert offload.hybrid_total_energy(scen, cfg) \
+                    == _hybrid_loop(scen, cfg)
+
+
+def test_grouped_cooling_with_an_empty_crac():
+    # 3 servers on 4 CRACs: the last CRAC cools nobody and pays its fan
+    server, cooling, task_len, window, rates = _random_fleet(
+        np.random.default_rng(5))
+    cooling = dataclasses.replace(cooling, crac_count=4)
+    assert thermal.partition_servers(3, 4)[-1] == 0
+    for uniform in (True, False):
+        ground = rates(3, uniform)
+        assert thermal.grouped_cooling_energy(ground, server, cooling,
+                                              task_len, window) \
+            == _grouped_cooling_loop(ground, server, cooling, task_len, window)
+    assert thermal.grouped_cooling_energy((), server, cooling, task_len,
+                                          window) \
+        == _grouped_cooling_loop((), server, cooling, task_len, window)
+
+
+def test_overload_message_names_the_first_server_as_the_loop_did():
+    server = ServerSpec(desired_utilization=0.8)
+    task_len = 1e6
+    cap = 0.8 * server.service_rate_ips / task_len
+    rates = (0.5 * cap, cap, 1.3 * cap, 0.2 * cap, 2.0 * cap)
+    with pytest.raises(OverloadError) as loop:
+        _compute_sum_loop(rates, server, task_len, (0.0, 60.0))
+    assert "1.0400" in str(loop.value)
+    calls = (
+        lambda: thermal.compute_power(server, np.array(rates), task_len),
+        lambda: thermal.grouped_cooling_energy(rates, server, CoolingSpec(),
+                                               task_len, (0.0, 60.0)),
+        lambda: offload.payload_energy(rates, server, task_len, (0.0, 60.0)),
+        lambda: thermal.tdc_total_energy(
+            Scenario(ground_servers=5, hap_servers=0, ground_rates=rates),
+            ModelConfig(server=server)),
+    )
+    for call in calls:
+        with pytest.raises(OverloadError) as got:
+            call()
+        assert str(got.value) == str(loop.value)
