@@ -19,6 +19,11 @@ from .specfun import marcum_q
 
 _LN2 = math.log(2.0)
 
+# Monte Carlo draws are taken in chunks of this many channels.  The outage
+# sweep seeds each chunk from its index, so partial counts commute and any
+# worker count reproduces the single-process bytes.
+MC_CHUNK = 20_000
+
 
 def sample_channel(ch: ChannelConfig, count: int,
                    rng: np.random.Generator | None = None) -> np.ndarray:
@@ -31,7 +36,6 @@ def sample_channel(ch: ChannelConfig, count: int,
     """
     if rng is None:
         rng = np.random.default_rng()
-    ch = ch.resolved()
     shape = (count, ch.rx_antennas, ch.tx_antennas)
     h = np.empty(shape, dtype=complex)
     h.real = rng.standard_normal(shape)
@@ -44,18 +48,13 @@ def sample_channel(ch: ChannelConfig, count: int,
     return h
 
 
-def mrt_precoder(ch: ChannelConfig) -> np.ndarray:
-    """Transmit vector matched to the line-of-sight direction, |q|^2 = tx_power."""
-    q = np.ones(ch.tx_antennas, dtype=complex)
-    return q * math.sqrt(ch.tx_power / ch.tx_antennas)
+def beamformed_rate(ch: ChannelConfig, h: np.ndarray) -> np.ndarray:
+    """Single-stream rate B*log2(1 + |h q|^2 / noise) for channel(s) ``h``.
 
-
-def beamformed_rate(ch: ChannelConfig, h: np.ndarray,
-                    precoder: np.ndarray | None = None) -> np.ndarray:
-    """Single-stream rate B*log2(1 + |h q|^2 / noise) for channel(s) ``h``."""
-    ch = ch.resolved()
-    if precoder is None:
-        precoder = mrt_precoder(ch)
+    ``q`` is the transmit vector matched to the line-of-sight direction,
+    equal entries with |q|^2 = tx_power."""
+    precoder = np.full(ch.tx_antennas, math.sqrt(ch.tx_power / ch.tx_antennas),
+                       dtype=complex)
     received = h @ precoder
     snr = np.sum(np.abs(received) ** 2, axis=-1) / ch.noise_power
     return ch.bandwidth_hz * np.log2(1.0 + snr)
@@ -67,7 +66,6 @@ def channel_rate(ch: ChannelConfig, h: np.ndarray) -> np.ndarray:
     This is the quantity the closed-form CCDF bounds sandwich; the
     determinant runs over the (small) transmit dimension.
     """
-    ch = ch.resolved()
     gram = np.swapaxes(h, -1, -2).conj() @ h
     scaled = (ch.tx_power / ch.noise_power) * gram
     eye = np.eye(ch.tx_antennas)
@@ -78,7 +76,6 @@ def channel_rate(ch: ChannelConfig, h: np.ndarray) -> np.ndarray:
 
 def reference_rate(ch: ChannelConfig) -> float:
     """Offload rate on the unfaded line-of-sight channel with MRT, bit/s."""
-    ch = ch.resolved()
     array_snr = ch.tx_antennas * ch.rx_antennas * ch.avg_rx_snr
     return ch.bandwidth_hz * math.log2(1.0 + array_snr)
 
@@ -106,7 +103,6 @@ def spectral_demand(ch: ChannelConfig, workload: WorkloadSpec,
 
 
 def _bound_params(ch: ChannelConfig) -> tuple[int, float, float]:
-    ch = ch.resolved()
     orders = ch.tx_antennas * ch.rx_antennas
     noncentral = math.sqrt(2.0 * ch.rician_factor * orders)
     scale = (1.0 + ch.rician_factor) / ch.avg_rx_snr
@@ -146,11 +142,10 @@ def exceedances(ch: ChannelConfig, demands: np.ndarray, count: int,
     """Count, per spectral demand, how many of ``count`` channel draws
     from ``rng`` have a full-covariance rate above it.
 
-    Callers that split their samples into batches (``empirical_ccdf``, the
+    Callers that split their samples into chunks (``empirical_ccdf``, the
     chunk-keyed outage sweep) add up the counts and hand the total to
     ``ccdf_estimate``.
     """
-    ch = ch.resolved()
     thresholds = demands * ch.bandwidth_hz
     rates = channel_rate(ch, sample_channel(ch, count, rng))
     return (rates[None, :] > thresholds[:, None]).sum(axis=1)
@@ -171,19 +166,19 @@ def ccdf_estimate(counts: np.ndarray, samples: int
 
 
 def empirical_ccdf(ch: ChannelConfig, demands, samples: int = 100_000,
-                   rng: np.random.Generator | None = None,
-                   batch: int = 20_000) -> tuple[np.ndarray, np.ndarray]:
+                   rng: np.random.Generator | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo CCDF of the full-covariance rate at each spectral demand.
 
     Returns the (probability, standard error) arrays of ``ccdf_estimate``
-    over ``samples`` draws taken in batches of ``batch``.
+    over ``samples`` draws taken in chunks of ``MC_CHUNK``.
     """
     if rng is None:
         rng = np.random.default_rng()
     demands = np.atleast_1d(np.asarray(demands, dtype=float))
     counts = np.zeros(demands.shape, dtype=np.int64)
-    for done in range(0, samples, batch):
-        counts += exceedances(ch, demands, min(batch, samples - done), rng)
+    for done in range(0, samples, MC_CHUNK):
+        counts += exceedances(ch, demands, min(MC_CHUNK, samples - done), rng)
     return ccdf_estimate(counts, samples)
 
 
@@ -194,18 +189,16 @@ def drop_probability(ch: ChannelConfig, workload: WorkloadSpec,
 
 
 def max_reliable_rate(ch: ChannelConfig, workload: WorkloadSpec,
-                      task_len: float | None = None,
-                      ccdf_floor: float = 1.0 - 1e-12) -> float:
-    """Largest offload arrival rate whose CCDF lower bound stays above the floor.
+                      task_len: float | None = None) -> float:
+    """Largest offload arrival rate whose CCDF lower bound stays at or
+    above 1 - 1e-12.
 
     Bisection on the monotone lower bound; this is where link drops stop
     being negligible.
     """
-    if not 0.0 < ccdf_floor < 1.0:
-        raise ValueError("ccdf_floor must be in (0, 1)")
-
     def ok(lam: float) -> bool:
-        return ccdf_lower(ch, spectral_demand(ch, workload, lam, task_len)) >= ccdf_floor
+        demand = spectral_demand(ch, workload, lam, task_len)
+        return ccdf_lower(ch, demand) >= 1.0 - 1e-12
 
     hi = 1.0
     grow = 0
@@ -242,7 +235,6 @@ def transmission_energy(ch: ChannelConfig, workload: WorkloadSpec,
     """Transmit energy over ``window`` seconds of offloading, J."""
     if window < 0:
         raise ValueError("window must be non-negative")
-    ch = ch.resolved()
     duty = airtime_fraction(ch, workload, arrival_rate, task_len)
     if duty > 1.0 + 1e-12:
         warnings.warn(

@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from ._version import __version__
-from .config import ModelConfig, load_config
+from .config import ModelConfig, build_config, load_config
 from .errors import ConfigError, LinkRateError, NumericsError
 from .sweeps import AXES, RUNNERS, SweepSpec, render_csv, render_json
 from .validate import run_validation
@@ -73,9 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(config_path: str | None) -> ModelConfig:
-    cfg = load_config(config_path) if config_path else ModelConfig()
-    cfg.validate()
-    return cfg
+    """The validated config at ``config_path``, or the defaults, which an
+    empty file yields too (same model, same manifest hash)."""
+    return load_config(config_path) if config_path else build_config({})
 
 
 def _run_validate(args) -> int:

@@ -12,7 +12,7 @@ import csv
 import hashlib
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import yaml
 
@@ -230,7 +230,15 @@ class WindSpec:
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    """Offloading link: antenna geometry, Rician fading and power budget."""
+    """Offloading link: antenna geometry, Rician fading and power budget.
+
+    The link budget is derived once, at construction: a ``noise_power`` or
+    ``avg_rx_snr`` left as None is filled in from the other fields (the SNR
+    only when the noise and ``link_distance`` are nonzero; a budget that
+    cannot be derived stays None and ``validate()`` names the bad field).
+    ``dataclasses.replace(ch, tx_power=...)`` keeps the derived SNR; pass
+    ``avg_rx_snr=None`` (and ``noise_power=None``) to derive them again.
+    """
 
     tx_antennas: int = 2
     rx_antennas: int = 16
@@ -249,15 +257,19 @@ class ChannelConfig:
     'bits_per_hz' divides offered bits/s by the bandwidth, 'identity' uses
     the arrival rate unchanged."""
 
+    def __post_init__(self):
+        if self.noise_power is None:
+            object.__setattr__(self, "noise_power",
+                               _NOISE_DENSITY_W_PER_HZ * self.bandwidth_hz)
+        if self.avg_rx_snr is None and self.noise_power and self.link_distance:
+            object.__setattr__(
+                self, "avg_rx_snr",
+                self.tx_power * self.ref_gain
+                / (self.link_distance**2 * self.noise_power))
+
     def resolved(self) -> "ChannelConfig":
-        """Fill derived fields (noise, SNR) so every value is explicit."""
-        noise = self.noise_power
-        if noise is None:
-            noise = _NOISE_DENSITY_W_PER_HZ * self.bandwidth_hz
-        snr = self.avg_rx_snr
-        if snr is None:
-            snr = self.tx_power * self.ref_gain / (self.link_distance**2 * noise)
-        return replace(self, noise_power=noise, avg_rx_snr=snr)
+        """The config itself: its link budget is derived at construction."""
+        return self
 
     def validate(self):
         if self.tx_antennas < 1 or self.rx_antennas < 1:
@@ -353,9 +365,8 @@ class ModelConfig:
     scenario: Scenario = field(default_factory=Scenario)
 
     def validate(self):
-        for section in (self.server, self.workload, self.cooling, self.hap,
-                        self.wind, self.channel, self.scenario):
-            section.validate()
+        for section in fields(self):
+            getattr(self, section.name).validate()
         # cross-section: configured rates must respect the utilization ceiling
         cap = self.server.desired_utilization * self.server.service_rate_ips
         for kind, rates in (("ground", self.scenario.ground_rates),
@@ -390,15 +401,7 @@ def max_hap_servers(platform: HapPlatform, server: ServerSpec) -> int:
     return max(0, math.floor(spare / server.mass))
 
 
-_SECTION_TYPES = {
-    "server": ServerSpec,
-    "workload": WorkloadSpec,
-    "cooling": CoolingSpec,
-    "hap": HapPlatform,
-    "wind": WindSpec,
-    "channel": ChannelConfig,
-    "scenario": Scenario,
-}
+_SECTION_TYPES = {f.name: f.default_factory for f in fields(ModelConfig)}
 
 
 def _coerce(name: str, value, section: str):
@@ -482,7 +485,6 @@ def build_config(raw: dict, base_dir: str = ".") -> ModelConfig:
                 data["table"] = _load_wind_table(str(table_path), base_dir)
         sections[name] = _build_section(name, _SECTION_TYPES[name], data or {})
     cfg = ModelConfig(**sections)
-    cfg = replace(cfg, channel=cfg.channel.resolved())
     cfg.validate()
     return cfg
 
@@ -490,11 +492,8 @@ def build_config(raw: dict, base_dir: str = ".") -> ModelConfig:
 def dump_config(cfg: ModelConfig) -> dict:
     """Plain-type mapping that ``build_config`` parses back to an equal config."""
     out: dict = {}
-    for section_name, obj in (
-        ("server", cfg.server), ("workload", cfg.workload), ("cooling", cfg.cooling),
-        ("hap", cfg.hap), ("wind", cfg.wind), ("channel", cfg.channel),
-        ("scenario", cfg.scenario),
-    ):
+    for section in fields(cfg):
+        obj = getattr(cfg, section.name)
         sec = {}
         for f in fields(obj):
             value = getattr(obj, f.name)
@@ -503,7 +502,7 @@ def dump_config(cfg: ModelConfig) -> dict:
             elif isinstance(value, tuple):
                 value = [list(v) if isinstance(v, tuple) else v for v in value]
             sec[f.name] = value
-        out[section_name] = sec
+        out[section.name] = sec
     return out
 
 
@@ -512,5 +511,5 @@ def config_yaml(cfg: ModelConfig) -> str:
 
 
 def config_hash(cfg: ModelConfig) -> str:
-    """Stable sha256 of the fully-resolved configuration."""
+    """Stable sha256 of the configuration, derived link budget included."""
     return hashlib.sha256(config_yaml(cfg).encode()).hexdigest()

@@ -9,8 +9,6 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-import numpy as np
-
 from . import aero, channel, queueing, solar, thermal
 from .config import (ModelConfig, Scenario, ServerSpec, WorkloadSpec,
                      uniform_split)
@@ -63,6 +61,8 @@ class DelayReport:
     """End-to-end offloading delay split into queueing and transport parts."""
 
     arrival_rate: float
+    service_rate: float
+    """Aggregate service rate of the airborne fleet, task/s."""
     mean_wait_s: float
     rtt_s: float
     total_delay_s: float
@@ -76,8 +76,7 @@ def payload_energy(hap_rates, server: ServerSpec, task_len: float,
     The stratosphere cools the platform for free, so payload energy is
     compute only; OverloadError if any rate breaks the utilization ceiling.
     """
-    return math.fsum(thermal.compute_energy(
-        server, np.asarray(hap_rates, dtype=float), task_len, window).tolist())
+    return thermal.fleet_compute_energy(server, hap_rates, task_len, window)
 
 
 def high_load_threshold(server: ServerSpec, task_len: float) -> float:
@@ -176,8 +175,8 @@ def allocate_rates(cfg: ModelConfig, total_rate: float | None = None,
     return ground, hap
 
 
-def allocated_scenario(cfg: ModelConfig, total_rate: float | None = None) -> Scenario:
-    ground, hap = allocate_rates(cfg, total_rate)
+def allocated_scenario(cfg: ModelConfig) -> Scenario:
+    ground, hap = allocate_rates(cfg)
     return replace(cfg.scenario, ground_rates=ground, hap_rates=hap)
 
 
@@ -191,13 +190,9 @@ def hybrid_total_energy(scenario: Scenario, cfg: ModelConfig) -> thermal.EnergyB
     """
     task_len = cfg.workload.task_length_instr
     window = scenario.window
-    ground = np.array(scenario.ground_rates, dtype=float)
-    compute = math.fsum(
-        thermal.compute_energy(cfg.server, ground, task_len, window).tolist())
-    cooling = thermal.grouped_cooling_energy(
-        ground, cfg.server, cfg.cooling, task_len, window)
+    ground = thermal.ground_energy(scenario.ground_rates, cfg, window)
     if scenario.hap_servers == 0:
-        return thermal.EnergyBreakdown.from_parts(compute_j=compute, cooling_j=cooling)
+        return ground
     k = scenario.hap_count
     payload = k * payload_energy(scenario.hap_rates, cfg.server, task_len, window)
     wind = cfg.wind.speed_at(scenario.latitude_deg, scenario.day_of_year)
@@ -206,7 +201,7 @@ def hybrid_total_energy(scenario: Scenario, cfg: ModelConfig) -> thermal.EnergyB
     transmission = k * channel.transmission_energy(
         cfg.channel, cfg.workload, per_link_rate, scenario.window_length, task_len)
     return thermal.EnergyBreakdown.from_parts(
-        compute_j=compute, cooling_j=cooling, payload_j=payload,
+        compute_j=ground.compute_j, cooling_j=ground.cooling_j, payload_j=payload,
         propulsion_j=propulsion, transmission_j=transmission,
     )
 
@@ -278,15 +273,13 @@ def saving(scenario: Scenario, cfg: ModelConfig,
     )
 
 
-def end_to_end_delay(cfg: ModelConfig, arrival_rate: float,
-                     task_len: float | None = None) -> DelayReport:
+def end_to_end_delay(cfg: ModelConfig, arrival_rate: float) -> DelayReport:
     """Queueing wait at the airborne fleet plus two-way transport delay.
 
-    The fleet is modeled as one fast server at the aggregate service rate;
-    StabilityError beyond it.
+    The fleet is modeled as one fast server at the aggregate service rate,
+    which the report carries; StabilityError beyond it.
     """
-    if task_len is None:
-        task_len = cfg.workload.task_length_instr
+    task_len = cfg.workload.task_length_instr
     if cfg.scenario.hap_servers < 1:
         raise ValueError("end_to_end_delay needs at least one airborne server")
     service_rate = cfg.scenario.hap_servers * cfg.server.service_rate_ips / task_len
@@ -294,6 +287,7 @@ def end_to_end_delay(cfg: ModelConfig, arrival_rate: float,
                               cfg.workload.vacation_rate)
     rtt = channel.round_trip_time(cfg.channel, cfg.workload, arrival_rate, task_len)
     return DelayReport(
-        arrival_rate=arrival_rate, mean_wait_s=wait, rtt_s=rtt,
+        arrival_rate=arrival_rate, service_rate=service_rate,
+        mean_wait_s=wait, rtt_s=rtt,
         total_delay_s=wait + rtt, transport_dominated=rtt >= wait,
     )

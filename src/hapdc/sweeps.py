@@ -5,12 +5,17 @@ the four analyses at every grid point, and renders the rows as RFC-4180
 CSV (with a ``#`` manifest header) or as a JSON mirror.  Reruns with the
 same config, seed, and worker count produce byte-identical files; the
 worker count itself never changes the numbers because random draws are
-keyed to fixed chunk indices, not to scheduling order.
+keyed to fixed indices, not to scheduling order: an outage sweep's Monte
+Carlo chunks (``channel.MC_CHUNK`` draws each) by chunk, a delay sweep's
+simulations by grid point.
 
 Each of the four analyses (flying condition, energy saving, outage,
 delay) is one ``_Analysis`` record: metric columns, a row function, its
 fleet and axis needs, and an optional step over all rows at the end (the
-outage Monte Carlo pass).  One engine runs them all.
+outage Monte Carlo pass).  One engine runs them all.  Rows read the model
+quantities from their owners: the link budget from the config's
+``ChannelConfig``, the fleet service rate of the delay simulation from the
+analytic ``DelayReport``.
 
 Per-point failures (a polar night, an overloaded fleet) land in the
 row's ``error`` column and the sweep carries on; a sweep where every
@@ -33,22 +38,17 @@ import math
 import warnings
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import channel, offload, queueing
 from ._version import __version__
-from .config import ModelConfig, config_hash, uniform_split
+from .config import ModelConfig, Scenario, config_hash, uniform_split
 from .errors import (ConfigError, LinkRateError, LinkSaturationWarning,
                      OverloadError, PolarError, StabilityError)
 
 AXES = ("latitude", "day", "hap_servers", "arrival_rate")
-
-# Monte Carlo draws are partitioned into fixed-size chunks, each with its
-# own counter-keyed seed, so partial sums commute and any worker count
-# reproduces the single-process bytes.
-MC_CHUNK = 20_000
 
 _ROW_ERRORS = (PolarError, OverloadError, StabilityError, LinkRateError)
 
@@ -123,8 +123,7 @@ class SweepResult:
         return bool(self.rows) and all(row[-1] is not None for row in self.rows)
 
 
-_SCENARIO_FIELDS = ("latitude_deg", "day_of_year", "window", "ground_servers",
-                    "hap_servers", "hap_count", "ground_rates", "hap_rates")
+_SCENARIO_FIELDS = frozenset(f.name for f in fields(Scenario))
 
 
 def apply_fixed(cfg: ModelConfig, fixed) -> ModelConfig:
@@ -235,7 +234,7 @@ def _offload_scenario(cfg: ModelConfig, per_link_rate: float):
 
 
 def _outage_row(cfg, spec, index, value):
-    ch = cfg.channel.resolved()
+    ch = cfg.channel
     demand = channel.spectral_demand(ch, cfg.workload, value)
     lb = channel.ccdf_lower(ch, demand)
     ub = channel.ccdf_upper(ch, demand)
@@ -259,12 +258,12 @@ def _mc_chunk(args):
 
 def _outage_mc(cfg: ModelConfig, spec: SweepSpec, values, rows) -> None:
     """Fill every outage row's Monte Carlo cells from one chunked pass."""
-    ch = cfg.channel.resolved()
+    ch = cfg.channel
     demands = np.array([channel.spectral_demand(ch, cfg.workload, v)
                         for v in values])
-    chunk_args = [(ch, demands, min(MC_CHUNK, spec.samples - first),
-                   spec.seed, c)
-                  for c, first in enumerate(range(0, spec.samples, MC_CHUNK))]
+    chunk = channel.MC_CHUNK
+    chunk_args = [(ch, demands, min(chunk, spec.samples - first), spec.seed, c)
+                  for c, first in enumerate(range(0, spec.samples, chunk))]
     counts = sum(_map_points(_mc_chunk, chunk_args, spec.workers))
     prob, se = channel.ccdf_estimate(counts, spec.samples)
     for row, p, e in zip(rows, prob, se):
@@ -276,13 +275,11 @@ def _delay_row(cfg, spec, index, value):
     regime = "transport" if rep.transport_dominated else "queueing"
     des_wait = des_se = None
     if value > 0.0:
-        service_rate = (cfg.scenario.hap_servers
-                        * cfg.server.service_rate_ips
-                        / cfg.workload.task_length_instr)
         rng = np.random.default_rng(
             np.random.SeedSequence(spec.seed, spawn_key=(index,)))
         sim = queueing.simulate_mm1_vacations(
-            value, service_rate, cfg.workload.vacation_rate, spec.samples, rng)
+            value, rep.service_rate, cfg.workload.vacation_rate, spec.samples,
+            rng)
         # a run of fewer than two regeneration cycles has no error bar,
         # and a mean without one is not reported
         if sim.stderr is not None:
@@ -396,15 +393,21 @@ def run_delay_sweep(cfg: ModelConfig, spec: SweepSpec) -> SweepResult:
 
 # --- rendering --------------------------------------------------------------
 
+def _native(value):
+    """The plain Python value of a numpy scalar; anything else as it is."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def _cell(value) -> str:
+    value = _native(value)
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return repr(value)
     return str(value)
 
 
@@ -422,19 +425,10 @@ def render_csv(result: SweepResult) -> str:
 
 def render_json(result: SweepResult) -> str:
     """JSON mirror of the CSV: manifest, column names, row arrays."""
-    def native(v):
-        if isinstance(v, (np.integer,)):
-            return int(v)
-        if isinstance(v, (np.floating,)):
-            return float(v)
-        if isinstance(v, (np.bool_,)):
-            return bool(v)
-        return v
-
     payload = {
         "manifest": result.manifest,
         "columns": result.header,
-        "rows": [[native(v) for v in row] for row in result.rows],
+        "rows": [[_native(v) for v in row] for row in result.rows],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

@@ -8,8 +8,10 @@ direct quadrature of the instantaneous cooling power.
 The fleet sums take a whole rate vector at once.  Each server's power and
 heat addend is the scalar expression evaluated elementwise, a CRAC's heat
 is summed in server order with ``np.add.accumulate`` (strictly sequential,
-so it rounds as a scalar loop does), and compute and payload energies are
-one correctly rounded ``math.fsum`` over the array.
+so it rounds as a scalar loop does), and a fleet's compute energy is one
+correctly rounded ``math.fsum`` over the array (``fleet_compute_energy``).
+``ground_energy`` is the one ground bill, compute plus cooling, that the
+all-ground baseline and the split system's ground side both pay.
 """
 
 from __future__ import annotations
@@ -51,6 +53,14 @@ def compute_power(server: ServerSpec, rate, task_len: float):
 def compute_energy(server: ServerSpec, rate, task_len: float,
                    window: tuple[float, float]):
     return compute_power(server, rate, task_len) * (window[1] - window[0])
+
+
+def fleet_compute_energy(server: ServerSpec, rates, task_len: float,
+                         window: tuple[float, float]) -> float:
+    """Compute energy of a fleet at per-server ``rates`` over the window, J:
+    one correctly rounded sum of the per-server energies."""
+    return math.fsum(compute_energy(server, np.asarray(rates, dtype=float),
+                                    task_len, window).tolist())
 
 
 def cop(cooling: CoolingSpec, temp_k: float) -> float:
@@ -203,17 +213,23 @@ def grouped_cooling_energy(rates, server: ServerSpec, cooling: CoolingSpec,
     return total
 
 
+def ground_energy(rates, cfg: ModelConfig,
+                  window: tuple[float, float]) -> EnergyBreakdown:
+    """Compute plus CRAC cooling of a ground fleet at ``rates``, J: the
+    ground bill of both the baseline and the split system."""
+    rates = np.asarray(rates, dtype=float)
+    task_len = cfg.workload.task_length_instr
+    return EnergyBreakdown.from_parts(
+        compute_j=fleet_compute_energy(cfg.server, rates, task_len, window),
+        cooling_j=grouped_cooling_energy(rates, cfg.server, cfg.cooling,
+                                         task_len, window))
+
+
 def tdc_total_energy(scenario: Scenario, cfg: ModelConfig) -> EnergyBreakdown:
     """Baseline energy with every server on the ground.
 
     The airborne rate vector (replicated per platform) joins the ground one,
     so the baseline serves the identical workload."""
-    rates = np.array(scenario.ground_rates
-                     + scenario.hap_rates * scenario.hap_count, dtype=float)
-    task_len = cfg.workload.task_length_instr
-    window = scenario.window
-    compute = math.fsum(
-        compute_energy(cfg.server, rates, task_len, window).tolist())
-    cooling_total = grouped_cooling_energy(rates, cfg.server, cfg.cooling,
-                                            task_len, window)
-    return EnergyBreakdown.from_parts(compute_j=compute, cooling_j=cooling_total)
+    return ground_energy(scenario.ground_rates
+                         + scenario.hap_rates * scenario.hap_count,
+                         cfg, scenario.window)

@@ -118,7 +118,7 @@ def _check_queue(cfg: ModelConfig, rng: np.random.Generator) -> CheckResult:
 
 
 def _check_outage(cfg: ModelConfig, rng: np.random.Generator) -> CheckResult:
-    ch = cfg.channel.resolved()
+    ch = cfg.channel
     demands = np.linspace(2.0, 9.0, 8)
     prob, se = channel.empirical_ccdf(ch, demands, samples=20_000, rng=rng)
     bad = []

@@ -174,6 +174,38 @@ def test_channel_resolved_idempotent():
     assert again.avg_rx_snr == ch.avg_rx_snr
 
 
+def test_channel_budget_derived_at_construction():
+    ch = ChannelConfig()
+    assert ch.noise_power == 10.0 ** ((-174.0 - 30.0) / 10.0) * ch.bandwidth_hz
+    assert ch.avg_rx_snr == (ch.tx_power * ch.ref_gain
+                             / (ch.link_distance**2 * ch.noise_power))
+    assert ch.resolved() is ch
+    # replace keeps the derived SNR unless it is cleared
+    assert replace(ch, tx_power=20.0).avg_rx_snr == ch.avg_rx_snr
+    louder = replace(ch, tx_power=20.0, avg_rx_snr=None)
+    assert louder.avg_rx_snr == 20.0 * ch.ref_gain / (
+        ch.link_distance**2 * ch.noise_power)
+    assert louder == ChannelConfig(tx_power=20.0)
+
+
+def test_channel_underivable_budget_left_open():
+    far = ChannelConfig(link_distance=0.0)
+    assert far.noise_power == ChannelConfig().noise_power
+    assert far.avg_rx_snr is None
+    with pytest.raises(ValidationError, match="link_distance"):
+        far.validate()
+    deaf = ChannelConfig(bandwidth_hz=0.0)
+    assert deaf.noise_power == 0.0 and deaf.avg_rx_snr is None
+    with pytest.raises(ValidationError, match="bandwidth_hz"):
+        deaf.validate()
+
+
+def test_default_model_hashes_as_the_empty_file(tmp_path):
+    p = tmp_path / "empty.yaml"
+    p.write_text("")
+    assert config_hash(ModelConfig()) == config_hash(load_config(str(p)))
+
+
 def test_channel_explicit_noise_kept():
     ch = ChannelConfig(noise_power=1e-12).resolved()
     assert ch.noise_power == 1e-12

@@ -262,6 +262,19 @@ def test_hybrid_reduces_to_baseline_without_fleet(shipped_cfg):
     assert hybrid.propulsion_j == 0.0 and hybrid.transmission_j == 0.0
 
 
+def test_ground_bill_shared_by_baseline_and_hybrid(shipped_cfg):
+    scen = offload.allocated_scenario(shipped_cfg)
+    ground = thermal.ground_energy(scen.ground_rates, shipped_cfg, scen.window)
+    hybrid = offload.hybrid_total_energy(scen, shipped_cfg)
+    assert (hybrid.compute_j, hybrid.cooling_j) == (ground.compute_j,
+                                                    ground.cooling_j)
+    everything = scen.ground_rates + scen.hap_rates * scen.hap_count
+    assert thermal.tdc_total_energy(scen, shipped_cfg) == thermal.ground_energy(
+        everything, shipped_cfg, scen.window)
+    grounded = replace(scen, hap_servers=0, hap_rates=())
+    assert offload.hybrid_total_energy(grounded, shipped_cfg) == ground
+
+
 def test_end_to_end_delay_identity(shipped_cfg):
     cfg = shipped_cfg
     report = offload.end_to_end_delay(cfg, 2000.0)
@@ -272,6 +285,12 @@ def test_end_to_end_delay_identity(shipped_cfg):
     assert math.isclose(report.rtt_s, want_rtt, rel_tol=1e-12)
     assert math.isclose(report.total_delay_s, want_wait + want_rtt, rel_tol=1e-12)
     assert report.transport_dominated == (report.rtt_s >= report.mean_wait_s)
+
+
+def test_end_to_end_delay_carries_the_fleet_service_rate(shipped_cfg):
+    cfg = shipped_cfg
+    service = 40 * cfg.server.service_rate_ips / cfg.workload.task_length_instr
+    assert offload.end_to_end_delay(cfg, 2000.0).service_rate == service
 
 
 def test_end_to_end_delay_unstable(shipped_cfg):

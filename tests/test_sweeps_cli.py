@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from hapdc import channel, cli, offload, sweeps
+from hapdc import channel, cli, offload, queueing, sweeps
 from hapdc.config import ModelConfig, WorkloadSpec, load_config
 from hapdc.errors import ConfigError
 
@@ -533,3 +533,45 @@ def test_cli_validate_passes(capsys):
     lines = capsys.readouterr().out.strip().split("\n")
     assert all(ln.startswith("PASS ") for ln in lines[:-1])
     assert lines[-1].endswith("checks passed")
+
+
+@pytest.mark.parametrize("key, message", [
+    ("bandwidth_hz", "error: ChannelConfig: bandwidth_hz must be positive"),
+    ("link_distance",
+     "error: ChannelConfig: ref_gain and link_distance must be positive"),
+])
+def test_cli_zero_link_budget_field_is_usage_error(tmp_path, capsys, key,
+                                                   message):
+    path = tmp_path / "zero.yaml"
+    path.write_text(f"channel: {{{key}: 0}}\n")
+    rc = cli.main(["fly", "--config", str(path), "--axis", "day",
+                   "--range", "1:2:1"])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == message
+
+
+def test_cli_omitted_and_empty_config_share_a_manifest(tmp_path, capsys):
+    empty = tmp_path / "empty.yaml"
+    empty.write_text("")
+    argv = ["fly", "--axis", "day", "--range", "1:2:1", "--seed", "7"]
+    assert cli.main(argv) == 0
+    omitted = capsys.readouterr().out
+    assert cli.main(argv + ["--config", str(empty)]) == 0
+    assert capsys.readouterr().out == omitted
+
+
+def test_delay_sweep_simulates_at_the_report_service_rate(shipped_cfg,
+                                                          monkeypatch):
+    seen = []
+    real = queueing.simulate_mm1_vacations
+
+    def recording(arrival_rate, service_rate, *args):
+        seen.append(service_rate)
+        return real(arrival_rate, service_rate, *args)
+
+    monkeypatch.setattr(queueing, "simulate_mm1_vacations", recording)
+    spec = sweeps.SweepSpec("arrival_rate", 1000.0, 2000.0, 1000.0,
+                            samples=2000)
+    sweeps.run_delay_sweep(shipped_cfg, spec)
+    want = offload.end_to_end_delay(shipped_cfg, 1000.0).service_rate
+    assert seen == [want, want]
