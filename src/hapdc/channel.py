@@ -4,6 +4,16 @@ Rician MIMO channel sampling, achievable-rate laws, closed-form CCDF bounds
 built on the Marcum Q-function with a Monte Carlo estimate to check them,
 and the transmission-side energy/latency quantities the offload planner
 consumes.
+
+The Monte Carlo estimate draws the full-covariance rate from the law of
+the Gram matrix H^H H rather than from H itself.  A unitary rotation on
+the larger antenna side moves the rank-one line of sight onto one row, so
+the Gram matrix is that noncentral row's outer product plus a central
+complex Wishart matrix with ``max(tx, rx) - 1`` degrees of freedom, which
+the Bartlett decomposition draws as a triangular factor (Bartlett 1933;
+Goodman 1963 for the complex case).  ``sample_channel`` and
+``channel_rate`` draw H and take its rate directly; they are the reference
+that sampler is tested against.
 """
 
 from __future__ import annotations
@@ -29,7 +39,9 @@ def sample_channel(ch: ChannelConfig, count: int,
                    rng: np.random.Generator | None = None) -> np.ndarray:
     """Draw ``count`` Rician channel matrices, shape (count, rx, tx).
 
-    The line-of-sight part is rank one, co-phased, with unit entries, so it
+    This is the reference draw of the channel itself; the Monte Carlo
+    estimate samples rates through ``sample_rates`` instead.  The
+    line-of-sight part is rank one, co-phased, with unit entries, so it
     adds ``los`` to every entry.  The matrices are built in one complex
     array: the real parts take the first normal draw, the imaginary parts
     the second.
@@ -64,7 +76,8 @@ def channel_rate(ch: ChannelConfig, h: np.ndarray) -> np.ndarray:
     """Full-covariance achievable rate B*log2 det(I + (P/noise) h^H h).
 
     This is the quantity the closed-form CCDF bounds sandwich; the
-    determinant runs over the (small) transmit dimension.
+    determinant runs over the (small) transmit dimension.  Together with
+    ``sample_channel`` it is the reference rate of ``sample_rates``.
     """
     gram = np.swapaxes(h, -1, -2).conj() @ h
     scaled = (ch.tx_power / ch.noise_power) * gram
@@ -137,18 +150,72 @@ def ccdf_upper(ch: ChannelConfig, demand: float) -> float:
     return marcum_q(orders, noncentral, math.sqrt(2.0 * scale * threshold))
 
 
+def sample_rates(ch: ChannelConfig, count: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Draw ``count`` full-covariance rates B*log2 det(I + (P/noise) H^H H)
+    of Rician channels H, bit/s, from the law of the Gram matrix.
+
+    With m = min(tx, rx) and n = max(tx, rx), det(I + s H^H H) equals
+    det(I + s/(zeta + 1) F F^H) for an m x (m + 1) factor F (Bartlett 1933;
+    Goodman 1963): its first m columns are the lower-triangular Bartlett
+    factor of a central complex Wishart matrix with n - 1 degrees of
+    freedom (diagonal k the root of a Gamma(n - 1 - k) draw, which is 0
+    when m = n and k = m - 1; unit complex normals below it), and its last
+    column is the line-of-sight row rotated onto one axis, unit complex
+    normals plus sqrt(zeta * n).  The determinant is taken by elimination
+    without pivoting, safe on a Hermitian positive definite matrix.
+    """
+    m = min(ch.tx_antennas, ch.rx_antennas)
+    n = max(ch.tx_antennas, ch.rx_antennas)
+    zeta = ch.rician_factor
+    below = np.tril_indices(m, -1)
+    normals = rng.standard_normal((2, len(below[0]) + m, count))
+    normals *= math.sqrt(0.5)
+    factor = np.zeros((m, m + 1, count), dtype=complex)
+    factor[below] = normals[0, m:] + 1j * normals[1, m:]
+    factor[:, m] = normals[0, :m] + 1j * normals[1, :m]
+    factor[:, m] += math.sqrt(zeta * n)
+    shapes = np.arange(n - 1.0, n - 1.0 - m, -1.0)
+    diag = np.arange(m)
+    factor[diag, diag] = np.sqrt(rng.standard_gamma(shapes[:, None],
+                                                    size=(m, count)))
+
+    snr = (ch.tx_power / ch.noise_power) * ch.ref_gain / ch.link_distance**2
+    scale = snr / (zeta + 1.0)
+    # lower triangle of I + scale * F F^H, one array per entry
+    a = [[scale * (factor[i] * factor[j].conj()).sum(axis=0)
+          for j in range(i + 1)] for i in range(m)]
+    for i in range(m):
+        a[i][i] = a[i][i].real + 1.0
+    det = np.ones(count)
+    for k in range(m):
+        pivot = a[k][k].real
+        det *= pivot
+        for i in range(k + 1, m):
+            ratio = a[i][k] / pivot
+            for j in range(k + 1, i + 1):
+                a[i][j] = a[i][j] - ratio * a[j][k].conj()
+    return ch.bandwidth_hz * np.log2(np.maximum(det, 1.0))
+
+
+def count_above(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """How many of ``values`` lie strictly above each threshold."""
+    ordered = np.sort(values)
+    return len(ordered) - np.searchsorted(ordered, thresholds, side="right")
+
+
 def exceedances(ch: ChannelConfig, demands: np.ndarray, count: int,
                 rng: np.random.Generator) -> np.ndarray:
-    """Count, per spectral demand, how many of ``count`` channel draws
-    from ``rng`` have a full-covariance rate above it.
+    """Count, per spectral demand, how many of ``count`` full-covariance
+    rates drawn from ``rng`` lie above it.
 
-    Callers that split their samples into chunks (``empirical_ccdf``, the
-    chunk-keyed outage sweep) add up the counts and hand the total to
-    ``ccdf_estimate``.
+    The rates follow the Gram-matrix law of ``sample_rates`` (Bartlett
+    1933; Goodman 1963).  Callers that split their samples into chunks
+    (``empirical_ccdf``, the chunk-keyed outage sweep) add up the counts
+    and hand the total to ``ccdf_estimate``.
     """
-    thresholds = demands * ch.bandwidth_hz
-    rates = channel_rate(ch, sample_channel(ch, count, rng))
-    return (rates[None, :] > thresholds[:, None]).sum(axis=1)
+    return count_above(sample_rates(ch, count, rng),
+                       demands * ch.bandwidth_hz)
 
 
 def ccdf_estimate(counts: np.ndarray, samples: int
@@ -170,6 +237,8 @@ def empirical_ccdf(ch: ChannelConfig, demands, samples: int = 100_000,
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo CCDF of the full-covariance rate at each spectral demand.
 
+    The rates are drawn by ``exceedances`` from the law of the Gram matrix
+    H^H H (Bartlett 1933; Goodman 1963), not from the channel itself.
     Returns the (probability, standard error) arrays of ``ccdf_estimate``
     over ``samples`` draws taken in chunks of ``MC_CHUNK``.
     """

@@ -392,6 +392,10 @@ def uniform_split(total: float, n: int) -> tuple[float, ...]:
     share = total / n
     shares = [share] * n
     shares[-1] += total - math.fsum(shares)
+    if math.fsum(shares) != total:
+        # the rounded sum of the equal shares hid part of the residual:
+        # take it exactly; a split the first correction closes is kept
+        shares[-1] = share + math.fsum([total] + [-share] * n)
     return tuple(shares)
 
 

@@ -239,3 +239,93 @@ def test_round_trip_time():
     ref = channel.reference_rate(ch)
     lam = ref / w.bits_per_task()  # offered bits match the link rate
     assert math.isclose(channel.round_trip_time(ch, w, lam), 2.0, rel_tol=1e-12)
+
+
+# --- the Gram-matrix sampler against the reference draw ----------------------
+
+_SHAPES = [(2, 16), (1, 8), (8, 1), (3, 3), (4, 4), (4, 3)]
+
+
+def _reference_rates(ch, count, rng):
+    return channel.channel_rate(ch, channel.sample_channel(ch, count, rng))
+
+
+@pytest.mark.parametrize("zeta", [0.0, 10.0])
+@pytest.mark.parametrize("tx, rx", _SHAPES)
+def test_sample_rates_law_matches_reference(tx, rx, zeta):
+    """Two-sample Kolmogorov-Smirnov test at alpha = 1e-3 on three seeds:
+    the Gram-matrix rates and the rates of drawn channels share a law."""
+    from scipy.stats import ks_2samp
+
+    ch = ChannelConfig(tx_antennas=tx, rx_antennas=rx, rician_factor=zeta)
+    for seed in range(3):
+        gram_rng, ref_rng = (
+            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+            for k in (0, 1))
+        got = channel.sample_rates(ch, 20_000, gram_rng)
+        want = _reference_rates(ch, 20_000, ref_rng)
+        assert ks_2samp(got, want).pvalue > 1e-3, (tx, rx, zeta, seed)
+
+
+@pytest.mark.parametrize("tx, rx", _SHAPES)
+def test_sample_rates_strong_los_is_reference_rate(tx, rx):
+    ch = ChannelConfig(tx_antennas=tx, rx_antennas=rx, rician_factor=1e12)
+    ref = channel.reference_rate(ch)
+    rates = channel.sample_rates(ch, 1000, np.random.default_rng(12))
+    assert np.all(np.abs(rates / ref - 1.0) <= 1e-4)
+
+
+def test_sample_rates_shipped_link_moments(shipped_cfg):
+    ch = shipped_cfg.channel
+    got = channel.sample_rates(ch, 200_000, np.random.default_rng(13)) / 1e6
+    want = _reference_rates(ch, 100_000, np.random.default_rng(14)) / 1e6
+    assert math.isclose(got.mean(), 166.4, abs_tol=0.1)
+    assert math.isclose(got.std(), 7.8, abs_tol=0.1)
+    # within four standard errors of the reference draw's moments
+    se_mean = math.hypot(got.std() / math.sqrt(got.size),
+                         want.std() / math.sqrt(want.size))
+    assert abs(got.mean() - want.mean()) <= 4.0 * se_mean
+    assert abs(got.std() - want.std()) <= 0.1
+
+
+# --- exceedance counting ------------------------------------------------------
+
+def test_count_above_matches_comparison_with_ties():
+    rates = np.array([3.0, 1.0, 2.0, 2.0, 5.0, 1.0, 3.0, 3.0, 0.0, 5.0])
+    thresholds = np.array([-1.0, 0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 5.0, 6.0,
+                           np.inf, -np.inf])
+    want = (rates[None, :] > thresholds[:, None]).sum(axis=1)
+    assert np.array_equal(channel.count_above(rates, thresholds), want)
+    # many ties in a random integer draw, thresholds on the drawn values
+    rng = np.random.default_rng(16)
+    rates = rng.integers(0, 20, 5000).astype(float)
+    thresholds = np.concatenate([rates[:50], np.arange(-1.0, 22.0, 0.5)])
+    want = (rates[None, :] > thresholds[:, None]).sum(axis=1)
+    assert np.array_equal(channel.count_above(rates, thresholds), want)
+
+
+def test_exceedances_counts_demands_at_drawn_rates():
+    ch = ChannelConfig()
+    rates = channel.sample_rates(ch, 3000, np.random.default_rng(17))
+    demands = np.concatenate([rates[:40] / ch.bandwidth_hz,
+                              np.linspace(0.0, 3.0, 31)])
+    got = channel.exceedances(ch, demands, 3000, np.random.default_rng(17))
+    thresholds = demands * ch.bandwidth_hz
+    want = (rates[None, :] > thresholds[:, None]).sum(axis=1)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("samples", [1, channel.MC_CHUNK + 1])
+def test_empirical_ccdf_short_last_chunk(samples):
+    ch = ChannelConfig()
+    demands = np.array([1.0, 1.6, 1.7, 2.5])
+    prob, se = channel.empirical_ccdf(ch, demands, samples=samples,
+                                      rng=np.random.default_rng(18))
+    rng = np.random.default_rng(18)
+    counts = np.zeros(len(demands), dtype=np.int64)
+    for done in range(0, samples, channel.MC_CHUNK):
+        counts += channel.exceedances(
+            ch, demands, min(channel.MC_CHUNK, samples - done), rng)
+    assert np.array_equal(prob, counts / samples)
+    assert np.all(se > 0.0)
+    assert np.all(np.diff(prob) <= 0.0)
