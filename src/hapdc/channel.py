@@ -155,7 +155,10 @@ def sample_rates(ch: ChannelConfig, count: int,
     """Draw ``count`` full-covariance rates B*log2 det(I + (P/noise) H^H H)
     of Rician channels H, bit/s, from the law of the Gram matrix.
 
-    With m = min(tx, rx) and n = max(tx, rx), det(I + s H^H H) equals
+    The SNR s is ``ch.avg_rx_snr``, the one the closed-form bounds read:
+    P/noise times the path gain ref_gain/distance^2 when the config derives
+    it.  With m = min(tx, rx) and n = max(tx, rx), det(I + s G^H G) for
+    the unit-power Rician channel G equals
     det(I + s/(zeta + 1) F F^H) for an m x (m + 1) factor F (Bartlett 1933;
     Goodman 1963): its first m columns are the lower-triangular Bartlett
     factor of a central complex Wishart matrix with n - 1 degrees of
@@ -180,8 +183,7 @@ def sample_rates(ch: ChannelConfig, count: int,
     factor[diag, diag] = np.sqrt(rng.standard_gamma(shapes[:, None],
                                                     size=(m, count)))
 
-    snr = (ch.tx_power / ch.noise_power) * ch.ref_gain / ch.link_distance**2
-    scale = snr / (zeta + 1.0)
+    scale = ch.avg_rx_snr / (zeta + 1.0)
     # lower triangle of I + scale * F F^H, one array per entry
     a = [[scale * (factor[i] * factor[j].conj()).sum(axis=0)
           for j in range(i + 1)] for i in range(m)]

@@ -13,7 +13,6 @@ from ._version import __version__
 from .config import ModelConfig, build_config, load_config
 from .errors import ConfigError, LinkRateError, NumericsError
 from .sweeps import AXES, RUNNERS, SweepSpec, render_csv, render_json
-from .validate import run_validation
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -79,6 +78,9 @@ def _load(config_path: str | None) -> ModelConfig:
 
 
 def _run_validate(args) -> int:
+    # imported here: a sweep never pays for the cross-check module
+    from .validate import run_validation
+
     cfg = _load(args.config)
     results = run_validation(cfg, seed=args.seed)
     failed = 0

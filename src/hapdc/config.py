@@ -4,6 +4,15 @@ Every model parameter lives in one of the frozen dataclasses below.  A config
 file may set any subset of fields; everything else falls back to the library
 defaults, so an empty file is a valid full configuration.  ``load_config`` /
 ``dump_config`` round-trip exactly.
+
+YAML is parsed and emitted by libyaml (PyYAML's ``CSafeLoader`` and
+``CSafeDumper``) when the installed PyYAML is built with it, and by the
+pure-Python ``SafeLoader`` and ``SafeDumper`` otherwise.  Both pairs share
+PyYAML's Python safe constructor and representer, so a file loads to the
+same values and a config dumps to the same text, hence the same
+``config_hash``, on either backend.  (The two emitters wrap long escaped
+strings differently; the only string field, ``demand_mapping``, takes one
+of two short names.)
 """
 
 from __future__ import annotations
@@ -19,6 +28,9 @@ import yaml
 from .errors import ConfigError, ValidationError
 
 MIPS = 1.0e6  # instructions per second per MIPS
+
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 # thermal noise floor, W/Hz (-174 dBm/Hz)
 _NOISE_DENSITY_W_PER_HZ = 10.0 ** ((-174.0 - 30.0) / 10.0)
@@ -466,7 +478,7 @@ def load_config(path: str) -> ModelConfig:
     """
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_YAML_LOADER)
     except OSError as exc:
         raise ConfigError(f"cannot read config file '{path}': {exc}") from exc
     except yaml.YAMLError as exc:
@@ -511,7 +523,7 @@ def dump_config(cfg: ModelConfig) -> dict:
 
 
 def config_yaml(cfg: ModelConfig) -> str:
-    return yaml.safe_dump(dump_config(cfg), sort_keys=True)
+    return yaml.dump(dump_config(cfg), Dumper=_YAML_DUMPER, sort_keys=True)
 
 
 def config_hash(cfg: ModelConfig) -> str:

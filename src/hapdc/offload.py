@@ -1,6 +1,14 @@
 """Composition layer tying solar harvest, propulsion, thermal and link models
 into the airborne-fleet decisions: can the platform fly, how much workload it
 may accept, what the two-site system consumes, and what offloading saves.
+
+A saving is priced in two steps.  ``evaluate_offload`` computes what every
+delivery policy shares: the all-ground baseline, the per-link offload rate,
+the reliable-rate gate (below it the link counts as lossless and no drop
+probability is evaluated) and the lossless split-system bill.  A policy then
+charges the dropped traffic: ``retransmit_saving`` resends it over the link,
+``reroute_saving`` recomputes it on the ground.  ``saving`` prices one
+policy; the outage sweep prices both from one evaluation.
 """
 
 from __future__ import annotations
@@ -219,58 +227,97 @@ def _reroute_scenario(scenario: Scenario, drop_prob: float) -> Scenario:
     return replace(scenario, ground_rates=ground, hap_rates=kept)
 
 
-def saving(scenario: Scenario, cfg: ModelConfig,
-           with_retransmission: bool = False) -> SavingReport:
-    """Energy saved by the split system against the all-ground baseline.
+@dataclass(frozen=True)
+class OffloadEvaluation:
+    """What both delivery policies read of one offload scenario.
 
-    Both systems serve the identical rate vector on the same total server
-    count.  With retransmission, dropped offload traffic is resent over the
-    link (the spend is charged, and the report counts how many such rounds
-    the gross saving could fund); without it, dropped traffic is recomputed
-    on the ground while the wasted uplink energy stays charged.  Negative
-    savings are reported, not raised.
+    ``pr_drop`` is the per-task drop probability the policies charge: 0
+    below the reliable-rate gate, where the link is treated as lossless,
+    and ``channel.drop_probability`` of the per-link rate above it.
+    ``lossless`` is the split-system bill with nothing dropped.
+    """
+
+    scenario: Scenario
+    e_tdc_j: float
+    per_link: float
+    pr_drop: float
+    lossless: thermal.EnergyBreakdown
+
+
+def evaluate_offload(scenario: Scenario, cfg: ModelConfig,
+                     drop: float | None = None) -> OffloadEvaluation:
+    """The all-ground baseline, the drop gate and the lossless split bill.
+
+    A caller that already holds ``1 - ccdf_lower`` at the per-link rate
+    passes it as ``drop``; it then stands in for ``drop_probability``
+    when the gate is open.  Below the gate no drop is evaluated.
     """
     e_tdc = thermal.tdc_total_energy(scenario, cfg).total_j
     task_len = cfg.workload.task_length_instr
     per_link = math.fsum(scenario.hap_rates)
     # Below the reliable-rate threshold the drop bound is vanishingly
-    # small; treat the link as lossless there so both branches agree.
+    # small; treat the link as lossless there so both policies agree.
     pr_drop = 0.0
     if per_link > 0 and per_link >= _reliable_rate(
             cfg.channel, cfg.workload.bits_per_instruction, task_len):
-        pr_drop = channel.drop_probability(cfg.channel, cfg.workload,
-                                           per_link, task_len)
-    window = scenario.window_length
-    k = scenario.hap_count
+        pr_drop = drop if drop is not None else channel.drop_probability(
+            cfg.channel, cfg.workload, per_link, task_len)
+    return OffloadEvaluation(scenario, e_tdc, per_link, pr_drop,
+                             hybrid_total_energy(scenario, cfg))
 
-    if with_retransmission:
-        e_hybrid = hybrid_total_energy(scenario, cfg).total_j
-        retransmissions = 0
-        if per_link > 0 and pr_drop > 0.0:
-            dropped = per_link * pr_drop
-            e_round = k * channel.transmission_energy(
-                cfg.channel, cfg.workload, dropped, window, task_len)
-            e_hybrid += e_round
-            gross = e_tdc - (e_hybrid - e_round)
-            if e_round > 0 and gross > 0:
-                retransmissions = math.ceil(gross / e_round)
-        saved = e_tdc - e_hybrid
-    else:
-        rerouted = _reroute_scenario(scenario, pr_drop)
-        parts = hybrid_total_energy(rerouted, cfg)
-        # the uplink transmitted (and lost) the full offered stream
-        full_tx = k * channel.transmission_energy(
-            cfg.channel, cfg.workload, per_link, window, task_len
-        ) if scenario.hap_servers else 0.0
-        e_hybrid = parts.total_j - parts.transmission_j + full_tx
-        saved = e_tdc - e_hybrid
-        retransmissions = 0
 
-    rate = saved / e_tdc if e_tdc > 0 else 0.0
+def _report(ev: OffloadEvaluation, e_hybrid: float,
+            retransmissions: int = 0) -> SavingReport:
+    saved = ev.e_tdc_j - e_hybrid
+    rate = saved / ev.e_tdc_j if ev.e_tdc_j > 0 else 0.0
     return SavingReport(
-        e_tdc_j=e_tdc, e_hybrid_j=e_hybrid, saved_j=saved,
+        e_tdc_j=ev.e_tdc_j, e_hybrid_j=e_hybrid, saved_j=saved,
         saved_rate=rate, retransmissions=retransmissions,
     )
+
+
+def retransmit_saving(ev: OffloadEvaluation, cfg: ModelConfig) -> SavingReport:
+    """Dropped offload traffic is resent over the link: one more round of
+    uplink energy is charged, and the report counts how many such rounds
+    the gross saving could fund."""
+    e_hybrid = ev.lossless.total_j
+    retransmissions = 0
+    if ev.per_link > 0 and ev.pr_drop > 0.0:
+        e_round = ev.scenario.hap_count * channel.transmission_energy(
+            cfg.channel, cfg.workload, ev.per_link * ev.pr_drop,
+            ev.scenario.window_length, cfg.workload.task_length_instr)
+        e_hybrid += e_round
+        gross = ev.e_tdc_j - (e_hybrid - e_round)
+        if e_round > 0 and gross > 0:
+            retransmissions = math.ceil(gross / e_round)
+    return _report(ev, e_hybrid, retransmissions)
+
+
+def reroute_saving(ev: OffloadEvaluation, cfg: ModelConfig) -> SavingReport:
+    """Dropped offload traffic is recomputed on the ground, while the uplink
+    energy of the full offered stream stays charged."""
+    rerouted = _reroute_scenario(ev.scenario, ev.pr_drop)
+    parts = (ev.lossless if rerouted is ev.scenario
+             else hybrid_total_energy(rerouted, cfg))
+    return _report(ev, parts.total_j - parts.transmission_j
+                   + ev.lossless.transmission_j)
+
+
+def saving(scenario: Scenario, cfg: ModelConfig,
+           with_retransmission: bool = False) -> SavingReport:
+    """Energy saved by the split system against the all-ground baseline.
+
+    Both systems serve the identical rate vector on the same total server
+    count.  ``evaluate_offload`` prices what the two delivery policies
+    share: the baseline, the reliable-rate gate with the drop probability
+    above it, and the lossless split bill.  The policy then charges the
+    drops: ``retransmit_saving`` with retransmission, ``reroute_saving``
+    without it.  Negative savings are reported, not raised.
+    """
+    ev = evaluate_offload(scenario, cfg)
+    if with_retransmission:
+        return retransmit_saving(ev, cfg)
+    return reroute_saving(ev, cfg)
 
 
 def end_to_end_delay(cfg: ModelConfig, arrival_rate: float) -> DelayReport:

@@ -37,7 +37,6 @@ import json
 import math
 import warnings
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -178,6 +177,8 @@ def apply_axis(cfg: ModelConfig, axis: str, value: float) -> ModelConfig:
 
 def _map_points(fn, args, workers: int):
     if workers > 1 and len(args) > 1:
+        # imported here: a single-process sweep never pays for the pool
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, args))
     return [fn(a) for a in args]
@@ -238,12 +239,16 @@ def _outage_row(cfg, spec, index, value):
     demand = channel.spectral_demand(ch, cfg.workload, value)
     lb = channel.ccdf_lower(ch, demand)
     ub = channel.ccdf_upper(ch, demand)
+    drop = 1.0 - lb
     # the Monte Carlo cells are filled by _outage_mc once every row is in
-    link = [lb, ub, None, None, 1.0 - lb]
+    link = [lb, ub, None, None, drop]
     try:
-        sc = _offload_scenario(cfg, value)
-        with_r = offload.saving(sc, cfg, with_retransmission=True)
-        without = offload.saving(sc, cfg, with_retransmission=False)
+        # both policies price one evaluation; its per-link rate sums the
+        # exact split of ``value``, so ``drop`` is the drop_probability
+        # the evaluation would compute
+        ev = offload.evaluate_offload(_offload_scenario(cfg, value), cfg, drop)
+        with_r = offload.retransmit_saving(ev, cfg)
+        without = offload.reroute_saving(ev, cfg)
     except _ROW_ERRORS as exc:
         return link + [None, None], str(exc)
     return link + [with_r.saved_rate, without.saved_rate], None

@@ -1,6 +1,7 @@
 """Rician MIMO link: sampling statistics, rate laws, CCDF bounds."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -163,6 +164,19 @@ def test_bounds_ordered_and_monotone():
 def test_empirical_ccdf_sandwich():
     ch = ChannelConfig()
     demands = np.linspace(0.5, 4.0, 6)
+    prob, se = channel.empirical_ccdf(ch, demands, samples=20_000,
+                                      rng=np.random.default_rng(8))
+    for k, d in enumerate(demands):
+        lo = channel.ccdf_lower(ch, d)
+        hi = channel.ccdf_upper(ch, d)
+        assert lo - 3.0 * se[k] <= prob[k] <= hi + 3.0 * se[k], (d, prob[k])
+
+
+def test_empirical_ccdf_reads_the_configured_snr():
+    # an SNR set in the config, not derived from the link budget (0.0628
+    # here), is the one both the bounds and the Monte Carlo read
+    ch = replace(ChannelConfig(), avg_rx_snr=0.2)
+    demands = np.array([1.5, 1.8, 2.4])
     prob, se = channel.empirical_ccdf(ch, demands, samples=20_000,
                                       rng=np.random.default_rng(8))
     for k, d in enumerate(demands):

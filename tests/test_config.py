@@ -1,9 +1,13 @@
 """Configuration model, YAML loading and hashing."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
+
+from hapdc import config
 
 from hapdc.config import (
     ChannelConfig,
@@ -14,14 +18,18 @@ from hapdc.config import (
     Scenario,
     ServerSpec,
     WindSpec,
+    WorkloadSpec,
     build_config,
     config_hash,
+    config_yaml,
     dump_config,
     load_config,
     max_hap_servers,
     uniform_split,
 )
 from hapdc.errors import ConfigError, ValidationError
+
+from conftest import SHIPPED_CONFIG
 
 
 def test_default_config_validates():
@@ -228,3 +236,113 @@ def test_config_hash_stable_and_sensitive(shipped_cfg):
     h1 = config_hash(shipped_cfg)
     assert h1 == config_hash(shipped_cfg)
     assert h1 != config_hash(ModelConfig())
+
+
+# --- YAML backends -------------------------------------------------------------
+
+def _on_both_yaml_paths(fn):
+    """``fn()`` on the default YAML classes (libyaml when PyYAML has it) and
+    again with the pure-Python ``SafeLoader``/``SafeDumper`` forced."""
+    default = fn()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(config, "_YAML_LOADER", yaml.SafeLoader)
+        mp.setattr(config, "_YAML_DUMPER", yaml.SafeDumper)
+        pure = fn()
+    return default, pure
+
+
+def test_yaml_backend_is_libyaml_when_available():
+    if yaml.__with_libyaml__:
+        assert config._YAML_LOADER is yaml.CSafeLoader
+        assert config._YAML_DUMPER is yaml.CSafeDumper
+
+
+def _config_files(tmp_path):
+    empty = tmp_path / "empty.yaml"
+    empty.write_text("")
+    (tmp_path / "wind.csv").write_text(
+        "latitude_deg,day_of_year,wind_speed\n0,100,5\n40,100,25.5\n")
+    windy = tmp_path / "windy.yaml"
+    windy.write_text("wind:\n  table_path: wind.csv\n"
+                     "cooling:\n  fan: {air_flow_rate: 4.0, pressure_loss: 100.0,"
+                     " fan_efficiency: 0.8, motor_efficiency: 0.5}\n")
+    return [SHIPPED_CONFIG, str(empty), str(windy)]
+
+
+def test_yaml_backends_load_and_hash_alike(tmp_path):
+    for path in _config_files(tmp_path):
+        default, pure = _on_both_yaml_paths(
+            lambda: (load_config(path), config_yaml(load_config(path)),
+                     config_hash(load_config(path))))
+        assert default == pure, path
+
+
+@pytest.mark.parametrize("text", [
+    "server: [unclosed\n",
+    "server: {p_idle: 1\n",
+    "server:\n  p_idle: 1\n p_peak: 2\n",
+    "server: a: b\n",
+    "\tserver: {}\n",
+    "server: 'open\n",
+    "server: \x07\n",
+])
+def test_yaml_backends_reject_malformed_alike(tmp_path, text):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+
+    def outcome():
+        with pytest.raises(ConfigError, match="malformed YAML"):
+            load_config(str(path))
+
+    _on_both_yaml_paths(outcome)
+
+
+_FLOATS = st.floats(width=64)
+
+
+@st.composite
+def _any_config(draw):
+    """A ModelConfig with every numeric field drawn, non-finite values
+    included; the validated strings and an optional fan and wind table."""
+    def section(cls, **fixed):
+        values = {}
+        for f in fields(cls):
+            if f.name in fixed:
+                values[f.name] = draw(fixed[f.name])
+            elif isinstance(f.default, bool):
+                values[f.name] = draw(st.booleans())
+            elif isinstance(f.default, int):
+                # counts; large ones would size the default rate vectors
+                values[f.name] = draw(st.integers(-2, 60))
+            else:
+                values[f.name] = draw(_FLOATS)
+        return cls(**values)
+
+    fan = st.none() | st.builds(FanSpec, _FLOATS, _FLOATS, _FLOATS, _FLOATS)
+    table = st.none() | st.lists(st.tuples(_FLOATS, _FLOATS, _FLOATS),
+                                 min_size=1, max_size=4).map(tuple)
+    rates = st.lists(_FLOATS, max_size=5).map(tuple)
+    return ModelConfig(
+        server=section(ServerSpec),
+        workload=section(WorkloadSpec),
+        cooling=section(CoolingSpec, fan=fan),
+        hap=section(HapPlatform),
+        wind=section(WindSpec, table=table),
+        # both link-budget fields given, so nothing is derived
+        channel=section(ChannelConfig, demand_mapping=st.sampled_from(
+            ["bits_per_hz", "identity"])),
+        scenario=section(Scenario, window=st.tuples(_FLOATS, _FLOATS),
+                         ground_rates=rates, hap_rates=rates),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=_any_config())
+def test_yaml_backends_dump_alike(cfg):
+    def dumped():
+        text = config_yaml(cfg)
+        parsed = yaml.load(text, Loader=config._YAML_LOADER)
+        return text, config_hash(cfg), repr(parsed)
+
+    default, pure = _on_both_yaml_paths(dumped)
+    assert default == pure

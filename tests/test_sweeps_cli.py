@@ -7,14 +7,17 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from hapdc import channel, cli, offload, queueing, sweeps
+from hapdc import channel, cli, offload, queueing, sweeps, thermal
 from hapdc.config import ModelConfig, WorkloadSpec, load_config
-from hapdc.errors import ConfigError
+from hapdc.errors import ConfigError, OverloadError
 
 from conftest import REPO_ROOT, SHIPPED_CONFIG
 
@@ -282,6 +285,75 @@ def test_outage_sweep_notes_saturated_rows(shipped_cfg):
         f"{over} grid point(s) offered more traffic than the link carries; "
         "their energy figures assume the backlog still goes out"]
     assert "backlog" not in sweeps.render_csv(out)
+
+
+
+def _outage_cases(shipped_cfg):
+    """(config, grid values) pairs covering each branch of the saving cells:
+    the gate closed and open, a drop of 1.0, two platforms, no airborne
+    server, and a ground residual over the utilization ceiling."""
+    rng = np.random.default_rng(21)
+    seeded = sorted(rng.uniform(0.0, 12_000.0, 12).tolist())
+    two = replace(shipped_cfg, scenario=replace(shipped_cfg.scenario,
+                                                hap_count=2))
+    grounded = sweeps.apply_fixed(shipped_cfg, {"hap_servers": 0})
+    longer = replace(shipped_cfg, workload=replace(shipped_cfg.workload,
+                                                   task_length_instr=4.0e6))
+    return [(shipped_cfg, [0.0, 3000.0, 5400.0, 7000.0, 11_000.0] + seeded),
+            (two, [0.0, 4000.0, 9000.0]),
+            (grounded, [0.0]),
+            (longer, [2000.0, 6000.0])]
+
+
+def test_outage_saving_cells_equal_saving_bit_for_bit(shipped_cfg):
+    # one shared evaluation prices both policies exactly as two saving()
+    # calls on the row's scenario would, error text included
+    spec = sweeps.SweepSpec("arrival_rate", 0.0, 1.0, 1.0)
+    seen = {"closed": 0, "open": 0, "drop 1": 0, "error": 0}
+    for cfg, values in _outage_cases(shipped_cfg):
+        for k, value in enumerate(values):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                cells, error = sweeps._outage_row(cfg, spec, k, value)
+                sc = sweeps._offload_scenario(cfg, value)
+                try:
+                    want = [offload.saving(sc, cfg, with_retransmission=flag)
+                            .saved_rate for flag in (True, False)]
+                    want_error = None
+                except OverloadError as exc:
+                    want, want_error = [None, None], str(exc)
+            assert cells[5:] == want, (value, cells, want)
+            assert error == want_error
+            if error is not None:
+                seen["error"] += 1
+            elif cells[4] == 1.0:
+                seen["drop 1"] += 1
+            elif cells[5] != cells[6]:
+                seen["open"] += 1
+            else:
+                seen["closed"] += 1
+    assert all(seen.values()), seen
+
+
+def test_outage_row_evaluates_the_baseline_once(shipped_cfg, monkeypatch):
+    calls = {"tdc_total_energy": 0, "drop_probability": 0}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(thermal, "tdc_total_energy")
+    counting(channel, "drop_probability")
+    spec = sweeps.SweepSpec("arrival_rate", 0.0, 12_000.0, 2000.0, samples=1)
+    out = sweeps.run_outage_sweep(shipped_cfg, spec)
+    assert any(row[5] > 0.0 for row in out.rows)  # some rows drop traffic
+    assert calls == {"tdc_total_energy": len(out.rows),
+                     "drop_probability": 0}
 
 
 # --- delay sweep -------------------------------------------------------------
@@ -575,3 +647,14 @@ def test_delay_sweep_simulates_at_the_report_service_rate(shipped_cfg,
     sweeps.run_delay_sweep(shipped_cfg, spec)
     want = offload.end_to_end_delay(shipped_cfg, 1000.0).service_rate
     assert seen == [want, want]
+
+
+def test_cli_import_leaves_pool_and_validate_unloaded():
+    # a single-process sweep pays for neither the process pool nor the
+    # cross-check module; both load only when used
+    probe = ("import sys, hapdc.cli; print(sorted(m for m in "
+             "('concurrent.futures', 'multiprocessing', 'hapdc.validate') "
+             "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"
