@@ -12,8 +12,9 @@ the Gram matrix is that noncentral row's outer product plus a central
 complex Wishart matrix with ``max(tx, rx) - 1`` degrees of freedom, which
 the Bartlett decomposition draws as a triangular factor (Bartlett 1933;
 Goodman 1963 for the complex case).  ``sample_channel`` and
-``channel_rate`` draw H and take its rate directly; they are the reference
-that sampler is tested against.
+``channel_rate`` draw H and take its rate directly, at the configured mean
+receive SNR as well; they are the reference that sampler is tested
+against.
 """
 
 from __future__ import annotations
@@ -60,27 +61,37 @@ def sample_channel(ch: ChannelConfig, count: int,
     return h
 
 
+def _power_over_noise(ch: ChannelConfig) -> float:
+    """Transmit power over noise power, P/noise, that the configured mean
+    receive SNR implies on a channel drawn by ``sample_channel``:
+    avg_rx_snr * link_distance^2 / ref_gain.  With a derived SNR this is
+    tx_power / noise_power to within a few ulps."""
+    return ch.avg_rx_snr * ch.link_distance**2 / ch.ref_gain
+
+
 def beamformed_rate(ch: ChannelConfig, h: np.ndarray) -> np.ndarray:
     """Single-stream rate B*log2(1 + |h q|^2 / noise) for channel(s) ``h``.
 
     ``q`` is the transmit vector matched to the line-of-sight direction,
-    equal entries with |q|^2 = tx_power."""
-    precoder = np.full(ch.tx_antennas, math.sqrt(ch.tx_power / ch.tx_antennas),
+    equal entries with |q|^2 = P, where P/noise is ``_power_over_noise``."""
+    precoder = np.full(ch.tx_antennas, math.sqrt(1.0 / ch.tx_antennas),
                        dtype=complex)
     received = h @ precoder
-    snr = np.sum(np.abs(received) ** 2, axis=-1) / ch.noise_power
+    snr = _power_over_noise(ch) * np.sum(np.abs(received) ** 2, axis=-1)
     return ch.bandwidth_hz * np.log2(1.0 + snr)
 
 
 def channel_rate(ch: ChannelConfig, h: np.ndarray) -> np.ndarray:
     """Full-covariance achievable rate B*log2 det(I + (P/noise) h^H h).
 
+    P/noise is ``_power_over_noise``, so the rate reads the configured
+    mean receive SNR, as the closed-form bounds and ``sample_rates`` do.
     This is the quantity the closed-form CCDF bounds sandwich; the
     determinant runs over the (small) transmit dimension.  Together with
     ``sample_channel`` it is the reference rate of ``sample_rates``.
     """
     gram = np.swapaxes(h, -1, -2).conj() @ h
-    scaled = (ch.tx_power / ch.noise_power) * gram
+    scaled = _power_over_noise(ch) * gram
     eye = np.eye(ch.tx_antennas)
     det = np.linalg.det(eye + scaled).real
     det = np.maximum(det, 1.0)

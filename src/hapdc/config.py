@@ -274,10 +274,15 @@ class ChannelConfig:
             object.__setattr__(self, "noise_power",
                                _NOISE_DENSITY_W_PER_HZ * self.bandwidth_hz)
         if self.avg_rx_snr is None and self.noise_power and self.link_distance:
+            try:
+                path_loss = self.link_distance**2
+            except OverflowError:
+                raise ValidationError(
+                    f"channel.link_distance {self.link_distance!r} is too "
+                    "large: its square overflows the link budget") from None
             object.__setattr__(
                 self, "avg_rx_snr",
-                self.tx_power * self.ref_gain
-                / (self.link_distance**2 * self.noise_power))
+                self.tx_power * self.ref_gain / (path_loss * self.noise_power))
 
     def resolved(self) -> "ChannelConfig":
         """The config itself: its link budget is derived at construction."""
@@ -420,13 +425,39 @@ def max_hap_servers(platform: HapPlatform, server: ServerSpec) -> int:
 _SECTION_TYPES = {f.name: f.default_factory for f in fields(ModelConfig)}
 
 
-def _coerce(name: str, value, section: str):
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_numbers(value, count: int | None = None) -> bool:
+    return (isinstance(value, (list, tuple)) and all(map(_is_number, value))
+            and count in (None, len(value)))
+
+
+# What a YAML value may be for each field annotation; values are kept as
+# written, so an integer stays an integer in a number field.
+_ACCEPTS = {
+    "float": _is_number,
+    "float | None": lambda v: v is None or _is_number(v),
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "tuple[float, float]": lambda v: _is_numbers(v, 2),
+    "tuple[float, ...]": lambda v: _is_number(v) or _is_numbers(v),
+    "FanSpec | None": lambda v: v is None or isinstance(v, dict),
+    "tuple[tuple[float, float, float], ...] | None": lambda v: v is None or (
+        isinstance(v, (list, tuple)) and all(_is_numbers(r, 3) for r in v)),
+}
+
+
+def _coerce(name: str, value, section: str, annotation: str):
+    if not _ACCEPTS[annotation](value):
+        raise ConfigError(
+            f"{section}.{name} must be {annotation}, got {value!r}")
     if name == "window":
-        if not isinstance(value, (list, tuple)) or len(value) != 2:
-            raise ConfigError(f"{section}.window must be a [t1, t2] pair")
         return (float(value[0]), float(value[1]))
     if name in ("ground_rates", "hap_rates"):
-        if isinstance(value, (int, float)):
+        if _is_number(value):
             return float(value)  # scalar total, split in Scenario.__post_init__
         return tuple(float(v) for v in value)
     if name == "fan":
@@ -443,12 +474,12 @@ def _coerce(name: str, value, section: str):
 def _build_section(section: str, cls, data: dict):
     if not isinstance(data, dict):
         raise ConfigError(f"config section '{section}' must be a mapping")
-    known = {f.name for f in fields(cls)}
+    annotations = {f.name: f.type for f in fields(cls)}
     kwargs = {}
     for key, value in data.items():
-        if key not in known:
+        if key not in annotations:
             raise ConfigError(f"unknown key '{key}' in config section '{section}'")
-        kwargs[key] = _coerce(key, value, section)
+        kwargs[key] = _coerce(key, value, section, annotations[key])
     return cls(**kwargs)
 
 

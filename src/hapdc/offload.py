@@ -9,6 +9,11 @@ probability is evaluated) and the lossless split-system bill.  A policy then
 charges the dropped traffic: ``retransmit_saving`` resends it over the link,
 ``reroute_saving`` recomputes it on the ground.  ``saving`` prices one
 policy; the outage sweep prices both from one evaluation.
+
+Many scenarios of one fleet shape and window share one array pass for
+their bills (``thermal.tdc_total_energy`` and ``split_bills``);
+``price_offload`` evaluates one scenario on them, with the numbers and the
+raise order of ``evaluate_offload``.
 """
 
 from __future__ import annotations
@@ -83,6 +88,8 @@ def payload_energy(hap_rates, server: ServerSpec, task_len: float,
 
     The stratosphere cools the platform for free, so payload energy is
     compute only; OverloadError if any rate breaks the utilization ceiling.
+    A rows x servers batch is priced as ``thermal.fleet_compute_energy``
+    prices one.
     """
     return thermal.fleet_compute_energy(server, hap_rates, task_len, window)
 
@@ -188,6 +195,26 @@ def allocated_scenario(cfg: ModelConfig) -> Scenario:
     return replace(cfg.scenario, ground_rates=ground, hap_rates=hap)
 
 
+def split_bills(scenarios: list[Scenario], cfg: ModelConfig) -> list:
+    """(ground bill, per-platform payload energy) of each of ``scenarios``,
+    which share one fleet shape and window, J; each bill is priced for all
+    scenarios in one array pass, and a row over the utilization ceiling
+    holds its OverloadError in place of the bill."""
+    window = scenarios[0].window
+    ground = thermal.ground_energy([s.ground_rates for s in scenarios], cfg,
+                                   window)
+    payload = payload_energy([s.hap_rates for s in scenarios], cfg.server,
+                             cfg.workload.task_length_instr, window)
+    return list(zip(ground, payload))
+
+
+def _billed(bill):
+    """A pre-priced bill, or the OverloadError its row holds raised."""
+    if isinstance(bill, OverloadError):
+        raise bill
+    return bill
+
+
 def hybrid_total_energy(scenario: Scenario, cfg: ModelConfig) -> thermal.EnergyBreakdown:
     """Energy of the split system over the window, J, by destination.
 
@@ -196,18 +223,23 @@ def hybrid_total_energy(scenario: Scenario, cfg: ModelConfig) -> thermal.EnergyB
     its aggregate offload rate.  With no airborne servers this reduces to
     the all-ground baseline (no platform deployed).
     """
-    task_len = cfg.workload.task_length_instr
-    window = scenario.window
-    ground = thermal.ground_energy(scenario.ground_rates, cfg, window)
+    return _hybrid(scenario, cfg, *split_bills([scenario], cfg)[0])
+
+
+def _hybrid(scenario: Scenario, cfg: ModelConfig, ground,
+            payload) -> thermal.EnergyBreakdown:
+    """``hybrid_total_energy`` on the bills of ``split_bills``."""
+    ground = _billed(ground)
     if scenario.hap_servers == 0:
         return ground
     k = scenario.hap_count
-    payload = k * payload_energy(scenario.hap_rates, cfg.server, task_len, window)
+    payload = k * _billed(payload)
     wind = cfg.wind.speed_at(scenario.latitude_deg, scenario.day_of_year)
-    propulsion = k * aero.propulsion_energy(cfg.hap, wind, window)
+    propulsion = k * aero.propulsion_energy(cfg.hap, wind, scenario.window)
     per_link_rate = math.fsum(scenario.hap_rates)
     transmission = k * channel.transmission_energy(
-        cfg.channel, cfg.workload, per_link_rate, scenario.window_length, task_len)
+        cfg.channel, cfg.workload, per_link_rate, scenario.window_length,
+        cfg.workload.task_length_instr)
     return thermal.EnergyBreakdown.from_parts(
         compute_j=ground.compute_j, cooling_j=ground.cooling_j, payload_j=payload,
         propulsion_j=propulsion, transmission_j=transmission,
@@ -252,7 +284,22 @@ def evaluate_offload(scenario: Scenario, cfg: ModelConfig,
     passes it as ``drop``; it then stands in for ``drop_probability``
     when the gate is open.  Below the gate no drop is evaluated.
     """
-    e_tdc = thermal.tdc_total_energy(scenario, cfg).total_j
+    baseline = thermal.tdc_total_energy(scenario, cfg)
+    return price_offload(scenario, cfg, baseline,
+                         split_bills([scenario], cfg)[0], drop)
+
+
+def price_offload(scenario: Scenario, cfg: ModelConfig, baseline, split,
+                  drop: float | None = None) -> OffloadEvaluation:
+    """``evaluate_offload`` on bills priced beforehand.
+
+    ``baseline`` is the scenario's entry of a batched
+    ``thermal.tdc_total_energy`` and ``split`` its entry of
+    ``split_bills``; an OverloadError held there is raised where the
+    unbatched evaluation raises it: the baseline's before the drop, the
+    split system's after it.
+    """
+    e_tdc = _billed(baseline).total_j
     task_len = cfg.workload.task_length_instr
     per_link = math.fsum(scenario.hap_rates)
     # Below the reliable-rate threshold the drop bound is vanishingly
@@ -263,7 +310,7 @@ def evaluate_offload(scenario: Scenario, cfg: ModelConfig,
         pr_drop = drop if drop is not None else channel.drop_probability(
             cfg.channel, cfg.workload, per_link, task_len)
     return OffloadEvaluation(scenario, e_tdc, per_link, pr_drop,
-                             hybrid_total_energy(scenario, cfg))
+                             _hybrid(scenario, cfg, *split))
 
 
 def _report(ev: OffloadEvaluation, e_hybrid: float,

@@ -10,13 +10,20 @@ Carlo chunks (``channel.MC_CHUNK`` draws each) by chunk, a delay sweep's
 simulations by grid point.
 
 Each of the four analyses (flying condition, energy saving, outage,
-delay) is one ``_Analysis`` record: metric columns, a row function, its
-fleet and axis needs, and an optional step over all rows at the end (the
-outage Monte Carlo pass).  One engine runs them all.  Rows read the model
-quantities from their owners: the link budget from the config's
-``ChannelConfig``, the fleet service rate of the delay simulation from the
-analytic ``DelayReport``.
+delay) is one ``_Analysis`` record: metric columns, a row function (or a
+function over a chunk of rows), its fleet and axis needs, and an optional
+step over all rows at the end (the outage Monte Carlo pass).  One engine
+runs them all: the grid is cut into one contiguous chunk per worker, and
+every number stays local to its row, so the chunking never shows in the
+output.  Rows read the model quantities from their owners: the link budget
+from the config's ``ChannelConfig``, the fleet service rate of the delay
+simulation from the analytic ``DelayReport``.
 
+The energy analysis answers a chunk at once: each point allocates its
+scenario, the fleet bills are priced in one array pass per group of points
+sharing a fleet shape and window, and each point then prices its saving on
+them (drop and transmission energies included), each point's steps in its
+own warnings capture.
 Per-point failures (a polar night, an overloaded fleet) land in the
 row's ``error`` column and the sweep carries on; a sweep where every
 point failed is reported as infeasible by the caller.  A failure blanks
@@ -41,7 +48,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from . import channel, offload, queueing
+from . import channel, offload, queueing, thermal
 from ._version import __version__
 from .config import ModelConfig, Scenario, config_hash, uniform_split
 from .errors import (ConfigError, LinkRateError, LinkSaturationWarning,
@@ -192,19 +199,23 @@ class _Analysis:
 
     ``row(cfg, spec, index, value)`` returns the metric cells in column
     order and the row's error message or None; a ``_ROW_ERRORS`` exception
-    that escapes it blanks the whole row.  ``offload_rate`` analyses read
-    the grid value as the per-platform offload arrival rate instead of
-    applying it to the config, so they take only the ``arrival_rate`` axis,
-    head their first column ``lambda`` and record ``samples`` in the
-    manifest.  ``finish(cfg, spec, values, rows)`` runs once after the walk.
+    that escapes it blanks the whole row.  ``rows(cfg, spec, points)``,
+    when set, answers a chunk of (index, value) points instead, one
+    (row, saturated) pair each as ``_point`` gives.  ``offload_rate``
+    analyses read the grid value as the per-platform offload arrival rate
+    instead of applying it to the config, so they take only the
+    ``arrival_rate`` axis, head their first column ``lambda`` and record
+    ``samples`` in the manifest.  ``finish(cfg, spec, values, rows)`` runs
+    once after the walk.
     """
 
     name: str
     columns: tuple[str, ...]
-    row: Callable
+    row: Callable | None = None
     needs_fleet: bool = False
     offload_rate: bool = False
     finish: Callable | None = None
+    rows: Callable | None = None
 
 
 def _fly_row(cfg, spec, index, value):
@@ -213,11 +224,46 @@ def _fly_row(cfg, spec, index, value):
                                   sc.hap_servers, cfg)), None
 
 
-def _energy_row(cfg, spec, index, value):
-    rep = offload.saving(offload.allocated_scenario(cfg), cfg,
-                         with_retransmission=True)
-    return [rep.e_tdc_j, rep.e_hybrid_j, rep.saved_rate,
-            rep.retransmissions], None
+def _energy_cells(scenario, cfg, baseline, split):
+    """One point's retransmission-variant saving on its pre-priced bills."""
+    rep = offload.retransmit_saving(
+        offload.price_offload(scenario, cfg, baseline, split), cfg)
+    return [rep.e_tdc_j, rep.e_hybrid_j, rep.saved_rate, rep.retransmissions]
+
+
+def _energy_rows(cfg, spec, points):
+    """Energy rows of a chunk of grid points, each cell as
+    ``saving(allocated_scenario(cfg), cfg, with_retransmission=True)``
+    gives it at the point, error text included.
+
+    The bills are priced once per group of points with one fleet shape and
+    window; they read the server, cooling and task length, which no axis
+    moves, so the sweep's own config prices them.
+    """
+    staged, groups = [], {}
+    for _, value in points:
+        point_cfg = apply_axis(cfg, spec.axis, value)
+        sc, error, saturated = _captured(offload.allocated_scenario, point_cfg)
+        if error is None:
+            shape = (len(sc.ground_rates), len(sc.hap_rates), sc.hap_count,
+                     sc.window)
+            groups.setdefault(shape, []).append(len(staged))
+        staged.append((value, point_cfg, sc, error, saturated))
+    bills = {}
+    for members in groups.values():
+        scenarios = [staged[k][2] for k in members]
+        bills.update(zip(members, zip(
+            thermal.tdc_total_energy(scenarios, cfg),
+            offload.split_bills(scenarios, cfg))))
+    rows = []
+    for k, (value, point_cfg, sc, error, saturated) in enumerate(staged):
+        cells = [None] * len(_ENERGY.columns)
+        if error is None:
+            priced, error, late = _captured(_energy_cells, sc, point_cfg,
+                                            *bills[k])
+            cells, saturated = priced or cells, saturated or late
+        rows.append(([value, *cells, error], saturated))
+    return rows
 
 
 def _offload_scenario(cfg: ModelConfig, per_link_rate: float):
@@ -296,7 +342,7 @@ def _delay_row(cfg, spec, index, value):
 _FLY = _Analysis("flying", ("lambda_max", "threshold", "binding"), _fly_row,
                  needs_fleet=True)
 _ENERGY = _Analysis("energy", ("e_tdc", "e_hybrid", "saved_rate", "n_retx"),
-                    _energy_row)
+                    rows=_energy_rows)
 _OUTAGE = _Analysis("outage", ("ccdf_lb", "ccdf_ub", "ccdf_mc", "ccdf_mc_se",
                                "drop_rate", "saved_with_retx",
                                "saved_without"),
@@ -309,25 +355,46 @@ _DELAY = _Analysis("delay", ("analytic_wait", "des_wait", "des_se", "rtt",
 
 # --- the engine -------------------------------------------------------------
 
-def _point(args):
-    """One grid point: its row and whether it offered the link more
-    traffic than it carries."""
-    analysis, cfg, spec, index, value = args
-    if not analysis.offload_rate:
-        cfg = apply_axis(cfg, spec.axis, value)
+def _captured(step, *args):
+    """``step(*args)`` run as part of one grid point's work.
+
+    Returns its result (None when it raised), the message of the
+    ``_ROW_ERRORS`` exception it raised or None, and whether it warned
+    that the link saturates; any other warning is passed on.
+    """
+    result = error = None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", LinkSaturationWarning)
         try:
-            cells, error = analysis.row(cfg, spec, index, value)
+            result = step(*args)
         except _ROW_ERRORS as exc:
-            cells, error = [None] * len(analysis.columns), str(exc)
+            error = str(exc)
     saturated = False
     for w in caught:
         if issubclass(w.category, LinkSaturationWarning):
             saturated = True
         else:
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return result, error, saturated
+
+
+def _point(analysis, cfg, spec, index, value):
+    """One grid point: its row and whether it offered the link more
+    traffic than it carries."""
+    if not analysis.offload_rate:
+        cfg = apply_axis(cfg, spec.axis, value)
+    answer, error, saturated = _captured(analysis.row, cfg, spec, index, value)
+    cells, error = answer or ([None] * len(analysis.columns), error)
     return [value, *cells, error], saturated
+
+
+def _chunk(args):
+    """The (row, saturated) pairs of one contiguous chunk of grid points."""
+    analysis, cfg, spec, points = args
+    if analysis.rows is not None:
+        return analysis.rows(cfg, spec, points)
+    return [_point(analysis, cfg, spec, index, value)
+            for index, value in points]
 
 
 def _run(analysis: _Analysis, cfg: ModelConfig, spec: SweepSpec) -> SweepResult:
@@ -339,9 +406,14 @@ def _run(analysis: _Analysis, cfg: ModelConfig, spec: SweepSpec) -> SweepResult:
         raise ConfigError(
             f"{analysis.name} sweep needs at least one airborne server")
     values = spec.values()
-    points = _map_points(_point, [(analysis, cfg, spec, i, v)
-                                  for i, v in enumerate(values)], spec.workers)
-    rows = [row for row, _ in points]
+    points = list(enumerate(values))
+    parts = min(spec.workers, len(points))
+    cuts = [len(points) * j // parts for j in range(parts + 1)]
+    chunks = [(analysis, cfg, spec, points[a:b])
+              for a, b in zip(cuts, cuts[1:])]
+    answered = [pair for part in _map_points(_chunk, chunks, spec.workers)
+                for pair in part]
+    rows = [row for row, _ in answered]
     if analysis.finish is not None:
         analysis.finish(cfg, spec, values, rows)
 
@@ -356,7 +428,7 @@ def _run(analysis: _Analysis, cfg: ModelConfig, spec: SweepSpec) -> SweepResult:
         manifest["samples"] = str(spec.samples)
     first = "lambda" if analysis.offload_rate else spec.axis
     result = SweepResult([first, *analysis.columns, "error"], rows, manifest)
-    saturated = sum(flag for _, flag in points)
+    saturated = sum(flag for _, flag in answered)
     if saturated:
         result.notes.append(
             f"{saturated} grid point(s) offered more traffic than the link "

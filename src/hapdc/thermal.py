@@ -5,13 +5,17 @@ configured initial state toward steady state.  Cooling energy over a window
 has a closed form (sum of exponential relaxations); tests check it against
 direct quadrature of the instantaneous cooling power.
 
-The fleet sums take a whole rate vector at once.  Each server's power and
-heat addend is the scalar expression evaluated elementwise, a CRAC's heat
-is summed in server order with ``np.add.accumulate`` (strictly sequential,
-so it rounds as a scalar loop does), and a fleet's compute energy is one
-correctly rounded ``math.fsum`` over the array (``fleet_compute_energy``).
-``ground_energy`` is the one ground bill, compute plus cooling, that the
-all-ground baseline and the split system's ground side both pay.
+The fleet bills take one fleet's rate vector or a rows x servers array,
+one fleet per row, priced in one array pass; a single fleet is the one-row
+case of the same code.  Each server's power and heat addend is the scalar
+expression evaluated elementwise, each CRAC's heat is summed in server
+order with ``np.add.accumulate`` (strictly sequential, so it rounds as a
+scalar loop does), the CRAC totals are added in CRAC order, and a fleet's
+compute energy is one correctly rounded ``math.fsum`` per row.  A batch
+row over the utilization ceiling holds the OverloadError naming its first
+server over it; a single fleet raises it.  ``ground_energy`` is the one
+ground bill, compute plus cooling, that the all-ground baseline and the
+split system's ground side both pay.
 """
 
 from __future__ import annotations
@@ -35,19 +39,34 @@ def utilization(server: ServerSpec, rate, task_len: float):
     return task_len * rate / server.service_rate_ips
 
 
+def _ceiling_errors(server: ServerSpec, u: np.ndarray) -> list:
+    """Per row of the rows x servers utilizations ``u``: the OverloadError
+    naming the row's first server over the ceiling, or None."""
+    over = u > server.desired_utilization * (1.0 + 1e-12)
+    errors = [None] * len(u)
+    if over.any():
+        for row in np.flatnonzero(over.any(axis=1)):
+            errors[row] = OverloadError(
+                f"utilization {u[row, over[row].argmax()]:.4f} exceeds "
+                f"ceiling {server.desired_utilization}"
+            )
+    return errors
+
+
+def _power(server: ServerSpec, u):
+    return server.p_idle + (server.p_peak - server.p_idle) * u
+
+
 def compute_power(server: ServerSpec, rate, task_len: float):
     """Electrical draw at the given arrival rate, W; linear idle-to-peak.
 
     ``rate`` is one rate or an array of them, one per server; the
     OverloadError names the first server over the ceiling."""
     u = utilization(server, rate, task_len)
-    over = np.ravel(u > server.desired_utilization * (1.0 + 1e-12))
-    if over.any():
-        raise OverloadError(
-            f"utilization {np.ravel(u)[over.argmax()]:.4f} exceeds ceiling "
-            f"{server.desired_utilization}"
-        )
-    return server.p_idle + (server.p_peak - server.p_idle) * u
+    error = _ceiling_errors(server, np.reshape(u, (1, -1)))[0]
+    if error is not None:
+        raise error
+    return _power(server, u)
 
 
 def compute_energy(server: ServerSpec, rate, task_len: float,
@@ -55,12 +74,38 @@ def compute_energy(server: ServerSpec, rate, task_len: float,
     return compute_power(server, rate, task_len) * (window[1] - window[0])
 
 
+def _per_row(rates, server: ServerSpec, task_len: float, bill):
+    """A fleet bill of one fleet or of a rows x servers batch.
+
+    ``bill`` maps the per-server power of a rows x servers batch, W, to
+    one value per row.  A batch gets a list back, each row's value or the
+    OverloadError of ``_ceiling_errors``; a single fleet is priced as a
+    one-row batch, and its error is raised."""
+    rates = np.asarray(rates, dtype=float)
+    single = rates.ndim < 2
+    u = utilization(server, rates.reshape(1, -1) if single else rates,
+                    task_len)
+    errors = _ceiling_errors(server, u)
+    if single:
+        if errors[0] is not None:
+            raise errors[0]
+        return bill(_power(server, u))[0]
+    return [value if error is None else error
+            for value, error in zip(bill(_power(server, u)), errors)]
+
+
+def _compute_bill(power: np.ndarray, window: tuple[float, float]) -> list:
+    """Per row of ``power``: its compute energy over the window, one
+    correctly rounded sum, J."""
+    return [math.fsum(row) for row in (power * (window[1] - window[0])).tolist()]
+
+
 def fleet_compute_energy(server: ServerSpec, rates, task_len: float,
-                         window: tuple[float, float]) -> float:
+                         window: tuple[float, float]):
     """Compute energy of a fleet at per-server ``rates`` over the window, J:
-    one correctly rounded sum of the per-server energies."""
-    return math.fsum(compute_energy(server, np.asarray(rates, dtype=float),
-                                    task_len, window).tolist())
+    one correctly rounded sum of the per-server energies per fleet."""
+    return _per_row(rates, server, task_len,
+                    lambda power: _compute_bill(power, window))
 
 
 def cop(cooling: CoolingSpec, temp_k: float) -> float:
@@ -139,17 +184,19 @@ def cooling_energy(server_loads: list[ServerLoad], cooling: CoolingSpec,
 
     Integrates fan power plus removed heat over the COP; the relaxation
     integrals are evaluated analytically."""
-    heat = np.array([_heat_integral(server, rate, cooling, task_len, window)
-                     for server, rate in server_loads])
-    return _crac_energy(heat, cooling, window)
+    heat = np.array([
+        _heat_integral(server, compute_power(server, rate, task_len), cooling,
+                       window)
+        for server, rate in server_loads])
+    return float(_crac_energy(heat, cooling, window))
 
 
-def _heat_integral(server: ServerSpec, rates, cooling: CoolingSpec,
-                   task_len: float, window: tuple[float, float]):
-    """Heat each server at ``rates`` hands its CRAC over the window, J.
+def _heat_integral(server: ServerSpec, power, cooling: CoolingSpec,
+                   window: tuple[float, float]):
+    """Heat each server drawing ``power`` hands its CRAC over the window, J.
 
     The exponentials depend only on the server, the cooling spec and the
-    window, so they are taken once for the whole rate array."""
+    window, so they are taken once for the whole power array."""
     t1, t2 = window
     span = t2 - t1
     nu = cooling.crac_influence_rate
@@ -163,16 +210,32 @@ def _heat_integral(server: ServerSpec, rates, cooling: CoolingSpec,
     relax = span + rc * (math.exp(-t2 / rc) - math.exp(-t1 / rc))
     cpu = cap * d_cpu * (math.exp(-t1 / rc) - math.exp(-t2 / rc))
     inlet = cap / (nu * rc + 1.0) * d_in * (math.exp(-k * t2) - math.exp(-k * t1))
-    return compute_power(server, rates, task_len) * relax + cpu + inlet
+    return power * relax + cpu + inlet
 
 
 def _crac_energy(heat: np.ndarray, cooling: CoolingSpec,
-                 window: tuple[float, float]) -> float:
-    """Fan energy plus the heat of one CRAC's servers, summed in order,
-    over the COP, J."""
-    total = float(np.add.accumulate(heat)[-1]) if len(heat) else 0.0
+                 window: tuple[float, float]):
+    """Fan energy plus the heat of one CRAC's servers (the last axis of
+    ``heat``), summed in order, over the COP, J."""
+    total = (np.add.accumulate(heat, axis=-1)[..., -1] if heat.shape[-1]
+             else np.zeros(heat.shape[:-1]))
     return (cooling.fan_power_w() * (window[1] - window[0])
             + total / cop(cooling, cooling.supply_temp))
+
+
+def _cooling_bill(heat: np.ndarray, cooling: CoolingSpec,
+                  window: tuple[float, float]) -> list:
+    """Per row of the rows x servers ``heat``: the energy of every CRAC,
+    each cooling its near-uniform share of the servers in order, added in
+    CRAC order, J."""
+    sizes = partition_servers(heat.shape[1], cooling.crac_count)
+    if sizes[0] != sizes[-1]:
+        # a trailing 0.0 on each narrower CRAC leaves its sum as it is
+        ends = np.cumsum(sizes)[sizes.index(sizes[-1]):]
+        heat = np.insert(heat, ends, 0.0, axis=1)
+    cracs = _crac_energy(heat.reshape(len(heat), len(sizes), -1), cooling,
+                         window)
+    return np.add.accumulate(cracs, axis=-1)[:, -1].tolist()
 
 
 def partition_servers(count: int, crac_count: int) -> list[int]:
@@ -201,35 +264,36 @@ class EnergyBreakdown:
 
 
 def grouped_cooling_energy(rates, server: ServerSpec, cooling: CoolingSpec,
-                            task_len: float, window) -> float:
+                            task_len: float, window):
     """Cooling energy with the rate list split near-uniformly across CRACs."""
-    heat = _heat_integral(server, np.asarray(rates, dtype=float), cooling,
-                          task_len, window)
-    total = 0.0
-    start = 0
-    for n in partition_servers(len(heat), cooling.crac_count):
-        total += _crac_energy(heat[start:start + n], cooling, window)
-        start += n
-    return total
+    return _per_row(rates, server, task_len, lambda power: _cooling_bill(
+        _heat_integral(server, power, cooling, window), cooling, window))
 
 
-def ground_energy(rates, cfg: ModelConfig,
-                  window: tuple[float, float]) -> EnergyBreakdown:
+def ground_energy(rates, cfg: ModelConfig, window: tuple[float, float]):
     """Compute plus CRAC cooling of a ground fleet at ``rates``, J: the
     ground bill of both the baseline and the split system."""
-    rates = np.asarray(rates, dtype=float)
-    task_len = cfg.workload.task_length_instr
-    return EnergyBreakdown.from_parts(
-        compute_j=fleet_compute_energy(cfg.server, rates, task_len, window),
-        cooling_j=grouped_cooling_energy(rates, cfg.server, cfg.cooling,
-                                         task_len, window))
+    def bill(power):
+        cooling = _cooling_bill(
+            _heat_integral(cfg.server, power, cfg.cooling, window),
+            cfg.cooling, window)
+        return [EnergyBreakdown.from_parts(compute_j=c, cooling_j=k)
+                for c, k in zip(_compute_bill(power, window), cooling)]
+    return _per_row(rates, cfg.server, cfg.workload.task_length_instr, bill)
 
 
-def tdc_total_energy(scenario: Scenario, cfg: ModelConfig) -> EnergyBreakdown:
+def _baseline_rates(scenario: Scenario) -> tuple[float, ...]:
+    return scenario.ground_rates + scenario.hap_rates * scenario.hap_count
+
+
+def tdc_total_energy(scenario: Scenario | list[Scenario], cfg: ModelConfig):
     """Baseline energy with every server on the ground.
 
     The airborne rate vector (replicated per platform) joins the ground one,
-    so the baseline serves the identical workload."""
-    return ground_energy(scenario.ground_rates
-                         + scenario.hap_rates * scenario.hap_count,
-                         cfg, scenario.window)
+    so the baseline serves the identical workload.  ``scenario`` may also be
+    a sequence of scenarios sharing one fleet shape and window; each gets
+    its bill, or its OverloadError, in one array pass."""
+    if isinstance(scenario, Scenario):
+        return ground_energy(_baseline_rates(scenario), cfg, scenario.window)
+    return ground_energy([_baseline_rates(s) for s in scenario], cfg,
+                         scenario[0].window)

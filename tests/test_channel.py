@@ -343,3 +343,32 @@ def test_empirical_ccdf_short_last_chunk(samples):
     assert np.array_equal(prob, counts / samples)
     assert np.all(se > 0.0)
     assert np.all(np.diff(prob) <= 0.0)
+
+
+@pytest.mark.parametrize("tx, rx, zeta", [(2, 16, 10.0), (1, 8, 0.0),
+                                          (4, 3, 10.0)])
+def test_sample_rates_law_matches_reference_at_a_configured_snr(tx, rx, zeta):
+    """The KS check of ``test_sample_rates_law_matches_reference`` on a
+    config that sets ``avg_rx_snr`` itself (0.2 against a derived 0.063):
+    the reference draw reads the configured SNR too."""
+    from scipy.stats import ks_2samp
+
+    ch = replace(ChannelConfig(tx_antennas=tx, rx_antennas=rx,
+                               rician_factor=zeta), avg_rx_snr=0.2)
+    for seed in range(3):
+        gram_rng, ref_rng = (
+            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+            for k in (0, 1))
+        got = channel.sample_rates(ch, 20_000, gram_rng)
+        want = _reference_rates(ch, 20_000, ref_rng)
+        assert ks_2samp(got, want).pvalue > 1e-3, (tx, rx, zeta, seed)
+
+
+def test_reference_rates_read_the_configured_snr():
+    derived = ChannelConfig(rician_factor=1e12)
+    ch = replace(derived, avg_rx_snr=0.2)
+    h = channel.sample_channel(ch, 4, np.random.default_rng(3))
+    ref = channel.reference_rate(ch)
+    assert ref > 1.5 * channel.reference_rate(derived)
+    for r in [*channel.channel_rate(ch, h), *channel.beamformed_rate(ch, h)]:
+        assert math.isclose(r, ref, rel_tol=1e-4)

@@ -346,3 +346,57 @@ def test_yaml_backends_dump_alike(cfg):
 
     default, pure = _on_both_yaml_paths(dumped)
     assert default == pure
+
+
+# --- value types -------------------------------------------------------------
+
+@pytest.mark.parametrize("text, key", [
+    ("server: {p_idle: 1.0e3}", "server.p_idle"),   # YAML 1.1: a string
+    ('workload: {vacation_rate: "ten"}', "workload.vacation_rate"),
+    ("scenario: {hap_servers: 2.5}", "scenario.hap_servers"),
+    ("channel: {link_distance: 1.0e+200}", "channel.link_distance"),
+    ("server: {p_idle: true}", "server.p_idle"),
+    ("cooling: {crac_count: 4.0}", "cooling.crac_count"),
+    ("cooling: {cop_in_celsius: 1}", "cooling.cop_in_celsius"),
+    ("channel: {demand_mapping: 3}", "channel.demand_mapping"),
+    ("scenario: {window: [0, later]}", "scenario.window"),
+    ("scenario: {ground_rates: [1.0, x]}", "scenario.ground_rates"),
+    ("wind: {table: [[40, 150]]}", "wind.table"),
+    ("cooling: {fan: {air_flow_rate: a, pressure_loss: 1.0,"
+     " fan_efficiency: 0.5, motor_efficiency: 0.5}}",
+     "cooling.fan.air_flow_rate"),
+])
+def test_wrongly_typed_value_exits_usage_naming_the_key(tmp_path, capsys,
+                                                        text, key):
+    from hapdc import cli
+
+    path = tmp_path / "bad.yaml"
+    path.write_text(text + "\n")
+    with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+        load_config(str(path))
+    rc = cli.main(["fly", "--config", str(path), "--axis", "day",
+                   "--range", "1:2:1"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and key in err
+
+
+def test_every_field_type_is_checked():
+    for cls in [*config._SECTION_TYPES.values(), FanSpec]:
+        for f in fields(cls):
+            assert f.type in config._ACCEPTS, (cls.__name__, f.name, f.type)
+
+
+def test_values_kept_as_written(shipped_cfg):
+    # YAML integers in number fields stay integers, so the manifest hash
+    # of the shipped config is the one earlier releases wrote
+    assert shipped_cfg.server.service_rate_mips == 580
+    assert type(shipped_cfg.server.service_rate_mips) is int
+    assert config_hash(shipped_cfg) == (
+        "b6d99d4063912e013114dacd3bdba15f777fdc4b279bd408a3c754c8f6d5d5f7")
+    cfg = build_config({"channel": {"noise_power": None, "tx_power": 4},
+                        "scenario": {"hap_rates": 10, "hap_servers": 4,
+                                     "window": [0, 3600]}})
+    assert cfg.channel.tx_power == 4 and type(cfg.channel.tx_power) is int
+    assert cfg.scenario.hap_rates == (2.5, 2.5, 2.5, 2.5)
+    assert cfg.scenario.window == (0.0, 3600.0)

@@ -658,3 +658,149 @@ def test_cli_import_leaves_pool_and_validate_unloaded():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, timeout=60, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+# --- the energy sweep's batched bills ---------------------------------------
+
+def _energy_grids(shipped_cfg):
+    """(spec, what the grid holds) pairs on the four axes: polar rows, a
+    ground residual over the ceiling, the reliable-rate gate closed and
+    open, and one fleet shape per row on the hap_servers axis."""
+    return [
+        sweeps.SweepSpec("latitude", -90.0, 90.0, 15.0),
+        sweeps.SweepSpec("day", 1.0, 365.0, 73.0,
+                         fixed={"latitude_deg": 75.0}),
+        sweeps.SweepSpec("arrival_rate", 0.0, 42_000.0, 3000.0),
+        sweeps.SweepSpec("arrival_rate", 5000.0, 5800.0, 100.0),
+        sweeps.SweepSpec("hap_servers", 1.0, 40.0, 13.0,
+                         fixed={"hap_count": 2}),
+    ]
+
+
+def test_energy_cells_equal_saving_per_point(shipped_cfg):
+    seen = {"polar": 0, "overload": 0, "closed": 0, "open": 0, "shapes": 0}
+    gate = offload._reliable_rate(
+        shipped_cfg.channel, shipped_cfg.workload.bits_per_instruction,
+        shipped_cfg.workload.task_length_instr)
+    for spec in _energy_grids(shipped_cfg):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            out = sweeps.run_energy_sweep(shipped_cfg, spec)
+        cfg = sweeps.apply_fixed(shipped_cfg, spec.fixed)
+        shapes = set()
+        for row, value in zip(out.rows, spec.values()):
+            point = sweeps.apply_axis(cfg, spec.axis, value)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    sc = offload.allocated_scenario(point)
+                    rep = offload.saving(sc, point, with_retransmission=True)
+                    want = [rep.e_tdc_j, rep.e_hybrid_j, rep.saved_rate,
+                            rep.retransmissions]
+                    error = None
+                except sweeps._ROW_ERRORS as exc:
+                    want, error = [None] * 4, str(exc)
+            assert row == [value, *want, error], (spec.axis, value)
+            if error is None:
+                shapes.add(sc.hap_servers)
+                per_link = math.fsum(sc.hap_rates)
+                seen["open" if per_link >= gate else "closed"] += 1
+            elif "ground capacity" in error:
+                seen["overload"] += 1
+            else:
+                seen["polar"] += 1
+        if spec.axis == "hap_servers":
+            seen["shapes"] = len(shapes)
+    assert seen["shapes"] > 1 and all(seen.values()), seen
+
+
+def test_energy_sweep_workers_split_unevenly(shipped_cfg):
+    # 11 points cut into 6 + 5 and 3 + 4 + 4 chunks
+    spec = sweeps.SweepSpec("arrival_rate", 0.0, 42_000.0, 4200.0)
+    one = sweeps.run_energy_sweep(shipped_cfg, spec)
+    assert any(row[-1] for row in one.rows) and one.notes
+    for workers in (2, 3):
+        many = sweeps.run_energy_sweep(shipped_cfg,
+                                       replace(spec, workers=workers))
+        assert sweeps.render_csv(many) == sweeps.render_csv(one)
+        assert many.notes == one.notes
+
+
+def _count_bills(monkeypatch):
+    """Batch sizes of every baseline and split-bill pricing call."""
+    sizes = {"tdc_total_energy": [], "split_bills": []}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def counted(scenarios, cfg):
+            sizes[name].append(len(scenarios))
+            return real(scenarios, cfg)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(thermal, "tdc_total_energy")
+    counting(offload, "split_bills")
+    return sizes
+
+
+def test_energy_bills_priced_once_per_fleet_shape(shipped_cfg, monkeypatch):
+    sizes = _count_bills(monkeypatch)
+    saving_calls = []
+    monkeypatch.setattr(offload, "saving",
+                        lambda *args, **kw: saving_calls.append(args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        day = sweeps.run_energy_sweep(
+            shipped_cfg, sweeps.SweepSpec("day", 1.0, 361.0, 30.0))
+        assert sizes == {"tdc_total_energy": [13], "split_bills": [13]}
+        sizes["tdc_total_energy"].clear()
+        sizes["split_bills"].clear()
+        # the two ground-overloaded points never reach the bills
+        ramp = sweeps.run_energy_sweep(
+            shipped_cfg, sweeps.SweepSpec("arrival_rate", 0.0, 42_000.0,
+                                          3000.0))
+        assert sum(row[-1] is not None for row in ramp.rows) == 2
+        assert sizes == {"tdc_total_energy": [13], "split_bills": [13]}
+        sizes["tdc_total_energy"].clear()
+        sizes["split_bills"].clear()
+        sweeps.run_energy_sweep(
+            shipped_cfg, sweeps.SweepSpec("hap_servers", 1.0, 40.0, 3.0))
+        assert sizes == {"tdc_total_energy": [1] * 14,
+                         "split_bills": [1] * 14}
+        sizes["tdc_total_energy"].clear()
+        sizes["split_bills"].clear()
+        # one pricing per chunk, and the chunks give the whole sweep's rows
+        spec = sweeps.SweepSpec("day", 1.0, 361.0, 30.0)
+        points = list(enumerate(spec.values()))
+        rows = (sweeps._energy_rows(shipped_cfg, spec, points[:5])
+                + sweeps._energy_rows(shipped_cfg, spec, points[5:]))
+    assert sizes == {"tdc_total_energy": [5, 8], "split_bills": [5, 8]}
+    assert [row for row, _ in rows] == day.rows
+    assert saving_calls == []
+
+
+def test_energy_baseline_overload_blanks_only_its_row(shipped_cfg,
+                                                      monkeypatch):
+    real = thermal.tdc_total_energy
+    drops = []
+
+    def overloaded_second(scenarios, cfg):
+        bills = real(scenarios, cfg)
+        bills[1] = OverloadError("utilization 1.2000 exceeds ceiling 1.0")
+        return bills
+
+    monkeypatch.setattr(thermal, "tdc_total_energy", overloaded_second)
+    real_drop = channel.drop_probability
+    monkeypatch.setattr(channel, "drop_probability",
+                        lambda *args: drops.append(args[2])
+                        or real_drop(*args))
+    spec = sweeps.SweepSpec("arrival_rate", 8000.0, 10_000.0, 1000.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        out = sweeps.run_energy_sweep(shipped_cfg, spec)
+    assert out.rows[1] == [9000.0, None, None, None, None,
+                           "utilization 1.2000 exceeds ceiling 1.0"]
+    assert out.rows[0][-1] is None and out.rows[2][-1] is None
+    assert len(drops) == 2          # the overloaded row evaluates no drop
+    assert out.notes[0].startswith("2 grid point(s)")

@@ -360,3 +360,125 @@ def test_overload_message_names_the_first_server_as_the_loop_did():
         with pytest.raises(OverloadError) as got:
             call()
         assert str(got.value) == str(loop.value)
+
+
+# --- batched bills: one fleet per row, each row bit for bit its own loop ----
+
+def _scenario_batch(rng, rates, rows, ground_n, hap_n, hap_count, window):
+    """``rows`` scenarios of one fleet shape with independent rate draws."""
+    return [Scenario(ground_servers=ground_n, hap_servers=hap_n,
+                     hap_count=hap_count, window=window,
+                     ground_rates=rates(ground_n, bool(rng.integers(2))),
+                     hap_rates=rates(hap_n, bool(rng.integers(2))))
+            for _ in range(rows)]
+
+
+def _assert_batch_matches_loops(scenarios, cfg, server, cooling, task_len,
+                                window):
+    ground = np.array([s.ground_rates for s in scenarios])
+    hap = np.array([s.hap_rates for s in scenarios])
+    assert thermal.fleet_compute_energy(server, ground, task_len, window) \
+        == [_compute_sum_loop(s.ground_rates, server, task_len, window)
+            for s in scenarios]
+    assert thermal.grouped_cooling_energy(ground, server, cooling, task_len,
+                                          window) \
+        == [_grouped_cooling_loop(list(s.ground_rates), server, cooling,
+                                  task_len, window) for s in scenarios]
+    assert offload.payload_energy(hap, server, task_len, window) \
+        == [_compute_sum_loop(s.hap_rates, server, task_len, window)
+            for s in scenarios]
+    baseline = thermal.tdc_total_energy(scenarios, cfg)
+    assert baseline == [_tdc_loop(s, cfg) for s in scenarios]
+    split = offload.split_bills(scenarios, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinkSaturationWarning)
+        for s, b, sp in zip(scenarios, baseline, split):
+            ev = offload.price_offload(s, cfg, b, sp, drop=0.25)
+            assert ev.e_tdc_j == _tdc_loop(s, cfg).total_j
+            assert ev.lossless == _hybrid_loop(s, cfg)
+
+
+def test_batched_bills_bitwise_equal_to_loops():
+    rng = np.random.default_rng(909)
+    for trial in range(12):
+        server, cooling, task_len, window, rates = _random_fleet(rng)
+        cfg = ModelConfig(server=server, cooling=cooling,
+                          workload=WorkloadSpec(task_length_instr=task_len))
+        scenarios = _scenario_batch(
+            rng, rates, int(rng.integers(1, 9)), int(rng.integers(1, 60)),
+            int(rng.integers(1, 30)), int(rng.integers(1, 4)), window)
+        _assert_batch_matches_loops(scenarios, cfg, server, cooling,
+                                    task_len, window)
+
+
+@pytest.mark.parametrize("ground_n, hap_n, crac_count", [
+    (3, 2, 4),     # the last CRAC cools nobody
+    (10, 3, 4),    # uneven split: 3, 3, 2, 2 on the ground side
+    (0, 5, 3),     # no ground servers: every CRAC pays its fan only
+    (7, 0, 2),     # no airborne servers: the split system is all ground
+])
+def test_batched_bills_edge_fleets(ground_n, hap_n, crac_count):
+    rng = np.random.default_rng(ground_n * 100 + hap_n)
+    server, cooling, task_len, window, rates = _random_fleet(rng)
+    cooling = dataclasses.replace(cooling, crac_count=crac_count)
+    cfg = ModelConfig(server=server, cooling=cooling,
+                      workload=WorkloadSpec(task_length_instr=task_len))
+    scenarios = _scenario_batch(rng, rates, 4, ground_n, hap_n, 2, window)
+    _assert_batch_matches_loops(scenarios, cfg, server, cooling, task_len,
+                                window)
+
+
+def test_batched_overloaded_row_keeps_the_other_rows(monkeypatch):
+    server = ServerSpec(desired_utilization=0.8)
+    cfg = ModelConfig(server=server)
+    task_len = cfg.workload.task_length_instr
+    cap = 0.8 * server.service_rate_ips / task_len
+    window = (0.0, 3600.0)
+    fine = [tuple(f * cap for f in (0.1, 0.5, 0.9, 1.0, 0.3)),
+            tuple(f * cap for f in (0.7, 0.2, 0.0, 0.6, 0.4))]
+    bad = tuple(f * cap for f in (0.5, 0.9, 1.3, 0.2, 2.0))
+    rows = [fine[0], bad, fine[1]]
+    with pytest.raises(OverloadError) as loop:
+        _compute_sum_loop(bad, server, task_len, window)
+    assert "1.0400" in str(loop.value)
+
+    batch = np.array(rows)
+    for got, want in (
+            (thermal.fleet_compute_energy(server, batch, task_len, window),
+             lambda r: _compute_sum_loop(r, server, task_len, window)),
+            (thermal.grouped_cooling_energy(batch, server, cfg.cooling,
+                                            task_len, window),
+             lambda r: _grouped_cooling_loop(list(r), server, cfg.cooling,
+                                             task_len, window))):
+        assert isinstance(got[1], OverloadError)
+        assert str(got[1]) == str(loop.value)
+        assert [got[0], got[2]] == [want(fine[0]), want(fine[1])]
+
+    # the same rows as the airborne side of three scenarios
+    scenarios = [Scenario(ground_servers=2, hap_servers=5, window=window,
+                          ground_rates=(0.1 * cap, 0.2 * cap), hap_rates=r)
+                 for r in rows]
+    baseline = thermal.tdc_total_energy(scenarios, cfg)
+    assert str(baseline[1]) == str(loop.value)
+    assert [baseline[0], baseline[2]] == [_tdc_loop(scenarios[0], cfg),
+                                          _tdc_loop(scenarios[2], cfg)]
+    split = offload.split_bills(scenarios, cfg)
+    assert str(split[1][1]) == str(loop.value)
+
+    # the overloaded row raises its baseline's error and never reaches
+    # the drop; the others price as the loops do
+    drops = []
+    monkeypatch.setattr(channel, "drop_probability",
+                        lambda *args: drops.append(args) or 0.5)
+    monkeypatch.setattr(offload, "_reliable_rate", lambda *args: 0.0)
+    with pytest.raises(OverloadError) as got:
+        offload.price_offload(scenarios[1], cfg, baseline[1], split[1])
+    assert str(got.value) == str(loop.value)
+    assert drops == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinkSaturationWarning)
+        for k in (0, 2):
+            ev = offload.price_offload(scenarios[k], cfg, baseline[k],
+                                       split[k])
+            assert ev.lossless == _hybrid_loop(scenarios[k], cfg)
+    assert len(drops) == 2
