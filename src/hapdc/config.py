@@ -275,7 +275,7 @@ class ChannelConfig:
                                _NOISE_DENSITY_W_PER_HZ * self.bandwidth_hz)
         if self.avg_rx_snr is None and self.noise_power and self.link_distance:
             try:
-                path_loss = self.link_distance**2
+                path_loss = float(self.link_distance)**2
             except OverflowError:
                 raise ValidationError(
                     f"channel.link_distance {self.link_distance!r} is too "

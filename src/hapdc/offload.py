@@ -11,9 +11,8 @@ charges the dropped traffic: ``retransmit_saving`` resends it over the link,
 policy; the outage sweep prices both from one evaluation.
 
 Many scenarios of one fleet shape and window share one array pass for
-their bills (``thermal.tdc_total_energy`` and ``split_bills``);
-``price_offload`` evaluates one scenario on them, with the numbers and the
-raise order of ``evaluate_offload``.
+their bills (``thermal.tdc_total_energy`` and ``split_bills``), and
+``evaluate_offload`` takes a scenario's bills priced that way.
 """
 
 from __future__ import annotations
@@ -208,13 +207,6 @@ def split_bills(scenarios: list[Scenario], cfg: ModelConfig) -> list:
     return list(zip(ground, payload))
 
 
-def _billed(bill):
-    """A pre-priced bill, or the OverloadError its row holds raised."""
-    if isinstance(bill, OverloadError):
-        raise bill
-    return bill
-
-
 def hybrid_total_energy(scenario: Scenario, cfg: ModelConfig) -> thermal.EnergyBreakdown:
     """Energy of the split system over the window, J, by destination.
 
@@ -223,17 +215,24 @@ def hybrid_total_energy(scenario: Scenario, cfg: ModelConfig) -> thermal.EnergyB
     its aggregate offload rate.  With no airborne servers this reduces to
     the all-ground baseline (no platform deployed).
     """
-    return _hybrid(scenario, cfg, *split_bills([scenario], cfg)[0])
+    return _hybrid(scenario, cfg,
+                   thermal.ground_energy(scenario.ground_rates, cfg,
+                                         scenario.window),
+                   payload_energy(scenario.hap_rates, cfg.server,
+                                  cfg.workload.task_length_instr,
+                                  scenario.window))
 
 
 def _hybrid(scenario: Scenario, cfg: ModelConfig, ground,
             payload) -> thermal.EnergyBreakdown:
-    """``hybrid_total_energy`` on the bills of ``split_bills``."""
-    ground = _billed(ground)
+    """``hybrid_total_energy`` on the scenario's ground bill and payload
+    energy; an OverloadError held in place of either is raised."""
+    for bill in (ground, payload):
+        if isinstance(bill, OverloadError):
+            raise bill
     if scenario.hap_servers == 0:
         return ground
     k = scenario.hap_count
-    payload = k * _billed(payload)
     wind = cfg.wind.speed_at(scenario.latitude_deg, scenario.day_of_year)
     propulsion = k * aero.propulsion_energy(cfg.hap, wind, scenario.window)
     per_link_rate = math.fsum(scenario.hap_rates)
@@ -241,8 +240,9 @@ def _hybrid(scenario: Scenario, cfg: ModelConfig, ground,
         cfg.channel, cfg.workload, per_link_rate, scenario.window_length,
         cfg.workload.task_length_instr)
     return thermal.EnergyBreakdown.from_parts(
-        compute_j=ground.compute_j, cooling_j=ground.cooling_j, payload_j=payload,
-        propulsion_j=propulsion, transmission_j=transmission,
+        compute_j=ground.compute_j, cooling_j=ground.cooling_j,
+        payload_j=k * payload, propulsion_j=propulsion,
+        transmission_j=transmission,
     )
 
 
@@ -277,29 +277,24 @@ class OffloadEvaluation:
 
 
 def evaluate_offload(scenario: Scenario, cfg: ModelConfig,
-                     drop: float | None = None) -> OffloadEvaluation:
+                     drop: float | None = None,
+                     bills: tuple | None = None) -> OffloadEvaluation:
     """The all-ground baseline, the drop gate and the lossless split bill.
 
     A caller that already holds ``1 - ccdf_lower`` at the per-link rate
     passes it as ``drop``; it then stands in for ``drop_probability``
     when the gate is open.  Below the gate no drop is evaluated.
+
+    A caller that priced the bills beforehand passes the scenario's entries
+    of a batched ``thermal.tdc_total_energy`` and of ``split_bills`` as
+    ``bills``; an OverloadError held there is raised where this evaluation
+    raises it unbatched: the baseline's before the drop, the split
+    system's after it.
     """
-    baseline = thermal.tdc_total_energy(scenario, cfg)
-    return price_offload(scenario, cfg, baseline,
-                         split_bills([scenario], cfg)[0], drop)
-
-
-def price_offload(scenario: Scenario, cfg: ModelConfig, baseline, split,
-                  drop: float | None = None) -> OffloadEvaluation:
-    """``evaluate_offload`` on bills priced beforehand.
-
-    ``baseline`` is the scenario's entry of a batched
-    ``thermal.tdc_total_energy`` and ``split`` its entry of
-    ``split_bills``; an OverloadError held there is raised where the
-    unbatched evaluation raises it: the baseline's before the drop, the
-    split system's after it.
-    """
-    e_tdc = _billed(baseline).total_j
+    baseline = (thermal.tdc_total_energy(scenario, cfg) if bills is None
+                else bills[0])
+    if isinstance(baseline, OverloadError):
+        raise baseline
     task_len = cfg.workload.task_length_instr
     per_link = math.fsum(scenario.hap_rates)
     # Below the reliable-rate threshold the drop bound is vanishingly
@@ -309,8 +304,10 @@ def price_offload(scenario: Scenario, cfg: ModelConfig, baseline, split,
             cfg.channel, cfg.workload.bits_per_instruction, task_len):
         pr_drop = drop if drop is not None else channel.drop_probability(
             cfg.channel, cfg.workload, per_link, task_len)
-    return OffloadEvaluation(scenario, e_tdc, per_link, pr_drop,
-                             _hybrid(scenario, cfg, *split))
+    lossless = (hybrid_total_energy(scenario, cfg) if bills is None
+                else _hybrid(scenario, cfg, *bills[1]))
+    return OffloadEvaluation(scenario, baseline.total_j, per_link, pr_drop,
+                             lossless)
 
 
 def _report(ev: OffloadEvaluation, e_hybrid: float,

@@ -13,17 +13,19 @@ Each of the four analyses (flying condition, energy saving, outage,
 delay) is one ``_Analysis`` record: metric columns, a row function (or a
 function over a chunk of rows), its fleet and axis needs, and an optional
 step over all rows at the end (the outage Monte Carlo pass).  One engine
-runs them all: the grid is cut into one contiguous chunk per worker, and
-every number stays local to its row, so the chunking never shows in the
-output.  Rows read the model quantities from their owners: the link budget
-from the config's ``ChannelConfig``, the fleet service rate of the delay
-simulation from the analytic ``DelayReport``.
+runs them all, one point per task, or one contiguous chunk per worker for
+an analysis that answers chunks; every number stays local to its row, so
+the split never shows in the output.  Rows read the model quantities from
+their owners: the link budget from the config's ``ChannelConfig``, the
+fleet service rate of the delay simulation from the analytic
+``DelayReport``.
 
 The energy analysis answers a chunk at once: each point allocates its
 scenario, the fleet bills are priced in one array pass per group of points
 sharing a fleet shape and window, and each point then prices its saving on
 them (drop and transmission energies included), each point's steps in its
 own warnings capture.
+
 Per-point failures (a polar night, an overloaded fleet) land in the
 row's ``error`` column and the sweep carries on; a sweep where every
 point failed is reported as infeasible by the caller.  A failure blanks
@@ -224,10 +226,10 @@ def _fly_row(cfg, spec, index, value):
                                   sc.hap_servers, cfg)), None
 
 
-def _energy_cells(scenario, cfg, baseline, split):
+def _energy_cells(scenario, cfg, bills):
     """One point's retransmission-variant saving on its pre-priced bills."""
     rep = offload.retransmit_saving(
-        offload.price_offload(scenario, cfg, baseline, split), cfg)
+        offload.evaluate_offload(scenario, cfg, bills=bills), cfg)
     return [rep.e_tdc_j, rep.e_hybrid_j, rep.saved_rate, rep.retransmissions]
 
 
@@ -257,12 +259,13 @@ def _energy_rows(cfg, spec, points):
             offload.split_bills(scenarios, cfg))))
     rows = []
     for k, (value, point_cfg, sc, error, saturated) in enumerate(staged):
-        cells = [None] * len(_ENERGY.columns)
+        cells = None
         if error is None:
-            priced, error, late = _captured(_energy_cells, sc, point_cfg,
-                                            *bills[k])
-            cells, saturated = priced or cells, saturated or late
-        rows.append(([value, *cells, error], saturated))
+            cells, error, late = _captured(_energy_cells, sc, point_cfg,
+                                           bills[k])
+            saturated = saturated or late
+        rows.append(([value, *(cells or [None] * len(_ENERGY.columns)),
+                      error], saturated))
     return rows
 
 
@@ -407,7 +410,9 @@ def _run(analysis: _Analysis, cfg: ModelConfig, spec: SweepSpec) -> SweepResult:
             f"{analysis.name} sweep needs at least one airborne server")
     values = spec.values()
     points = list(enumerate(values))
-    parts = min(spec.workers, len(points))
+    # an analysis that answers chunks gets one per worker; the others get
+    # one point per task, so the pool balances their uneven costs
+    parts = min(spec.workers, len(points)) if analysis.rows else len(points)
     cuts = [len(points) * j // parts for j in range(parts + 1)]
     chunks = [(analysis, cfg, spec, points[a:b])
               for a, b in zip(cuts, cuts[1:])]

@@ -6,16 +6,15 @@ has a closed form (sum of exponential relaxations); tests check it against
 direct quadrature of the instantaneous cooling power.
 
 The fleet bills take one fleet's rate vector or a rows x servers array,
-one fleet per row, priced in one array pass; a single fleet is the one-row
-case of the same code.  Each server's power and heat addend is the scalar
-expression evaluated elementwise, each CRAC's heat is summed in server
-order with ``np.add.accumulate`` (strictly sequential, so it rounds as a
-scalar loop does), the CRAC totals are added in CRAC order, and a fleet's
-compute energy is one correctly rounded ``math.fsum`` per row.  A batch
-row over the utilization ceiling holds the OverloadError naming its first
-server over it; a single fleet raises it.  ``ground_energy`` is the one
-ground bill, compute plus cooling, that the all-ground baseline and the
-split system's ground side both pay.
+one fleet per row, priced in one array pass.  Each server's power and heat
+addend is the scalar expression evaluated elementwise, each CRAC's heat is
+summed in server order with ``np.add.accumulate`` (strictly sequential, so
+it rounds as a scalar loop does), the CRAC totals are added in CRAC order,
+and a fleet's compute energy is one correctly rounded ``math.fsum``.  A
+single fleet over the utilization ceiling raises the OverloadError naming
+its first server over it; a batch row holds that error in place of its
+bill.  ``ground_energy`` is the one ground bill, compute plus cooling, that
+the all-ground baseline and the split system's ground side both pay.
 """
 
 from __future__ import annotations
@@ -39,22 +38,10 @@ def utilization(server: ServerSpec, rate, task_len: float):
     return task_len * rate / server.service_rate_ips
 
 
-def _ceiling_errors(server: ServerSpec, u: np.ndarray) -> list:
-    """Per row of the rows x servers utilizations ``u``: the OverloadError
-    naming the row's first server over the ceiling, or None."""
-    over = u > server.desired_utilization * (1.0 + 1e-12)
-    errors = [None] * len(u)
-    if over.any():
-        for row in np.flatnonzero(over.any(axis=1)):
-            errors[row] = OverloadError(
-                f"utilization {u[row, over[row].argmax()]:.4f} exceeds "
-                f"ceiling {server.desired_utilization}"
-            )
-    return errors
-
-
-def _power(server: ServerSpec, u):
-    return server.p_idle + (server.p_peak - server.p_idle) * u
+def _overload(server: ServerSpec, u) -> OverloadError:
+    """The OverloadError of a server at utilization ``u``."""
+    return OverloadError(
+        f"utilization {u:.4f} exceeds ceiling {server.desired_utilization}")
 
 
 def compute_power(server: ServerSpec, rate, task_len: float):
@@ -63,10 +50,10 @@ def compute_power(server: ServerSpec, rate, task_len: float):
     ``rate`` is one rate or an array of them, one per server; the
     OverloadError names the first server over the ceiling."""
     u = utilization(server, rate, task_len)
-    error = _ceiling_errors(server, np.reshape(u, (1, -1)))[0]
-    if error is not None:
-        raise error
-    return _power(server, u)
+    over = np.ravel(u > server.desired_utilization * (1.0 + 1e-12))
+    if over.any():
+        raise _overload(server, np.ravel(u)[over.argmax()])
+    return server.p_idle + (server.p_peak - server.p_idle) * u
 
 
 def compute_energy(server: ServerSpec, rate, task_len: float,
@@ -74,38 +61,42 @@ def compute_energy(server: ServerSpec, rate, task_len: float,
     return compute_power(server, rate, task_len) * (window[1] - window[0])
 
 
-def _per_row(rates, server: ServerSpec, task_len: float, bill):
-    """A fleet bill of one fleet or of a rows x servers batch.
-
-    ``bill`` maps the per-server power of a rows x servers batch, W, to
-    one value per row.  A batch gets a list back, each row's value or the
-    OverloadError of ``_ceiling_errors``; a single fleet is priced as a
-    one-row batch, and its error is raised."""
+def _billed(server: ServerSpec, rates, task_len: float, bill, *args):
+    """``bill(power, *args)`` of the per-server power at ``rates``: one
+    fleet's rate vector, whose OverloadError is raised, or a rows x servers
+    batch, one fleet per row, which gets a list of each row's bill or its
+    error.  ``bill`` prices each fleet along the last axis of ``power``.
+    """
     rates = np.asarray(rates, dtype=float)
-    single = rates.ndim < 2
-    u = utilization(server, rates.reshape(1, -1) if single else rates,
-                    task_len)
-    errors = _ceiling_errors(server, u)
-    if single:
-        if errors[0] is not None:
-            raise errors[0]
-        return bill(_power(server, u))[0]
-    return [value if error is None else error
-            for value, error in zip(bill(_power(server, u)), errors)]
+    if rates.ndim < 2:
+        return bill(compute_power(server, rates, task_len), *args)
+    # a batch row over the ceiling is priced, then its bill replaced
+    u = utilization(server, rates, task_len)
+    over = u > server.desired_utilization * (1.0 + 1e-12)
+    bills = bill(server.p_idle + (server.p_peak - server.p_idle) * u, *args)
+    for row in np.flatnonzero(over.any(axis=1)):
+        bills[row] = _overload(server, u[row, over[row].argmax()])
+    return bills
 
 
-def _compute_bill(power: np.ndarray, window: tuple[float, float]) -> list:
-    """Per row of ``power``: its compute energy over the window, one
-    correctly rounded sum, J."""
-    return [math.fsum(row) for row in (power * (window[1] - window[0])).tolist()]
+def _compute_bill(power: np.ndarray, window: tuple[float, float]):
+    """Compute energy over the window of each fleet along the last axis of
+    ``power``: one correctly rounded sum per fleet, J."""
+    energy = (power * (window[1] - window[0])).tolist()
+    return math.fsum(energy) if power.ndim == 1 else list(map(math.fsum, energy))
 
 
 def fleet_compute_energy(server: ServerSpec, rates, task_len: float,
                          window: tuple[float, float]):
     """Compute energy of a fleet at per-server ``rates`` over the window, J:
-    one correctly rounded sum of the per-server energies per fleet."""
-    return _per_row(rates, server, task_len,
-                    lambda power: _compute_bill(power, window))
+    one correctly rounded sum of the per-server energies.  A rows x servers
+    batch gets a list of each row's energy or its OverloadError."""
+    rates = np.asarray(rates, dtype=float)
+    if rates.ndim < 2:
+        # one fleet, the hot case, without the batch dispatch
+        return math.fsum(compute_energy(server, rates, task_len,
+                                        window).tolist())
+    return _billed(server, rates, task_len, _compute_bill, window)
 
 
 def cop(cooling: CoolingSpec, temp_k: float) -> float:
@@ -223,19 +214,20 @@ def _crac_energy(heat: np.ndarray, cooling: CoolingSpec,
             + total / cop(cooling, cooling.supply_temp))
 
 
-def _cooling_bill(heat: np.ndarray, cooling: CoolingSpec,
-                  window: tuple[float, float]) -> list:
-    """Per row of the rows x servers ``heat``: the energy of every CRAC,
-    each cooling its near-uniform share of the servers in order, added in
-    CRAC order, J."""
-    sizes = partition_servers(heat.shape[1], cooling.crac_count)
+def _cooling_bill(power: np.ndarray, server: ServerSpec, cooling: CoolingSpec,
+                  window: tuple[float, float]):
+    """CRAC energy of each fleet along the last axis of ``power``, J: the
+    servers split near-uniformly across the CRACs in order, each CRAC's
+    heat summed in server order, the CRACs added in order."""
+    heat = _heat_integral(server, power, cooling, window)
+    sizes = partition_servers(heat.shape[-1], cooling.crac_count)
     if sizes[0] != sizes[-1]:
         # a trailing 0.0 on each narrower CRAC leaves its sum as it is
         ends = np.cumsum(sizes)[sizes.index(sizes[-1]):]
-        heat = np.insert(heat, ends, 0.0, axis=1)
-    cracs = _crac_energy(heat.reshape(len(heat), len(sizes), -1), cooling,
-                         window)
-    return np.add.accumulate(cracs, axis=-1)[:, -1].tolist()
+        heat = np.insert(heat, ends, 0.0, axis=-1)
+    cracs = _crac_energy(heat.reshape(*heat.shape[:-1], len(sizes), -1),
+                         cooling, window)
+    return np.add.accumulate(cracs, axis=-1)[..., -1].tolist()
 
 
 def partition_servers(count: int, crac_count: int) -> list[int]:
@@ -265,25 +257,31 @@ class EnergyBreakdown:
 
 def grouped_cooling_energy(rates, server: ServerSpec, cooling: CoolingSpec,
                             task_len: float, window):
-    """Cooling energy with the rate list split near-uniformly across CRACs."""
-    return _per_row(rates, server, task_len, lambda power: _cooling_bill(
-        _heat_integral(server, power, cooling, window), cooling, window))
+    """Cooling energy with the rate list split near-uniformly across CRACs.
+    A rows x servers batch gets a list of each row's energy or its
+    OverloadError."""
+    return _billed(server, rates, task_len, _cooling_bill, server, cooling,
+                   window)
+
+
+def _ground_bill(power: np.ndarray, cfg: ModelConfig,
+                 window: tuple[float, float]):
+    """Compute plus cooling of each ground fleet along the last axis of
+    ``power``, J."""
+    compute = _compute_bill(power, window)
+    cooling = _cooling_bill(power, cfg.server, cfg.cooling, window)
+    if power.ndim == 1:
+        return EnergyBreakdown.from_parts(compute_j=compute, cooling_j=cooling)
+    return [EnergyBreakdown.from_parts(compute_j=c, cooling_j=k)
+            for c, k in zip(compute, cooling)]
 
 
 def ground_energy(rates, cfg: ModelConfig, window: tuple[float, float]):
     """Compute plus CRAC cooling of a ground fleet at ``rates``, J: the
-    ground bill of both the baseline and the split system."""
-    def bill(power):
-        cooling = _cooling_bill(
-            _heat_integral(cfg.server, power, cfg.cooling, window),
-            cfg.cooling, window)
-        return [EnergyBreakdown.from_parts(compute_j=c, cooling_j=k)
-                for c, k in zip(_compute_bill(power, window), cooling)]
-    return _per_row(rates, cfg.server, cfg.workload.task_length_instr, bill)
-
-
-def _baseline_rates(scenario: Scenario) -> tuple[float, ...]:
-    return scenario.ground_rates + scenario.hap_rates * scenario.hap_count
+    ground bill of both the baseline and the split system.  A rows x
+    servers batch gets a list of each row's bill or its OverloadError."""
+    return _billed(cfg.server, rates, cfg.workload.task_length_instr,
+                   _ground_bill, cfg, window)
 
 
 def tdc_total_energy(scenario: Scenario | list[Scenario], cfg: ModelConfig):
@@ -291,9 +289,11 @@ def tdc_total_energy(scenario: Scenario | list[Scenario], cfg: ModelConfig):
 
     The airborne rate vector (replicated per platform) joins the ground one,
     so the baseline serves the identical workload.  ``scenario`` may also be
-    a sequence of scenarios sharing one fleet shape and window; each gets
-    its bill, or its OverloadError, in one array pass."""
+    a list of scenarios sharing one fleet shape and window, priced in one
+    array pass as ``ground_energy`` prices a batch."""
     if isinstance(scenario, Scenario):
-        return ground_energy(_baseline_rates(scenario), cfg, scenario.window)
-    return ground_energy([_baseline_rates(s) for s in scenario], cfg,
-                         scenario[0].window)
+        return ground_energy(scenario.ground_rates
+                             + scenario.hap_rates * scenario.hap_count,
+                             cfg, scenario.window)
+    return ground_energy([s.ground_rates + s.hap_rates * s.hap_count
+                          for s in scenario], cfg, scenario[0].window)

@@ -355,6 +355,11 @@ def test_yaml_backends_dump_alike(cfg):
     ('workload: {vacation_rate: "ten"}', "workload.vacation_rate"),
     ("scenario: {hap_servers: 2.5}", "scenario.hap_servers"),
     ("channel: {link_distance: 1.0e+200}", "channel.link_distance"),
+    # integers too long for a float, or whose float squares past the range
+    pytest.param("channel: {link_distance: 1%s}" % ("0" * 199),
+                 "channel.link_distance", id="link_distance-200-digits"),
+    pytest.param("channel: {link_distance: 1%s}" % ("0" * 399),
+                 "channel.link_distance", id="link_distance-400-digits"),
     ("server: {p_idle: true}", "server.p_idle"),
     ("cooling: {crac_count: 4.0}", "cooling.crac_count"),
     ("cooling: {cop_in_celsius: 1}", "cooling.cop_in_celsius"),

@@ -804,3 +804,26 @@ def test_energy_baseline_overload_blanks_only_its_row(shipped_cfg,
     assert out.rows[0][-1] is None and out.rows[2][-1] is None
     assert len(drops) == 2          # the overloaded row evaluates no drop
     assert out.notes[0].startswith("2 grid point(s)")
+
+
+def test_only_the_energy_analysis_is_cut_per_worker(shipped_cfg,
+                                                    monkeypatch):
+    # delay and outage points differ in cost, so they go to the pool one
+    # point per task; the energy analysis gets one chunk per worker
+    tasks = []
+    real = sweeps._map_points
+
+    def recording(fn, args, workers):
+        if fn is sweeps._chunk:
+            tasks.append([len(points) for *_, points in args])
+        return real(fn, args, 1)
+
+    monkeypatch.setattr(sweeps, "_map_points", recording)
+    spec = sweeps.SweepSpec("arrival_rate", 0.0, 4000.0, 1000.0, workers=3,
+                            samples=2000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sweeps.run_delay_sweep(shipped_cfg, spec)
+        sweeps.run_outage_sweep(shipped_cfg, spec)
+        sweeps.run_energy_sweep(shipped_cfg, spec)
+    assert tasks == [[1] * 5, [1] * 5, [1, 2, 2]]

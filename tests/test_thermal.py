@@ -373,6 +373,14 @@ def _scenario_batch(rng, rates, rows, ground_n, hap_n, hap_count, window):
             for _ in range(rows)]
 
 
+def _ground_loop(rates, cfg, window):
+    task_len = cfg.workload.task_length_instr
+    return thermal.EnergyBreakdown.from_parts(
+        compute_j=_compute_sum_loop(rates, cfg.server, task_len, window),
+        cooling_j=_grouped_cooling_loop(list(rates), cfg.server, cfg.cooling,
+                                        task_len, window))
+
+
 def _assert_batch_matches_loops(scenarios, cfg, server, cooling, task_len,
                                 window):
     ground = np.array([s.ground_rates for s in scenarios])
@@ -384,6 +392,8 @@ def _assert_batch_matches_loops(scenarios, cfg, server, cooling, task_len,
                                           window) \
         == [_grouped_cooling_loop(list(s.ground_rates), server, cooling,
                                   task_len, window) for s in scenarios]
+    assert thermal.ground_energy(ground, cfg, window) \
+        == [_ground_loop(s.ground_rates, cfg, window) for s in scenarios]
     assert offload.payload_energy(hap, server, task_len, window) \
         == [_compute_sum_loop(s.hap_rates, server, task_len, window)
             for s in scenarios]
@@ -393,7 +403,7 @@ def _assert_batch_matches_loops(scenarios, cfg, server, cooling, task_len,
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LinkSaturationWarning)
         for s, b, sp in zip(scenarios, baseline, split):
-            ev = offload.price_offload(s, cfg, b, sp, drop=0.25)
+            ev = offload.evaluate_offload(s, cfg, drop=0.25, bills=(b, sp))
             assert ev.e_tdc_j == _tdc_loop(s, cfg).total_j
             assert ev.lossless == _hybrid_loop(s, cfg)
 
@@ -449,7 +459,9 @@ def test_batched_overloaded_row_keeps_the_other_rows(monkeypatch):
             (thermal.grouped_cooling_energy(batch, server, cfg.cooling,
                                             task_len, window),
              lambda r: _grouped_cooling_loop(list(r), server, cfg.cooling,
-                                             task_len, window))):
+                                             task_len, window)),
+            (thermal.ground_energy(batch, cfg, window),
+             lambda r: _ground_loop(r, cfg, window))):
         assert isinstance(got[1], OverloadError)
         assert str(got[1]) == str(loop.value)
         assert [got[0], got[2]] == [want(fine[0]), want(fine[1])]
@@ -472,13 +484,14 @@ def test_batched_overloaded_row_keeps_the_other_rows(monkeypatch):
                         lambda *args: drops.append(args) or 0.5)
     monkeypatch.setattr(offload, "_reliable_rate", lambda *args: 0.0)
     with pytest.raises(OverloadError) as got:
-        offload.price_offload(scenarios[1], cfg, baseline[1], split[1])
+        offload.evaluate_offload(scenarios[1], cfg,
+                                 bills=(baseline[1], split[1]))
     assert str(got.value) == str(loop.value)
     assert drops == []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LinkSaturationWarning)
         for k in (0, 2):
-            ev = offload.price_offload(scenarios[k], cfg, baseline[k],
-                                       split[k])
+            ev = offload.evaluate_offload(scenarios[k], cfg,
+                                          bills=(baseline[k], split[k]))
             assert ev.lossless == _hybrid_loop(scenarios[k], cfg)
     assert len(drops) == 2
