@@ -30,6 +30,9 @@ from .specfun import marcum_q
 
 _LN2 = math.log(2.0)
 
+# Airtime share above which the offered traffic saturates the link.
+SATURATION = 1.0 + 1e-12
+
 # Monte Carlo draws are taken in chunks of this many channels.  The outage
 # sweep seeds each chunk from its index, so partial counts commute and any
 # worker count reproduces the single-process bytes.
@@ -104,24 +107,33 @@ def reference_rate(ch: ChannelConfig) -> float:
     return ch.bandwidth_hz * math.log2(1.0 + array_snr)
 
 
-def offered_bit_rate(workload: WorkloadSpec, arrival_rate: float,
-                     task_len: float | None = None) -> float:
-    """Bits per second the offloaded stream presents to the link."""
-    if arrival_rate < 0:
-        raise ValueError("arrival_rate must be non-negative")
+def _non_negative(name: str, value) -> None:
+    """Refuse a negative value, or an ndarray holding one."""
+    negative = value < 0
+    if negative.any() if isinstance(negative, np.ndarray) else negative:
+        raise ValueError(f"{name} must be non-negative")
+
+
+def offered_bit_rate(workload: WorkloadSpec, arrival_rate,
+                     task_len: float | None = None):
+    """Bits per second the offloaded stream presents to the link;
+    elementwise over an ndarray of arrival rates."""
+    _non_negative("arrival_rate", arrival_rate)
     return arrival_rate * workload.bits_per_task(task_len)
 
 
 def spectral_demand(ch: ChannelConfig, workload: WorkloadSpec,
-                    arrival_rate: float, task_len: float | None = None) -> float:
-    """Rate argument of the outage CCDF for a given arrival rate.
+                    arrival_rate, task_len: float | None = None):
+    """Rate argument of the outage CCDF for a given arrival rate, or for
+    each of an ndarray of them.
 
     The default mapping converts offered bits/s to bits/s/Hz; the
     ``identity`` mapping feeds the arrival rate through unchanged.
     """
     if ch.demand_mapping == "identity":
-        if arrival_rate < 0:
-            raise ValueError("arrival_rate must be non-negative")
+        _non_negative("arrival_rate", arrival_rate)
+        if isinstance(arrival_rate, np.ndarray):
+            return arrival_rate.astype(float)
         return float(arrival_rate)
     return offered_bit_rate(workload, arrival_rate, task_len) / ch.bandwidth_hz
 
@@ -133,32 +145,64 @@ def _bound_params(ch: ChannelConfig) -> tuple[int, float, float]:
     return orders, noncentral, scale
 
 
-def ccdf_lower(ch: ChannelConfig, demand: float) -> float:
-    """Lower bound on Pr(link rate > demand * bandwidth)."""
-    if demand <= 0.0:
-        return 1.0
-    orders, noncentral, scale = _bound_params(ch)
-    if demand * _LN2 > 700.0:
-        return 0.0
-    threshold = math.expm1(demand * _LN2)
-    return marcum_q(orders, noncentral, math.sqrt(2.0 * scale * threshold))
+def _bound(ch: ChannelConfig, demand, rank: int):
+    """Marcum-Q bound on Pr(link rate > demand * bandwidth) with the
+    demand spread over ``rank`` virtual streams.
+
+    An ndarray of demands gives an array: each element is the float a
+    scalar demand gives, and one ``marcum_q`` call serves every demand
+    that needs the series.
+    """
+    if not isinstance(demand, np.ndarray):
+        if demand <= 0.0:
+            return 1.0
+        orders, noncentral, scale = _bound_params(ch)
+        y = _marcum_threshold(demand, rank, scale)
+        return 0.0 if y is None else marcum_q(orders, noncentral, y)
+    values = np.ones(demand.shape)
+    flat = values.reshape(-1)
+    # written as the scalar test's complement, so a NaN fails as it does
+    series = [(i, d) for i, d in enumerate(demand.ravel().tolist())
+              if not d <= 0.0]
+    if series:
+        orders, noncentral, scale = _bound_params(ch)
+        at, ys = [], []
+        for i, d in series:
+            y = _marcum_threshold(d, rank, scale)
+            if y is None:
+                flat[i] = 0.0
+            else:
+                at.append(i)
+                ys.append(y)
+        if ys:
+            flat[at] = marcum_q(orders, noncentral, np.array(ys))
+    return values
 
 
-def ccdf_upper(ch: ChannelConfig, demand: float) -> float:
-    """Upper bound on Pr(link rate > demand * bandwidth).
+def _marcum_threshold(demand: float, rank: int, scale: float):
+    """Marcum threshold y of a positive demand, or None past a demand of
+    700 / ln 2 bit/s/Hz per stream, where the bound is 0."""
+    if (demand / rank) * _LN2 > 700.0:
+        return None
+    threshold = rank * math.expm1(demand * _LN2 / rank)
+    return math.sqrt(2.0 * scale * threshold)
+
+
+def ccdf_lower(ch: ChannelConfig, demand):
+    """Lower bound on Pr(link rate > demand * bandwidth); elementwise over
+    an ndarray of demands."""
+    return _bound(ch, demand, 1)
+
+
+def ccdf_upper(ch: ChannelConfig, demand):
+    """Upper bound on Pr(link rate > demand * bandwidth); elementwise over
+    an ndarray of demands.
 
     Uses the geometric-mean relaxation of the rate determinant over its
     rank (the smaller antenna count), which spreads the demand across that
     many virtual streams.
     """
-    if demand <= 0.0:
-        return 1.0
-    orders, noncentral, scale = _bound_params(ch)
-    rank = min(ch.tx_antennas, ch.rx_antennas)
-    if (demand / rank) * _LN2 > 700.0:
-        return 0.0
-    threshold = rank * math.expm1(demand * _LN2 / rank)
-    return marcum_q(orders, noncentral, math.sqrt(2.0 * scale * threshold))
+    return _bound(ch, demand, min(ch.tx_antennas, ch.rx_antennas))
 
 
 def sample_rates(ch: ChannelConfig, count: int,
@@ -265,8 +309,10 @@ def empirical_ccdf(ch: ChannelConfig, demands, samples: int = 100_000,
 
 
 def drop_probability(ch: ChannelConfig, workload: WorkloadSpec,
-                     arrival_rate: float, task_len: float | None = None) -> float:
-    """Conservative per-task drop probability: one minus the CCDF lower bound."""
+                     arrival_rate, task_len: float | None = None):
+    """Conservative per-task drop probability: one minus the CCDF lower
+    bound; elementwise over an ndarray of arrival rates, with one Marcum
+    pass for all of them."""
     return 1.0 - ccdf_lower(ch, spectral_demand(ch, workload, arrival_rate, task_len))
 
 
@@ -302,8 +348,9 @@ def max_reliable_rate(ch: ChannelConfig, workload: WorkloadSpec,
 
 
 def airtime_fraction(ch: ChannelConfig, workload: WorkloadSpec,
-                     arrival_rate: float, task_len: float | None = None) -> float:
-    """Share of the window the transmitter must be on air, overhead included."""
+                     arrival_rate, task_len: float | None = None):
+    """Share of the window the transmitter must be on air, overhead
+    included; elementwise over an ndarray of arrival rates."""
     rate = reference_rate(ch)
     if rate <= 0.0:
         raise LinkRateError("link reference rate is not positive")
@@ -311,20 +358,34 @@ def airtime_fraction(ch: ChannelConfig, workload: WorkloadSpec,
     return bits / rate
 
 
+def link_energy(ch: ChannelConfig, workload: WorkloadSpec, arrival_rate,
+                window, task_len: float | None = None):
+    """Transmit energy over ``window`` seconds of offloading, J, and the
+    airtime share it takes; elementwise over ndarrays of arrival rates and
+    windows.
+
+    Past ``SATURATION`` the link cannot carry the offered traffic, and the
+    figure assumes the backlog is still sent; ``transmission_energy``
+    warns there, this function does not.
+    """
+    _non_negative("window", window)
+    duty = airtime_fraction(ch, workload, arrival_rate, task_len)
+    return ch.tx_power * duty * window, duty
+
+
 def transmission_energy(ch: ChannelConfig, workload: WorkloadSpec,
                         arrival_rate: float, window: float,
                         task_len: float | None = None) -> float:
-    """Transmit energy over ``window`` seconds of offloading, J."""
-    if window < 0:
-        raise ValueError("window must be non-negative")
-    duty = airtime_fraction(ch, workload, arrival_rate, task_len)
-    if duty > 1.0 + 1e-12:
+    """Transmit energy over ``window`` seconds of offloading, J; a
+    ``LinkSaturationWarning`` past ``SATURATION``."""
+    energy, duty = link_energy(ch, workload, arrival_rate, window, task_len)
+    if duty > SATURATION:
         warnings.warn(
             f"offered traffic needs {duty:.3f}x the link capacity; "
             "the energy figure assumes the backlog is still sent",
             LinkSaturationWarning, stacklevel=2,
         )
-    return ch.tx_power * duty * window
+    return energy
 
 
 def round_trip_time(ch: ChannelConfig, workload: WorkloadSpec,

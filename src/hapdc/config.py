@@ -274,15 +274,19 @@ class ChannelConfig:
             object.__setattr__(self, "noise_power",
                                _NOISE_DENSITY_W_PER_HZ * self.bandwidth_hz)
         if self.avg_rx_snr is None and self.noise_power and self.link_distance:
-            try:
-                path_loss = float(self.link_distance)**2
-            except OverflowError:
-                raise ValidationError(
-                    f"channel.link_distance {self.link_distance!r} is too "
-                    "large: its square overflows the link budget") from None
             object.__setattr__(
-                self, "avg_rx_snr",
-                self.tx_power * self.ref_gain / (path_loss * self.noise_power))
+                self, "avg_rx_snr", self.tx_power * self.ref_gain
+                / (self._path_loss() * self.noise_power))
+
+    def _path_loss(self) -> float:
+        """``link_distance`` squared; a ValidationError where the square
+        leaves the float range."""
+        try:
+            return float(self.link_distance)**2
+        except OverflowError:
+            raise ValidationError(
+                f"channel.link_distance {self.link_distance!r} is too "
+                "large: its square overflows the link budget") from None
 
     def resolved(self) -> "ChannelConfig":
         """The config itself: its link budget is derived at construction."""
@@ -297,6 +301,9 @@ class ChannelConfig:
             raise ValidationError("ChannelConfig: rician_factor must be non-negative")
         if self.ref_gain <= 0 or self.link_distance <= 0:
             raise ValidationError("ChannelConfig: ref_gain and link_distance must be positive")
+        # the reference draw squares the distance even where the SNR is
+        # given rather than derived
+        self._path_loss()
         if self.tx_power <= 0:
             raise ValidationError("ChannelConfig: tx_power must be positive")
         if self.noise_power is not None and self.noise_power <= 0:

@@ -12,7 +12,10 @@ policy; the outage sweep prices both from one evaluation.
 
 Many scenarios of one fleet shape and window share one array pass for
 their bills (``thermal.tdc_total_energy`` and ``split_bills``), and
-``evaluate_offload`` takes a scenario's bills priced that way.
+``evaluate_offload`` takes a scenario's bills priced that way.  The energy
+sweep prices a whole chunk's link side in array passes as well, from the
+pieces the scalar route is built of: ``drop_gate``, ``hybrid_on_bills``,
+``with_retries`` and ``saved_share``.
 """
 
 from __future__ import annotations
@@ -42,6 +45,19 @@ def _reliable_rate(ch, bits_per_instruction: float, task_len: float) -> float:
         return channel.max_reliable_rate(ch, workload, task_len)
     except LinkRateError:
         return math.inf
+
+
+def drop_gate(cfg: ModelConfig) -> float:
+    """Per-link offload rate from which a drop probability is charged,
+    task/s.
+
+    Below it the drop bound is vanishingly small, so the link counts as
+    lossless there and every delivery policy agrees; a link that offloads
+    nothing drops nothing and never looks the gate up.
+    """
+    return _reliable_rate(cfg.channel, cfg.workload.bits_per_instruction,
+                          cfg.workload.task_length_instr)
+
 
 HARVEST_BOUND = "harvest"
 HIGH_LOAD_BOUND = "high-load"
@@ -215,18 +231,19 @@ def hybrid_total_energy(scenario: Scenario, cfg: ModelConfig) -> thermal.EnergyB
     its aggregate offload rate.  With no airborne servers this reduces to
     the all-ground baseline (no platform deployed).
     """
-    return _hybrid(scenario, cfg,
-                   thermal.ground_energy(scenario.ground_rates, cfg,
-                                         scenario.window),
-                   payload_energy(scenario.hap_rates, cfg.server,
-                                  cfg.workload.task_length_instr,
-                                  scenario.window))
+    return hybrid_on_bills(
+        scenario, cfg,
+        thermal.ground_energy(scenario.ground_rates, cfg, scenario.window),
+        payload_energy(scenario.hap_rates, cfg.server,
+                       cfg.workload.task_length_instr, scenario.window))
 
 
-def _hybrid(scenario: Scenario, cfg: ModelConfig, ground,
-            payload) -> thermal.EnergyBreakdown:
+def hybrid_on_bills(scenario: Scenario, cfg: ModelConfig, ground, payload,
+                    link=None) -> thermal.EnergyBreakdown:
     """``hybrid_total_energy`` on the scenario's ground bill and payload
-    energy; an OverloadError held in place of either is raised."""
+    energy and, when given, one platform's uplink energy ``link`` (else
+    ``channel.transmission_energy`` prices it); an error held in place of
+    any of them is raised, the bills' first."""
     for bill in (ground, payload):
         if isinstance(bill, OverloadError):
             raise bill
@@ -235,10 +252,13 @@ def _hybrid(scenario: Scenario, cfg: ModelConfig, ground,
     k = scenario.hap_count
     wind = cfg.wind.speed_at(scenario.latitude_deg, scenario.day_of_year)
     propulsion = k * aero.propulsion_energy(cfg.hap, wind, scenario.window)
-    per_link_rate = math.fsum(scenario.hap_rates)
-    transmission = k * channel.transmission_energy(
-        cfg.channel, cfg.workload, per_link_rate, scenario.window_length,
-        cfg.workload.task_length_instr)
+    if link is None:
+        link = channel.transmission_energy(
+            cfg.channel, cfg.workload, math.fsum(scenario.hap_rates),
+            scenario.window_length, cfg.workload.task_length_instr)
+    elif isinstance(link, Exception):
+        raise link
+    transmission = k * link
     return thermal.EnergyBreakdown.from_parts(
         compute_j=ground.compute_j, cooling_j=ground.cooling_j,
         payload_j=k * payload, propulsion_j=propulsion,
@@ -290,51 +310,76 @@ def evaluate_offload(scenario: Scenario, cfg: ModelConfig,
     ``bills``; an OverloadError held there is raised where this evaluation
     raises it unbatched: the baseline's before the drop, the split
     system's after it.
+
+    The energy sweep prices a chunk of scenarios without this object, in
+    the same order: it looks ``drop_gate`` up once, evaluates the drops of
+    every scenario at or above it in one ``channel.drop_probability`` call
+    and the lossless uplink energies in one ``channel.link_energy`` call,
+    and passes each scenario's energy to ``hybrid_on_bills``.
     """
     baseline = (thermal.tdc_total_energy(scenario, cfg) if bills is None
                 else bills[0])
     if isinstance(baseline, OverloadError):
         raise baseline
-    task_len = cfg.workload.task_length_instr
     per_link = math.fsum(scenario.hap_rates)
-    # Below the reliable-rate threshold the drop bound is vanishingly
-    # small; treat the link as lossless there so both policies agree.
     pr_drop = 0.0
-    if per_link > 0 and per_link >= _reliable_rate(
-            cfg.channel, cfg.workload.bits_per_instruction, task_len):
+    if per_link > 0 and per_link >= drop_gate(cfg):
         pr_drop = drop if drop is not None else channel.drop_probability(
-            cfg.channel, cfg.workload, per_link, task_len)
+            cfg.channel, cfg.workload, per_link,
+            cfg.workload.task_length_instr)
     lossless = (hybrid_total_energy(scenario, cfg) if bills is None
-                else _hybrid(scenario, cfg, *bills[1]))
+                else hybrid_on_bills(scenario, cfg, *bills[1]))
     return OffloadEvaluation(scenario, baseline.total_j, per_link, pr_drop,
                              lossless)
 
 
+def saved_share(e_tdc: float, e_hybrid: float) -> tuple[float, float]:
+    """Energy saved against the baseline, J, and its share of the
+    baseline (0 for a baseline of no energy)."""
+    saved = e_tdc - e_hybrid
+    return saved, saved / e_tdc if e_tdc > 0 else 0.0
+
+
 def _report(ev: OffloadEvaluation, e_hybrid: float,
             retransmissions: int = 0) -> SavingReport:
-    saved = ev.e_tdc_j - e_hybrid
-    rate = saved / ev.e_tdc_j if ev.e_tdc_j > 0 else 0.0
+    saved, rate = saved_share(ev.e_tdc_j, e_hybrid)
     return SavingReport(
         e_tdc_j=ev.e_tdc_j, e_hybrid_j=e_hybrid, saved_j=saved,
         saved_rate=rate, retransmissions=retransmissions,
     )
 
 
+def with_retries(e_tdc: float, e_lossless: float,
+                 e_round: float | None) -> tuple[float, int]:
+    """Split-system energy with one retransmission round of ``e_round`` J
+    charged on the lossless bill (None when nothing is dropped), and how
+    many such rounds the gross saving could fund."""
+    if e_round is None:
+        return e_lossless, 0
+    e_hybrid = e_lossless + e_round
+    gross = e_tdc - (e_hybrid - e_round)
+    if e_round > 0 and gross > 0:
+        return e_hybrid, math.ceil(gross / e_round)
+    return e_hybrid, 0
+
+
 def retransmit_saving(ev: OffloadEvaluation, cfg: ModelConfig) -> SavingReport:
     """Dropped offload traffic is resent over the link: one more round of
-    uplink energy is charged, and the report counts how many such rounds
-    the gross saving could fund."""
-    e_hybrid = ev.lossless.total_j
-    retransmissions = 0
+    uplink energy, at the per-link rate times the drop probability, is
+    charged, and the report counts how many such rounds the gross saving
+    could fund (``with_retries``).
+
+    The energy sweep charges the rounds of a whole chunk from one
+    ``channel.link_energy`` call over its dropped rates, and prices each
+    row with ``with_retries`` and ``saved_share``, as this report does.
+    """
+    e_round = None
     if ev.per_link > 0 and ev.pr_drop > 0.0:
         e_round = ev.scenario.hap_count * channel.transmission_energy(
             cfg.channel, cfg.workload, ev.per_link * ev.pr_drop,
             ev.scenario.window_length, cfg.workload.task_length_instr)
-        e_hybrid += e_round
-        gross = ev.e_tdc_j - (e_hybrid - e_round)
-        if e_round > 0 and gross > 0:
-            retransmissions = math.ceil(gross / e_round)
-    return _report(ev, e_hybrid, retransmissions)
+    return _report(ev, *with_retries(ev.e_tdc_j, ev.lossless.total_j,
+                                     e_round))
 
 
 def reroute_saving(ev: OffloadEvaluation, cfg: ModelConfig) -> SavingReport:

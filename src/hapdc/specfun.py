@@ -12,6 +12,7 @@ accuracy and finally to an exact zero.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -104,13 +105,11 @@ def _erlang_tail(n: int, x: float) -> tuple[float, float]:
         return 0.0, 0.0
     total = t_star
     t = t_star
-    i = istar
-    while i > 0:
+    for i in range(istar, 0, -1):
         t *= i / x
         total += t
         if t < total * 1e-20:
             break
-        i -= 1
     t = t_star
     for i in range(istar + 1, n):
         t *= x / i
@@ -118,7 +117,7 @@ def _erlang_tail(n: int, x: float) -> tuple[float, float]:
     return min(total, 1.0), t
 
 
-def marcum_q(m: int, a: float, y: float) -> float:
+def marcum_q(m: int, a: float, y):
     """Generalized Marcum Q_m(a, y): Pr that a 2m-dof noncentral chi
     variable with noncentrality a^2 exceeds y^2.
 
@@ -127,82 +126,161 @@ def marcum_q(m: int, a: float, y: float) -> float:
     Past the Poisson centre the series stops at the first term below 1e-18
     of a running sum, so its cost is linear in the term count.
 
+    ``y`` may be an ndarray of thresholds sharing m and a; the result is
+    then an array of the same shape, each element the float the scalar
+    call returns.  The mixture reads y only through the Erlang tails
+    (Gil, Segura & Temme, ACM TOMS 2014), so the Poisson weights are
+    computed once for all thresholds, and ``_poisson_weights`` keeps them
+    for the last few values of a: the reliable-rate bisection and the
+    outage rows call this many times on one link.
+
     The series runs in blocks of numpy ``accumulate`` calls, which are
     strictly sequential and so round exactly as a scalar loop would: the
-    Poisson weights and Erlang masses as running products, the Erlang tail
-    and the stopping rule's running sum as running sums.  The first block
-    ends at the first index the stopping rule checks, later ones hold
-    ``_BLOCK`` terms.  The value returned is one ``math.fsum`` of all the
-    terms kept; ``fsum`` is correctly rounded, so the order it reads them
-    in cannot change the result, and descending order keeps its list of
-    partials short.
+    Poisson weights as one running product, each threshold's Erlang masses
+    as a running product and its Erlang tail and the stopping rule's
+    running sum as running sums along its own row.  The first block ends
+    at the first index the stopping rule checks, later ones hold
+    ``_BLOCK`` terms and carry only the thresholds still running.  Each
+    threshold's value is one ``math.fsum`` of its own kept terms;
+    ``fsum`` is correctly rounded, so the order it reads them in cannot
+    change the result, and descending order keeps its list of partials
+    short.
     """
     if m != int(m) or m < 1:
         raise ValueError("order m must be a positive integer")
     m = int(m)
+    if isinstance(y, np.ndarray):
+        if a < 0.0 or (y < 0.0).any():
+            raise ValueError("arguments a and y must be non-negative")
+        return np.array(_marcum_q(m, a, y.ravel().tolist())).reshape(y.shape)
     if a < 0.0 or y < 0.0:
         raise ValueError("arguments a and y must be non-negative")
-    if y == 0.0:
-        return 1.0
-    x = 0.5 * y * y
-    h = 0.5 * a * a
-    if h == 0.0:
-        return _erlang_tail(m, x)[0]
+    return _marcum_q(m, a, [y])[0]
 
+
+@lru_cache(maxsize=64)
+def _poisson_weights(h: float) -> tuple[int, int, int, np.ndarray]:
+    """The Poisson(h) side of the mixture, which no threshold changes:
+    the centre j0, the half width, the first index jlo = max(0, j0 -
+    half_width) and the weights from jlo to the first index the stopping
+    rule checks, j0 + half_width + 1, as a read-only array.
+
+    The weight at the centre is taken directly, the others by running
+    products from it: p *= j / h backwards to jlo, then p *= h / j
+    forwards, each one ``accumulate`` that rounds as a scalar loop would.
+    """
     j0 = int(h)
     p = math.exp(-h + j0 * math.log(h) - math.lgamma(j0 + 1.0))
     half_width = int(12.0 * math.sqrt(h)) + 25
     jlo = max(0, j0 - half_width)
     if j0 > jlo:
-        # back off from the centre: p *= j / h for j = j0 down to jlo + 1
         back = np.empty(j0 - jlo + 1)
         back[0] = p
         np.divide(np.arange(j0, jlo, -1), h, out=back[1:])
         p = float(np.multiply.accumulate(back, out=back)[-1])
-    g, t = _erlang_tail(m + jlo, x)
-    if g == 0.0:
-        # then t == 0 too, every later t and g stay 0, and so does each term
-        return 0.0
+    ps = np.empty(j0 + half_width + 2 - jlo)
+    ps[0] = p
+    np.divide(h, np.arange(jlo + 1, j0 + half_width + 2, dtype=float),
+              out=ps[1:])
+    np.multiply.accumulate(ps, out=ps)
+    ps.flags.writeable = False
+    return j0, half_width, jlo, ps
 
-    # each block carries p, t, g and the running sum from its left edge j
-    # to its right edge: p *= h / i, t *= x / (m + i - 1), g = min(g + t, 1),
-    # term = p * g, running += term, for i = j + 1 .. end.  The first block
-    # starts at jlo and also keeps jlo's own term.
+
+def _marcum_q(m: int, a: float, ys: list) -> list[float]:
+    """``marcum_q(m, a, y)`` of every y in ``ys``, m and a validated."""
+    values = [1.0] * len(ys)
+    rows = [i for i, y in enumerate(ys) if y != 0.0]
+    if not rows:
+        return values
+    h = 0.5 * a * a
+    if h == 0.0:
+        for i in rows:
+            values[i] = _erlang_tail(m, 0.5 * ys[i] * ys[i])[0]
+        return values
+
+    j0, half_width, jlo, ps = _poisson_weights(h)
+    live, x, t, g = [], [], [], []
+    for i in rows:
+        xi = 0.5 * ys[i] * ys[i]
+        gi, ti = _erlang_tail(m + jlo, xi)
+        if gi == 0.0:
+            # then t == 0 too, every later t and g stay 0, and so does
+            # each term
+            values[i] = 0.0
+        else:
+            live.append(i)
+            x.append(xi)
+            t.append(ti)
+            g.append(gi)
+    if not live:
+        return values
+
+    # each block carries p, and for every live threshold t, g and the
+    # running sum, from its left edge j to its right edge:
+    # p *= h / i, t *= x / (m + i - 1), g = min(g + t, 1), term = p * g,
+    # running += term, for i = j + 1 .. end.  The first block starts at
+    # jlo, keeps jlo's own term and takes its weights from
+    # ``_poisson_weights``.  A lone threshold runs on 1-D rows, several on
+    # the rows of 2-D arrays, one row per threshold.
     checked = j0 + half_width  # the stopping rule reads indices above this
     cap = j0 + 12 * half_width + 4000
-    blocks = []
-    running = 0.0
+    if len(live) == 1:
+        shape, x, t, g, running = (), x[0], t[0], g[0], 0.0
+    else:
+        shape, x = (len(live),), np.array(x)[:, None]
+        t, g, running = np.array(t), np.array(g), np.zeros(len(live))
+    kept = [[] for _ in live]
     j, lead, end = jlo, 0, checked + 1
     while True:
         steps = np.arange(j + 1, end + 1, dtype=float)
-        pt = np.empty((2, len(steps) + 1))
-        pt[:, 0] = p, t
-        np.divide(h, steps, out=pt[0, 1:])
+        if lead:
+            p = ps[-1]
+            ps = np.empty(len(steps) + 1)
+            ps[0] = p
+            np.divide(h, steps, out=ps[1:])
+            np.multiply.accumulate(ps, out=ps)
         steps += m - 1
-        np.divide(x, steps, out=pt[1, 1:])
-        ps, ts = np.multiply.accumulate(pt, axis=1, out=pt)
+        ts = np.empty(shape + (len(steps) + 1,))
+        ts[..., 0] = t
+        np.divide(x, steps, out=ts[..., 1:])
+        np.multiply.accumulate(ts, axis=-1, out=ts)
         # every t >= 0, so a sum clamped at 1 stays there: clamping after
         # the running sum gives the bits of clamping at every step
         gs = ts.copy()
-        gs[0] = g
-        np.minimum(np.add.accumulate(gs, out=gs), 1.0, out=gs)
-        terms = ps[lead:] * gs[lead:]  # those of j + lead .. end
-        sums = np.empty(len(terms) + 1)
-        sums[0] = running
-        sums[1:] = terms
-        sums = np.add.accumulate(sums, out=sums)[1:]
+        gs[..., 0] = g
+        np.minimum(np.add.accumulate(gs, axis=-1, out=gs), 1.0, out=gs)
+        terms = ps[lead:] * gs[..., lead:]  # those of j + lead .. end
+        sums = np.empty(shape + (terms.shape[-1] + 1,))
+        sums[..., 0] = running
+        sums[..., 1:] = terms
+        sums = np.add.accumulate(sums, axis=-1, out=sums)[..., 1:]
         first = max(0, checked + 1 - (j + lead))
-        stop = terms[first:] == 0.0
-        stop |= terms[first:] < sums[first:] * 1e-18
-        if stop.any():
-            blocks.append(terms[:first + stop.argmax() + 1])
-            break
-        blocks.append(terms)
+        stop = terms[..., first:] == 0.0
+        stop |= terms[..., first:] < sums[..., first:] * 1e-18
+        stop = stop.reshape(len(live), -1)
+        hit = stop.any(axis=1).tolist()
+        last = (first + stop.argmax(axis=1)).tolist()
+        going = []
+        for r, row in enumerate(terms.reshape(len(live), -1)):
+            if hit[r]:
+                kept[r].append(row[:last[r] + 1])
+                series = (kept[r][0] if len(kept[r]) == 1
+                          else np.concatenate(kept[r]))
+                series[::-1].sort()
+                values[live[r]] = min(math.fsum(series.tolist()), 1.0)
+            else:
+                kept[r].append(row)
+                going.append(r)
+        if not going:
+            return values
         if end > cap:
-            raise NumericsError(
-                f"marcum_q failed to converge (m={m}, a={a}, y={y})")
-        p, t, g, running = ps[-1], ts[-1], gs[-1], sums[-1]
+            raise NumericsError(f"marcum_q failed to converge "
+                                f"(m={m}, a={a}, y={ys[live[going[0]]]})")
+        t, g, running = ts[..., -1], gs[..., -1], sums[..., -1]
+        if shape:
+            x, t, g, running = x[going], t[going], g[going], running[going]
+            shape = (len(going),)
+            live = [live[r] for r in going]
+            kept = [kept[r] for r in going]
         j, lead, end = end, 1, min(end + _BLOCK, cap + 1)
-    terms = np.concatenate(blocks)
-    terms[::-1].sort()
-    return min(math.fsum(terms.tolist()), 1.0)

@@ -20,11 +20,15 @@ their owners: the link budget from the config's ``ChannelConfig``, the
 fleet service rate of the delay simulation from the analytic
 ``DelayReport``.
 
-The energy analysis answers a chunk at once: each point allocates its
-scenario, the fleet bills are priced in one array pass per group of points
-sharing a fleet shape and window, and each point then prices its saving on
-them (drop and transmission energies included), each point's steps in its
-own warnings capture.
+The energy analysis answers a chunk at once.  Each point allocates its
+scenario; the fleet bills are priced in one array pass per group of points
+sharing a fleet shape and window; the link side in one pass each for the
+whole chunk: one drop-gate lookup, one Marcum evaluation for the drops of
+every point at or above the gate, one for the lossless uplink energies and
+one for the retry rounds.  Each row is then plain arithmetic on those
+arrays in the operation order of ``offload.saving``, so its cells keep the
+bits the scalar route gives them, and a point's link saturation is read
+from its airtime rather than from a captured warning.
 
 Per-point failures (a polar night, an overloaded fleet) land in the
 row's ``error`` column and the sweep carries on; a sweep where every
@@ -226,47 +230,102 @@ def _fly_row(cfg, spec, index, value):
                                   sc.hap_servers, cfg)), None
 
 
-def _energy_cells(scenario, cfg, bills):
-    """One point's retransmission-variant saving on its pre-priced bills."""
-    rep = offload.retransmit_saving(
-        offload.evaluate_offload(scenario, cfg, bills=bills), cfg)
-    return [rep.e_tdc_j, rep.e_hybrid_j, rep.saved_rate, rep.retransmissions]
-
-
 def _energy_rows(cfg, spec, points):
     """Energy rows of a chunk of grid points, each cell as
     ``saving(allocated_scenario(cfg), cfg, with_retransmission=True)``
-    gives it at the point, error text included.
+    gives it at the point, error text included, each with whether the
+    point's offered traffic saturates the link.
 
-    The bills are priced once per group of points with one fleet shape and
-    window; they read the server, cooling and task length, which no axis
-    moves, so the sweep's own config prices them.
+    The sweep's own config prices the chunk: the bills read the server,
+    cooling and task length, the link the channel and the workload's bits
+    per task and overhead, and no axis moves any of them.  The bills are
+    priced once per group of points with one fleet shape and window; the
+    drop gate is looked up once, and one call each evaluates the drops of
+    every point at or above it, the lossless uplink energies and the retry
+    rounds.  A point saturates the link when its lossless airtime passes
+    ``channel.SATURATION``, where ``transmission_energy`` would warn.
     """
-    staged, groups = [], {}
-    for _, value in points:
-        point_cfg = apply_axis(cfg, spec.axis, value)
-        sc, error, saturated = _captured(offload.allocated_scenario, point_cfg)
-        if error is None:
-            shape = (len(sc.ground_rates), len(sc.hap_rates), sc.hap_count,
-                     sc.window)
-            groups.setdefault(shape, []).append(len(staged))
-        staged.append((value, point_cfg, sc, error, saturated))
+    rows = [[value, None, None, None, None, None] for _, value in points]
+    scenarios, groups = {}, {}
+    for k, (_, value) in enumerate(points):
+        try:
+            sc = offload.allocated_scenario(apply_axis(cfg, spec.axis, value))
+        except _ROW_ERRORS as exc:
+            rows[k][-1] = str(exc)
+            continue
+        scenarios[k] = sc
+        groups.setdefault((len(sc.ground_rates), len(sc.hap_rates),
+                           sc.hap_count, sc.window), []).append(k)
     bills = {}
     for members in groups.values():
-        scenarios = [staged[k][2] for k in members]
-        bills.update(zip(members, zip(
-            thermal.tdc_total_energy(scenarios, cfg),
-            offload.split_bills(scenarios, cfg))))
-    rows = []
-    for k, (value, point_cfg, sc, error, saturated) in enumerate(staged):
-        cells = None
-        if error is None:
-            cells, error, late = _captured(_energy_cells, sc, point_cfg,
-                                           bills[k])
-            saturated = saturated or late
-        rows.append(([value, *(cells or [None] * len(_ENERGY.columns)),
-                      error], saturated))
-    return rows
+        batch = [scenarios[k] for k in members]
+        for k, baseline, split in zip(members,
+                                      thermal.tdc_total_energy(batch, cfg),
+                                      offload.split_bills(batch, cfg)):
+            if isinstance(baseline, OverloadError):
+                rows[k][-1] = str(baseline)
+            else:
+                bills[k] = baseline.total_j, split
+
+    ch, wl = cfg.channel, cfg.workload
+    task_len = wl.task_length_instr
+    per_link = {k: math.fsum(scenarios[k].hap_rates) for k in bills}
+    offered = [k for k in bills if per_link[k] > 0]
+    drops = {}
+    if offered:
+        try:
+            gate = offload.drop_gate(cfg)
+        except _ROW_ERRORS as exc:
+            for k in offered:
+                rows[k][-1] = str(exc)
+                del bills[k]
+        else:
+            lossy = [k for k in offered if per_link[k] >= gate]
+            if lossy:
+                drops = dict(zip(lossy, channel.drop_probability(
+                    ch, wl, np.array([per_link[k] for k in lossy]),
+                    task_len).tolist()))
+
+    linked = [k for k in bills if scenarios[k].hap_servers]
+    link, duty, retry = {}, {}, {}
+    if linked:
+        windows = np.array([scenarios[k].window_length for k in linked])
+        rates = np.array([per_link[k] for k in linked])
+        try:
+            energy, airtime = channel.link_energy(ch, wl, rates, windows,
+                                                  task_len)
+        except _ROW_ERRORS as exc:
+            link = dict.fromkeys(linked, exc)
+        else:
+            link = dict(zip(linked, energy.tolist()))
+            duty = dict(zip(linked, airtime.tolist()))
+            dropped = np.array([drops.get(k, 0.0) for k in linked])
+            retry = dict(zip(linked, channel.link_energy(
+                ch, wl, rates * dropped, windows, task_len)[0].tolist()))
+
+    answered = []
+    for k, row in enumerate(rows):
+        saturated = False
+        if k in bills:
+            sc = scenarios[k]
+            e_tdc, split = bills[k]
+            try:
+                lossless = offload.hybrid_on_bills(sc, cfg, *split,
+                                                   link.get(k)).total_j
+            except _ROW_ERRORS as exc:
+                row[-1] = str(exc)
+            else:
+                e_round = None
+                if drops.get(k, 0.0) > 0.0:
+                    e_round = sc.hap_count * retry[k]
+                e_hybrid, retransmissions = offload.with_retries(
+                    e_tdc, lossless, e_round)
+                row[1:5] = (e_tdc, e_hybrid,
+                            offload.saved_share(e_tdc, e_hybrid)[1],
+                            retransmissions)
+                saturated = duty.get(k, 0.0) > channel.SATURATION
+        answered.append((row, saturated))
+    return answered
 
 
 def _offload_scenario(cfg: ModelConfig, per_link_rate: float):

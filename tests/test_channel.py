@@ -372,3 +372,56 @@ def test_reference_rates_read_the_configured_snr():
     assert ref > 1.5 * channel.reference_rate(derived)
     for r in [*channel.channel_rate(ch, h), *channel.beamformed_rate(ch, h)]:
         assert math.isclose(r, ref, rel_tol=1e-4)
+
+
+@pytest.mark.parametrize("tx, rx, zeta, mapping", [
+    (2, 16, 10.0, "bits_per_hz"),     # the shipped link
+    (1, 1, 0.0, "bits_per_hz"),       # Rayleigh: a = 0, the Erlang path
+    (4, 3, 2.5, "identity"),
+])
+def test_bounds_and_drops_on_arrays_equal_scalar_calls(tx, rx, zeta, mapping):
+    ch = ChannelConfig(tx_antennas=tx, rx_antennas=rx, rician_factor=zeta,
+                       demand_mapping=mapping)
+    w = WorkloadSpec()
+    rng = np.random.default_rng(tx * 100 + rx)
+    # demands <= 0 skip the series, demand * ln 2 > 700 gives 0 without it
+    demands = np.concatenate([[0.0, -2.0, 1011.0, 2000.0],
+                              rng.uniform(0.0, 12.0, 40)])
+    rng.shuffle(demands)
+    for bound in (channel.ccdf_lower, channel.ccdf_upper):
+        got = bound(ch, demands)
+        assert got.tolist() == [bound(ch, float(d)) for d in demands]
+        assert type(bound(ch, float(demands[0]))) is float
+    assert channel.ccdf_lower(ch, demands.reshape(4, 11)).tolist() == \
+        channel.ccdf_lower(ch, demands).reshape(4, 11).tolist()
+    lower = channel.ccdf_lower(ch, demands).tolist()
+    assert 0.0 in lower and 1.0 in lower
+
+    rates = np.concatenate([[0.0], rng.uniform(0.0, 3.0e4, 30)])
+    if mapping == "identity":
+        rates /= 3.0e3
+    drops = channel.drop_probability(ch, w, rates)
+    assert drops.tolist() == [channel.drop_probability(ch, w, float(r))
+                              for r in rates]
+    with pytest.raises(ValueError, match="arrival_rate"):
+        channel.drop_probability(ch, w, np.array([1.0, -1.0]))
+
+
+def test_link_energy_on_arrays_equals_transmission_energy():
+    ch = ChannelConfig()
+    w = WorkloadSpec()
+    ref = channel.reference_rate(ch)
+    full = ref / (w.overhead_ratio * w.bits_per_task())
+    rates = np.array([0.0, 0.3 * full, full, 2.0 * full])
+    windows = np.array([3600.0, 86400.0, 60.0, 86400.0])
+    energy, duty = channel.link_energy(ch, w, rates, windows)
+    with pytest.warns(LinkSaturationWarning):
+        want = [channel.transmission_energy(ch, w, float(r), float(t))
+                for r, t in zip(rates, windows)]
+    assert energy.tolist() == want
+    assert duty.tolist() == [channel.airtime_fraction(ch, w, float(r))
+                             for r in rates]
+    # the saturation test transmission_energy warns on
+    assert (duty > channel.SATURATION).tolist() == [False, False, False, True]
+    with pytest.raises(ValueError, match="window"):
+        channel.link_energy(ch, w, rates, -windows)

@@ -3,11 +3,12 @@
 import math
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from hapdc import config
+from hapdc import channel, config
 
 from hapdc.config import (
     ChannelConfig,
@@ -208,6 +209,26 @@ def test_channel_underivable_budget_left_open():
         deaf.validate()
 
 
+def test_channel_given_snr_still_checks_the_distance_square():
+    # the reference draw squares link_distance whether the SNR is derived
+    # or given, so a square past the float range fails validation either way
+    given_snr = ChannelConfig(avg_rx_snr=0.2, link_distance=1e200)
+    with pytest.raises(ValidationError,
+                       match=r"channel\.link_distance 1e\+200 is too large: "
+                             "its square overflows the link budget"):
+        given_snr.validate()
+    with pytest.raises(ValidationError, match=r"channel\.link_distance"):
+        ModelConfig(channel=given_snr).validate()
+    with pytest.raises(ValidationError, match=r"channel\.link_distance"):
+        ChannelConfig(link_distance=1e200)
+    # a square inside the range leaves the reference draw finite
+    near = ChannelConfig(avg_rx_snr=0.2, link_distance=1e150)
+    near.validate()
+    h = channel.sample_channel(near, 8, np.random.default_rng(1))
+    assert np.isfinite(channel.channel_rate(near, h)).all()
+    assert np.isfinite(channel.beamformed_rate(near, h)).all()
+
+
 def test_default_model_hashes_as_the_empty_file(tmp_path):
     p = tmp_path / "empty.yaml"
     p.write_text("")
@@ -355,6 +376,9 @@ def test_yaml_backends_dump_alike(cfg):
     ('workload: {vacation_rate: "ten"}', "workload.vacation_rate"),
     ("scenario: {hap_servers: 2.5}", "scenario.hap_servers"),
     ("channel: {link_distance: 1.0e+200}", "channel.link_distance"),
+    # a given SNR does not spare the reference draw's square
+    ("channel: {avg_rx_snr: 0.2, link_distance: 1.0e+200}",
+     "channel.link_distance"),
     # integers too long for a float, or whose float squares past the range
     pytest.param("channel: {link_distance: 1%s}" % ("0" * 199),
                  "channel.link_distance", id="link_distance-200-digits"),

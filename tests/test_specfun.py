@@ -257,3 +257,41 @@ def test_marcum_bitwise_equal_past_the_first_block():
     # the first check, within 256 terms) and series that run past it
     assert any(0 < k <= 256 for k in tails)
     assert any(k > 256 for k in tails)
+
+
+def test_marcum_array_bitwise_equal_to_scalar_calls():
+    # an array of thresholds sharing m and a gives, element by element,
+    # the float the scalar call returns: zeros, both sides of the centre,
+    # the underflowing tail and series that run past the first block
+    rng = np.random.default_rng(2014)
+    values, far_ones = [], []
+    for trial in range(40):
+        m = int(rng.integers(1, 65))
+        a = 0.0 if trial % 8 == 0 else float(rng.uniform(0.0, 40.0))
+        far = a + rng.uniform(10.0, 22.0, 4)  # past the first block
+        ys = np.concatenate([
+            [0.0, 0.0], far,
+            np.abs(a + rng.normal(0.0, 8.0, 12)),
+            a + rng.uniform(30.0, 46.0, 4),     # the tail underflows
+        ])
+        rng.shuffle(ys)
+        got = marcum_q(m, a, ys)
+        assert got.shape == ys.shape and got.dtype == float
+        want = [marcum_q(m, a, float(y)) for y in ys]
+        assert got.tolist() == want, (m, a)
+        values += want
+        if a > 0.0:
+            far_ones += [(m, a, float(y)) for y in far
+                         if marcum_q(m, a, float(y)) > 0.0]
+    assert 0.0 in values and 1.0 in values
+    assert any(0.0 < v < 1e-300 for v in values)
+    assert any(_marcum_series_tail(*args) > 0 for args in far_ones)
+    # an array keeps its shape, and a scalar still gives a Python float
+    grid = np.array([[0.0, 3.0], [9.0, 60.0]])
+    assert marcum_q(4, 5.0, grid).tolist() == [
+        [marcum_q(4, 5.0, y) for y in row] for row in grid.tolist()]
+    assert type(marcum_q(4, 5.0, 3.0)) is float
+    assert type(marcum_q(4, 0.0, 3.0)) is float
+    assert marcum_q(4, 5.0, np.array([])).shape == (0,)
+    with pytest.raises(ValueError):
+        marcum_q(4, 5.0, np.array([1.0, -0.1]))

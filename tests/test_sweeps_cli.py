@@ -17,7 +17,7 @@ import pytest
 
 from hapdc import channel, cli, offload, queueing, sweeps, thermal
 from hapdc.config import ModelConfig, WorkloadSpec, load_config
-from hapdc.errors import ConfigError, OverloadError
+from hapdc.errors import ConfigError, LinkRateError, OverloadError
 
 from conftest import REPO_ROOT, SHIPPED_CONFIG
 
@@ -188,6 +188,18 @@ def test_saturation_note_counts_grid_points(shipped_cfg):
         shipped_cfg, sweeps.SweepSpec("day", 150.0, 152.0, 1.0))
     assert len(out.notes) == 1
     assert out.notes[0].startswith("3 grid point(s) offered more traffic")
+    # the shipped sweeps, whole and cut into chunks: each saturated point
+    # is counted once, read from its airtime
+    for axis, bounds, count in (("day", (1.0, 365.0, 1.0), 218),
+                                ("arrival_rate", (0.0, 40_000.0, 100.0), 312),
+                                ("hap_servers", (1.0, 40.0, 3.0), 10)):
+        for workers in (1, 3):
+            out = sweeps.run_energy_sweep(
+                shipped_cfg, sweeps.SweepSpec(axis, *bounds, workers=workers))
+            assert out.notes == [
+                f"{count} grid point(s) offered more traffic than the link "
+                "carries; their energy figures assume the backlog still goes "
+                "out"], (axis, workers)
 
 
 def test_sweep_passes_other_warnings_on(shipped_cfg, monkeypatch):
@@ -793,7 +805,7 @@ def test_energy_baseline_overload_blanks_only_its_row(shipped_cfg,
     monkeypatch.setattr(thermal, "tdc_total_energy", overloaded_second)
     real_drop = channel.drop_probability
     monkeypatch.setattr(channel, "drop_probability",
-                        lambda *args: drops.append(args[2])
+                        lambda *args: drops.append(args[2].tolist())
                         or real_drop(*args))
     spec = sweeps.SweepSpec("arrival_rate", 8000.0, 10_000.0, 1000.0)
     with warnings.catch_warnings():
@@ -802,8 +814,89 @@ def test_energy_baseline_overload_blanks_only_its_row(shipped_cfg,
     assert out.rows[1] == [9000.0, None, None, None, None,
                            "utilization 1.2000 exceeds ceiling 1.0"]
     assert out.rows[0][-1] is None and out.rows[2][-1] is None
-    assert len(drops) == 2          # the overloaded row evaluates no drop
+    # one drop evaluation for the chunk, without the overloaded row's rate
+    assert drops == [[8000.0, 10_000.0]]
     assert out.notes[0].startswith("2 grid point(s)")
+
+
+def test_energy_gate_and_drops_looked_up_once_per_chunk(shipped_cfg,
+                                                        monkeypatch):
+    gates, drops = [], []
+    real_gate, real_drop = offload.drop_gate, channel.drop_probability
+    monkeypatch.setattr(offload, "drop_gate",
+                        lambda cfg: gates.append(1) or real_gate(cfg))
+    monkeypatch.setattr(channel, "drop_probability",
+                        lambda *args: drops.append(len(args[2]))
+                        or real_drop(*args))
+    cfg = shipped_cfg
+    gate = real_gate(cfg)
+    outs = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for spec in (sweeps.SweepSpec("day", 1.0, 361.0, 30.0),
+                     sweeps.SweepSpec("arrival_rate", 0.0, 42_000.0, 3000.0),
+                     sweeps.SweepSpec("hap_servers", 1.0, 40.0, 3.0)):
+            gates.clear()
+            drops.clear()
+            out = outs[spec.axis] = sweeps.run_energy_sweep(cfg, spec)
+            lossy = 0
+            for row, value in zip(out.rows, spec.values()):
+                if row[-1] is None:
+                    sc = offload.allocated_scenario(
+                        sweeps.apply_axis(cfg, spec.axis, value))
+                    lossy += math.fsum(sc.hap_rates) >= gate
+            assert gates == [1] and drops == [lossy], spec.axis
+        # three chunks of the arrival ramp: 0 task/s offloads nothing and
+        # looks nothing up; 3000 lies below the gate, 6000-15000 above it,
+        # and the two top points overload the ground fleet
+        gates.clear()
+        drops.clear()
+        spec = sweeps.SweepSpec("arrival_rate", 0.0, 42_000.0, 3000.0)
+        points = list(enumerate(spec.values()))
+        rows = (sweeps._energy_rows(cfg, spec, points[:1])
+                + sweeps._energy_rows(cfg, spec, points[1:6])
+                + sweeps._energy_rows(cfg, spec, points[6:]))
+    assert gates == [1, 1] and drops == [4, 7]
+    assert [row for row, _ in rows] == outs["arrival_rate"].rows
+
+
+def test_energy_gate_error_lands_on_offloading_rows(shipped_cfg,
+                                                    monkeypatch):
+    def no_gate(cfg):
+        raise LinkRateError("no reliable rate")
+
+    monkeypatch.setattr(offload, "drop_gate", no_gate)
+    spec = sweeps.SweepSpec("arrival_rate", 0.0, 2000.0, 1000.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        out = sweeps.run_energy_sweep(shipped_cfg, spec)
+        # the rows are those of the scalar route under the same gate
+        for row, value in zip(out.rows, spec.values()):
+            point = sweeps.apply_axis(shipped_cfg, spec.axis, value)
+            try:
+                rep = offload.saving(offload.allocated_scenario(point), point,
+                                     with_retransmission=True)
+                want = [rep.e_tdc_j, rep.e_hybrid_j, rep.saved_rate,
+                        rep.retransmissions, None]
+            except LinkRateError as exc:
+                want = [None] * 4 + [str(exc)]
+            assert row == [value, *want]
+    assert out.rows[0][-1] is None and out.rows[0][1] > 0.0
+    assert [row[-1] for row in out.rows[1:]] == ["no reliable rate"] * 2
+
+
+def test_energy_pricing_passes_other_warnings_on(shipped_cfg, monkeypatch):
+    real_drop = channel.drop_probability
+
+    def noisy(*args):
+        warnings.warn("unrelated", UserWarning)
+        return real_drop(*args)
+
+    monkeypatch.setattr(channel, "drop_probability", noisy)
+    with pytest.warns(UserWarning, match="unrelated"):
+        out = sweeps.run_energy_sweep(
+            shipped_cfg, sweeps.SweepSpec("day", 150.0, 152.0, 1.0))
+    assert out.notes[0].startswith("3 grid point(s)")
 
 
 def test_only_the_energy_analysis_is_cut_per_worker(shipped_cfg,
