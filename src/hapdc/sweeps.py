@@ -24,11 +24,12 @@ The energy analysis answers a chunk at once.  Each point allocates its
 scenario; the fleet bills are priced in one array pass per group of points
 sharing a fleet shape and window; the link side in one pass each for the
 whole chunk: one drop-gate lookup, one Marcum evaluation for the drops of
-every point at or above the gate, one for the lossless uplink energies and
-one for the retry rounds.  Each row is then plain arithmetic on those
-arrays in the operation order of ``offload.saving``, so its cells keep the
-bits the scalar route gives them, and a point's link saturation is read
-from its airtime rather than from a captured warning.
+every point at or above the gate, and one ``channel.link_energy`` call
+each for the lossless uplink energies and the retry rounds.  Each row is
+then plain arithmetic on those arrays in the operation order of
+``offload.saving``, so its cells keep the bits the scalar route gives
+them, and a point's link saturation is read from its airtime rather than
+from a captured warning.
 
 Per-point failures (a polar night, an overloaded fleet) land in the
 row's ``error`` column and the sweep carries on; a sweep where every
@@ -245,7 +246,8 @@ def _energy_rows(cfg, spec, points):
     rounds.  A point saturates the link when its lossless airtime passes
     ``channel.SATURATION``, where ``transmission_energy`` would warn.
     """
-    rows = [[value, None, None, None, None, None] for _, value in points]
+    rows = [[value, *[None] * len(_ENERGY.columns), None]
+            for _, value in points]
     scenarios, groups = {}, {}
     for k, (_, value) in enumerate(points):
         try:
