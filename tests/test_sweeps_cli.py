@@ -885,6 +885,24 @@ def test_energy_gate_error_lands_on_offloading_rows(shipped_cfg,
     assert [row[-1] for row in out.rows[1:]] == ["no reliable rate"] * 2
 
 
+def test_energy_link_rate_error_lands_after_the_bills(shipped_cfg):
+    # an SNR so small that the reference rate rounds to 0: every row with
+    # platforms fails on its uplink energy, after its own bill errors
+    cfg = replace(shipped_cfg,
+                  channel=replace(shipped_cfg.channel, avg_rx_snr=1e-300))
+    spec = sweeps.SweepSpec("arrival_rate", 0.0, 42_000.0, 6000.0)
+    out = sweeps.run_energy_sweep(cfg, spec)
+    for row, value in zip(out.rows, spec.values()):
+        point = sweeps.apply_axis(cfg, spec.axis, value)
+        with pytest.raises(sweeps._ROW_ERRORS) as exc:
+            offload.saving(offload.allocated_scenario(point), point,
+                           with_retransmission=True)
+        assert row == [value, None, None, None, None, str(exc.value)]
+    errors = [row[-1] for row in out.rows]
+    assert errors.count("link reference rate is not positive") == 7
+    assert "ground capacity" in errors[-1]
+
+
 def test_energy_pricing_passes_other_warnings_on(shipped_cfg, monkeypatch):
     real_drop = channel.drop_probability
 
