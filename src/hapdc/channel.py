@@ -107,15 +107,15 @@ def reference_rate(ch: ChannelConfig) -> float:
     return ch.bandwidth_hz * math.log2(1.0 + array_snr)
 
 
-def _non_negative(name: str, value) -> None:
+def _non_negative(name: str, value: float | np.ndarray) -> None:
     """Refuse a negative value, or an ndarray holding one."""
     negative = value < 0
     if negative.any() if isinstance(negative, np.ndarray) else negative:
         raise ValueError(f"{name} must be non-negative")
 
 
-def offered_bit_rate(workload: WorkloadSpec, arrival_rate,
-                     task_len: float | None = None):
+def offered_bit_rate(workload: WorkloadSpec, arrival_rate: float | np.ndarray,
+                     task_len: float | None = None) -> float | np.ndarray:
     """Bits per second the offloaded stream presents to the link;
     elementwise over an ndarray of arrival rates."""
     _non_negative("arrival_rate", arrival_rate)
@@ -123,7 +123,8 @@ def offered_bit_rate(workload: WorkloadSpec, arrival_rate,
 
 
 def spectral_demand(ch: ChannelConfig, workload: WorkloadSpec,
-                    arrival_rate, task_len: float | None = None):
+                    arrival_rate: float | np.ndarray,
+                    task_len: float | None = None) -> float | np.ndarray:
     """Rate argument of the outage CCDF for a given arrival rate, or for
     each of an ndarray of them.
 
@@ -145,7 +146,8 @@ def _bound_params(ch: ChannelConfig) -> tuple[int, float, float]:
     return orders, noncentral, scale
 
 
-def _bound(ch: ChannelConfig, demand, rank: int):
+def _bound(ch: ChannelConfig, demand: float | np.ndarray,
+           rank: int) -> float | np.ndarray:
     """Marcum-Q bound on Pr(link rate > demand * bandwidth) with the
     demand spread over ``rank`` virtual streams.
 
@@ -179,7 +181,8 @@ def _bound(ch: ChannelConfig, demand, rank: int):
     return values
 
 
-def _marcum_threshold(demand: float, rank: int, scale: float):
+def _marcum_threshold(demand: float, rank: int,
+                      scale: float) -> float | None:
     """Marcum threshold y of a positive demand, or None past a demand of
     700 / ln 2 bit/s/Hz per stream, where the bound is 0."""
     if (demand / rank) * _LN2 > 700.0:
@@ -188,13 +191,15 @@ def _marcum_threshold(demand: float, rank: int, scale: float):
     return math.sqrt(2.0 * scale * threshold)
 
 
-def ccdf_lower(ch: ChannelConfig, demand):
+def ccdf_lower(ch: ChannelConfig,
+               demand: float | np.ndarray) -> float | np.ndarray:
     """Lower bound on Pr(link rate > demand * bandwidth); elementwise over
     an ndarray of demands."""
     return _bound(ch, demand, 1)
 
 
-def ccdf_upper(ch: ChannelConfig, demand):
+def ccdf_upper(ch: ChannelConfig,
+               demand: float | np.ndarray) -> float | np.ndarray:
     """Upper bound on Pr(link rate > demand * bandwidth); elementwise over
     an ndarray of demands.
 
@@ -309,7 +314,8 @@ def empirical_ccdf(ch: ChannelConfig, demands, samples: int = 100_000,
 
 
 def drop_probability(ch: ChannelConfig, workload: WorkloadSpec,
-                     arrival_rate, task_len: float | None = None):
+                     arrival_rate: float | np.ndarray,
+                     task_len: float | None = None) -> float | np.ndarray:
     """Conservative per-task drop probability: one minus the CCDF lower
     bound; elementwise over an ndarray of arrival rates, with one Marcum
     pass for all of them."""
@@ -348,7 +354,8 @@ def max_reliable_rate(ch: ChannelConfig, workload: WorkloadSpec,
 
 
 def airtime_fraction(ch: ChannelConfig, workload: WorkloadSpec,
-                     arrival_rate, task_len: float | None = None):
+                     arrival_rate: float | np.ndarray,
+                     task_len: float | None = None) -> float | np.ndarray:
     """Share of the window the transmitter must be on air, overhead
     included; elementwise over an ndarray of arrival rates."""
     rate = reference_rate(ch)
@@ -358,8 +365,9 @@ def airtime_fraction(ch: ChannelConfig, workload: WorkloadSpec,
     return bits / rate
 
 
-def link_energy(ch: ChannelConfig, workload: WorkloadSpec, arrival_rate,
-                window, task_len: float | None = None):
+def link_energy(ch: ChannelConfig, workload: WorkloadSpec,
+                arrival_rate: float | np.ndarray, window: float | np.ndarray,
+                task_len: float | None = None) -> tuple:
     """Transmit energy over ``window`` seconds of offloading, J, and the
     airtime share it takes; elementwise over ndarrays of arrival rates and
     windows.

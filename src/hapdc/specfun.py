@@ -117,7 +117,7 @@ def _erlang_tail(n: int, x: float) -> tuple[float, float]:
     return min(total, 1.0), t
 
 
-def marcum_q(m: int, a: float, y):
+def marcum_q(m: int, a: float, y: float | np.ndarray) -> float | np.ndarray:
     """Generalized Marcum Q_m(a, y): Pr that a 2m-dof noncentral chi
     variable with noncentrality a^2 exceeds y^2.
 
