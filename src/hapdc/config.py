@@ -248,6 +248,9 @@ class ChannelConfig:
     ``avg_rx_snr`` left as None is filled in from the other fields (the SNR
     only when the noise and ``link_distance`` are nonzero; a budget that
     cannot be derived stays None and ``validate()`` names the bad field).
+    Construction also fails, with a ValidationError, where the reference
+    draw's budget leaves the float range: a ``link_distance`` whose square
+    overflows, or a ``power_over_noise`` that is not finite.
     ``dataclasses.replace(ch, tx_power=...)`` keeps the derived SNR; pass
     ``avg_rx_snr=None`` (and ``noise_power=None``) to derive them again.
     """
@@ -273,10 +276,21 @@ class ChannelConfig:
         if self.noise_power is None:
             object.__setattr__(self, "noise_power",
                                _NOISE_DENSITY_W_PER_HZ * self.bandwidth_hz)
-        if self.avg_rx_snr is None and self.noise_power and self.link_distance:
+        if not self.link_distance:
+            return
+        path_loss = self._path_loss()
+        if self.avg_rx_snr is None and self.noise_power:
             object.__setattr__(
                 self, "avg_rx_snr", self.tx_power * self.ref_gain
-                / (self._path_loss() * self.noise_power))
+                / (path_loss * self.noise_power))
+        if self.avg_rx_snr is not None and self.ref_gain:
+            ratio = self.power_over_noise()
+            if not math.isfinite(ratio):
+                raise ValidationError(
+                    f"channel.avg_rx_snr {self.avg_rx_snr!r} with "
+                    f"link_distance {self.link_distance!r} and ref_gain "
+                    f"{self.ref_gain!r} gives a transmit power over noise "
+                    f"of {ratio!r}; it must be finite")
 
     def _path_loss(self) -> float:
         """``link_distance`` squared; a ValidationError where the square
@@ -287,6 +301,13 @@ class ChannelConfig:
             raise ValidationError(
                 f"channel.link_distance {self.link_distance!r} is too "
                 "large: its square overflows the link budget") from None
+
+    def power_over_noise(self) -> float:
+        """Transmit power over noise power, P/noise, that the mean receive
+        SNR implies on a channel drawn by ``channel.sample_channel``:
+        avg_rx_snr * link_distance^2 / ref_gain.  With a derived SNR this
+        is tx_power / noise_power to within a few ulps."""
+        return self.avg_rx_snr * self._path_loss() / self.ref_gain
 
     def resolved(self) -> "ChannelConfig":
         """The config itself: its link budget is derived at construction."""
@@ -301,9 +322,6 @@ class ChannelConfig:
             raise ValidationError("ChannelConfig: rician_factor must be non-negative")
         if self.ref_gain <= 0 or self.link_distance <= 0:
             raise ValidationError("ChannelConfig: ref_gain and link_distance must be positive")
-        # the reference draw squares the distance even where the SNR is
-        # given rather than derived
-        self._path_loss()
         if self.tx_power <= 0:
             raise ValidationError("ChannelConfig: tx_power must be positive")
         if self.noise_power is not None and self.noise_power <= 0:

@@ -1,12 +1,13 @@
 """Configuration model, YAML loading and hashing."""
 
 import math
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from hapdc import channel, config
 
@@ -209,24 +210,38 @@ def test_channel_underivable_budget_left_open():
         deaf.validate()
 
 
-def test_channel_given_snr_still_checks_the_distance_square():
-    # the reference draw squares link_distance whether the SNR is derived
-    # or given, so a square past the float range fails validation either way
-    given_snr = ChannelConfig(avg_rx_snr=0.2, link_distance=1e200)
+def test_channel_checks_the_reference_draw_budget_at_construction():
+    # the reference draw squares link_distance and scales by
+    # avg_rx_snr * link_distance**2 / ref_gain whether the SNR is derived
+    # or given, so a budget past the float range fails construction
     with pytest.raises(ValidationError,
                        match=r"channel\.link_distance 1e\+200 is too large: "
                              "its square overflows the link budget"):
-        given_snr.validate()
-    with pytest.raises(ValidationError, match=r"channel\.link_distance"):
-        ModelConfig(channel=given_snr).validate()
+        ChannelConfig(avg_rx_snr=0.2, link_distance=1e200)
     with pytest.raises(ValidationError, match=r"channel\.link_distance"):
         ChannelConfig(link_distance=1e200)
-    # a square inside the range leaves the reference draw finite
-    near = ChannelConfig(avg_rx_snr=0.2, link_distance=1e150)
+    with pytest.raises(ValidationError,
+                       match=r"channel\.avg_rx_snr 0\.2 with link_distance "
+                             r"1e\+153 .* of inf; it must be finite"):
+        ChannelConfig(avg_rx_snr=0.2, link_distance=1e153)
+
+    # the largest distance whose P/noise stays finite builds and validates,
+    # and the reference draw's rates there are finite
+    snr, gain = 0.2, ChannelConfig().ref_gain
+    edge = math.sqrt(sys.float_info.max * gain / snr)
+    while not math.isfinite(snr * edge**2 / gain):
+        edge = math.nextafter(edge, 0.0)
+    while math.isfinite(snr * math.nextafter(edge, math.inf)**2 / gain):
+        edge = math.nextafter(edge, math.inf)
+    near = ChannelConfig(avg_rx_snr=snr, link_distance=edge)
     near.validate()
+    assert math.isfinite(near.power_over_noise())
     h = channel.sample_channel(near, 8, np.random.default_rng(1))
     assert np.isfinite(channel.channel_rate(near, h)).all()
     assert np.isfinite(channel.beamformed_rate(near, h)).all()
+    with pytest.raises(ValidationError, match="it must be finite"):
+        ChannelConfig(avg_rx_snr=snr,
+                      link_distance=math.nextafter(edge, math.inf))
 
 
 def test_default_model_hashes_as_the_empty_file(tmp_path):
@@ -343,15 +358,20 @@ def _any_config(draw):
     table = st.none() | st.lists(st.tuples(_FLOATS, _FLOATS, _FLOATS),
                                  min_size=1, max_size=4).map(tuple)
     rates = st.lists(_FLOATS, max_size=5).map(tuple)
+    try:
+        # both link-budget fields given, so nothing is derived
+        link = section(ChannelConfig, demand_mapping=st.sampled_from(
+            ["bits_per_hz", "identity"]))
+    except ValidationError:
+        # a reference-draw budget past the float range fails construction
+        reject()
     return ModelConfig(
         server=section(ServerSpec),
         workload=section(WorkloadSpec),
         cooling=section(CoolingSpec, fan=fan),
         hap=section(HapPlatform),
         wind=section(WindSpec, table=table),
-        # both link-budget fields given, so nothing is derived
-        channel=section(ChannelConfig, demand_mapping=st.sampled_from(
-            ["bits_per_hz", "identity"])),
+        channel=link,
         scenario=section(Scenario, window=st.tuples(_FLOATS, _FLOATS),
                          ground_rates=rates, hap_rates=rates),
     )
@@ -379,6 +399,9 @@ def test_yaml_backends_dump_alike(cfg):
     # a given SNR does not spare the reference draw's square
     ("channel: {avg_rx_snr: 0.2, link_distance: 1.0e+200}",
      "channel.link_distance"),
+    # nor its transmit power over noise
+    ("channel: {avg_rx_snr: 0.2, link_distance: 1.0e+153}",
+     "channel.avg_rx_snr"),
     # integers too long for a float, or whose float squares past the range
     pytest.param("channel: {link_distance: 1%s}" % ("0" * 199),
                  "channel.link_distance", id="link_distance-200-digits"),
