@@ -11,11 +11,11 @@ charges the dropped traffic: ``retransmit_saving`` resends it over the link,
 policy; the outage sweep prices both from one evaluation.
 
 Many scenarios of one fleet shape and window share one array pass for
-their bills (``thermal.tdc_total_energy`` and ``split_bills``), and
-``evaluate_offload`` takes a scenario's bills priced that way.  The energy
-sweep prices a whole chunk's link side in array passes as well, from the
-pieces the scalar route is built of: ``drop_gate``, ``hybrid_on_bills``,
-``with_retries`` and ``saved_share``.
+their bills (``thermal.tdc_total_energy`` and ``split_bills``).
+``retransmit_savings`` prices a list of scenarios under the retransmit
+policy that way, and its link side in array passes too, by the rules the
+one-scenario route applies: the gate of ``_charged``, the round and its
+count of ``_retransmit_report``.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+
+import numpy as np
 
 from . import aero, channel, queueing, solar, thermal
 from .config import (ModelConfig, Scenario, ServerSpec, WorkloadSpec,
@@ -57,6 +59,16 @@ def drop_gate(cfg: ModelConfig) -> float:
     """
     return _reliable_rate(cfg.channel, cfg.workload.bits_per_instruction,
                           cfg.workload.task_length_instr)
+
+
+def _charged(per_links: list[float], cfg: ModelConfig) -> list[bool]:
+    """Which links, offloading ``per_links`` task/s each, are charged a
+    drop probability: those that offload at or above ``drop_gate``, looked
+    up once and only when some link offloads."""
+    if not any(p > 0 for p in per_links):
+        return [False] * len(per_links)
+    gate = drop_gate(cfg)
+    return [p > 0 and p >= gate for p in per_links]
 
 
 HARVEST_BOUND = "harvest"
@@ -231,15 +243,15 @@ def hybrid_total_energy(scenario: Scenario, cfg: ModelConfig) -> thermal.EnergyB
     its aggregate offload rate.  With no airborne servers this reduces to
     the all-ground baseline (no platform deployed).
     """
-    return hybrid_on_bills(
+    return _hybrid(
         scenario, cfg,
         thermal.ground_energy(scenario.ground_rates, cfg, scenario.window),
         payload_energy(scenario.hap_rates, cfg.server,
                        cfg.workload.task_length_instr, scenario.window))
 
 
-def hybrid_on_bills(scenario: Scenario, cfg: ModelConfig, ground, payload,
-                    link=None) -> thermal.EnergyBreakdown:
+def _hybrid(scenario: Scenario, cfg: ModelConfig, ground, payload,
+            link=None) -> thermal.EnergyBreakdown:
     """``hybrid_total_energy`` on the scenario's ground bill and payload
     energy and, when given, one platform's uplink energy ``link`` (else
     ``channel.transmission_energy`` prices it); an error held in place of
@@ -297,89 +309,136 @@ class OffloadEvaluation:
 
 
 def evaluate_offload(scenario: Scenario, cfg: ModelConfig,
-                     drop: float | None = None,
-                     bills: tuple | None = None) -> OffloadEvaluation:
+                     drop: float | None = None) -> OffloadEvaluation:
     """The all-ground baseline, the drop gate and the lossless split bill.
 
     A caller that already holds ``1 - ccdf_lower`` at the per-link rate
     passes it as ``drop``; it then stands in for ``drop_probability``
     when the gate is open.  Below the gate no drop is evaluated.
-
-    A caller that priced the bills beforehand passes the scenario's entries
-    of a batched ``thermal.tdc_total_energy`` and of ``split_bills`` as
-    ``bills``; an OverloadError held there is raised where this evaluation
-    raises it unbatched: the baseline's before the drop, the split
-    system's after it.
-
-    The energy sweep prices a chunk of scenarios without this object, in
-    the same order: it looks ``drop_gate`` up once, evaluates the drops of
-    every scenario at or above it in one ``channel.drop_probability`` call
-    and the lossless uplink energies in one ``channel.link_energy`` call,
-    and passes each scenario's energy to ``hybrid_on_bills``.
     """
-    baseline = (thermal.tdc_total_energy(scenario, cfg) if bills is None
-                else bills[0])
-    if isinstance(baseline, OverloadError):
-        raise baseline
+    baseline = thermal.tdc_total_energy(scenario, cfg)
     per_link = math.fsum(scenario.hap_rates)
     pr_drop = 0.0
-    if per_link > 0 and per_link >= drop_gate(cfg):
+    if _charged([per_link], cfg)[0]:
         pr_drop = drop if drop is not None else channel.drop_probability(
             cfg.channel, cfg.workload, per_link,
             cfg.workload.task_length_instr)
-    lossless = (hybrid_total_energy(scenario, cfg) if bills is None
-                else hybrid_on_bills(scenario, cfg, *bills[1]))
+    lossless = hybrid_total_energy(scenario, cfg)
     return OffloadEvaluation(scenario, baseline.total_j, per_link, pr_drop,
                              lossless)
 
 
-def saved_share(e_tdc: float, e_hybrid: float) -> tuple[float, float]:
-    """Energy saved against the baseline, J, and its share of the
-    baseline (0 for a baseline of no energy)."""
-    saved = e_tdc - e_hybrid
-    return saved, saved / e_tdc if e_tdc > 0 else 0.0
-
-
-def _report(ev: OffloadEvaluation, e_hybrid: float,
+def _report(e_tdc: float, e_hybrid: float,
             retransmissions: int = 0) -> SavingReport:
-    saved, rate = saved_share(ev.e_tdc_j, e_hybrid)
+    saved = e_tdc - e_hybrid
+    rate = saved / e_tdc if e_tdc > 0 else 0.0
     return SavingReport(
-        e_tdc_j=ev.e_tdc_j, e_hybrid_j=e_hybrid, saved_j=saved,
+        e_tdc_j=e_tdc, e_hybrid_j=e_hybrid, saved_j=saved,
         saved_rate=rate, retransmissions=retransmissions,
     )
 
 
-def with_retries(e_tdc: float, e_lossless: float,
-                 e_round: float | None) -> tuple[float, int]:
-    """Split-system energy with one retransmission round of ``e_round`` J
-    charged on the lossless bill (None when nothing is dropped), and how
-    many such rounds the gross saving could fund."""
+def _retransmit_report(e_tdc: float, e_lossless: float,
+                       e_round: float | None) -> SavingReport:
+    """The retransmit policy's report: one retransmission round of
+    ``e_round`` J (None when nothing is dropped) charged on the lossless
+    bill, and how many such rounds the gross saving could fund."""
     if e_round is None:
-        return e_lossless, 0
+        return _report(e_tdc, e_lossless)
     e_hybrid = e_lossless + e_round
     gross = e_tdc - (e_hybrid - e_round)
+    retransmissions = 0
     if e_round > 0 and gross > 0:
-        return e_hybrid, math.ceil(gross / e_round)
-    return e_hybrid, 0
+        retransmissions = math.ceil(gross / e_round)
+    return _report(e_tdc, e_hybrid, retransmissions)
 
 
 def retransmit_saving(ev: OffloadEvaluation, cfg: ModelConfig) -> SavingReport:
     """Dropped offload traffic is resent over the link: one more round of
     uplink energy, at the per-link rate times the drop probability, is
-    charged, and the report counts how many such rounds the gross saving
-    could fund (``with_retries``).
-
-    The energy sweep charges the rounds of a whole chunk from one
-    ``channel.link_energy`` call over its dropped rates, and prices each
-    row with ``with_retries`` and ``saved_share``, as this report does.
-    """
+    charged on every platform, and the report counts how many such rounds
+    the gross saving could fund."""
     e_round = None
-    if ev.per_link > 0 and ev.pr_drop > 0.0:
+    if ev.pr_drop > 0.0:
         e_round = ev.scenario.hap_count * channel.transmission_energy(
             cfg.channel, cfg.workload, ev.per_link * ev.pr_drop,
             ev.scenario.window_length, cfg.workload.task_length_instr)
-    return _report(ev, *with_retries(ev.e_tdc_j, ev.lossless.total_j,
-                                     e_round))
+    return _retransmit_report(ev.e_tdc_j, ev.lossless.total_j, e_round)
+
+
+def retransmit_savings(scenarios: list[Scenario], cfg: ModelConfig) -> list:
+    """``saving(s, cfg, with_retransmission=True)`` of each of
+    ``scenarios``, bit for bit, with whether its offered traffic saturates
+    the link.
+
+    An element is (report, saturated), or (error, False) where the scalar
+    route raises an OverloadError or a LinkRateError.  The steps are those
+    of ``evaluate_offload`` and ``retransmit_saving``, each in array
+    passes: the bills once per group of scenarios sharing a fleet shape and
+    window, the drop gate once, the drops of every link charged one in one
+    ``channel.drop_probability`` call, and the lossless uplink energies and
+    the retry rounds in one ``channel.link_energy`` call each.  A scenario
+    saturates the link when its lossless airtime passes
+    ``channel.SATURATION``, where ``transmission_energy`` would warn; no
+    warning is raised.
+    """
+    priced = [None] * len(scenarios)
+    groups, bills = {}, {}
+    for k, sc in enumerate(scenarios):
+        groups.setdefault((len(sc.ground_rates), len(sc.hap_rates),
+                           sc.hap_count, sc.window), []).append(k)
+    for members in groups.values():
+        batch = [scenarios[k] for k in members]
+        for k, baseline, split in zip(members,
+                                      thermal.tdc_total_energy(batch, cfg),
+                                      split_bills(batch, cfg)):
+            if isinstance(baseline, OverloadError):
+                priced[k] = baseline, False
+            else:
+                bills[k] = baseline.total_j, split
+
+    ch, wl = cfg.channel, cfg.workload
+    task_len = wl.task_length_instr
+    per_link = {k: math.fsum(scenarios[k].hap_rates) for k in bills}
+    lossy = [k for k, charged in zip(per_link,
+                                     _charged(list(per_link.values()), cfg))
+             if charged]
+    drops = {}
+    if lossy:
+        drops = dict(zip(lossy, channel.drop_probability(
+            ch, wl, np.array([per_link[k] for k in lossy]),
+            task_len).tolist()))
+
+    linked = [k for k in bills if scenarios[k].hap_servers]
+    link, duty, retry = {}, {}, {}
+    if linked:
+        windows = np.array([scenarios[k].window_length for k in linked])
+        rates = np.array([per_link[k] for k in linked])
+        try:
+            energy, airtime = channel.link_energy(ch, wl, rates, windows,
+                                                  task_len)
+        except LinkRateError as exc:
+            link = dict.fromkeys(linked, exc)
+        else:
+            link = dict(zip(linked, energy.tolist()))
+            duty = dict(zip(linked, airtime.tolist()))
+            dropped = np.array([drops.get(k, 0.0) for k in linked])
+            retry = dict(zip(linked, channel.link_energy(
+                ch, wl, rates * dropped, windows, task_len)[0].tolist()))
+
+    for k, (e_tdc, split) in bills.items():
+        sc = scenarios[k]
+        try:
+            lossless = _hybrid(sc, cfg, *split, link.get(k)).total_j
+        except (OverloadError, LinkRateError) as exc:
+            priced[k] = exc, False
+            continue
+        e_round = None
+        if drops.get(k, 0.0) > 0.0:
+            e_round = sc.hap_count * retry[k]
+        priced[k] = (_retransmit_report(e_tdc, lossless, e_round),
+                     duty.get(k, 0.0) > channel.SATURATION)
+    return priced
 
 
 def reroute_saving(ev: OffloadEvaluation, cfg: ModelConfig) -> SavingReport:
@@ -388,7 +447,7 @@ def reroute_saving(ev: OffloadEvaluation, cfg: ModelConfig) -> SavingReport:
     rerouted = _reroute_scenario(ev.scenario, ev.pr_drop)
     parts = (ev.lossless if rerouted is ev.scenario
              else hybrid_total_energy(rerouted, cfg))
-    return _report(ev, parts.total_j - parts.transmission_j
+    return _report(ev.e_tdc_j, parts.total_j - parts.transmission_j
                    + ev.lossless.transmission_j)
 
 

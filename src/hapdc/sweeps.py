@@ -20,16 +20,12 @@ their owners: the link budget from the config's ``ChannelConfig``, the
 fleet service rate of the delay simulation from the analytic
 ``DelayReport``.
 
-The energy analysis answers a chunk at once.  Each point allocates its
-scenario; the fleet bills are priced in one array pass per group of points
-sharing a fleet shape and window; the link side in one pass each for the
-whole chunk: one drop-gate lookup, one Marcum evaluation for the drops of
-every point at or above the gate, and one ``channel.link_energy`` call
-each for the lossless uplink energies and the retry rounds.  Each row is
-then plain arithmetic on those arrays in the operation order of
-``offload.saving``, so its cells keep the bits the scalar route gives
-them, and a point's link saturation is read from its airtime rather than
-from a captured warning.
+The energy analysis answers a chunk at once: each point allocates its
+scenario, and ``offload.retransmit_savings`` prices them all, the fleet
+bills in one array pass per group of points sharing a fleet shape and
+window, the link side in one pass each for the whole chunk.  Each cell
+keeps the bits ``offload.saving`` gives it, and a point's link saturation
+is read from its airtime rather than from a captured warning.
 
 Per-point failures (a polar night, an overloaded fleet) land in the
 row's ``error`` column and the sweep carries on; a sweep where every
@@ -55,7 +51,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from . import channel, offload, queueing, thermal
+from . import channel, offload, queueing
 from ._version import __version__
 from .config import ModelConfig, Scenario, config_hash, uniform_split
 from .errors import (ConfigError, LinkRateError, LinkSaturationWarning,
@@ -239,94 +235,28 @@ def _energy_rows(cfg, spec, points):
 
     The sweep's own config prices the chunk: the bills read the server,
     cooling and task length, the link the channel and the workload's bits
-    per task and overhead, and no axis moves any of them.  The bills are
-    priced once per group of points with one fleet shape and window; the
-    drop gate is looked up once, and one call each evaluates the drops of
-    every point at or above it, the lossless uplink energies and the retry
-    rounds.  A point saturates the link when its lossless airtime passes
-    ``channel.SATURATION``, where ``transmission_energy`` would warn.
+    per task and overhead, and no axis moves any of them.
     """
-    rows = [[value, *[None] * len(_ENERGY.columns), None]
-            for _, value in points]
-    scenarios, groups = {}, {}
-    for k, (_, value) in enumerate(points):
+    answered, allocated = [], []
+    for _, value in points:
+        row = [value, *[None] * len(_ENERGY.columns), None]
+        answered.append((row, False))
         try:
             sc = offload.allocated_scenario(apply_axis(cfg, spec.axis, value))
         except _ROW_ERRORS as exc:
-            rows[k][-1] = str(exc)
-            continue
-        scenarios[k] = sc
-        groups.setdefault((len(sc.ground_rates), len(sc.hap_rates),
-                           sc.hap_count, sc.window), []).append(k)
-    bills = {}
-    for members in groups.values():
-        batch = [scenarios[k] for k in members]
-        for k, baseline, split in zip(members,
-                                      thermal.tdc_total_energy(batch, cfg),
-                                      offload.split_bills(batch, cfg)):
-            if isinstance(baseline, OverloadError):
-                rows[k][-1] = str(baseline)
-            else:
-                bills[k] = baseline.total_j, split
-
-    ch, wl = cfg.channel, cfg.workload
-    task_len = wl.task_length_instr
-    per_link = {k: math.fsum(scenarios[k].hap_rates) for k in bills}
-    offered = [k for k in bills if per_link[k] > 0]
-    drops = {}
-    if offered:
-        try:
-            gate = offload.drop_gate(cfg)
-        except _ROW_ERRORS as exc:
-            for k in offered:
-                rows[k][-1] = str(exc)
-                del bills[k]
+            row[-1] = str(exc)
         else:
-            lossy = [k for k in offered if per_link[k] >= gate]
-            if lossy:
-                drops = dict(zip(lossy, channel.drop_probability(
-                    ch, wl, np.array([per_link[k] for k in lossy]),
-                    task_len).tolist()))
-
-    linked = [k for k in bills if scenarios[k].hap_servers]
-    link, duty, retry = {}, {}, {}
-    if linked:
-        windows = np.array([scenarios[k].window_length for k in linked])
-        rates = np.array([per_link[k] for k in linked])
-        try:
-            energy, airtime = channel.link_energy(ch, wl, rates, windows,
-                                                  task_len)
-        except _ROW_ERRORS as exc:
-            link = dict.fromkeys(linked, exc)
+            allocated.append((len(answered) - 1, sc))
+    for (k, _), (report, saturated) in zip(
+            allocated,
+            offload.retransmit_savings([sc for _, sc in allocated], cfg)):
+        row = answered[k][0]
+        if isinstance(report, Exception):
+            row[-1] = str(report)
         else:
-            link = dict(zip(linked, energy.tolist()))
-            duty = dict(zip(linked, airtime.tolist()))
-            dropped = np.array([drops.get(k, 0.0) for k in linked])
-            retry = dict(zip(linked, channel.link_energy(
-                ch, wl, rates * dropped, windows, task_len)[0].tolist()))
-
-    answered = []
-    for k, row in enumerate(rows):
-        saturated = False
-        if k in bills:
-            sc = scenarios[k]
-            e_tdc, split = bills[k]
-            try:
-                lossless = offload.hybrid_on_bills(sc, cfg, *split,
-                                                   link.get(k)).total_j
-            except _ROW_ERRORS as exc:
-                row[-1] = str(exc)
-            else:
-                e_round = None
-                if drops.get(k, 0.0) > 0.0:
-                    e_round = sc.hap_count * retry[k]
-                e_hybrid, retransmissions = offload.with_retries(
-                    e_tdc, lossless, e_round)
-                row[1:5] = (e_tdc, e_hybrid,
-                            offload.saved_share(e_tdc, e_hybrid)[1],
-                            retransmissions)
-                saturated = duty.get(k, 0.0) > channel.SATURATION
-        answered.append((row, saturated))
+            row[1:5] = (report.e_tdc_j, report.e_hybrid_j,
+                        report.saved_rate, report.retransmissions)
+            answered[k] = row, saturated
     return answered
 
 

@@ -17,7 +17,7 @@ import pytest
 
 from hapdc import channel, cli, offload, queueing, sweeps, thermal
 from hapdc.config import ModelConfig, WorkloadSpec, load_config
-from hapdc.errors import ConfigError, LinkRateError, OverloadError
+from hapdc.errors import ConfigError, OverloadError
 
 from conftest import REPO_ROOT, SHIPPED_CONFIG
 
@@ -858,31 +858,6 @@ def test_energy_gate_and_drops_looked_up_once_per_chunk(shipped_cfg,
                 + sweeps._energy_rows(cfg, spec, points[6:]))
     assert gates == [1, 1] and drops == [4, 7]
     assert [row for row, _ in rows] == outs["arrival_rate"].rows
-
-
-def test_energy_gate_error_lands_on_offloading_rows(shipped_cfg,
-                                                    monkeypatch):
-    def no_gate(cfg):
-        raise LinkRateError("no reliable rate")
-
-    monkeypatch.setattr(offload, "drop_gate", no_gate)
-    spec = sweeps.SweepSpec("arrival_rate", 0.0, 2000.0, 1000.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        out = sweeps.run_energy_sweep(shipped_cfg, spec)
-        # the rows are those of the scalar route under the same gate
-        for row, value in zip(out.rows, spec.values()):
-            point = sweeps.apply_axis(shipped_cfg, spec.axis, value)
-            try:
-                rep = offload.saving(offload.allocated_scenario(point), point,
-                                     with_retransmission=True)
-                want = [rep.e_tdc_j, rep.e_hybrid_j, rep.saved_rate,
-                        rep.retransmissions, None]
-            except LinkRateError as exc:
-                want = [None] * 4 + [str(exc)]
-            assert row == [value, *want]
-    assert out.rows[0][-1] is None and out.rows[0][1] > 0.0
-    assert [row[-1] for row in out.rows[1:]] == ["no reliable rate"] * 2
 
 
 def test_energy_link_rate_error_lands_after_the_bills(shipped_cfg):

@@ -399,13 +399,10 @@ def _assert_batch_matches_loops(scenarios, cfg, server, cooling, task_len,
             for s in scenarios]
     baseline = thermal.tdc_total_energy(scenarios, cfg)
     assert baseline == [_tdc_loop(s, cfg) for s in scenarios]
-    split = offload.split_bills(scenarios, cfg)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinkSaturationWarning)
-        for s, b, sp in zip(scenarios, baseline, split):
-            ev = offload.evaluate_offload(s, cfg, drop=0.25, bills=(b, sp))
-            assert ev.e_tdc_j == _tdc_loop(s, cfg).total_j
-            assert ev.lossless == _hybrid_loop(s, cfg)
+    assert offload.split_bills(scenarios, cfg) \
+        == [(_ground_loop(s.ground_rates, cfg, window),
+             _compute_sum_loop(s.hap_rates, server, task_len, window))
+            for s in scenarios]
 
 
 def test_batched_bills_bitwise_equal_to_loops():
@@ -477,21 +474,19 @@ def test_batched_overloaded_row_keeps_the_other_rows(monkeypatch):
     split = offload.split_bills(scenarios, cfg)
     assert str(split[1][1]) == str(loop.value)
 
-    # the overloaded row raises its baseline's error and never reaches
-    # the drop; the others price as the loops do
+    # priced together, the overloaded row holds its baseline's error and
+    # never reaches the drop; the others price as the scalar route does
     drops = []
+    real_drop = channel.drop_probability
     monkeypatch.setattr(channel, "drop_probability",
-                        lambda *args: drops.append(args) or 0.5)
+                        lambda *args: drops.append(args[2]) or real_drop(*args))
     monkeypatch.setattr(offload, "_reliable_rate", lambda *args: 0.0)
-    with pytest.raises(OverloadError) as got:
-        offload.evaluate_offload(scenarios[1], cfg,
-                                 bills=(baseline[1], split[1]))
-    assert str(got.value) == str(loop.value)
-    assert drops == []
+    priced = offload.retransmit_savings(scenarios, cfg)
+    assert str(priced[1][0]) == str(loop.value) and not priced[1][1]
+    assert [r.tolist() for r in drops] == [[math.fsum(rows[0]),
+                                            math.fsum(rows[2])]]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LinkSaturationWarning)
-        for k in (0, 2):
-            ev = offload.evaluate_offload(scenarios[k], cfg,
-                                          bills=(baseline[k], split[k]))
-            assert ev.lossless == _hybrid_loop(scenarios[k], cfg)
-    assert len(drops) == 2
+        assert [priced[0][0], priced[2][0]] == [
+            offload.saving(scenarios[k], cfg, with_retransmission=True)
+            for k in (0, 2)]
