@@ -381,13 +381,18 @@ def transmission_energy(ch: ChannelConfig, workload: WorkloadSpec,
     """Transmit energy over ``window`` seconds of offloading, J; a
     ``LinkSaturationWarning`` past ``SATURATION``."""
     energy, duty = link_energy(ch, workload, arrival_rate, window, task_len)
+    warn_if_saturated(duty)
+    return energy
+
+
+def warn_if_saturated(duty: float) -> None:
+    """Warn the caller's caller when the airtime ``duty`` saturates the link."""
     if duty > SATURATION:
         warnings.warn(
             f"offered traffic needs {duty:.3f}x the link capacity; "
             "the energy figure assumes the backlog is still sent",
-            LinkSaturationWarning, stacklevel=2,
+            LinkSaturationWarning, stacklevel=3,
         )
-    return energy
 
 
 def round_trip_time(ch: ChannelConfig, workload: WorkloadSpec,

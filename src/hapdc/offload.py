@@ -2,20 +2,17 @@
 into the airborne-fleet decisions: can the platform fly, how much workload it
 may accept, what the two-site system consumes, and what offloading saves.
 
-A saving is priced in two steps.  ``evaluate_offload`` computes what every
-delivery policy shares: the all-ground baseline, the per-link offload rate,
-the reliable-rate gate (below it the link counts as lossless and no drop
-probability is evaluated) and the lossless split-system bill.  A policy then
-charges the dropped traffic: ``retransmit_saving`` resends it over the link,
-``reroute_saving`` recomputes it on the ground.  ``saving`` prices one
-policy; the outage sweep prices both from one evaluation.
-
-Many scenarios of one fleet shape and window share one array pass for
-their bills (``thermal.tdc_total_energy`` and ``split_bills``).
-``retransmit_savings`` prices a list of scenarios under the retransmit
-policy that way, and its link side in array passes too, by the rules the
-one-scenario route applies: the gate of ``_charged``, the round and its
-count of ``_retransmit_report``.
+A saving is priced by one flow over a list of scenarios, each step once
+for the whole list.  ``evaluate_offload`` computes what every delivery
+policy shares: the all-ground baseline and the lossless split-system bill
+(one array pass per group sharing a fleet shape and window), the
+reliable-rate gate (looked up once; below it the link counts as lossless
+and no drop is evaluated), the drops (one ``channel.drop_probability``
+call) and the uplinks (one ``channel.link_energy`` call).  A policy then
+charges the dropped traffic: ``retransmit_savings`` resends it over the
+link, ``reroute_savings`` recomputes it on the ground.  A scenario that
+cannot be priced holds its error in place of its evaluation and reports;
+``saving``, the one-scenario call, raises it.
 """
 
 from __future__ import annotations
@@ -59,16 +56,6 @@ def drop_gate(cfg: ModelConfig) -> float:
     """
     return _reliable_rate(cfg.channel, cfg.workload.bits_per_instruction,
                           cfg.workload.task_length_instr)
-
-
-def _charged(per_links: list[float], cfg: ModelConfig) -> list[bool]:
-    """Which links, offloading ``per_links`` task/s each, are charged a
-    drop probability: those that offload at or above ``drop_gate``, looked
-    up once and only when some link offloads."""
-    if not any(p > 0 for p in per_links):
-        return [False] * len(per_links)
-    gate = drop_gate(cfg)
-    return [p > 0 and p >= gate for p in per_links]
 
 
 HARVEST_BOUND = "harvest"
@@ -280,8 +267,6 @@ def _hybrid(scenario: Scenario, cfg: ModelConfig, ground, payload,
 
 def _reroute_scenario(scenario: Scenario, drop_prob: float) -> Scenario:
     """Dropped offload traffic comes back to the ground servers."""
-    if drop_prob <= 0.0:
-        return scenario
     kept = tuple(r * (1.0 - drop_prob) for r in scenario.hap_rates)
     rerouted = (math.fsum(scenario.hap_rates) - math.fsum(kept)) * scenario.hap_count
     if rerouted > 0 and scenario.ground_servers == 0:
@@ -291,14 +276,42 @@ def _reroute_scenario(scenario: Scenario, drop_prob: float) -> Scenario:
     return replace(scenario, ground_rates=ground, hap_rates=kept)
 
 
+def _by_shape(scenarios: list[Scenario], price) -> list:
+    """``price(batch)`` of each of ``scenarios``, in their order, with one
+    call per group of them sharing a fleet shape and window."""
+    groups = {}
+    for k, sc in enumerate(scenarios):
+        groups.setdefault((len(sc.ground_rates), len(sc.hap_rates),
+                           sc.hap_count, sc.window), []).append(k)
+    priced = [None] * len(scenarios)
+    for members in groups.values():
+        for k, bill in zip(members, price([scenarios[k] for k in members])):
+            priced[k] = bill
+    return priced
+
+
+def _uplinks(scenarios: list[Scenario], rates: list[float],
+             cfg: ModelConfig) -> tuple[list, list]:
+    """One platform's uplink energy, J, and airtime share at each per-link
+    rate over its scenario's window, in one ``channel.link_energy`` call."""
+    if not scenarios:
+        return [], []
+    energy, duty = channel.link_energy(
+        cfg.channel, cfg.workload, np.array(rates),
+        np.array([sc.window_length for sc in scenarios]),
+        cfg.workload.task_length_instr)
+    return energy.tolist(), duty.tolist()
+
+
 @dataclass(frozen=True)
 class OffloadEvaluation:
     """What both delivery policies read of one offload scenario.
 
     ``pr_drop`` is the per-task drop probability the policies charge: 0
     below the reliable-rate gate, where the link is treated as lossless,
-    and ``channel.drop_probability`` of the per-link rate above it.
-    ``lossless`` is the split-system bill with nothing dropped.
+    and the drop of the per-link rate above it.  ``lossless`` is the
+    split-system bill with nothing dropped, and ``airtime`` the share of
+    the window its uplink is on air.
     """
 
     scenario: Scenario
@@ -306,26 +319,60 @@ class OffloadEvaluation:
     per_link: float
     pr_drop: float
     lossless: thermal.EnergyBreakdown
+    airtime: float
+
+    @property
+    def saturated(self) -> bool:
+        """Whether the offered traffic is more than the link carries."""
+        return self.airtime > channel.SATURATION
 
 
-def evaluate_offload(scenario: Scenario, cfg: ModelConfig,
-                     drop: float | None = None) -> OffloadEvaluation:
-    """The all-ground baseline, the drop gate and the lossless split bill.
+def evaluate_offload(scenarios: list[Scenario], cfg: ModelConfig,
+                     drops: list[float] | None = None) -> list:
+    """The ``OffloadEvaluation`` of each of ``scenarios``, or the
+    OverloadError or LinkRateError pricing it raised, the bills' first.
 
-    A caller that already holds ``1 - ccdf_lower`` at the per-link rate
-    passes it as ``drop``; it then stands in for ``drop_probability``
-    when the gate is open.  Below the gate no drop is evaluated.
+    A caller that already holds ``1 - ccdf_lower`` at each scenario's
+    per-link rate passes them, one per scenario, as ``drops``; they then
+    stand in for ``channel.drop_probability``.
     """
-    baseline = thermal.tdc_total_energy(scenario, cfg)
-    per_link = math.fsum(scenario.hap_rates)
-    pr_drop = 0.0
-    if _charged([per_link], cfg)[0]:
-        pr_drop = drop if drop is not None else channel.drop_probability(
-            cfg.channel, cfg.workload, per_link,
-            cfg.workload.task_length_instr)
-    lossless = hybrid_total_energy(scenario, cfg)
-    return OffloadEvaluation(scenario, baseline.total_j, per_link, pr_drop,
-                             lossless)
+    bills = _by_shape(scenarios, lambda batch: zip(
+        thermal.tdc_total_energy(batch, cfg), split_bills(batch, cfg)))
+    evals = [baseline if isinstance(baseline, OverloadError) else None
+             for baseline, _ in bills]
+    per_link = {k: math.fsum(sc.hap_rates) for k, sc in enumerate(scenarios)
+                if evals[k] is None}
+    pr_drop = dict.fromkeys(per_link, 0.0)
+    # a link is charged a drop at or above the gate, which is looked up
+    # only when some link offloads
+    lossy = [k for k, rate in per_link.items() if rate > 0]
+    if lossy:
+        gate = drop_gate(cfg)
+        lossy = [k for k in lossy if per_link[k] >= gate]
+    if drops is None and lossy:
+        drops = dict(zip(lossy, channel.drop_probability(
+            cfg.channel, cfg.workload, np.array([per_link[k] for k in lossy]),
+            cfg.workload.task_length_instr).tolist()))
+    pr_drop.update((k, drops[k]) for k in lossy)
+
+    linked = [k for k in per_link if scenarios[k].hap_servers]
+    try:
+        energy, duty = _uplinks([scenarios[k] for k in linked],
+                                [per_link[k] for k in linked], cfg)
+    except LinkRateError as exc:
+        energy, duty = [exc] * len(linked), []
+    link, airtime = dict(zip(linked, energy)), dict(zip(linked, duty))
+    for k, rate in per_link.items():
+        sc = scenarios[k]
+        try:
+            lossless = _hybrid(sc, cfg, *bills[k][1], link.get(k))
+        except (OverloadError, LinkRateError) as exc:
+            evals[k] = exc
+        else:
+            evals[k] = OffloadEvaluation(sc, bills[k][0].total_j, rate,
+                                         pr_drop[k], lossless,
+                                         airtime.get(k, 0.0))
+    return evals
 
 
 def _report(e_tdc: float, e_hybrid: float,
@@ -338,117 +385,60 @@ def _report(e_tdc: float, e_hybrid: float,
     )
 
 
-def _retransmit_report(e_tdc: float, e_lossless: float,
-                       e_round: float | None) -> SavingReport:
-    """The retransmit policy's report: one retransmission round of
-    ``e_round`` J (None when nothing is dropped) charged on the lossless
-    bill, and how many such rounds the gross saving could fund."""
-    if e_round is None:
-        return _report(e_tdc, e_lossless)
-    e_hybrid = e_lossless + e_round
-    gross = e_tdc - (e_hybrid - e_round)
-    retransmissions = 0
-    if e_round > 0 and gross > 0:
-        retransmissions = math.ceil(gross / e_round)
-    return _report(e_tdc, e_hybrid, retransmissions)
-
-
-def retransmit_saving(ev: OffloadEvaluation, cfg: ModelConfig) -> SavingReport:
-    """Dropped offload traffic is resent over the link: one more round of
-    uplink energy, at the per-link rate times the drop probability, is
-    charged on every platform, and the report counts how many such rounds
-    the gross saving could fund."""
-    e_round = None
-    if ev.pr_drop > 0.0:
-        e_round = ev.scenario.hap_count * channel.transmission_energy(
-            cfg.channel, cfg.workload, ev.per_link * ev.pr_drop,
-            ev.scenario.window_length, cfg.workload.task_length_instr)
-    return _retransmit_report(ev.e_tdc_j, ev.lossless.total_j, e_round)
-
-
-def retransmit_savings(scenarios: list[Scenario], cfg: ModelConfig) -> list:
-    """``saving(s, cfg, with_retransmission=True)`` of each of
-    ``scenarios``, bit for bit, with whether its offered traffic saturates
-    the link.
-
-    An element is (report, saturated), or (error, False) where the scalar
-    route raises an OverloadError or a LinkRateError.  The steps are those
-    of ``evaluate_offload`` and ``retransmit_saving``, each in array
-    passes: the bills once per group of scenarios sharing a fleet shape and
-    window, the drop gate once, the drops of every link charged one in one
-    ``channel.drop_probability`` call, and the lossless uplink energies and
-    the retry rounds in one ``channel.link_energy`` call each.  A scenario
-    saturates the link when its lossless airtime passes
-    ``channel.SATURATION``, where ``transmission_energy`` would warn; no
-    warning is raised.
-    """
-    priced = [None] * len(scenarios)
-    groups, bills = {}, {}
-    for k, sc in enumerate(scenarios):
-        groups.setdefault((len(sc.ground_rates), len(sc.hap_rates),
-                           sc.hap_count, sc.window), []).append(k)
-    for members in groups.values():
-        batch = [scenarios[k] for k in members]
-        for k, baseline, split in zip(members,
-                                      thermal.tdc_total_energy(batch, cfg),
-                                      split_bills(batch, cfg)):
-            if isinstance(baseline, OverloadError):
-                priced[k] = baseline, False
-            else:
-                bills[k] = baseline.total_j, split
-
-    ch, wl = cfg.channel, cfg.workload
-    task_len = wl.task_length_instr
-    per_link = {k: math.fsum(scenarios[k].hap_rates) for k in bills}
-    lossy = [k for k, charged in zip(per_link,
-                                     _charged(list(per_link.values()), cfg))
-             if charged]
-    drops = {}
-    if lossy:
-        drops = dict(zip(lossy, channel.drop_probability(
-            ch, wl, np.array([per_link[k] for k in lossy]),
-            task_len).tolist()))
-
-    linked = [k for k in bills if scenarios[k].hap_servers]
-    link, duty, retry = {}, {}, {}
-    if linked:
-        windows = np.array([scenarios[k].window_length for k in linked])
-        rates = np.array([per_link[k] for k in linked])
-        try:
-            energy, airtime = channel.link_energy(ch, wl, rates, windows,
-                                                  task_len)
-        except LinkRateError as exc:
-            link = dict.fromkeys(linked, exc)
+def retransmit_savings(evals: list, cfg: ModelConfig) -> list:
+    """The retransmit policy's report of each of ``evals``, or the error
+    held in its place: dropped offload traffic is resent over the link, so
+    one more round of uplink energy, at the per-link rate times the drop
+    probability, is charged on every platform, and the report counts how
+    many such rounds the gross saving could fund."""
+    linked = [k for k, ev in enumerate(evals)
+              if isinstance(ev, OffloadEvaluation) and ev.scenario.hap_servers]
+    energy, _ = _uplinks([evals[k].scenario for k in linked],
+                         [evals[k].per_link * evals[k].pr_drop
+                          for k in linked], cfg)
+    rounds = dict(zip(linked, energy))
+    reports = []
+    for k, ev in enumerate(evals):
+        if not isinstance(ev, OffloadEvaluation):
+            reports.append(ev)
+        elif ev.pr_drop <= 0.0:
+            reports.append(_report(ev.e_tdc_j, ev.lossless.total_j))
         else:
-            link = dict(zip(linked, energy.tolist()))
-            duty = dict(zip(linked, airtime.tolist()))
-            dropped = np.array([drops.get(k, 0.0) for k in linked])
-            retry = dict(zip(linked, channel.link_energy(
-                ch, wl, rates * dropped, windows, task_len)[0].tolist()))
-
-    for k, (e_tdc, split) in bills.items():
-        sc = scenarios[k]
-        try:
-            lossless = _hybrid(sc, cfg, *split, link.get(k)).total_j
-        except (OverloadError, LinkRateError) as exc:
-            priced[k] = exc, False
-            continue
-        e_round = None
-        if drops.get(k, 0.0) > 0.0:
-            e_round = sc.hap_count * retry[k]
-        priced[k] = (_retransmit_report(e_tdc, lossless, e_round),
-                     duty.get(k, 0.0) > channel.SATURATION)
-    return priced
+            e_round = ev.scenario.hap_count * rounds[k]
+            e_hybrid = ev.lossless.total_j + e_round
+            gross = ev.e_tdc_j - (e_hybrid - e_round)
+            reports.append(_report(ev.e_tdc_j, e_hybrid, math.ceil(
+                gross / e_round) if e_round > 0 and gross > 0 else 0))
+    return reports
 
 
-def reroute_saving(ev: OffloadEvaluation, cfg: ModelConfig) -> SavingReport:
-    """Dropped offload traffic is recomputed on the ground, while the uplink
+def reroute_savings(evals: list, cfg: ModelConfig) -> list:
+    """The reroute policy's report of each of ``evals``, or the error held
+    in its place or raised by a reroute the ground fleet cannot take:
+    dropped offload traffic is recomputed on the ground, while the uplink
     energy of the full offered stream stays charged."""
-    rerouted = _reroute_scenario(ev.scenario, ev.pr_drop)
-    parts = (ev.lossless if rerouted is ev.scenario
-             else hybrid_total_energy(rerouted, cfg))
-    return _report(ev.e_tdc_j, parts.total_j - parts.transmission_j
-                   + ev.lossless.transmission_j)
+    parts = [ev.lossless if isinstance(ev, OffloadEvaluation) else ev
+             for ev in evals]
+    moved = {}
+    for k, ev in enumerate(evals):
+        if isinstance(ev, OffloadEvaluation) and ev.pr_drop > 0.0:
+            try:
+                moved[k] = _reroute_scenario(ev.scenario, ev.pr_drop)
+            except OverloadError as exc:
+                parts[k] = exc
+    rerouted = list(moved.values())
+    energy, _ = _uplinks(rerouted, [math.fsum(sc.hap_rates) for sc in rerouted],
+                         cfg)
+    for k, sc, split, link in zip(moved, rerouted, _by_shape(
+            rerouted, lambda batch: split_bills(batch, cfg)), energy):
+        try:
+            parts[k] = _hybrid(sc, cfg, *split, link)
+        except OverloadError as exc:
+            parts[k] = exc
+    return [part if isinstance(part, Exception) else _report(
+                ev.e_tdc_j, part.total_j - part.transmission_j
+                + ev.lossless.transmission_j)
+            for part, ev in zip(parts, evals)]
 
 
 def saving(scenario: Scenario, cfg: ModelConfig,
@@ -456,16 +446,20 @@ def saving(scenario: Scenario, cfg: ModelConfig,
     """Energy saved by the split system against the all-ground baseline.
 
     Both systems serve the identical rate vector on the same total server
-    count.  ``evaluate_offload`` prices what the two delivery policies
-    share: the baseline, the reliable-rate gate with the drop probability
-    above it, and the lossless split bill.  The policy then charges the
-    drops: ``retransmit_saving`` with retransmission, ``reroute_saving``
-    without it.  Negative savings are reported, not raised.
+    count.  This is the one-scenario call of ``evaluate_offload`` and a
+    policy, ``retransmit_savings`` with retransmission and
+    ``reroute_savings`` without it.  The error pricing held is raised, a
+    ``LinkSaturationWarning`` is issued when the offered traffic is more
+    than the link carries, and negative savings are reported, not raised.
     """
-    ev = evaluate_offload(scenario, cfg)
-    if with_retransmission:
-        return retransmit_saving(ev, cfg)
-    return reroute_saving(ev, cfg)
+    evals = evaluate_offload([scenario], cfg)
+    if isinstance(evals[0], OffloadEvaluation):
+        channel.warn_if_saturated(evals[0].airtime)
+    policy = retransmit_savings if with_retransmission else reroute_savings
+    report, = policy(evals, cfg)
+    if isinstance(report, Exception):
+        raise report
+    return report
 
 
 def end_to_end_delay(cfg: ModelConfig, arrival_rate: float) -> DelayReport:

@@ -20,12 +20,12 @@ their owners: the link budget from the config's ``ChannelConfig``, the
 fleet service rate of the delay simulation from the analytic
 ``DelayReport``.
 
-The energy analysis answers a chunk at once: each point allocates its
-scenario, and ``offload.retransmit_savings`` prices them all, the fleet
-bills in one array pass per group of points sharing a fleet shape and
-window, the link side in one pass each for the whole chunk.  Each cell
+The energy and outage analyses answer a chunk at once: each point builds
+its scenario, ``offload.evaluate_offload`` prices the chunk in array
+passes and the delivery policies price its evaluations (the outage bounds
+are one array call each, and give the evaluation its drops).  Each cell
 keeps the bits ``offload.saving`` gives it, and a point's link saturation
-is read from its airtime rather than from a captured warning.
+is read from its evaluation rather than from a warning.
 
 Per-point failures (a polar night, an overloaded fleet) land in the
 row's ``error`` column and the sweep carries on; a sweep where every
@@ -45,7 +45,6 @@ import csv
 import io
 import json
 import math
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 
@@ -54,8 +53,8 @@ import numpy as np
 from . import channel, offload, queueing
 from ._version import __version__
 from .config import ModelConfig, Scenario, config_hash, uniform_split
-from .errors import (ConfigError, LinkRateError, LinkSaturationWarning,
-                     OverloadError, PolarError, StabilityError)
+from .errors import (ConfigError, LinkRateError, OverloadError, PolarError,
+                     StabilityError)
 
 AXES = ("latitude", "day", "hap_servers", "arrival_rate")
 
@@ -204,7 +203,7 @@ class _Analysis:
     order and the row's error message or None; a ``_ROW_ERRORS`` exception
     that escapes it blanks the whole row.  ``rows(cfg, spec, points)``,
     when set, answers a chunk of (index, value) points instead, one
-    (row, saturated) pair each as ``_point`` gives.  ``offload_rate``
+    (row, saturated) pair each.  ``offload_rate``
     analyses read the grid value as the per-platform offload arrival rate
     instead of applying it to the config, so they take only the
     ``arrival_rate`` axis, head their first column ``lambda`` and record
@@ -247,16 +246,16 @@ def _energy_rows(cfg, spec, points):
             row[-1] = str(exc)
         else:
             allocated.append((len(answered) - 1, sc))
-    for (k, _), (report, saturated) in zip(
-            allocated,
-            offload.retransmit_savings([sc for _, sc in allocated], cfg)):
+    evals = offload.evaluate_offload([sc for _, sc in allocated], cfg)
+    for (k, _), ev, report in zip(allocated, evals,
+                                  offload.retransmit_savings(evals, cfg)):
         row = answered[k][0]
         if isinstance(report, Exception):
             row[-1] = str(report)
         else:
             row[1:5] = (report.e_tdc_j, report.e_hybrid_j,
                         report.saved_rate, report.retransmissions)
-            answered[k] = row, saturated
+            answered[k] = row, ev.saturated
     return answered
 
 
@@ -264,34 +263,53 @@ def _offload_scenario(cfg: ModelConfig, per_link_rate: float):
     """Scenario whose platforms each carry ``per_link_rate`` of offload.
 
     The ground fleet keeps whatever the configured total leaves over
-    (never negative).
+    (never negative); OverloadError when it has no server to take that.
     """
     sc = cfg.scenario
     hap = uniform_split(per_link_rate, sc.hap_servers)
     ground_total = max(0.0, cfg.workload.arrival_rate_total
                        - per_link_rate * sc.hap_count)
+    if ground_total > 0 and sc.ground_servers == 0:
+        raise OverloadError("no ground servers to take the residual workload")
     ground = uniform_split(ground_total, sc.ground_servers)
     return replace(sc, hap_rates=hap, ground_rates=ground)
 
 
-def _outage_row(cfg, spec, index, value):
+def _outage_rows(cfg, spec, points):
+    """Outage rows of a chunk of grid points, each with whether its
+    offered traffic saturates the link: the link columns, kept on every
+    row, and both policies priced on the chunk's evaluations, each saving
+    cell as ``saving`` gives it.  ``_outage_mc`` fills the Monte Carlo
+    cells once every row is in."""
     ch = cfg.channel
-    demand = channel.spectral_demand(ch, cfg.workload, value)
-    lb = channel.ccdf_lower(ch, demand)
-    ub = channel.ccdf_upper(ch, demand)
-    drop = 1.0 - lb
-    # the Monte Carlo cells are filled by _outage_mc once every row is in
-    link = [lb, ub, None, None, drop]
-    try:
-        # both policies price one evaluation; its per-link rate sums the
-        # exact split of ``value``, so ``drop`` is the drop_probability
-        # the evaluation would compute
-        ev = offload.evaluate_offload(_offload_scenario(cfg, value), cfg, drop)
-        with_r = offload.retransmit_saving(ev, cfg)
-        without = offload.reroute_saving(ev, cfg)
-    except _ROW_ERRORS as exc:
-        return link + [None, None], str(exc)
-    return link + [with_r.saved_rate, without.saved_rate], None
+    values = [value for _, value in points]
+    demands = channel.spectral_demand(ch, cfg.workload, np.array(values))
+    answered, offered = [], []
+    for value, lb, ub in zip(values, channel.ccdf_lower(ch, demands).tolist(),
+                             channel.ccdf_upper(ch, demands).tolist()):
+        row = [value, lb, ub, None, None, 1.0 - lb, None, None, None]
+        answered.append((row, False))
+        try:
+            offered.append((len(answered) - 1, _offload_scenario(cfg, value)))
+        except OverloadError as exc:
+            row[-1] = str(exc)
+    # each scenario's per-link rate sums the exact split of its value, so
+    # the row's drop cell is the drop_probability the evaluation would take
+    evals = offload.evaluate_offload([sc for _, sc in offered], cfg,
+                                     [answered[k][0][5] for k, _ in offered])
+    for (k, _), ev, with_r, without in zip(
+            offered, evals, offload.retransmit_savings(evals, cfg),
+            offload.reroute_savings(evals, cfg)):
+        row = answered[k][0]
+        # both policies hold an evaluation's error; only the reroute holds
+        # the error of a reroute the ground fleet cannot take
+        if isinstance(without, Exception):
+            row[-1] = str(without)
+        else:
+            row[6:8] = with_r.saved_rate, without.saved_rate
+        answered[k] = row, (isinstance(ev, offload.OffloadEvaluation)
+                            and ev.saturated)
+    return answered
 
 
 def _mc_chunk(args):
@@ -340,7 +358,7 @@ _ENERGY = _Analysis("energy", ("e_tdc", "e_hybrid", "saved_rate", "n_retx"),
 _OUTAGE = _Analysis("outage", ("ccdf_lb", "ccdf_ub", "ccdf_mc", "ccdf_mc_se",
                                "drop_rate", "saved_with_retx",
                                "saved_without"),
-                    _outage_row, needs_fleet=True, offload_rate=True,
+                    rows=_outage_rows, needs_fleet=True, offload_rate=True,
                     finish=_outage_mc)
 _DELAY = _Analysis("delay", ("analytic_wait", "des_wait", "des_se", "rtt",
                              "total", "regime"),
@@ -349,37 +367,16 @@ _DELAY = _Analysis("delay", ("analytic_wait", "des_wait", "des_se", "rtt",
 
 # --- the engine -------------------------------------------------------------
 
-def _captured(step, *args):
-    """``step(*args)`` run as part of one grid point's work.
-
-    Returns its result (None when it raised), the message of the
-    ``_ROW_ERRORS`` exception it raised or None, and whether it warned
-    that the link saturates; any other warning is passed on.
-    """
-    result = error = None
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", LinkSaturationWarning)
-        try:
-            result = step(*args)
-        except _ROW_ERRORS as exc:
-            error = str(exc)
-    saturated = False
-    for w in caught:
-        if issubclass(w.category, LinkSaturationWarning):
-            saturated = True
-        else:
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    return result, error, saturated
-
-
 def _point(analysis, cfg, spec, index, value):
-    """One grid point: its row and whether it offered the link more
-    traffic than it carries."""
+    """One grid point's row, with the link never saturated: no analysis
+    that answers single points offers the link traffic."""
     if not analysis.offload_rate:
         cfg = apply_axis(cfg, spec.axis, value)
-    answer, error, saturated = _captured(analysis.row, cfg, spec, index, value)
-    cells, error = answer or ([None] * len(analysis.columns), error)
-    return [value, *cells, error], saturated
+    try:
+        cells, error = analysis.row(cfg, spec, index, value)
+    except _ROW_ERRORS as exc:
+        cells, error = [None] * len(analysis.columns), str(exc)
+    return [value, *cells, error], False
 
 
 def _chunk(args):

@@ -14,7 +14,7 @@ from hapdc.config import (
     WindSpec,
     uniform_split,
 )
-from hapdc.errors import OverloadError, StabilityError
+from hapdc.errors import LinkSaturationWarning, OverloadError, StabilityError
 
 
 def test_payload_energy_idle_fleet():
@@ -142,11 +142,13 @@ def test_saving_no_fleet_is_zero(shipped_cfg):
 
 def test_saving_study_point(shipped_cfg):
     """Northern summer site offloading at the admissible rate saves on the
-    order of a tenth of the baseline bill."""
+    order of a tenth of the baseline bill.  It offers the link more than
+    twice what it carries, which saving() reports as a warning."""
     cfg = replace(shipped_cfg,
                   scenario=replace(shipped_cfg.scenario, latitude_deg=60.0))
     scen = offload.allocated_scenario(cfg)
-    report = offload.saving(scen, cfg, with_retransmission=True)
+    with pytest.warns(LinkSaturationWarning):
+        report = offload.saving(scen, cfg, with_retransmission=True)
     assert 0.05 <= report.saved_rate <= 0.25
     assert report.e_tdc_j > report.e_hybrid_j
 

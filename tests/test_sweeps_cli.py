@@ -17,8 +17,9 @@ import pytest
 
 from hapdc import channel, cli, offload, queueing, sweeps, thermal
 from hapdc.config import ModelConfig, WorkloadSpec, load_config
-from hapdc.errors import ConfigError, OverloadError
+from hapdc.errors import ConfigError, LinkSaturationWarning, OverloadError
 
+import offload_reference
 from conftest import REPO_ROOT, SHIPPED_CONFIG
 
 
@@ -277,6 +278,33 @@ def test_outage_fleet_overload_keeps_link_columns(shipped_cfg):
     assert out.all_failed
 
 
+def test_outage_without_ground_servers_errs_per_row(shipped_cfg, tmp_path,
+                                                   capsys):
+    # a residual with no ground server to take it, or dropped traffic with
+    # none to absorb it, lands in its own row's error cell with the link
+    # columns kept, and the sweep carries on
+    no_ground = sweeps.apply_fixed(shipped_cfg, {"ground_servers": 0})
+    spec = sweeps.SweepSpec("arrival_rate", 0.0, 20_000.0, 4000.0, samples=1)
+    out = sweeps.run_outage_sweep(no_ground, spec)
+    fleet = sweeps.run_outage_sweep(shipped_cfg, spec)
+    assert [row[-1] for row in out.rows] == (
+        ["no ground servers to take the residual workload"] * 5
+        + ["no ground servers to absorb dropped workload"])
+    for row, kept in zip(out.rows, fleet.rows):
+        assert row[:6] == kept[:6] and row[6:8] == [None, None]
+    # on the command line every row errs, so the run is infeasible, not a
+    # usage error
+    cfg = tmp_path / "no_ground.yaml"
+    cfg.write_text("scenario: {ground_servers: 0}\n")
+    csv_out = tmp_path / "outage.csv"
+    rc = cli.main(["outage", "--config", str(cfg), "--axis", "arrival_rate",
+                   "--range", "0:12000:4000", "--samples", "100",
+                   "--out", str(csv_out)])
+    assert rc == 4
+    assert "error:" not in capsys.readouterr().err
+    assert csv_out.read_text().count("no ground servers") == 4
+
+
 def test_outage_sweep_worker_count_invariant(shipped_cfg):
     spec1 = sweeps.SweepSpec("arrival_rate", 2000.0, 6000.0, 2000.0,
                              seed=9, samples=30_000, workers=1)
@@ -284,6 +312,20 @@ def test_outage_sweep_worker_count_invariant(shipped_cfg):
     a = sweeps.run_outage_sweep(shipped_cfg, spec1)
     b = sweeps.run_outage_sweep(shipped_cfg, spec2)
     assert sweeps.render_csv(a) == sweeps.render_csv(b)
+    # 11 points across the gate (about 5362 task/s) and the link's
+    # saturation, cut into 6 + 5 and 3 + 4 + 4 chunks
+    spec = sweeps.SweepSpec("arrival_rate", 0.0, 12_000.0, 1100.0,
+                            seed=9, samples=2000)
+    gate = offload.drop_gate(shipped_cfg)
+    values = spec.values()
+    assert values[0] < gate < values[-1]
+    one = sweeps.run_outage_sweep(shipped_cfg, spec)
+    assert 0 < int(one.notes[0].split()[0]) < len(values)
+    for workers in (2, 3):
+        many = sweeps.run_outage_sweep(shipped_cfg,
+                                       replace(spec, workers=workers))
+        assert sweeps.render_csv(many) == sweeps.render_csv(one)
+        assert many.notes == one.notes
 
 
 def test_outage_sweep_notes_saturated_rows(shipped_cfg):
@@ -303,7 +345,9 @@ def test_outage_sweep_notes_saturated_rows(shipped_cfg):
 def _outage_cases(shipped_cfg):
     """(config, grid values) pairs covering each branch of the saving cells:
     the gate closed and open, a drop of 1.0, two platforms, no airborne
-    server, and a ground residual over the utilization ceiling."""
+    server, a ground residual over the utilization ceiling, a residual with
+    no ground server to take it, and dropped traffic with no ground server
+    to absorb it (no offered total, so only the drops need one)."""
     rng = np.random.default_rng(21)
     seeded = sorted(rng.uniform(0.0, 12_000.0, 12).tolist())
     two = replace(shipped_cfg, scenario=replace(shipped_cfg.scenario,
@@ -311,36 +355,64 @@ def _outage_cases(shipped_cfg):
     grounded = sweeps.apply_fixed(shipped_cfg, {"hap_servers": 0})
     longer = replace(shipped_cfg, workload=replace(shipped_cfg.workload,
                                                    task_length_instr=4.0e6))
+    no_ground = sweeps.apply_fixed(shipped_cfg, {"ground_servers": 0})
+    idle = replace(no_ground, workload=replace(no_ground.workload,
+                                               arrival_rate_total=0.0))
     return [(shipped_cfg, [0.0, 3000.0, 5400.0, 7000.0, 11_000.0] + seeded),
             (two, [0.0, 4000.0, 9000.0]),
             (grounded, [0.0]),
-            (longer, [2000.0, 6000.0])]
+            (longer, [2000.0, 6000.0]),
+            (no_ground, [0.0, 8000.0, 20_000.0]),
+            (idle, [0.0, 3000.0, 6000.0, 9000.0])]
+
+
+def _priced(price, sc, cfg, flag):
+    """The report ``price`` gives, or the text of its OverloadError."""
+    try:
+        return price(sc, cfg, with_retransmission=flag)
+    except OverloadError as exc:
+        return str(exc)
 
 
 def test_outage_saving_cells_equal_saving_bit_for_bit(shipped_cfg):
-    # one shared evaluation prices both policies exactly as two saving()
-    # calls on the row's scenario would, error text included
+    # one evaluation of the chunk prices both policies exactly as two
+    # saving() calls, and the one-scenario reference, give them on each
+    # row's scenario, error text included; the bounds are the scalar calls'
     spec = sweeps.SweepSpec("arrival_rate", 0.0, 1.0, 1.0)
-    seen = {"closed": 0, "open": 0, "drop 1": 0, "error": 0}
-    for cfg, values in _outage_cases(shipped_cfg):
-        for k, value in enumerate(values):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                cells, error = sweeps._outage_row(cfg, spec, k, value)
+    seen = dict.fromkeys(("closed", "open", "drop 1", "exceeds ceiling",
+                          "residual", "absorb"), 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rows = [(cfg, value, row) for cfg, values in _outage_cases(shipped_cfg)
+                for (row, _), value in zip(
+                    sweeps._outage_rows(cfg, spec, list(enumerate(values))),
+                    values)]
+        for cfg, value, row in rows:
+            ch = cfg.channel
+            demand = channel.spectral_demand(ch, cfg.workload, value)
+            lb = channel.ccdf_lower(ch, demand)
+            assert row[:6] == [value, lb, channel.ccdf_upper(ch, demand),
+                               None, None, 1.0 - lb]
+            try:
                 sc = sweeps._offload_scenario(cfg, value)
-                try:
-                    want = [offload.saving(sc, cfg, with_retransmission=flag)
-                            .saved_rate for flag in (True, False)]
-                    want_error = None
-                except OverloadError as exc:
-                    want, want_error = [None, None], str(exc)
-            assert cells[5:] == want, (value, cells, want)
-            assert error == want_error
-            if error is not None:
-                seen["error"] += 1
-            elif cells[4] == 1.0:
+            except OverloadError as exc:
+                reports = [str(exc)] * 2
+            else:
+                reports = [_priced(offload.saving, sc, cfg, flag)
+                           for flag in (True, False)]
+                assert reports == [
+                    _priced(offload_reference.saving, sc, cfg, flag)
+                    for flag in (True, False)], value
+            # a policy's error blanks both cells; the reroute's comes last
+            errors = [r for r in reports if isinstance(r, str)]
+            want = [None, None] if errors else [r.saved_rate for r in reports]
+            assert row[6:] == [*want, errors[-1] if errors else None], (
+                value, row, reports)
+            if errors:
+                seen[next(k for k in seen if k in errors[-1])] += 1
+            elif row[5] == 1.0:
                 seen["drop 1"] += 1
-            elif cells[5] != cells[6]:
+            elif row[6] != row[7]:
                 seen["open"] += 1
             else:
                 seen["closed"] += 1
@@ -348,6 +420,8 @@ def test_outage_saving_cells_equal_saving_bit_for_bit(shipped_cfg):
 
 
 def test_outage_row_evaluates_the_baseline_once(shipped_cfg, monkeypatch):
+    # the baselines of a chunk are one array pass, and its drops are the
+    # rows' own 1 - ccdf_lb, so no drop probability is evaluated
     calls = {"tdc_total_energy": 0, "drop_probability": 0}
 
     def counting(module, name):
@@ -364,8 +438,13 @@ def test_outage_row_evaluates_the_baseline_once(shipped_cfg, monkeypatch):
     spec = sweeps.SweepSpec("arrival_rate", 0.0, 12_000.0, 2000.0, samples=1)
     out = sweeps.run_outage_sweep(shipped_cfg, spec)
     assert any(row[5] > 0.0 for row in out.rows)  # some rows drop traffic
-    assert calls == {"tdc_total_energy": len(out.rows),
-                     "drop_probability": 0}
+    assert calls == {"tdc_total_energy": 1, "drop_probability": 0}
+    points = list(enumerate(spec.values()))
+    rows = (sweeps._outage_rows(shipped_cfg, spec, points[:3])
+            + sweeps._outage_rows(shipped_cfg, spec, points[3:]))
+    assert calls == {"tdc_total_energy": 3, "drop_probability": 0}
+    assert [row[:3] + row[5:] for row, _ in rows] \
+        == [row[:3] + row[5:] for row in out.rows]
 
 
 # --- delay sweep -------------------------------------------------------------
@@ -690,6 +769,7 @@ def _energy_grids(shipped_cfg):
 
 
 def test_energy_cells_equal_saving_per_point(shipped_cfg):
+    # each row holds what saving() and the one-scenario reference report
     seen = {"polar": 0, "overload": 0, "closed": 0, "open": 0, "shapes": 0}
     gate = offload._reliable_rate(
         shipped_cfg.channel, shipped_cfg.workload.bits_per_instruction,
@@ -707,6 +787,8 @@ def test_energy_cells_equal_saving_per_point(shipped_cfg):
                 try:
                     sc = offload.allocated_scenario(point)
                     rep = offload.saving(sc, point, with_retransmission=True)
+                    assert rep == offload_reference.saving(
+                        sc, point, with_retransmission=True)
                     want = [rep.e_tdc_j, rep.e_hybrid_j, rep.saved_rate,
                             rep.retransmissions]
                     error = None
@@ -879,23 +961,31 @@ def test_energy_link_rate_error_lands_after_the_bills(shipped_cfg):
 
 
 def test_energy_pricing_passes_other_warnings_on(shipped_cfg, monkeypatch):
-    real_drop = channel.drop_probability
+    # the chunk pricing of both the energy and the outage rows reads
+    # saturation from the airtime, so a warning of another category
+    # reaches the caller and none of the link's escapes
+    real_link = channel.link_energy
 
     def noisy(*args):
         warnings.warn("unrelated", UserWarning)
-        return real_drop(*args)
+        return real_link(*args)
 
-    monkeypatch.setattr(channel, "drop_probability", noisy)
-    with pytest.warns(UserWarning, match="unrelated"):
-        out = sweeps.run_energy_sweep(
-            shipped_cfg, sweeps.SweepSpec("day", 150.0, 152.0, 1.0))
-    assert out.notes[0].startswith("3 grid point(s)")
+    monkeypatch.setattr(channel, "link_energy", noisy)
+    for kind, spec in (
+            ("energy", sweeps.SweepSpec("day", 150.0, 152.0, 1.0)),
+            ("outage", sweeps.SweepSpec("arrival_rate", 0.0, 12_000.0,
+                                        2000.0, samples=1))):
+        with pytest.warns(UserWarning, match="unrelated") as record:
+            out = sweeps.RUNNERS[kind](shipped_cfg, spec)
+        assert not [w for w in record
+                    if issubclass(w.category, LinkSaturationWarning)], kind
+        assert out.notes[0].startswith("3 grid point(s)"), kind
 
 
-def test_only_the_energy_analysis_is_cut_per_worker(shipped_cfg,
-                                                    monkeypatch):
-    # delay and outage points differ in cost, so they go to the pool one
-    # point per task; the energy analysis gets one chunk per worker
+def test_energy_and_outage_analyses_are_cut_per_worker(shipped_cfg,
+                                                        monkeypatch):
+    # delay points differ in cost, so they go to the pool one point per
+    # task; the energy and outage analyses get one chunk per worker
     tasks = []
     real = sweeps._map_points
 
@@ -912,4 +1002,4 @@ def test_only_the_energy_analysis_is_cut_per_worker(shipped_cfg,
         sweeps.run_delay_sweep(shipped_cfg, spec)
         sweeps.run_outage_sweep(shipped_cfg, spec)
         sweeps.run_energy_sweep(shipped_cfg, spec)
-    assert tasks == [[1] * 5, [1] * 5, [1, 2, 2]]
+    assert tasks == [[1] * 5, [1, 2, 2], [1, 2, 2]]

@@ -17,6 +17,8 @@ from hapdc.config import (CoolingSpec, ModelConfig, Scenario, ServerSpec,
                           WorkloadSpec, uniform_split)
 from hapdc.errors import LinkSaturationWarning, OverloadError
 
+import offload_reference
+
 
 def _random_instance(rng):
     server = ServerSpec(
@@ -481,12 +483,30 @@ def test_batched_overloaded_row_keeps_the_other_rows(monkeypatch):
     monkeypatch.setattr(channel, "drop_probability",
                         lambda *args: drops.append(args[2]) or real_drop(*args))
     monkeypatch.setattr(offload, "_reliable_rate", lambda *args: 0.0)
-    priced = offload.retransmit_savings(scenarios, cfg)
-    assert str(priced[1][0]) == str(loop.value) and not priced[1][1]
+    evals = offload.evaluate_offload(scenarios, cfg)
+    priced = offload.retransmit_savings(evals, cfg)
+    assert evals[1] is priced[1] and str(priced[1]) == str(loop.value)
     assert [r.tolist() for r in drops] == [[math.fsum(rows[0]),
                                             math.fsum(rows[2])]]
+    # rerouting every dropped task overloads the other two rows' ground
+    # fleets, which their reroute reports hold
+    rerouted = offload.reroute_savings(evals, cfg)
+    assert rerouted[1] is evals[1]
+
+    def reported(saving, flag):
+        out = []
+        for k in (0, 2):
+            try:
+                out.append(saving(scenarios[k], cfg, with_retransmission=flag))
+            except OverloadError as exc:
+                out.append(str(exc))
+        return out
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LinkSaturationWarning)
-        assert [priced[0][0], priced[2][0]] == [
-            offload.saving(scenarios[k], cfg, with_retransmission=True)
-            for k in (0, 2)]
+        for flag, got in ((True, priced), (False, rerouted)):
+            want = reported(offload.saving, flag)
+            assert [r if isinstance(r, offload.SavingReport) else str(r)
+                    for r in (got[0], got[2])] == want
+            assert want == reported(offload_reference.saving, flag)
+    assert all(isinstance(r, OverloadError) for r in rerouted)
