@@ -96,18 +96,6 @@ class DelayReport:
     transport_dominated: bool
 
 
-def payload_energy(hap_rates, server: ServerSpec, task_len: float,
-                   window: tuple[float, float]) -> float:
-    """Compute energy of the airborne servers over the window, J.
-
-    The stratosphere cools the platform for free, so payload energy is
-    compute only; OverloadError if any rate breaks the utilization ceiling.
-    A rows x servers batch is priced as ``thermal.fleet_compute_energy``
-    prices one.
-    """
-    return thermal.fleet_compute_energy(server, hap_rates, task_len, window)
-
-
 def high_load_threshold(server: ServerSpec, task_len: float) -> float:
     """Per-server arrival rate at the utilization ceiling, task/s."""
     return server.desired_utilization * server.service_rate_ips / task_len
@@ -161,8 +149,8 @@ def flying_condition(scenario: Scenario, cfg: ModelConfig) -> FlyingAssessment:
                                        scenario.day_of_year, window)
     wind = cfg.wind.speed_at(scenario.latitude_deg, scenario.day_of_year)
     propulsion = aero.propulsion_energy(cfg.hap, wind, window)
-    payload = payload_energy(scenario.hap_rates, cfg.server,
-                             cfg.workload.task_length_instr, window)
+    payload = thermal.fleet_compute_energy(
+        cfg.server, scenario.hap_rates, cfg.workload.task_length_instr, window)
     slack = harvested - payload - propulsion
     return FlyingAssessment(
         harvested_j=harvested, payload_j=payload, propulsion_j=propulsion,
@@ -213,12 +201,14 @@ def split_bills(scenarios: list[Scenario], cfg: ModelConfig) -> list:
     """(ground bill, per-platform payload energy) of each of ``scenarios``,
     which share one fleet shape and window, J; each bill is priced for all
     scenarios in one array pass, and a row over the utilization ceiling
-    holds its OverloadError in place of the bill."""
+    holds its OverloadError in place of the bill.  The stratosphere cools
+    the platform for free, so payload energy is compute only."""
     window = scenarios[0].window
     ground = thermal.ground_energy([s.ground_rates for s in scenarios], cfg,
                                    window)
-    payload = payload_energy([s.hap_rates for s in scenarios], cfg.server,
-                             cfg.workload.task_length_instr, window)
+    payload = thermal.fleet_compute_energy(
+        cfg.server, [s.hap_rates for s in scenarios],
+        cfg.workload.task_length_instr, window)
     return list(zip(ground, payload))
 
 
@@ -233,8 +223,9 @@ def hybrid_total_energy(scenario: Scenario, cfg: ModelConfig) -> thermal.EnergyB
     return _hybrid(
         scenario, cfg,
         thermal.ground_energy(scenario.ground_rates, cfg, scenario.window),
-        payload_energy(scenario.hap_rates, cfg.server,
-                       cfg.workload.task_length_instr, scenario.window))
+        thermal.fleet_compute_energy(cfg.server, scenario.hap_rates,
+                                     cfg.workload.task_length_instr,
+                                     scenario.window))
 
 
 def _hybrid(scenario: Scenario, cfg: ModelConfig, ground, payload,

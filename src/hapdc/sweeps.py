@@ -36,7 +36,8 @@ regeneration cycles for an error bar leaves only its two simulation
 cells empty.
 
 Grid points whose offered traffic saturates the link are counted, each
-once, in the result's ``notes`` rather than in the data rows.
+once, in the result's ``notes`` rather than in the data rows; a point
+without energy figures is not counted.
 """
 
 from __future__ import annotations
@@ -46,13 +47,13 @@ import io
 import json
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import channel, offload, queueing
 from ._version import __version__
-from .config import ModelConfig, Scenario, config_hash, uniform_split
+from .config import ModelConfig, config_hash, uniform_split
 from .errors import (ConfigError, LinkRateError, OverloadError, PolarError,
                      StabilityError)
 
@@ -65,7 +66,6 @@ _ROW_ERRORS = (PolarError, OverloadError, StabilityError, LinkRateError)
 class SweepSpec:
     """One axis, an inclusive start:stop:step range, and run controls.
 
-    ``fixed`` holds scenario-field overrides applied before the walk;
     ``outputs`` optionally narrows the emitted metric columns (the axis
     and error columns always stay).
     """
@@ -77,12 +77,9 @@ class SweepSpec:
     seed: int = 0
     samples: int = 100_000
     workers: int = 1
-    fixed: tuple[tuple[str, object], ...] = ()
     outputs: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if isinstance(self.fixed, dict):
-            object.__setattr__(self, "fixed", tuple(self.fixed.items()))
         if self.axis not in AXES:
             raise ConfigError(f"unknown sweep axis {self.axis!r}; "
                               f"expected one of {', '.join(AXES)}")
@@ -129,27 +126,6 @@ class SweepResult:
     def all_failed(self) -> bool:
         """True when every grid point errored (nothing feasible anywhere)."""
         return bool(self.rows) and all(row[-1] is not None for row in self.rows)
-
-
-_SCENARIO_FIELDS = frozenset(f.name for f in fields(Scenario))
-
-
-def apply_fixed(cfg: ModelConfig, fixed) -> ModelConfig:
-    """Apply scenario-field overrides before a sweep walks its axis."""
-    if not fixed:
-        return cfg
-    items = fixed.items() if isinstance(fixed, dict) else fixed
-    updates = {}
-    for key, value in items:
-        if key not in _SCENARIO_FIELDS:
-            raise ConfigError(f"unknown scenario override {key!r}")
-        updates[key] = value
-    for count_key, rates_key in (("hap_servers", "hap_rates"),
-                                 ("ground_servers", "ground_rates")):
-        if count_key in updates and rates_key not in updates:
-            updates[count_key] = int(updates[count_key])
-            updates[rates_key] = (0.0,) * updates[count_key]
-    return replace(cfg, scenario=replace(cfg.scenario, **updates))
 
 
 def _select_columns(result: SweepResult, outputs) -> SweepResult:
@@ -276,11 +252,11 @@ def _offload_scenario(cfg: ModelConfig, per_link_rate: float):
 
 
 def _outage_rows(cfg, spec, points):
-    """Outage rows of a chunk of grid points, each with whether its
-    offered traffic saturates the link: the link columns, kept on every
-    row, and both policies priced on the chunk's evaluations, each saving
-    cell as ``saving`` gives it.  ``_outage_mc`` fills the Monte Carlo
-    cells once every row is in."""
+    """Outage rows of a chunk of grid points, each with whether it prices
+    a saving on offered traffic that saturates the link: the link columns,
+    kept on every row, and both policies priced on the chunk's
+    evaluations, each saving cell as ``saving`` gives it.  ``_outage_mc``
+    fills the Monte Carlo cells once every row is in."""
     ch = cfg.channel
     values = [value for _, value in points]
     demands = channel.spectral_demand(ch, cfg.workload, np.array(values))
@@ -307,8 +283,7 @@ def _outage_rows(cfg, spec, points):
             row[-1] = str(without)
         else:
             row[6:8] = with_r.saved_rate, without.saved_rate
-        answered[k] = row, (isinstance(ev, offload.OffloadEvaluation)
-                            and ev.saturated)
+            answered[k] = row, ev.saturated
     return answered
 
 
@@ -322,8 +297,7 @@ def _mc_chunk(args):
 def _outage_mc(cfg: ModelConfig, spec: SweepSpec, values, rows) -> None:
     """Fill every outage row's Monte Carlo cells from one chunked pass."""
     ch = cfg.channel
-    demands = np.array([channel.spectral_demand(ch, cfg.workload, v)
-                        for v in values])
+    demands = channel.spectral_demand(ch, cfg.workload, np.array(values))
     chunk = channel.MC_CHUNK
     chunk_args = [(ch, demands, min(chunk, spec.samples - first), spec.seed, c)
                   for c, first in enumerate(range(0, spec.samples, chunk))]
@@ -392,7 +366,6 @@ def _run(analysis: _Analysis, cfg: ModelConfig, spec: SweepSpec) -> SweepResult:
     if analysis.offload_rate and spec.axis != "arrival_rate":
         raise ConfigError(
             f"{analysis.name} sweeps run over the arrival_rate axis")
-    cfg = apply_fixed(cfg, spec.fixed)
     if analysis.needs_fleet and cfg.scenario.hap_servers < 1:
         raise ConfigError(
             f"{analysis.name} sweep needs at least one airborne server")

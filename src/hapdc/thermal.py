@@ -5,16 +5,17 @@ configured initial state toward steady state.  Cooling energy over a window
 has a closed form (sum of exponential relaxations); tests check it against
 direct quadrature of the instantaneous cooling power.
 
-The fleet bills take one fleet's rate vector or a rows x servers array,
-one fleet per row, priced in one array pass.  Each server's power and heat
-addend is the scalar expression evaluated elementwise, each CRAC's heat is
-summed in server order with ``np.add.accumulate`` (strictly sequential, so
-it rounds as a scalar loop does), the CRAC totals are added in CRAC order,
-and a fleet's compute energy is one correctly rounded ``math.fsum``.  A
-single fleet over the utilization ceiling raises the OverloadError naming
-its first server over it; a batch row holds that error in place of its
-bill.  ``ground_energy`` is the one ground bill, compute plus cooling, that
-the all-ground baseline and the split system's ground side both pay.
+The fleet bills price a rows x servers array, one fleet per row, in one
+array pass; one fleet's rate vector is priced as the one-row batch.  Each
+server's power and heat addend is the scalar expression evaluated
+elementwise, each CRAC's heat is summed in server order with
+``np.add.accumulate`` (strictly sequential, so it rounds as a scalar loop
+does), the CRAC totals are added in CRAC order, and a fleet's compute
+energy is one correctly rounded ``math.fsum``.  A batch row over the
+utilization ceiling holds the OverloadError naming its first server over
+it in place of its bill; a single fleet raises it.  ``ground_energy`` is
+the one ground bill, compute plus cooling, that the all-ground baseline
+and the split system's ground side both pay.
 """
 
 from __future__ import annotations
@@ -62,28 +63,30 @@ def compute_energy(server: ServerSpec, rate, task_len: float,
 
 
 def _billed(server: ServerSpec, rates, task_len: float, bill, *args):
-    """``bill(power, *args)`` of the per-server power at ``rates``: one
-    fleet's rate vector, whose OverloadError is raised, or a rows x servers
-    batch, one fleet per row, which gets a list of each row's bill or its
-    error.  ``bill`` prices each fleet along the last axis of ``power``.
+    """``bill(power, *args)`` of the per-server power at ``rates``, a rows x
+    servers batch, one fleet per row: a list of each row's bill or its
+    OverloadError.  One fleet's rate vector is the one-row batch, and its
+    row's bill is returned or its error raised.  ``bill`` prices each fleet
+    along the last axis of ``power``.
     """
     rates = np.asarray(rates, dtype=float)
-    if rates.ndim < 2:
-        return bill(compute_power(server, rates, task_len), *args)
-    # a batch row over the ceiling is priced, then its bill replaced
-    u = utilization(server, rates, task_len)
+    # a row over the ceiling is priced, then its bill replaced
+    u = utilization(server, np.atleast_2d(rates), task_len)
     over = u > server.desired_utilization * (1.0 + 1e-12)
     bills = bill(server.p_idle + (server.p_peak - server.p_idle) * u, *args)
     for row in np.flatnonzero(over.any(axis=1)):
         bills[row] = _overload(server, u[row, over[row].argmax()])
-    return bills
+    if rates.ndim == 2:
+        return bills
+    if isinstance(bills[0], OverloadError):
+        raise bills[0]
+    return bills[0]
 
 
 def _compute_bill(power: np.ndarray, window: tuple[float, float]):
     """Compute energy over the window of each fleet along the last axis of
     ``power``: one correctly rounded sum per fleet, J."""
-    energy = (power * (window[1] - window[0])).tolist()
-    return math.fsum(energy) if power.ndim == 1 else list(map(math.fsum, energy))
+    return list(map(math.fsum, (power * (window[1] - window[0])).tolist()))
 
 
 def fleet_compute_energy(server: ServerSpec, rates, task_len: float,
@@ -91,11 +94,6 @@ def fleet_compute_energy(server: ServerSpec, rates, task_len: float,
     """Compute energy of a fleet at per-server ``rates`` over the window, J:
     one correctly rounded sum of the per-server energies.  A rows x servers
     batch gets a list of each row's energy or its OverloadError."""
-    rates = np.asarray(rates, dtype=float)
-    if rates.ndim < 2:
-        # one fleet, the hot case, without the batch dispatch
-        return math.fsum(compute_energy(server, rates, task_len,
-                                        window).tolist())
     return _billed(server, rates, task_len, _compute_bill, window)
 
 
@@ -268,12 +266,10 @@ def _ground_bill(power: np.ndarray, cfg: ModelConfig,
                  window: tuple[float, float]):
     """Compute plus cooling of each ground fleet along the last axis of
     ``power``, J."""
-    compute = _compute_bill(power, window)
-    cooling = _cooling_bill(power, cfg.server, cfg.cooling, window)
-    if power.ndim == 1:
-        return EnergyBreakdown.from_parts(compute_j=compute, cooling_j=cooling)
     return [EnergyBreakdown.from_parts(compute_j=c, cooling_j=k)
-            for c, k in zip(compute, cooling)]
+            for c, k in zip(_compute_bill(power, window),
+                            _cooling_bill(power, cfg.server, cfg.cooling,
+                                          window))]
 
 
 def ground_energy(rates, cfg: ModelConfig, window: tuple[float, float]):
@@ -291,9 +287,7 @@ def tdc_total_energy(scenario: Scenario | list[Scenario], cfg: ModelConfig):
     so the baseline serves the identical workload.  ``scenario`` may also be
     a list of scenarios sharing one fleet shape and window, priced in one
     array pass as ``ground_energy`` prices a batch."""
-    if isinstance(scenario, Scenario):
-        return ground_energy(scenario.ground_rates
-                             + scenario.hap_rates * scenario.hap_count,
-                             cfg, scenario.window)
-    return ground_energy([s.ground_rates + s.hap_rates * s.hap_count
-                          for s in scenario], cfg, scenario[0].window)
+    one = isinstance(scenario, Scenario)
+    batch = [scenario] if one else scenario
+    fleets = [s.ground_rates + s.hap_rates * s.hap_count for s in batch]
+    return ground_energy(fleets[0] if one else fleets, cfg, batch[0].window)

@@ -19,14 +19,14 @@ from hapdc.errors import LinkSaturationWarning, OverloadError, StabilityError
 
 def test_payload_energy_idle_fleet():
     s = ServerSpec()
-    e = offload.payload_energy((0.0,) * 12, s, 1e6, (0.0, 3600.0))
+    e = thermal.fleet_compute_energy(s, (0.0,) * 12, 1e6, (0.0, 3600.0))
     assert math.isclose(e, 12 * s.p_idle * 3600.0, rel_tol=1e-12)
 
 
 def test_payload_energy_full_server():
     s = ServerSpec()
     cap = offload.high_load_threshold(s, 1e6)
-    e = offload.payload_energy((cap,), s, 1e6, (0.0, 100.0))
+    e = thermal.fleet_compute_energy(s, (cap,), 1e6, (0.0, 100.0))
     assert math.isclose(e, s.p_peak * 100.0, rel_tol=1e-12)
 
 

@@ -63,12 +63,7 @@ def test_spec_axis_domains():
         sweeps.SweepSpec("arrival_rate", -5.0, 5.0, 1.0).values()
 
 
-def test_spec_fixed_dict_coerced():
-    spec = sweeps.SweepSpec("day", 1.0, 2.0, 1.0, fixed={"hap_count": 2})
-    assert spec.fixed == (("hap_count", 2),)
-
-
-# --- axis / fixed application ------------------------------------------------
+# --- axis application --------------------------------------------------------
 
 def test_apply_axis(shipped_cfg):
     pt = sweeps.apply_axis(shipped_cfg, "latitude", -10.0)
@@ -82,14 +77,9 @@ def test_apply_axis(shipped_cfg):
     assert pt.workload.arrival_rate_total == 5000.0
 
 
-def test_apply_fixed(shipped_cfg):
-    cfg = sweeps.apply_fixed(shipped_cfg, (("hap_servers", 10),
-                                           ("latitude_deg", 55.0)))
-    assert cfg.scenario.hap_servers == 10
-    assert cfg.scenario.hap_rates == (0.0,) * 10
-    assert cfg.scenario.latitude_deg == 55.0
-    with pytest.raises(ConfigError):
-        sweeps.apply_fixed(shipped_cfg, (("service_rate_mips", 1.0),))
+def _with_scenario(cfg, **changes):
+    """``cfg`` with the given scenario fields replaced."""
+    return replace(cfg, scenario=replace(cfg.scenario, **changes))
 
 
 # --- flying sweep ------------------------------------------------------------
@@ -109,9 +99,9 @@ def test_flying_sweep_matches_direct_calls(shipped_cfg):
 
 
 def test_flying_sweep_polar_rows_error(shipped_cfg):
-    spec = sweeps.SweepSpec("latitude", 60.0, 90.0, 10.0,
-                            fixed={"day_of_year": 171.0})
-    out = sweeps.run_flying_sweep(shipped_cfg, spec)
+    spec = sweeps.SweepSpec("latitude", 60.0, 90.0, 10.0)
+    out = sweeps.run_flying_sweep(
+        _with_scenario(shipped_cfg, day_of_year=171.0), spec)
     errs = [row[4] for row in out.rows]
     assert errs[0] is None            # 60 degrees still sees a day cycle
     assert all(e is not None for e in errs[2:])  # 80 and 90 do not
@@ -132,9 +122,9 @@ def test_flying_sweep_decreases_with_fleet_size(shipped_cfg):
 def test_flying_day_sweep_flattest_at_equator(shipped_cfg):
     spreads = {}
     for lat in (0.0, 20.0, 40.0):
-        spec = sweeps.SweepSpec("day", 1.0, 361.0, 30.0,
-                                fixed={"latitude_deg": lat})
-        out = sweeps.run_flying_sweep(shipped_cfg, spec)
+        spec = sweeps.SweepSpec("day", 1.0, 361.0, 30.0)
+        out = sweeps.run_flying_sweep(
+            _with_scenario(shipped_cfg, latitude_deg=lat), spec)
         lams = [row[1] for row in out.rows if row[4] is None]
         spreads[lat] = max(lams) - min(lams)
     assert spreads[0.0] < spreads[20.0] < spreads[40.0]
@@ -177,8 +167,8 @@ def test_energy_sweep_second_platform(shipped_cfg):
     one = sweeps.run_energy_sweep(
         shipped_cfg, sweeps.SweepSpec("day", 150.0, 150.0, 1.0))
     two = sweeps.run_energy_sweep(
-        shipped_cfg, sweeps.SweepSpec("day", 150.0, 150.0, 1.0,
-                                      fixed={"hap_count": 2}))
+        _with_scenario(shipped_cfg, hap_count=2),
+        sweeps.SweepSpec("day", 150.0, 150.0, 1.0))
     assert two.rows[0][3] > one.rows[0][3]
 
 
@@ -283,13 +273,15 @@ def test_outage_without_ground_servers_errs_per_row(shipped_cfg, tmp_path,
     # a residual with no ground server to take it, or dropped traffic with
     # none to absorb it, lands in its own row's error cell with the link
     # columns kept, and the sweep carries on
-    no_ground = sweeps.apply_fixed(shipped_cfg, {"ground_servers": 0})
+    no_ground = _with_scenario(shipped_cfg, ground_servers=0, ground_rates=())
     spec = sweeps.SweepSpec("arrival_rate", 0.0, 20_000.0, 4000.0, samples=1)
     out = sweeps.run_outage_sweep(no_ground, spec)
     fleet = sweeps.run_outage_sweep(shipped_cfg, spec)
     assert [row[-1] for row in out.rows] == (
         ["no ground servers to take the residual workload"] * 5
         + ["no ground servers to absorb dropped workload"])
+    # the saturated last row has no energy figure, so no note counts it
+    assert out.notes == []
     for row, kept in zip(out.rows, fleet.rows):
         assert row[:6] == kept[:6] and row[6:8] == [None, None]
     # on the command line every row errs, so the run is infeasible, not a
@@ -352,10 +344,10 @@ def _outage_cases(shipped_cfg):
     seeded = sorted(rng.uniform(0.0, 12_000.0, 12).tolist())
     two = replace(shipped_cfg, scenario=replace(shipped_cfg.scenario,
                                                 hap_count=2))
-    grounded = sweeps.apply_fixed(shipped_cfg, {"hap_servers": 0})
+    grounded = _with_scenario(shipped_cfg, hap_servers=0, hap_rates=())
     longer = replace(shipped_cfg, workload=replace(shipped_cfg.workload,
                                                    task_length_instr=4.0e6))
-    no_ground = sweeps.apply_fixed(shipped_cfg, {"ground_servers": 0})
+    no_ground = _with_scenario(shipped_cfg, ground_servers=0, ground_rates=())
     idle = replace(no_ground, workload=replace(no_ground.workload,
                                                arrival_rate_total=0.0))
     return [(shipped_cfg, [0.0, 3000.0, 5400.0, 7000.0, 11_000.0] + seeded),
@@ -539,9 +531,9 @@ def test_bench_tracer_targets_exist():
 # --- rendering ---------------------------------------------------------------
 
 def test_csv_shape_and_quoting(shipped_cfg):
-    spec = sweeps.SweepSpec("latitude", 70.0, 90.0, 10.0,
-                            fixed={"day_of_year": 171.0})
-    out = sweeps.run_flying_sweep(shipped_cfg, spec)
+    spec = sweeps.SweepSpec("latitude", 70.0, 90.0, 10.0)
+    out = sweeps.run_flying_sweep(
+        _with_scenario(shipped_cfg, day_of_year=171.0), spec)
     text = sweeps.render_csv(out)
     assert text.startswith("# tool=hapdc ")
     # every line, manifest included, ends with CRLF
@@ -754,17 +746,17 @@ def test_cli_import_leaves_pool_and_validate_unloaded():
 # --- the energy sweep's batched bills ---------------------------------------
 
 def _energy_grids(shipped_cfg):
-    """(spec, what the grid holds) pairs on the four axes: polar rows, a
-    ground residual over the ceiling, the reliable-rate gate closed and
-    open, and one fleet shape per row on the hap_servers axis."""
+    """(config, spec) pairs on the four axes: polar rows, a ground
+    residual over the ceiling, the reliable-rate gate closed and open, and
+    one fleet shape per row on the hap_servers axis."""
     return [
-        sweeps.SweepSpec("latitude", -90.0, 90.0, 15.0),
-        sweeps.SweepSpec("day", 1.0, 365.0, 73.0,
-                         fixed={"latitude_deg": 75.0}),
-        sweeps.SweepSpec("arrival_rate", 0.0, 42_000.0, 3000.0),
-        sweeps.SweepSpec("arrival_rate", 5000.0, 5800.0, 100.0),
-        sweeps.SweepSpec("hap_servers", 1.0, 40.0, 13.0,
-                         fixed={"hap_count": 2}),
+        (shipped_cfg, sweeps.SweepSpec("latitude", -90.0, 90.0, 15.0)),
+        (_with_scenario(shipped_cfg, latitude_deg=75.0),
+         sweeps.SweepSpec("day", 1.0, 365.0, 73.0)),
+        (shipped_cfg, sweeps.SweepSpec("arrival_rate", 0.0, 42_000.0, 3000.0)),
+        (shipped_cfg, sweeps.SweepSpec("arrival_rate", 5000.0, 5800.0, 100.0)),
+        (_with_scenario(shipped_cfg, hap_count=2),
+         sweeps.SweepSpec("hap_servers", 1.0, 40.0, 13.0)),
     ]
 
 
@@ -774,11 +766,10 @@ def test_energy_cells_equal_saving_per_point(shipped_cfg):
     gate = offload._reliable_rate(
         shipped_cfg.channel, shipped_cfg.workload.bits_per_instruction,
         shipped_cfg.workload.task_length_instr)
-    for spec in _energy_grids(shipped_cfg):
+    for cfg, spec in _energy_grids(shipped_cfg):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            out = sweeps.run_energy_sweep(shipped_cfg, spec)
-        cfg = sweeps.apply_fixed(shipped_cfg, spec.fixed)
+            out = sweeps.run_energy_sweep(cfg, spec)
         shapes = set()
         for row, value in zip(out.rows, spec.values()):
             point = sweeps.apply_axis(cfg, spec.axis, value)

@@ -308,7 +308,7 @@ def test_fleet_sums_bitwise_equal_to_loops():
         assert got == _grouped_cooling_loop(list(ground), server, cooling,
                                             task_len, window)
         hap = rates(int(rng.integers(1, 50)), uniform)
-        assert offload.payload_energy(hap, server, task_len, window) \
+        assert thermal.fleet_compute_energy(server, hap, task_len, window) \
             == _compute_sum_loop(hap, server, task_len, window)
         cfg = ModelConfig(server=server, cooling=cooling,
                           workload=WorkloadSpec(task_length_instr=task_len))
@@ -353,7 +353,8 @@ def test_overload_message_names_the_first_server_as_the_loop_did():
         lambda: thermal.compute_power(server, np.array(rates), task_len),
         lambda: thermal.grouped_cooling_energy(rates, server, CoolingSpec(),
                                                task_len, (0.0, 60.0)),
-        lambda: offload.payload_energy(rates, server, task_len, (0.0, 60.0)),
+        lambda: thermal.fleet_compute_energy(server, rates, task_len,
+                                             (0.0, 60.0)),
         lambda: thermal.tdc_total_energy(
             Scenario(ground_servers=5, hap_servers=0, ground_rates=rates),
             ModelConfig(server=server)),
@@ -396,7 +397,7 @@ def _assert_batch_matches_loops(scenarios, cfg, server, cooling, task_len,
                                   task_len, window) for s in scenarios]
     assert thermal.ground_energy(ground, cfg, window) \
         == [_ground_loop(s.ground_rates, cfg, window) for s in scenarios]
-    assert offload.payload_energy(hap, server, task_len, window) \
+    assert thermal.fleet_compute_energy(server, hap, task_len, window) \
         == [_compute_sum_loop(s.hap_rates, server, task_len, window)
             for s in scenarios]
     baseline = thermal.tdc_total_energy(scenarios, cfg)
