@@ -26,9 +26,15 @@ import numpy as np
 
 from .config import ChannelConfig, WorkloadSpec
 from .errors import LinkRateError, LinkSaturationWarning
-from .specfun import marcum_q
+from .specfun import marcum_log_bound, marcum_q
 
 _LN2 = math.log(2.0)
+# ln of the Chernoff bounds below which ``drop_probability`` takes a drop
+# of exactly 1.0, and ``max_reliable_rate`` passes or fails an iterate,
+# without the Marcum series
+_DEEP_TAIL = -60.0 * _LN2
+_SURE = math.log(1e-14)
+_UNSURE = math.log1p(-1e-9)
 
 # Airtime share above which the offered traffic saturates the link.
 SATURATION = 1.0 + 1e-12
@@ -311,9 +317,29 @@ def drop_probability(ch: ChannelConfig, workload: WorkloadSpec,
                      arrival_rate: float | np.ndarray,
                      task_len: float | None = None) -> float | np.ndarray:
     """Conservative per-task drop probability: one minus the CCDF lower
-    bound; elementwise over an ndarray of arrival rates, with one Marcum
-    pass for all of them."""
-    return 1.0 - ccdf_lower(ch, spectral_demand(ch, workload, arrival_rate, task_len))
+    bound; elementwise over an ndarray of arrival rates.
+
+    A scalar rate takes ``1 - ccdf_lower`` as it is, the reference the
+    array path keeps every bit of.  An array evaluates each distinct rate
+    once and settles a rate without the Marcum series where the Chernoff
+    bound ``specfun.marcum_log_bound`` puts Q below 2^-60: the series then
+    returns less than 2^-54 (it cannot overshoot the true Q 2^6-fold), and
+    one minus that rounds to exactly 1.0.  The other rates, demands past
+    the threshold cap included, share one ``ccdf_lower`` call.
+    """
+    demand = spectral_demand(ch, workload, arrival_rate, task_len)
+    if not isinstance(demand, np.ndarray):
+        return 1.0 - ccdf_lower(ch, demand)
+    distinct, inverse = np.unique(demand, return_inverse=True)
+    orders, noncentral, scale = _bound_params(ch)
+    # a demand that is not positive or past the cap stands at y = 0 here
+    ys = np.array([(_marcum_threshold(d, 1, scale) or 0.0) if d > 0.0
+                   else 0.0 for d in distinct.tolist()])
+    deep = ys * ys > noncentral * noncentral + 2 * orders
+    deep[deep] = marcum_log_bound(orders, noncentral, ys[deep]) < _DEEP_TAIL
+    drops = np.ones(distinct.shape)
+    drops[~deep] = 1.0 - ccdf_lower(ch, distinct[~deep])
+    return drops[inverse].reshape(demand.shape)
 
 
 def max_reliable_rate(ch: ChannelConfig, workload: WorkloadSpec,
@@ -322,10 +348,25 @@ def max_reliable_rate(ch: ChannelConfig, workload: WorkloadSpec,
     above 1 - 1e-12.
 
     Bisection on the monotone lower bound; this is where link drops stop
-    being negligible.
+    being negligible.  An iterate that the Chernoff bound
+    ``specfun.marcum_log_bound`` settles skips the Marcum series and
+    keeps the series' verdict, so the result keeps its bits: it passes
+    where the bound puts 1 - Q at or below 1e-14, 100 times below the
+    test, which the series, noisy by about 1e-13 near Q = 1, passes too,
+    and it fails past the mean, where the bound puts Q below 1 - 1e-9.
     """
+    orders, noncentral, scale = _bound_params(ch)
+    mean = noncentral * noncentral + 2 * orders
+
     def ok(lam: float) -> bool:
         demand = spectral_demand(ch, workload, lam, task_len)
+        y = _marcum_threshold(demand, 1, scale) if demand > 0.0 else None
+        if y is not None:
+            bound = marcum_log_bound(orders, noncentral, y)
+            if y * y < mean and bound <= _SURE:
+                return True
+            if y * y > mean and bound < _UNSURE:
+                return False
         return ccdf_lower(ch, demand) >= 1.0 - 1e-12
 
     hi = 1.0

@@ -171,13 +171,17 @@ def allocate_rates(cfg: ModelConfig, total_rate: float | None = None,
         total_rate = cfg.workload.arrival_rate_total
     if total_rate < 0:
         raise ValueError("total_rate must be non-negative")
+    per_server = (lambda_max(sc.latitude_deg, sc.day_of_year, sc.hap_servers,
+                             cfg) if sc.hap_servers * sc.hap_count else 0.0)
+    return _allocate(sc, total_rate, per_server, cfg)
+
+
+def _allocate(sc: Scenario, total_rate: float, per_server: float,
+              cfg: ModelConfig) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """``allocate_rates`` of a non-negative ``total_rate`` on the fleet of
+    ``sc``, whose airborne servers each admit ``per_server`` task/s."""
     airborne = sc.hap_servers * sc.hap_count
-    if airborne:
-        per_server = lambda_max(sc.latitude_deg, sc.day_of_year,
-                                sc.hap_servers, cfg)
-        hap_total = min(total_rate, per_server * airborne)
-    else:
-        hap_total = 0.0
+    hap_total = min(total_rate, per_server * airborne) if airborne else 0.0
     ground_total = total_rate - hap_total
     if ground_total > 0 and sc.ground_servers == 0:
         raise OverloadError("no ground servers to take the residual workload")
@@ -220,20 +224,22 @@ def hybrid_total_energy(scenario: Scenario, cfg: ModelConfig) -> thermal.EnergyB
     its aggregate offload rate.  With no airborne servers this reduces to
     the all-ground baseline (no platform deployed).
     """
-    return _hybrid(
-        scenario, cfg,
-        thermal.ground_energy(scenario.ground_rates, cfg, scenario.window),
-        thermal.fleet_compute_energy(cfg.server, scenario.hap_rates,
-                                     cfg.workload.task_length_instr,
-                                     scenario.window))
+    ground = thermal.ground_energy(scenario.ground_rates, cfg, scenario.window)
+    payload = thermal.fleet_compute_energy(cfg.server, scenario.hap_rates,
+                                           cfg.workload.task_length_instr,
+                                           scenario.window)
+    link = channel.transmission_energy(
+        cfg.channel, cfg.workload, math.fsum(scenario.hap_rates),
+        scenario.window_length, cfg.workload.task_length_instr
+    ) if scenario.hap_servers else None
+    return _hybrid(scenario, cfg, ground, payload, link)
 
 
 def _hybrid(scenario: Scenario, cfg: ModelConfig, ground, payload,
-            link=None) -> thermal.EnergyBreakdown:
+            link) -> thermal.EnergyBreakdown:
     """``hybrid_total_energy`` on the scenario's ground bill and payload
-    energy and, when given, one platform's uplink energy ``link`` (else
-    ``channel.transmission_energy`` prices it); an error held in place of
-    any of them is raised, the bills' first."""
+    energy and one platform's uplink energy ``link``; an error held in
+    place of any of them is raised, the bills' first."""
     for bill in (ground, payload):
         if isinstance(bill, OverloadError):
             raise bill
@@ -242,11 +248,7 @@ def _hybrid(scenario: Scenario, cfg: ModelConfig, ground, payload,
     k = scenario.hap_count
     wind = cfg.wind.speed_at(scenario.latitude_deg, scenario.day_of_year)
     propulsion = k * aero.propulsion_energy(cfg.hap, wind, scenario.window)
-    if link is None:
-        link = channel.transmission_energy(
-            cfg.channel, cfg.workload, math.fsum(scenario.hap_rates),
-            scenario.window_length, cfg.workload.task_length_instr)
-    elif isinstance(link, Exception):
+    if isinstance(link, Exception):
         raise link
     transmission = k * link
     return thermal.EnergyBreakdown.from_parts(

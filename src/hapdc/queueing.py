@@ -16,9 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StabilityError
+from .errors import NumericsError, StabilityError
 
 _VACATION_CHUNK = 8192
+# most vacation ends one run may draw: 15 times the 9e6 that 1e6 tasks
+# draw at arrival rate 0.1 with unit service and vacation rates
+_VACATION_BUDGET = 2**27
 
 
 def utilization(arrival_rate: float, service_rate: float) -> float:
@@ -91,7 +94,11 @@ def simulate_mm1_vacations(arrival_rate: float, service_rate: float,
     virtual arrival times (a cumulative-max Lindley recursion), plus the
     work ahead of it.  The draws are taken in the order arrivals, services,
     then vacations in pools of 8192, and each pool is searched as it is
-    drawn, so memory holds one pool of ends, not all of them.
+    drawn, so memory holds one pool of ends, not all of them.  The run
+    draws about ``vacation_rate`` times the last virtual arrival time of
+    them, which grows as ``n_tasks * vacation_rate / arrival_rate``; a run
+    expected to draw more than 2^27 raises NumericsError before drawing
+    any.
 
     The standard error is the regenerative ratio estimator over the
     cycles that start at each arrival to an empty system (the last one is
@@ -122,6 +129,11 @@ def simulate_mm1_vacations(arrival_rate: float, service_rate: float,
     # their running maximum
     virtual = np.subtract(arrivals, work_ahead, out=services)
     np.maximum.accumulate(virtual, out=virtual)
+    ends = vacation_rate * virtual[-1]
+    if not ends <= _VACATION_BUDGET:
+        raise NumericsError(
+            f"the run would draw about {ends:.3g} vacation ends, more than "
+            f"the budget of {_VACATION_BUDGET}")
     # a vacation end lands on the first task whose running virtual arrival
     # reaches it.  A task that receives one arrived to an empty system and
     # starts a cycle (as does the first task), served by the vacation end

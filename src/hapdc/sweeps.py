@@ -20,12 +20,18 @@ their owners: the link budget from the config's ``ChannelConfig``, the
 fleet service rate of the delay simulation from the analytic
 ``DelayReport``.
 
-The energy and outage analyses answer a chunk at once: each point builds
-its scenario, ``offload.evaluate_offload`` prices the chunk in array
-passes and the delivery policies price its evaluations (the outage bounds
-are one array call each, and give the evaluation its drops).  Each cell
-keeps the bits ``offload.saving`` gives it, and a point's link saturation
-is read from its evaluation rather than from a warning.
+A grid point is a ``Scenario`` and a total offered rate (``_axis_point``),
+never a copy of the whole config: no axis moves the server, cooling,
+platform, wind, channel or task model, so every row reads those from the
+sweep's own config.  The energy and outage analyses answer a chunk at
+once: each point builds its scenario (an energy point allocates its load
+on the per-server lambda_max, looked up once per distinct site, date and
+fleet in the chunk), ``offload.evaluate_offload`` prices the chunk in
+array passes and the delivery policies price its evaluations (the outage
+bounds are one array call each, and give the evaluation its drops).  Each
+cell keeps the bits ``offload.saving`` gives it at the point, and a
+point's link saturation is read from its evaluation rather than from a
+warning.
 
 Per-point failures (a polar night, an overloaded fleet) land in the
 row's ``error`` column and the sweep carries on; a sweep where every
@@ -53,9 +59,9 @@ import numpy as np
 
 from . import channel, offload, queueing
 from ._version import __version__
-from .config import ModelConfig, config_hash, uniform_split
-from .errors import (ConfigError, LinkRateError, OverloadError, PolarError,
-                     StabilityError)
+from .config import ModelConfig, Scenario, config_hash, uniform_split
+from .errors import (ConfigError, LinkRateError, NumericsError, OverloadError,
+                     PolarError, StabilityError)
 
 AXES = ("latitude", "day", "hap_servers", "arrival_rate")
 
@@ -143,21 +149,21 @@ def _select_columns(result: SweepResult, outputs) -> SweepResult:
     return result
 
 
-def apply_axis(cfg: ModelConfig, axis: str, value: float) -> ModelConfig:
-    """Config with one scenario/workload knob replaced by the grid value."""
+def _axis_point(cfg: ModelConfig, axis: str,
+                value: float) -> tuple[Scenario, float]:
+    """The scenario of one grid point and its total offered rate, task/s:
+    the config's own, with the axis knob set to the grid value."""
     sc = cfg.scenario
     if axis == "latitude":
-        return replace(cfg, scenario=replace(sc, latitude_deg=float(value)))
-    if axis == "day":
-        return replace(cfg, scenario=replace(sc, day_of_year=float(value)))
-    if axis == "hap_servers":
+        sc = replace(sc, latitude_deg=float(value))
+    elif axis == "day":
+        sc = replace(sc, day_of_year=float(value))
+    elif axis == "hap_servers":
         n = int(round(value))
         sc = replace(sc, hap_servers=n, hap_rates=(0.0,) * n)
-        return replace(cfg, scenario=sc)
-    if axis == "arrival_rate":
-        wl = replace(cfg.workload, arrival_rate_total=float(value))
-        return replace(cfg, workload=wl)
-    raise ConfigError(f"unknown sweep axis {axis!r}")
+    else:
+        return sc, float(value)
+    return sc, cfg.workload.arrival_rate_total
 
 
 def _map_points(fn, args, workers: int):
@@ -179,12 +185,12 @@ class _Analysis:
     order and the row's error message or None; a ``_ROW_ERRORS`` exception
     that escapes it blanks the whole row.  ``rows(cfg, spec, points)``,
     when set, answers a chunk of (index, value) points instead, one
-    (row, saturated) pair each.  ``offload_rate``
-    analyses read the grid value as the per-platform offload arrival rate
-    instead of applying it to the config, so they take only the
-    ``arrival_rate`` axis, head their first column ``lambda`` and record
-    ``samples`` in the manifest.  ``finish(cfg, spec, values, rows)`` runs
-    once after the walk.
+    (row, saturated) pair each.  Both read the grid value themselves.
+    ``offload_rate`` analyses read it as the per-platform offload arrival
+    rate instead of as the axis knob of ``_axis_point``, so they take only
+    the ``arrival_rate`` axis, head their first column ``lambda`` and
+    record ``samples`` in the manifest.  ``finish(cfg, spec, values,
+    rows)`` runs once after the walk.
     """
 
     name: str
@@ -197,31 +203,40 @@ class _Analysis:
 
 
 def _fly_row(cfg, spec, index, value):
-    sc = cfg.scenario
+    sc, _ = _axis_point(cfg, spec.axis, value)
     return list(offload.fly_point(sc.latitude_deg, sc.day_of_year,
                                   sc.hap_servers, cfg)), None
 
 
 def _energy_rows(cfg, spec, points):
     """Energy rows of a chunk of grid points, each cell as
-    ``saving(allocated_scenario(cfg), cfg, with_retransmission=True)``
-    gives it at the point, error text included, each with whether the
-    point's offered traffic saturates the link.
+    ``saving(allocated_scenario(point), point, with_retransmission=True)``
+    gives it at the point's config, error text included, each with whether
+    the point's offered traffic saturates the link.
 
-    The sweep's own config prices the chunk: the bills read the server,
-    cooling and task length, the link the channel and the workload's bits
-    per task and overhead, and no axis moves any of them.
+    Each point allocates its total on the per-server lambda_max of its
+    site, date and fleet, derived once per distinct triple in the chunk (a
+    triple that raises, a polar one, is derived again and raises at each
+    of its points).  The sweep's own config prices the chunk: the bills
+    read the server, cooling and task length, the link the channel and the
+    workload's bits per task and overhead, and no axis moves any of them.
     """
-    answered, allocated = [], []
+    answered, allocated, admitted = [], [], {}
     for _, value in points:
         row = [value, *[None] * len(_ENERGY.columns), None]
         answered.append((row, False))
+        sc, total = _axis_point(cfg, spec.axis, value)
+        site = (sc.latitude_deg, sc.day_of_year, sc.hap_servers)
         try:
-            sc = offload.allocated_scenario(apply_axis(cfg, spec.axis, value))
+            if sc.hap_servers * sc.hap_count and site not in admitted:
+                admitted[site] = offload.lambda_max(*site, cfg)
+            ground, hap = offload._allocate(sc, total, admitted.get(site, 0.0),
+                                            cfg)
         except _ROW_ERRORS as exc:
             row[-1] = str(exc)
         else:
-            allocated.append((len(answered) - 1, sc))
+            allocated.append((len(answered) - 1,
+                              replace(sc, ground_rates=ground, hap_rates=hap)))
     evals = offload.evaluate_offload([sc for _, sc in allocated], cfg)
     for (k, _), ev, report in zip(allocated, evals,
                                   offload.retransmit_savings(evals, cfg)):
@@ -314,12 +329,15 @@ def _delay_row(cfg, spec, index, value):
     if value > 0.0:
         rng = np.random.default_rng(
             np.random.SeedSequence(spec.seed, spawn_key=(index,)))
-        sim = queueing.simulate_mm1_vacations(
-            value, rep.service_rate, cfg.workload.vacation_rate, spec.samples,
-            rng)
+        try:
+            sim = queueing.simulate_mm1_vacations(
+                value, rep.service_rate, cfg.workload.vacation_rate,
+                spec.samples, rng)
+        except NumericsError:
+            sim = None  # over the vacation budget: nothing simulated
         # a run of fewer than two regeneration cycles has no error bar,
         # and a mean without one is not reported
-        if sim.stderr is not None:
+        if sim is not None and sim.stderr is not None:
             des_wait, des_se = sim.mean_wait, sim.stderr
     return [rep.mean_wait_s, des_wait, des_se, rep.rtt_s,
             rep.total_delay_s, regime], None
@@ -344,8 +362,6 @@ _DELAY = _Analysis("delay", ("analytic_wait", "des_wait", "des_se", "rtt",
 def _point(analysis, cfg, spec, index, value):
     """One grid point's row, with the link never saturated: no analysis
     that answers single points offers the link traffic."""
-    if not analysis.offload_rate:
-        cfg = apply_axis(cfg, spec.axis, value)
     try:
         cells, error = analysis.row(cfg, spec, index, value)
     except _ROW_ERRORS as exc:
@@ -428,8 +444,10 @@ def run_outage_sweep(cfg: ModelConfig, spec: SweepSpec) -> SweepResult:
 def run_delay_sweep(cfg: ModelConfig, spec: SweepSpec) -> SweepResult:
     """Analytic and simulated offload delay over the arrival-rate axis.
 
-    ``des_wait`` and ``des_se`` stay empty at zero load and where the
-    simulation saw fewer than two regeneration cycles.
+    ``des_wait`` and ``des_se`` stay empty at zero load, where the
+    simulation saw fewer than two regeneration cycles, and where it would
+    draw more vacations than ``queueing.simulate_mm1_vacations`` allows (a
+    load so small that the server takes vacations for ages between tasks).
     """
     return _run(_DELAY, cfg, spec)
 
@@ -454,6 +472,10 @@ def _cell(value) -> str:
     return str(value)
 
 
+# cell types that ``csv.writer`` renders as ``_cell`` does
+_PLAIN = frozenset((float, int, str, type(None)))
+
+
 def render_csv(result: SweepResult) -> str:
     """RFC-4180 text: ``#`` manifest lines, header row, data rows."""
     buf = io.StringIO()
@@ -461,8 +483,8 @@ def render_csv(result: SweepResult) -> str:
         buf.write(f"# {key}={val}\r\n")
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(result.header)
-    for row in result.rows:
-        writer.writerow([_cell(v) for v in row])
+    writer.writerows(row if all(type(v) in _PLAIN for v in row)
+                     else [_cell(v) for v in row] for row in result.rows)
     return buf.getvalue()
 
 

@@ -57,11 +57,6 @@ def compute_power(server: ServerSpec, rate, task_len: float):
     return server.p_idle + (server.p_peak - server.p_idle) * u
 
 
-def compute_energy(server: ServerSpec, rate, task_len: float,
-                   window: tuple[float, float]):
-    return compute_power(server, rate, task_len) * (window[1] - window[0])
-
-
 def _billed(server: ServerSpec, rates, task_len: float, bill, *args):
     """``bill(power, *args)`` of the per-server power at ``rates``, a rows x
     servers batch, one fleet per row: a list of each row's bill or its

@@ -1,6 +1,6 @@
 """One-scenario pricing of the two delivery policies, kept as an
 independent reference for ``offload.saving`` and the chunk pricing of the
-sweeps.
+sweeps, and the per-point config of a sweep grid point.
 
 It prices each step on its own, one scalar call at a time: the baseline
 with ``thermal.tdc_total_energy`` on one scenario, the drop with one
@@ -15,6 +15,25 @@ from dataclasses import replace
 
 from hapdc import channel, offload, thermal
 from hapdc.errors import OverloadError
+
+
+def apply_axis(cfg, axis, value):
+    """Config with one scenario/workload knob replaced by the grid value:
+    the whole-config grid point that the sweeps' rows must price as
+    ``offload.saving(offload.allocated_scenario(point), point)`` does."""
+    sc = cfg.scenario
+    if axis == "latitude":
+        return replace(cfg, scenario=replace(sc, latitude_deg=float(value)))
+    if axis == "day":
+        return replace(cfg, scenario=replace(sc, day_of_year=float(value)))
+    if axis == "hap_servers":
+        n = int(round(value))
+        sc = replace(sc, hap_servers=n, hap_rates=(0.0,) * n)
+        return replace(cfg, scenario=sc)
+    if axis == "arrival_rate":
+        wl = replace(cfg.workload, arrival_rate_total=float(value))
+        return replace(cfg, workload=wl)
+    raise ValueError(f"unknown sweep axis {axis!r}")
 
 
 def _charged(per_link, cfg):

@@ -5,8 +5,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hapdc import channel
+from hapdc import channel, specfun
 from hapdc.config import ChannelConfig, WorkloadSpec
 from hapdc.errors import LinkRateError, LinkSaturationWarning
 
@@ -405,6 +406,97 @@ def test_bounds_and_drops_on_arrays_equal_scalar_calls(tx, rx, zeta, mapping):
                               for r in rates]
     with pytest.raises(ValueError, match="arrival_rate"):
         channel.drop_probability(ch, w, np.array([1.0, -1.0]))
+
+
+def _prune_edge(orders, a):
+    """The threshold y^2, as a multiple of the mean a^2 + 2m, where the
+    Chernoff bound on Q crosses ``channel._DEEP_TAIL``: by bisection on
+    its logarithm, the bound falling as y grows past the mean."""
+    mean = a * a + 2 * orders
+    lo, hi = 0.0, 8.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        y = math.sqrt(mean * math.exp(mid))
+        bound = specfun.marcum_log_bound(orders, a, y)
+        lo, hi = (mid, hi) if bound > channel._DEEP_TAIL else (lo, mid)
+    return math.exp(hi)
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), tx=st.integers(min_value=1, max_value=4),
+       rx=st.integers(min_value=1, max_value=16),
+       zeta=st.floats(min_value=0.0, max_value=20.0),
+       snr=st.floats(min_value=1e-3, max_value=10.0))
+def test_drop_probability_array_equals_scalar_across_the_prune(
+        data, tx, rx, zeta, snr):
+    # rates drawn with repeats, their thresholds y^2 from 1/20 of the mean
+    # a^2 + 2m up to deep in the tail, half of them within a factor e of
+    # the edge where the Chernoff bound starts to settle the drop: the
+    # array must keep the scalar series' bits on both sides of it
+    ch = ChannelConfig(tx_antennas=tx, rx_antennas=rx, rician_factor=zeta,
+                       avg_rx_snr=snr, demand_mapping="identity")
+    w = WorkloadSpec()
+    orders, a, scale = channel._bound_params(ch)
+    mean = a * a + 2 * orders
+    edge = _prune_edge(orders, a)
+    near = st.floats(min_value=-1.0, max_value=1.0).map(
+        lambda x: edge * math.exp(x))
+    anywhere = st.floats(min_value=-3.0, max_value=4.0).map(math.exp)
+    pool = [math.log2(1.0 + mean * ratio / (2.0 * scale)) for ratio in
+            data.draw(st.lists(near | anywhere, min_size=1, max_size=8))]
+    rates = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                                        max_size=20)))
+    assert channel.drop_probability(ch, w, rates).tolist() == [
+        channel.drop_probability(ch, w, float(r)) for r in rates]
+
+
+def _series_only_reliable_rate(ch, w):
+    """``max_reliable_rate`` with every iterate tested by the Marcum
+    series: the reference the Chernoff shortcut must match bit for bit."""
+    def ok(lam):
+        demand = channel.spectral_demand(ch, w, lam)
+        return channel.ccdf_lower(ch, demand) >= 1.0 - 1e-12
+
+    hi = 1.0
+    while ok(hi):
+        hi *= 2.0
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12 * max(1.0, hi):
+            break
+    return lo
+
+
+@pytest.mark.parametrize("link", [
+    None,                    # the shipped link
+    (1, 1, 0.0, 0.5),        # Rayleigh: a = 0
+    (4, 3, 2.5, 2.0),
+    (3, 8, 18.0, 0.01),
+])
+def test_max_reliable_rate_equals_series_only_bisection(monkeypatch,
+                                                        shipped_cfg, link):
+    ch, w = shipped_cfg.channel, shipped_cfg.workload
+    if link is not None:
+        tx, rx, zeta, snr = link
+        ch = ChannelConfig(tx_antennas=tx, rx_antennas=rx, rician_factor=zeta,
+                           avg_rx_snr=snr)
+    calls = []
+    real = specfun.marcum_q
+    monkeypatch.setattr(channel, "marcum_q",
+                        lambda *args: calls.append(1) or real(*args))
+    got = channel.max_reliable_rate(ch, w)
+    shortcut = len(calls)
+    calls.clear()
+    assert got == _series_only_reliable_rate(ch, w)
+    assert shortcut <= len(calls)
+    if link is None:
+        assert got == 5361.783167347312
+        assert (shortcut, len(calls)) == (40, 55)
 
 
 def test_link_energy_on_arrays_equals_transmission_energy():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hapdc import queueing
-from hapdc.errors import StabilityError
+from hapdc.errors import NumericsError, StabilityError
 
 
 def test_residual_time_no_arrivals():
@@ -163,6 +163,18 @@ def test_simulation_guards():
     assert sim.cycles == 1
     assert sim.stderr is None
     assert sim.mean_wait > 0.0
+
+
+def test_simulation_refuses_a_run_over_the_vacation_budget():
+    # at 1e-300 task/s the server would draw about 1e302 vacation ends
+    # between ten arrivals; the run is refused before it draws any
+    with pytest.raises(NumericsError, match="vacation ends"):
+        queueing.simulate_mm1_vacations(1e-300, 23200.0, 10.0, 10,
+                                        rng=np.random.default_rng(0))
+    # 20 tasks at 1e-6 task/s span about 2e7 s, or 2e8 ends at 10 per s
+    with pytest.raises(NumericsError, match="vacation ends"):
+        queueing.simulate_mm1_vacations(1e-6, 1.0, 10.0, 20,
+                                        rng=np.random.default_rng(0))
 
 
 def _simulate_all_ends(arrival_rate, service_rate, vacation_rate, n_tasks, rng):

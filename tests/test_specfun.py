@@ -11,9 +11,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hapdc.errors import NumericsError
-from hapdc.specfun import _erlang_tail, bessel_i, marcum_q
+from hapdc.specfun import _erlang_tail, bessel_i, marcum_log_bound, marcum_q
 
 # (n, x, I_n(x)) truncated from 40 significant digits
 BESSEL_CASES = [
@@ -141,6 +142,27 @@ def test_marcum_against_scipy():
         want = float(ncx2.sf(y * y, 2 * m, a * a))
         got = marcum_q(m, a, y)
         assert math.isclose(got, want, rel_tol=1e-8, abs_tol=1e-10), (m, a, y)
+
+
+@settings(deadline=None, max_examples=200)
+@given(m=st.integers(min_value=1, max_value=64),
+       a=st.floats(min_value=0.0, max_value=40.0),
+       spread=st.floats(min_value=-3.0, max_value=3.0))
+def test_marcum_log_bound_bounds_both_tails(m, a, spread):
+    # s = y^2 at exp(spread) times the mean a^2 + 2m: above the mean the
+    # bound is on Q = Pr(X > s), below it on 1 - Q = Pr(X < s)
+    from scipy.stats import ncx2
+
+    mean = a * a + 2 * m
+    s = mean * math.exp(spread)
+    y = math.sqrt(s)
+    bound = marcum_log_bound(m, a, y)
+    tail = ncx2.logsf if s > mean else ncx2.logcdf
+    assert tail(s, 2 * m, a * a) <= bound + 1e-9 * max(1.0, -bound)
+    # elementwise over an array of thresholds
+    ys = np.array([y, 2.0 * y, 0.5 * y])
+    assert marcum_log_bound(m, a, ys).tolist() == [
+        marcum_log_bound(m, a, v) for v in ys.tolist()]
 
 
 def test_marcum_domain_errors():

@@ -66,15 +66,24 @@ def test_spec_axis_domains():
 # --- axis application --------------------------------------------------------
 
 def test_apply_axis(shipped_cfg):
-    pt = sweeps.apply_axis(shipped_cfg, "latitude", -10.0)
-    assert pt.scenario.latitude_deg == -10.0
-    pt = sweeps.apply_axis(shipped_cfg, "day", 200.0)
-    assert pt.scenario.day_of_year == 200.0
-    pt = sweeps.apply_axis(shipped_cfg, "hap_servers", 12.0)
-    assert pt.scenario.hap_servers == 12
-    assert pt.scenario.hap_rates == (0.0,) * 12
-    pt = sweeps.apply_axis(shipped_cfg, "arrival_rate", 5000.0)
-    assert pt.workload.arrival_rate_total == 5000.0
+    # a grid point is the config's scenario with the axis knob set, and
+    # the config's total offered rate unless the axis sets that
+    total = shipped_cfg.workload.arrival_rate_total
+    for axis, value in (("latitude", -10.0), ("day", 200.0),
+                        ("hap_servers", 12.0), ("arrival_rate", 5000.0)):
+        sc, rate = sweeps._axis_point(shipped_cfg, axis, value)
+        point = offload_reference.apply_axis(shipped_cfg, axis, value)
+        assert sc == point.scenario
+        assert rate == point.workload.arrival_rate_total
+    sc, rate = sweeps._axis_point(shipped_cfg, "latitude", -10.0)
+    assert sc.latitude_deg == -10.0 and rate == total
+    sc, _ = sweeps._axis_point(shipped_cfg, "day", 200.0)
+    assert sc.day_of_year == 200.0
+    sc, _ = sweeps._axis_point(shipped_cfg, "hap_servers", 12.0)
+    assert sc.hap_servers == 12
+    assert sc.hap_rates == (0.0,) * 12
+    sc, rate = sweeps._axis_point(shipped_cfg, "arrival_rate", 5000.0)
+    assert sc is shipped_cfg.scenario and rate == 5000.0
 
 
 def _with_scenario(cfg, **changes):
@@ -194,13 +203,13 @@ def test_saturation_note_counts_grid_points(shipped_cfg):
 
 
 def test_sweep_passes_other_warnings_on(shipped_cfg, monkeypatch):
-    allocated = offload.allocated_scenario
+    admitted = offload.lambda_max
 
-    def noisy(cfg):
+    def noisy(*args):
         warnings.warn("unrelated", UserWarning)
-        return allocated(cfg)
+        return admitted(*args)
 
-    monkeypatch.setattr(offload, "allocated_scenario", noisy)
+    monkeypatch.setattr(offload, "lambda_max", noisy)
     with pytest.warns(UserWarning, match="unrelated"):
         out = sweeps.run_energy_sweep(
             shipped_cfg, sweeps.SweepSpec("day", 150.0, 150.0, 1.0))
@@ -476,6 +485,18 @@ def test_delay_sweep_single_cycle_leaves_des_cells_empty(shipped_cfg):
     assert wait > 0.0 and total > wait
     assert sweeps.render_csv(out).splitlines()[-1].startswith(
         f"{lam!r},{wait!r},,,")
+
+
+def test_delay_sweep_over_the_vacation_budget_leaves_des_cells_empty(
+        shipped_cfg):
+    # at 1e-300 task/s the server would take about 1e302 vacations between
+    # ten arrivals: the simulation refuses the run at once, and the row
+    # keeps its analytic cells
+    spec = sweeps.SweepSpec("arrival_rate", 1e-300, 1e-300, 1.0, samples=10)
+    out = sweeps.run_delay_sweep(shipped_cfg, spec)
+    lam, wait, des, se, rtt, total, regime, err = out.rows[0]
+    assert des is None and se is None and err is None
+    assert wait == total == 0.1 and regime == "queueing"
 
 
 def test_delay_sweep_requires_rate_axis(shipped_cfg):
@@ -772,7 +793,7 @@ def test_energy_cells_equal_saving_per_point(shipped_cfg):
             out = sweeps.run_energy_sweep(cfg, spec)
         shapes = set()
         for row, value in zip(out.rows, spec.values()):
-            point = sweeps.apply_axis(cfg, spec.axis, value)
+            point = offload_reference.apply_axis(cfg, spec.axis, value)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 try:
@@ -916,7 +937,7 @@ def test_energy_gate_and_drops_looked_up_once_per_chunk(shipped_cfg,
             for row, value in zip(out.rows, spec.values()):
                 if row[-1] is None:
                     sc = offload.allocated_scenario(
-                        sweeps.apply_axis(cfg, spec.axis, value))
+                        offload_reference.apply_axis(cfg, spec.axis, value))
                     lossy += math.fsum(sc.hap_rates) >= gate
             assert gates == [1] and drops == [lossy], spec.axis
         # three chunks of the arrival ramp: 0 task/s offloads nothing and
@@ -933,6 +954,62 @@ def test_energy_gate_and_drops_looked_up_once_per_chunk(shipped_cfg,
     assert [row for row, _ in rows] == outs["arrival_rate"].rows
 
 
+def test_energy_drops_run_the_series_once_per_distinct_shallow_rate(
+        shipped_cfg, monkeypatch):
+    # the shipped ramp hands the drop 331 links at or above the gate, at
+    # 100 distinct rates; the Chernoff bound settles 44 of those, so the
+    # series sees 56 thresholds.  The seasonal sweep's 249 links keep 91.
+    offload.drop_gate(shipped_cfg)  # the inversion's own series is not counted
+    links, thresholds = [], []
+    real_drop, real_q = channel.drop_probability, channel.marcum_q
+    monkeypatch.setattr(channel, "drop_probability",
+                        lambda *args: links.append(len(args[2]))
+                        or real_drop(*args))
+    monkeypatch.setattr(channel, "marcum_q",
+                        lambda m, a, y: thresholds.append(np.size(y))
+                        or real_q(m, a, y))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for spec, want in (
+                (sweeps.SweepSpec("arrival_rate", 0.0, 40_000.0, 100.0),
+                 ([331], [56])),
+                (sweeps.SweepSpec("day", 1.0, 365.0, 1.0), ([249], [91]))):
+            links.clear()
+            thresholds.clear()
+            sweeps.run_energy_sweep(shipped_cfg, spec)
+            assert (links, thresholds) == want, spec.axis
+    # repeats of one rate below the edge cost the series one threshold
+    thresholds.clear()
+    channel.drop_probability(shipped_cfg.channel, shipped_cfg.workload,
+                             np.full(5, 6000.0))
+    assert thresholds == [1]
+
+
+def test_energy_ramp_derives_lambda_max_once(shipped_cfg, monkeypatch):
+    # one site, date and fleet on the arrival axis: one derivation per
+    # chunk; a polar site raises at every point
+    calls = []
+    real = offload.fly_point
+    monkeypatch.setattr(offload, "fly_point",
+                        lambda *args: calls.append(args[:3]) or real(*args))
+    spec = sweeps.SweepSpec("arrival_rate", 0.0, 40_000.0, 100.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sweeps.run_energy_sweep(shipped_cfg, spec)
+        assert calls == [(40.0, 150.0, 40)]
+        calls.clear()
+        polar = _with_scenario(shipped_cfg, latitude_deg=80.0,
+                               day_of_year=355.0)
+        out = sweeps.run_energy_sweep(
+            polar, sweeps.SweepSpec("arrival_rate", 0.0, 2000.0, 1000.0))
+    assert len(calls) == 3
+    errors = [row[-1] for row in out.rows]
+    assert errors[0] and errors == [errors[0]] * 3
+    with pytest.raises(sweeps._ROW_ERRORS) as exc:
+        offload.allocated_scenario(polar)
+    assert str(exc.value) == errors[0]
+
+
 def test_energy_link_rate_error_lands_after_the_bills(shipped_cfg):
     # an SNR so small that the reference rate rounds to 0: every row with
     # platforms fails on its uplink energy, after its own bill errors
@@ -941,7 +1018,7 @@ def test_energy_link_rate_error_lands_after_the_bills(shipped_cfg):
     spec = sweeps.SweepSpec("arrival_rate", 0.0, 42_000.0, 6000.0)
     out = sweeps.run_energy_sweep(cfg, spec)
     for row, value in zip(out.rows, spec.values()):
-        point = sweeps.apply_axis(cfg, spec.axis, value)
+        point = offload_reference.apply_axis(cfg, spec.axis, value)
         with pytest.raises(sweeps._ROW_ERRORS) as exc:
             offload.saving(offload.allocated_scenario(point), point,
                            with_retransmission=True)

@@ -82,7 +82,7 @@ def test_compute_power_overload():
 
 def test_compute_energy_is_power_times_span():
     s = ServerSpec()
-    e = thermal.compute_energy(s, 100.0, 1e6, (500.0, 2300.0))
+    e = thermal.fleet_compute_energy(s, (100.0,), 1e6, (500.0, 2300.0))
     assert math.isclose(e, thermal.compute_power(s, 100.0, 1e6) * 1800.0,
                         rel_tol=1e-12)
 
@@ -166,7 +166,7 @@ def test_tdc_total_energy_composition():
     rates = [10.0, 20.0, 30.0, 40.0, 5.0, 15.0, 5.0, 15.0]
     task_len = cfg.workload.task_length_instr
     compute = math.fsum(
-        thermal.compute_energy(cfg.server, r, task_len, scen.window)
+        thermal.compute_power(cfg.server, r, task_len) * scen.window_length
         for r in rates)
     cool = thermal.grouped_cooling_energy(rates, cfg.server, cfg.cooling,
                                            task_len, scen.window)
