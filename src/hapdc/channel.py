@@ -40,8 +40,9 @@ _UNSURE = math.log1p(-1e-9)
 SATURATION = 1.0 + 1e-12
 
 # Monte Carlo draws are taken in chunks of this many channels.  The outage
-# sweep seeds each chunk from its index, so partial counts commute and any
-# worker count reproduces the single-process bytes.
+# sweep seeds each draw chunk from its index alone, so every chunk of grid
+# points draws the same rates and any worker count reproduces the
+# single-process bytes.
 MC_CHUNK = 20_000
 
 
@@ -109,8 +110,7 @@ def reference_rate(ch: ChannelConfig) -> float:
 
 def _non_negative(name: str, value: float | np.ndarray) -> None:
     """Refuse a negative value, or an ndarray holding one."""
-    negative = value < 0
-    if negative.any() if isinstance(negative, np.ndarray) else negative:
+    if np.any(value < 0):
         raise ValueError(f"{name} must be non-negative")
 
 
@@ -149,22 +149,16 @@ def _bound_params(ch: ChannelConfig) -> tuple[int, float, float]:
 def _bound(ch: ChannelConfig, demand: float | np.ndarray,
            rank: int) -> float | np.ndarray:
     """Marcum-Q bound on Pr(link rate > demand * bandwidth) with the
-    demand spread over ``rank`` virtual streams.
+    demand spread over ``rank`` virtual streams; elementwise over an
+    ndarray of demands, and a float for a scalar one.
 
-    An ndarray of demands gives an array: each element is the float a
-    scalar demand gives, and one ``marcum_q`` call serves every demand
-    that needs the series.
+    One ``marcum_q`` call serves every demand that needs the series.
     """
-    if not isinstance(demand, np.ndarray):
-        if demand <= 0.0:
-            return 1.0
-        orders, noncentral, scale = _bound_params(ch)
-        y = _marcum_threshold(demand, rank, scale)
-        return 0.0 if y is None else marcum_q(orders, noncentral, y)
-    values = np.ones(demand.shape)
+    demands = np.asarray(demand, dtype=float)
+    values = np.ones(demands.shape)
     flat = values.reshape(-1)
-    # written as the scalar test's complement, so a NaN fails as it does
-    series = [(i, d) for i, d in enumerate(demand.ravel().tolist())
+    # a NaN fails ``d <= 0.0``, so it takes the series
+    series = [(i, d) for i, d in enumerate(demands.ravel().tolist())
               if not d <= 0.0]
     if series:
         orders, noncentral, scale = _bound_params(ch)
@@ -178,7 +172,9 @@ def _bound(ch: ChannelConfig, demand: float | np.ndarray,
                 ys.append(y)
         if ys:
             flat[at] = marcum_q(orders, noncentral, np.array(ys))
-    return values
+    if isinstance(demand, np.ndarray) or values.ndim:
+        return values
+    return float(flat[0])
 
 
 def _marcum_threshold(demand: float, rank: int,

@@ -58,7 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0,
                        help="base seed for all random draws")
         p.add_argument("--samples", type=int, default=100_000,
-                       help="Monte Carlo draws / simulated tasks per sweep")
+                       help="Monte Carlo draws per outage sweep; "
+                            "simulated tasks per delay grid point")
         p.add_argument("--workers", type=int, default=1,
                        help="process pool size (results identical for any value)")
         p.add_argument("--out", default="-",

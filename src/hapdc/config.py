@@ -475,10 +475,22 @@ _ACCEPTS = {
 }
 
 
+def _finite(value) -> bool:
+    """False where a float in ``value``, or in a list of them at any depth,
+    is a NaN or an infinity.  An int is finite however long it is."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, (list, tuple)):
+        return all(map(_finite, value))
+    return True
+
+
 def _coerce(name: str, value, section: str, annotation: str):
     if not _ACCEPTS[annotation](value):
         raise ConfigError(
             f"{section}.{name} must be {annotation}, got {value!r}")
+    if not _finite(value):
+        raise ConfigError(f"{section}.{name} must be finite, got {value!r}")
     if name == "window":
         return (float(value[0]), float(value[1]))
     if name in ("ground_rates", "hap_rates"):
@@ -523,6 +535,9 @@ def _load_wind_table(path: str, base_dir: str):
         raise ConfigError(f"cannot read wind table '{full}': {exc}") from exc
     if not rows:
         raise ConfigError(f"wind table '{full}' has no rows")
+    if not _finite(rows):
+        raise ConfigError(f"wind.table_path '{full}' must hold finite "
+                          "numbers only")
     return tuple(rows)
 
 
@@ -530,7 +545,8 @@ def load_config(path: str) -> ModelConfig:
     """Parse a YAML config file into a validated ModelConfig.
 
     Missing sections and fields use the library defaults; an empty file yields
-    the full default configuration.  Unknown keys are rejected.
+    the full default configuration.  Unknown keys, and NaN or infinite
+    numbers, are rejected with a ConfigError that names the key.
     """
     try:
         with open(path) as fh:

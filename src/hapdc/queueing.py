@@ -166,7 +166,7 @@ def simulate_mm1_vacations(arrival_rate: float, service_rate: float,
     if cycles >= 2:
         totals = np.add.reduceat(waits, cycle_starts)
         spread = np.sum((totals - mean * sizes) ** 2) / (cycles * (cycles - 1))
-        stderr = math.sqrt(spread) / sizes.mean()
+        stderr = math.sqrt(spread) / float(sizes.mean())
 
     return SimulationResult(
         tasks=n_tasks,

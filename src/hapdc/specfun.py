@@ -132,12 +132,12 @@ def marcum_q(m: int, a: float, y: float | np.ndarray) -> float | np.ndarray:
     of a running sum, so its cost is linear in the term count.
 
     ``y`` may be an ndarray of thresholds sharing m and a; the result is
-    then an array of the same shape, each element the float the scalar
-    call returns.  The mixture reads y only through the Erlang tails
-    (Gil, Segura & Temme, ACM TOMS 2014), so the Poisson weights are
-    computed once for all thresholds, and ``_poisson_weights`` keeps them
-    for the last few values of a: the reliable-rate bisection and the
-    outage rows call this many times on one link.
+    then an array of the same shape.  A scalar ``y`` is the one-element
+    call and returns a float.  The mixture reads y only through the
+    Erlang tails (Gil, Segura & Temme, ACM TOMS 2014), so the Poisson
+    weights are computed once for all thresholds, and ``_poisson_weights``
+    keeps them for the last few values of a: the reliable-rate bisection
+    and the outage rows call this many times on one link.
 
     The series runs in blocks of numpy ``accumulate`` calls, which are
     strictly sequential and so round exactly as a scalar loop would: the
@@ -154,13 +154,13 @@ def marcum_q(m: int, a: float, y: float | np.ndarray) -> float | np.ndarray:
     if m != int(m) or m < 1:
         raise ValueError("order m must be a positive integer")
     m = int(m)
-    if isinstance(y, np.ndarray):
-        if a < 0.0 or (y < 0.0).any():
-            raise ValueError("arguments a and y must be non-negative")
-        return np.array(_marcum_q(m, a, y.ravel().tolist())).reshape(y.shape)
-    if a < 0.0 or y < 0.0:
+    ys = np.asarray(y, dtype=float)
+    if a < 0.0 or (ys < 0.0).any():
         raise ValueError("arguments a and y must be non-negative")
-    return _marcum_q(m, a, [y])[0]
+    values = _marcum_q(m, a, ys.ravel().tolist())
+    if isinstance(y, np.ndarray) or ys.ndim:
+        return np.array(values).reshape(ys.shape)
+    return values[0]
 
 
 def marcum_log_bound(m: int, a: float, y: float | np.ndarray):
@@ -244,15 +244,12 @@ def _marcum_q(m: int, a: float, ys: list) -> list[float]:
     # p *= h / i, t *= x / (m + i - 1), g = min(g + t, 1), term = p * g,
     # running += term, for i = j + 1 .. end.  The first block starts at
     # jlo, keeps jlo's own term and takes its weights from
-    # ``_poisson_weights``.  A lone threshold runs on 1-D rows, several on
-    # the rows of 2-D arrays, one row per threshold.
+    # ``_poisson_weights``.  Each threshold runs on its own row of 2-D
+    # arrays.
     checked = j0 + half_width  # the stopping rule reads indices above this
     cap = j0 + 12 * half_width + 4000
-    if len(live) == 1:
-        shape, x, t, g, running = (), x[0], t[0], g[0], 0.0
-    else:
-        shape, x = (len(live),), np.array(x)[:, None]
-        t, g, running = np.array(t), np.array(g), np.zeros(len(live))
+    x = np.array(x)[:, None]
+    t, g, running = np.array(t), np.array(g), np.zeros(len(live))
     kept = [[] for _ in live]
     j, lead, end = jlo, 0, checked + 1
     while True:
@@ -264,28 +261,27 @@ def _marcum_q(m: int, a: float, ys: list) -> list[float]:
             np.divide(h, steps, out=ps[1:])
             np.multiply.accumulate(ps, out=ps)
         steps += m - 1
-        ts = np.empty(shape + (len(steps) + 1,))
-        ts[..., 0] = t
-        np.divide(x, steps, out=ts[..., 1:])
-        np.multiply.accumulate(ts, axis=-1, out=ts)
+        ts = np.empty((len(t), len(steps) + 1))
+        ts[:, 0] = t
+        np.divide(x, steps, out=ts[:, 1:])
+        np.multiply.accumulate(ts, axis=1, out=ts)
         # every t >= 0, so a sum clamped at 1 stays there: clamping after
         # the running sum gives the bits of clamping at every step
         gs = ts.copy()
-        gs[..., 0] = g
-        np.minimum(np.add.accumulate(gs, axis=-1, out=gs), 1.0, out=gs)
-        terms = ps[lead:] * gs[..., lead:]  # those of j + lead .. end
-        sums = np.empty(shape + (terms.shape[-1] + 1,))
-        sums[..., 0] = running
-        sums[..., 1:] = terms
-        sums = np.add.accumulate(sums, axis=-1, out=sums)[..., 1:]
+        gs[:, 0] = g
+        np.minimum(np.add.accumulate(gs, axis=1, out=gs), 1.0, out=gs)
+        terms = ps[lead:] * gs[:, lead:]  # those of j + lead .. end
+        sums = np.empty((len(t), terms.shape[1] + 1))
+        sums[:, 0] = running
+        sums[:, 1:] = terms
+        sums = np.add.accumulate(sums, axis=1, out=sums)[:, 1:]
         first = max(0, checked + 1 - (j + lead))
-        stop = terms[..., first:] == 0.0
-        stop |= terms[..., first:] < sums[..., first:] * 1e-18
-        stop = stop.reshape(len(live), -1)
+        stop = terms[:, first:] == 0.0
+        stop |= terms[:, first:] < sums[:, first:] * 1e-18
         hit = stop.any(axis=1).tolist()
         last = (first + stop.argmax(axis=1)).tolist()
         going = []
-        for r, row in enumerate(terms.reshape(len(live), -1)):
+        for r, row in enumerate(terms):
             if hit[r]:
                 kept[r].append(row[:last[r] + 1])
                 series = (kept[r][0] if len(kept[r]) == 1
@@ -300,10 +296,8 @@ def _marcum_q(m: int, a: float, ys: list) -> list[float]:
         if end > cap:
             raise NumericsError(f"marcum_q failed to converge "
                                 f"(m={m}, a={a}, y={ys[live[going[0]]]})")
-        t, g, running = ts[..., -1], gs[..., -1], sums[..., -1]
-        if shape:
-            x, t, g, running = x[going], t[going], g[going], running[going]
-            shape = (len(going),)
-            live = [live[r] for r in going]
-            kept = [kept[r] for r in going]
+        x, t, g, running = (x[going], ts[going, -1], gs[going, -1],
+                            sums[going, -1])
+        live = [live[r] for r in going]
+        kept = [kept[r] for r in going]
         j, lead, end = end, 1, min(end + _BLOCK, cap + 1)

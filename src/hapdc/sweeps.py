@@ -6,24 +6,24 @@ CSV (with a ``#`` manifest header) or as a JSON mirror.  Reruns with the
 same config, seed, and worker count produce byte-identical files; the
 worker count itself never changes the numbers because random draws are
 keyed to fixed indices, not to scheduling order: an outage sweep's Monte
-Carlo chunks (``channel.MC_CHUNK`` draws each) by chunk, a delay sweep's
+Carlo draws by their chunk of ``channel.MC_CHUNK``, a delay sweep's
 simulations by grid point.
 
 Each of the four analyses (flying condition, energy saving, outage,
-delay) is one ``_Analysis`` record: metric columns, a row function (or a
-function over a chunk of rows), its fleet and axis needs, and an optional
-step over all rows at the end (the outage Monte Carlo pass).  One engine
-runs them all, one point per task, or one contiguous chunk per worker for
-an analysis that answers chunks; every number stays local to its row, so
-the split never shows in the output.  Rows read the model quantities from
-their owners: the link budget from the config's ``ChannelConfig``, the
-fleet service rate of the delay simulation from the analytic
-``DelayReport``.
+delay) is one ``_Analysis`` record: metric columns, one function that
+answers a contiguous chunk of grid points, and its fleet and axis needs.
+One engine runs them all: it cuts the grid into one chunk per worker and
+joins the answers in grid order.  Every number stays local to its row, so
+the cut never shows in the output.  Flying condition and delay answer
+their chunk point by point (``_each_point``).  Rows read the model
+quantities from their owners: the link budget from the config's
+``ChannelConfig``, the fleet service rate of the delay simulation from the
+analytic ``DelayReport``.
 
 A grid point is a ``Scenario`` and a total offered rate (``_axis_point``),
 never a copy of the whole config: no axis moves the server, cooling,
 platform, wind, channel or task model, so every row reads those from the
-sweep's own config.  The energy and outage analyses answer a chunk at
+sweep's own config.  The energy and outage analyses price a chunk at
 once: each point builds its scenario (an energy point allocates its load
 on the per-server lambda_max, looked up once per distinct site, date and
 fleet in the chunk), ``offload.evaluate_offload`` prices the chunk in
@@ -31,7 +31,8 @@ array passes and the delivery policies price its evaluations (the outage
 bounds are one array call each, and give the evaluation its drops).  Each
 cell keeps the bits ``offload.saving`` gives it at the point, and a
 point's link saturation is read from its evaluation rather than from a
-warning.
+warning.  An outage chunk counts the sweep's whole Monte Carlo sample
+against its own demands.
 
 Per-point failures (a polar night, an overloaded fleet) land in the
 row's ``error`` column and the sweep carries on; a sweep where every
@@ -54,6 +55,7 @@ import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -179,33 +181,44 @@ def _map_points(fn, args, workers: int):
 
 @dataclass(frozen=True)
 class _Analysis:
-    """One sweep kind: its metric columns and how a grid point is answered.
+    """One sweep kind: its metric columns and how a chunk is answered.
 
-    ``row(cfg, spec, index, value)`` returns the metric cells in column
-    order and the row's error message or None; a ``_ROW_ERRORS`` exception
-    that escapes it blanks the whole row.  ``rows(cfg, spec, points)``,
-    when set, answers a chunk of (index, value) points instead, one
-    (row, saturated) pair each.  Both read the grid value themselves.
-    ``offload_rate`` analyses read it as the per-platform offload arrival
-    rate instead of as the axis knob of ``_axis_point``, so they take only
-    the ``arrival_rate`` axis, head their first column ``lambda`` and
-    record ``samples`` in the manifest.  ``finish(cfg, spec, values,
-    rows)`` runs once after the walk.
+    ``rows(cfg, spec, points)`` answers a contiguous chunk of (grid index,
+    grid value) points with one (row, saturated) pair each: the row is the
+    grid value, the metric cells in column order and the error message or
+    None.  ``offload_rate`` analyses read the grid value as the
+    per-platform offload arrival rate instead of as the axis knob of
+    ``_axis_point``, so they take only the ``arrival_rate`` axis, head
+    their first column ``lambda`` and record ``samples`` in the manifest.
     """
 
     name: str
     columns: tuple[str, ...]
-    row: Callable | None = None
+    rows: Callable
     needs_fleet: bool = False
     offload_rate: bool = False
-    finish: Callable | None = None
-    rows: Callable | None = None
+
+
+def _each_point(row, width, cfg, spec, points):
+    """The (row, saturated) pairs of a chunk answered point by point:
+    ``row(cfg, spec, index, value)`` gives the ``width`` metric cells, and
+    a ``_ROW_ERRORS`` exception that escapes it blanks them all and names
+    itself in the error cell.  No analysis answered so offers the link
+    traffic, so no row is saturated."""
+    answered = []
+    for index, value in points:
+        try:
+            cells, error = row(cfg, spec, index, value), None
+        except _ROW_ERRORS as exc:
+            cells, error = [None] * width, str(exc)
+        answered.append(([value, *cells, error], False))
+    return answered
 
 
 def _fly_row(cfg, spec, index, value):
     sc, _ = _axis_point(cfg, spec.axis, value)
-    return list(offload.fly_point(sc.latitude_deg, sc.day_of_year,
-                                  sc.hap_servers, cfg)), None
+    return offload.fly_point(sc.latitude_deg, sc.day_of_year, sc.hap_servers,
+                             cfg)
 
 
 def _energy_rows(cfg, spec, points):
@@ -270,15 +283,29 @@ def _outage_rows(cfg, spec, points):
     """Outage rows of a chunk of grid points, each with whether it prices
     a saving on offered traffic that saturates the link: the link columns,
     kept on every row, and both policies priced on the chunk's
-    evaluations, each saving cell as ``saving`` gives it.  ``_outage_mc``
-    fills the Monte Carlo cells once every row is in."""
+    evaluations, each saving cell as ``saving`` gives it.
+
+    The Monte Carlo cells count the sweep's whole sample against the
+    chunk's demands.  Draw chunk ``c`` of ``channel.MC_CHUNK`` rates is
+    seeded from ``SeedSequence(seed, spawn_key=(c,))``, so every chunk of
+    grid points draws the same rates and a row's count does not depend on
+    how the grid was cut."""
     ch = cfg.channel
     values = [value for _, value in points]
     demands = channel.spectral_demand(ch, cfg.workload, np.array(values))
+    counts = 0
+    for c, first in enumerate(range(0, spec.samples, channel.MC_CHUNK)):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(spec.seed, spawn_key=(c,)))
+        counts = counts + channel.exceedances(
+            ch, demands, min(channel.MC_CHUNK, spec.samples - first), rng)
+    mcs, ses = channel.ccdf_estimate(counts, spec.samples)
     answered, offered = [], []
-    for value, lb, ub in zip(values, channel.ccdf_lower(ch, demands).tolist(),
-                             channel.ccdf_upper(ch, demands).tolist()):
-        row = [value, lb, ub, None, None, 1.0 - lb, None, None, None]
+    for value, lb, ub, mc, se in zip(
+            values, channel.ccdf_lower(ch, demands).tolist(),
+            channel.ccdf_upper(ch, demands).tolist(), mcs.tolist(),
+            ses.tolist()):
+        row = [value, lb, ub, mc, se, 1.0 - lb, None, None, None]
         answered.append((row, False))
         try:
             offered.append((len(answered) - 1, _offload_scenario(cfg, value)))
@@ -302,26 +329,6 @@ def _outage_rows(cfg, spec, points):
     return answered
 
 
-def _mc_chunk(args):
-    ch, demands, count, seed, chunk_index = args
-    rng = np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
-    return channel.exceedances(ch, demands, count, rng)
-
-
-def _outage_mc(cfg: ModelConfig, spec: SweepSpec, values, rows) -> None:
-    """Fill every outage row's Monte Carlo cells from one chunked pass."""
-    ch = cfg.channel
-    demands = channel.spectral_demand(ch, cfg.workload, np.array(values))
-    chunk = channel.MC_CHUNK
-    chunk_args = [(ch, demands, min(chunk, spec.samples - first), spec.seed, c)
-                  for c, first in enumerate(range(0, spec.samples, chunk))]
-    counts = sum(_map_points(_mc_chunk, chunk_args, spec.workers))
-    prob, se = channel.ccdf_estimate(counts, spec.samples)
-    for row, p, e in zip(rows, prob, se):
-        row[3], row[4] = float(p), float(e)
-
-
 def _delay_row(cfg, spec, index, value):
     rep = offload.end_to_end_delay(cfg, value)
     regime = "transport" if rep.transport_dominated else "queueing"
@@ -340,42 +347,29 @@ def _delay_row(cfg, spec, index, value):
         if sim is not None and sim.stderr is not None:
             des_wait, des_se = sim.mean_wait, sim.stderr
     return [rep.mean_wait_s, des_wait, des_se, rep.rtt_s,
-            rep.total_delay_s, regime], None
+            rep.total_delay_s, regime]
 
 
-_FLY = _Analysis("flying", ("lambda_max", "threshold", "binding"), _fly_row,
-                 needs_fleet=True)
+_FLY = _Analysis("flying", ("lambda_max", "threshold", "binding"),
+                 partial(_each_point, _fly_row, 3), needs_fleet=True)
 _ENERGY = _Analysis("energy", ("e_tdc", "e_hybrid", "saved_rate", "n_retx"),
-                    rows=_energy_rows)
+                    _energy_rows)
 _OUTAGE = _Analysis("outage", ("ccdf_lb", "ccdf_ub", "ccdf_mc", "ccdf_mc_se",
                                "drop_rate", "saved_with_retx",
                                "saved_without"),
-                    rows=_outage_rows, needs_fleet=True, offload_rate=True,
-                    finish=_outage_mc)
+                    _outage_rows, needs_fleet=True, offload_rate=True)
 _DELAY = _Analysis("delay", ("analytic_wait", "des_wait", "des_se", "rtt",
                              "total", "regime"),
-                   _delay_row, needs_fleet=True, offload_rate=True)
+                   partial(_each_point, _delay_row, 6), needs_fleet=True,
+                   offload_rate=True)
 
 
 # --- the engine -------------------------------------------------------------
 
-def _point(analysis, cfg, spec, index, value):
-    """One grid point's row, with the link never saturated: no analysis
-    that answers single points offers the link traffic."""
-    try:
-        cells, error = analysis.row(cfg, spec, index, value)
-    except _ROW_ERRORS as exc:
-        cells, error = [None] * len(analysis.columns), str(exc)
-    return [value, *cells, error], False
-
-
 def _chunk(args):
     """The (row, saturated) pairs of one contiguous chunk of grid points."""
     analysis, cfg, spec, points = args
-    if analysis.rows is not None:
-        return analysis.rows(cfg, spec, points)
-    return [_point(analysis, cfg, spec, index, value)
-            for index, value in points]
+    return analysis.rows(cfg, spec, points)
 
 
 def _run(analysis: _Analysis, cfg: ModelConfig, spec: SweepSpec) -> SweepResult:
@@ -385,19 +379,14 @@ def _run(analysis: _Analysis, cfg: ModelConfig, spec: SweepSpec) -> SweepResult:
     if analysis.needs_fleet and cfg.scenario.hap_servers < 1:
         raise ConfigError(
             f"{analysis.name} sweep needs at least one airborne server")
-    values = spec.values()
-    points = list(enumerate(values))
-    # an analysis that answers chunks gets one per worker; the others get
-    # one point per task, so the pool balances their uneven costs
-    parts = min(spec.workers, len(points)) if analysis.rows else len(points)
+    points = list(enumerate(spec.values()))
+    parts = min(spec.workers, len(points))
     cuts = [len(points) * j // parts for j in range(parts + 1)]
     chunks = [(analysis, cfg, spec, points[a:b])
               for a, b in zip(cuts, cuts[1:])]
     answered = [pair for part in _map_points(_chunk, chunks, spec.workers)
                 for pair in part]
     rows = [row for row, _ in answered]
-    if analysis.finish is not None:
-        analysis.finish(cfg, spec, values, rows)
 
     manifest = {
         "tool": f"hapdc {__version__}",

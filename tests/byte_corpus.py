@@ -1,0 +1,124 @@
+"""The byte-identity corpus: a fixed list of command lines and the sha256
+of what each writes and returns.
+
+``test_byte_corpus.py`` runs every command in-process through
+``hapdc.cli.main`` and compares its stdout, stderr and exit code with the
+digests in ``byte_corpus.json``.  The digests depend on numpy's random
+streams and on float formatting, so the file also records the Python and
+numpy versions and the YAML backend it was written under.
+
+Run this file to rewrite the corpus after a change that moves output
+bytes on purpose:
+
+    python tests/byte_corpus.py
+
+It is not collected by pytest.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import platform
+import sys
+import tempfile
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SHIPPED_CONFIG = os.path.join(REPO_ROOT, "configs", "default.yaml")
+CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                      "byte_corpus.json")
+SEED = "7"
+
+# The shipped sweeps: (command, axis, range).  Outage and delay take the
+# default 1e5 samples.
+SWEEPS = [
+    ("fly", "day", "1:365:1"),
+    ("fly", "latitude", "-60:60:5"),
+    ("fly", "hap_servers", "1:40:3"),
+    ("energy", "day", "1:365:1"),
+    ("energy", "arrival_rate", "0:40000:100"),
+    ("energy", "latitude", "-60:60:5"),
+    ("energy", "hap_servers", "1:40:3"),
+    ("outage", "arrival_rate", "0:12000:100"),
+    ("delay", "arrival_rate", "0:22000:1000"),
+]
+
+
+def commands() -> dict[str, list[str]]:
+    """Every corpus entry's name and its argv; ``{no_ground}`` stands for
+    the path of the shipped config without ground servers."""
+    runs = {}
+    for command, axis, grid in SWEEPS:
+        argv = [command, "--config", SHIPPED_CONFIG, "--axis", axis,
+                "--range", grid, "--seed", SEED]
+        for fmt in ("csv", "json"):
+            runs[f"{command} {axis} {grid} {fmt}"] = argv + ["--format", fmt]
+        if command in ("energy", "outage") and axis == "arrival_rate":
+            runs[f"{command} {axis} {grid} workers 3"] = argv + [
+                "--workers", "3"]
+    runs["validate"] = ["validate", "--config", SHIPPED_CONFIG,
+                        "--seed", SEED]
+    runs["outage no ground servers"] = [
+        "outage", "--config", "{no_ground}", "--axis", "arrival_rate",
+        "--range", "0:20000:2000", "--samples", "2000", "--seed", SEED]
+    return runs
+
+
+def environment() -> dict[str, str]:
+    """What the digests depend on besides the program."""
+    import numpy
+    import yaml
+
+    backend = "libyaml" if hasattr(yaml, "CSafeLoader") else "pure-python"
+    return {"python": platform.python_version(), "numpy": numpy.__version__,
+            "yaml": backend}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def run(argv: list[str]) -> tuple[str, str, int]:
+    """stdout, stderr and exit code of ``hapdc.cli.main(argv)``."""
+    from hapdc import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return out.getvalue(), err.getvalue(), code
+
+
+def outputs():
+    """(name, stdout, stderr, exit code) of every corpus command."""
+    with tempfile.TemporaryDirectory() as tmp:
+        # the shipped config with no ground server
+        no_ground = os.path.join(tmp, "no_ground.yaml")
+        with open(SHIPPED_CONFIG, encoding="utf-8") as fh:
+            text = fh.read()
+        with open(no_ground, "w", encoding="utf-8") as fh:
+            fh.write(text.replace("ground_servers: 40", "ground_servers: 0"))
+        for name, argv in commands().items():
+            argv = [no_ground if a == "{no_ground}" else a for a in argv]
+            yield (name, *run(argv))
+
+
+def digest(stdout: str, stderr: str, code: int) -> dict:
+    return {"stdout": _sha(stdout), "stderr": _sha(stderr), "exit": code}
+
+
+def main() -> int:
+    entries = {name: digest(*streams) for name, *streams in outputs()}
+    with open(CORPUS, "w", encoding="utf-8") as fh:
+        json.dump({"environment": environment(), "entries": entries}, fh,
+                  indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {len(entries)} entries to {CORPUS}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+    sys.exit(main())

@@ -156,6 +156,20 @@ def test_wind_table_from_csv(tmp_path):
     assert cfg.wind.speed_at(38.0, 100.0) == 25.0
 
 
+def test_wind_table_csv_rejects_non_finite_speeds(tmp_path, capsys):
+    from hapdc import cli
+
+    (tmp_path / "wind.csv").write_text(
+        "latitude_deg,day_of_year,wind_speed\n0,100,5\n40,100,nan\n")
+    yml = tmp_path / "cfg.yaml"
+    yml.write_text("wind:\n  table_path: wind.csv\n")
+    with pytest.raises(ConfigError, match=r"wind\.table_path"):
+        load_config(str(yml))
+    rc = cli.main(["fly", "--config", str(yml), "--axis", "day",
+                   "--range", "1:2:1"])
+    assert rc == 2 and "wind.table_path" in capsys.readouterr().err
+
+
 def test_wind_table_missing_csv(tmp_path):
     yml = tmp_path / "cfg.yaml"
     yml.write_text("wind:\n  table_path: nope.csv\n")
@@ -415,6 +429,16 @@ def test_yaml_backends_dump_alike(cfg):
     ("scenario: {ground_rates: [1.0, x]}", "scenario.ground_rates"),
     ("wind: {table: [[40, 150]]}", "wind.table"),
     ("cooling: {fan: {air_flow_rate: a, pressure_loss: 1.0,"
+     " fan_efficiency: 0.5, motor_efficiency: 0.5}}",
+     "cooling.fan.air_flow_rate"),
+    # numbers that are not finite
+    ("server: {p_idle: .nan}", "server.p_idle"),
+    ("hap: {pv_area: .inf}", "hap.pv_area"),
+    ("workload: {arrival_rate_total: .inf}", "workload.arrival_rate_total"),
+    ("scenario: {window: [0, .inf]}", "scenario.window"),
+    ("scenario: {ground_rates: .nan}", "scenario.ground_rates"),
+    ("wind: {table: [[40, 150, .nan]]}", "wind.table"),
+    ("cooling: {fan: {air_flow_rate: .inf, pressure_loss: 1.0,"
      " fan_efficiency: 0.5, motor_efficiency: 0.5}}",
      "cooling.fan.air_flow_rate"),
 ])

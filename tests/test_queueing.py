@@ -63,6 +63,7 @@ def test_simulation_matches_closed_form():
         want = queueing.mean_wait(lam, mu, nu)
         sim = queueing.simulate_mm1_vacations(
             lam, mu, nu, 200_000, rng=np.random.default_rng(int(u * 10)))
+        assert type(sim.stderr) is float
         tol = max(0.02 * want, 3.0 * sim.stderr)
         assert abs(sim.mean_wait - want) <= tol, (u, sim.mean_wait, want)
 

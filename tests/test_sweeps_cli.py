@@ -379,7 +379,7 @@ def test_outage_saving_cells_equal_saving_bit_for_bit(shipped_cfg):
     # one evaluation of the chunk prices both policies exactly as two
     # saving() calls, and the one-scenario reference, give them on each
     # row's scenario, error text included; the bounds are the scalar calls'
-    spec = sweeps.SweepSpec("arrival_rate", 0.0, 1.0, 1.0)
+    spec = sweeps.SweepSpec("arrival_rate", 0.0, 1.0, 1.0, samples=1)
     seen = dict.fromkeys(("closed", "open", "drop 1", "exceeds ceiling",
                           "residual", "absorb"), 0)
     with warnings.catch_warnings():
@@ -392,8 +392,10 @@ def test_outage_saving_cells_equal_saving_bit_for_bit(shipped_cfg):
             ch = cfg.channel
             demand = channel.spectral_demand(ch, cfg.workload, value)
             lb = channel.ccdf_lower(ch, demand)
-            assert row[:6] == [value, lb, channel.ccdf_upper(ch, demand),
-                               None, None, 1.0 - lb]
+            assert row[:3] + row[5:6] == [value, lb,
+                                          channel.ccdf_upper(ch, demand),
+                                          1.0 - lb]
+            assert row[3] in (0.0, 1.0)  # one Monte Carlo draw
             try:
                 sc = sweeps._offload_scenario(cfg, value)
             except OverloadError as exc:
@@ -444,8 +446,7 @@ def test_outage_row_evaluates_the_baseline_once(shipped_cfg, monkeypatch):
     rows = (sweeps._outage_rows(shipped_cfg, spec, points[:3])
             + sweeps._outage_rows(shipped_cfg, spec, points[3:]))
     assert calls == {"tdc_total_energy": 3, "drop_probability": 0}
-    assert [row[:3] + row[5:] for row, _ in rows] \
-        == [row[:3] + row[5:] for row in out.rows]
+    assert [row for row, _ in rows] == out.rows
 
 
 # --- delay sweep -------------------------------------------------------------
@@ -1052,8 +1053,7 @@ def test_energy_pricing_passes_other_warnings_on(shipped_cfg, monkeypatch):
 
 def test_energy_and_outage_analyses_are_cut_per_worker(shipped_cfg,
                                                         monkeypatch):
-    # delay points differ in cost, so they go to the pool one point per
-    # task; the energy and outage analyses get one chunk per worker
+    # every analysis, delay included, gets one contiguous chunk per worker
     tasks = []
     real = sweeps._map_points
 
@@ -1070,4 +1070,4 @@ def test_energy_and_outage_analyses_are_cut_per_worker(shipped_cfg,
         sweeps.run_delay_sweep(shipped_cfg, spec)
         sweeps.run_outage_sweep(shipped_cfg, spec)
         sweeps.run_energy_sweep(shipped_cfg, spec)
-    assert tasks == [[1] * 5, [1, 2, 2], [1, 2, 2]]
+    assert tasks == [[1, 2, 2]] * 3
