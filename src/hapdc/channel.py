@@ -39,10 +39,9 @@ _UNSURE = math.log1p(-1e-9)
 # Airtime share above which the offered traffic saturates the link.
 SATURATION = 1.0 + 1e-12
 
-# Monte Carlo draws are taken in chunks of this many channels.  The outage
-# sweep seeds each draw chunk from its index alone, so every chunk of grid
-# points draws the same rates and any worker count reproduces the
-# single-process bytes.
+# Monte Carlo draws are taken in chunks of this many channels, which bounds
+# the memory of one draw; ``empirical_ccdf`` draws chunk ``c`` from the
+# ``c``-th child its generator spawns.
 MC_CHUNK = 20_000
 
 
@@ -268,9 +267,9 @@ def exceedances(ch: ChannelConfig, demands: np.ndarray, count: int,
     rates drawn from ``rng`` lie above it.
 
     The rates follow the Gram-matrix law of ``sample_rates`` (Bartlett
-    1933; Goodman 1963).  Callers that split their samples into chunks
-    (``empirical_ccdf``, the chunk-keyed outage sweep) add up the counts
-    and hand the total to ``ccdf_estimate``.
+    1933; Goodman 1963).  ``empirical_ccdf`` calls it once per chunk of
+    ``MC_CHUNK`` draws, adds up the counts and hands the total to
+    ``ccdf_estimate``.
     """
     return count_above(sample_rates(ch, count, rng),
                        demands * ch.bandwidth_hz)
@@ -298,14 +297,19 @@ def empirical_ccdf(ch: ChannelConfig, demands, samples: int = 100_000,
     The rates are drawn by ``exceedances`` from the law of the Gram matrix
     H^H H (Bartlett 1933; Goodman 1963), not from the channel itself.
     Returns the (probability, standard error) arrays of ``ccdf_estimate``
-    over ``samples`` draws taken in chunks of ``MC_CHUNK``.
+    over ``samples`` draws taken in chunks of ``MC_CHUNK``: chunk ``c``
+    draws from ``rng.spawn(n_chunks)[c]``, which for ``rng =
+    default_rng(seed)`` is the generator of ``SeedSequence(seed,
+    spawn_key=(c,))``.  Every demand is counted against the same draws.
     """
     if rng is None:
         rng = np.random.default_rng()
     demands = np.atleast_1d(np.asarray(demands, dtype=float))
     counts = np.zeros(demands.shape, dtype=np.int64)
-    for done in range(0, samples, MC_CHUNK):
-        counts += exceedances(ch, demands, min(MC_CHUNK, samples - done), rng)
+    starts = range(0, samples, MC_CHUNK)
+    for done, chunk_rng in zip(starts, rng.spawn(len(starts))):
+        counts += exceedances(ch, demands, min(MC_CHUNK, samples - done),
+                              chunk_rng)
     return ccdf_estimate(counts, samples)
 
 
@@ -357,13 +361,15 @@ def max_reliable_rate(ch: ChannelConfig, workload: WorkloadSpec,
     def ok(lam: float) -> bool:
         demand = spectral_demand(ch, workload, lam, task_len)
         y = _marcum_threshold(demand, 1, scale) if demand > 0.0 else None
-        if y is not None:
-            bound = marcum_log_bound(orders, noncentral, y)
-            if y * y < mean and bound <= _SURE:
-                return True
-            if y * y > mean and bound < _UNSURE:
-                return False
-        return ccdf_lower(ch, demand) >= 1.0 - 1e-12
+        if y is None:
+            # the lower bound is 1 at no demand, 0 past the threshold cap
+            return demand <= 0.0
+        bound = marcum_log_bound(orders, noncentral, y)
+        if y * y < mean and bound <= _SURE:
+            return True
+        if y * y > mean and bound < _UNSURE:
+            return False
+        return marcum_q(orders, noncentral, y) >= 1.0 - 1e-12
 
     hi = 1.0
     grow = 0

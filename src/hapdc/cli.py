@@ -60,8 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int, default=100_000,
                        help="Monte Carlo draws per outage sweep; "
                             "simulated tasks per delay grid point")
+        # ignored; bench/run.py passes it until ROADMAP item 1 drops it
         p.add_argument("--workers", type=int, default=1,
-                       help="process pool size (results identical for any value)")
+                       help=argparse.SUPPRESS)
         p.add_argument("--out", default="-",
                        help="output path, '-' for stdout")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -97,8 +98,7 @@ def _run_sweep(args) -> int:
     cfg = _load(args.config)
     start, stop, step = args.sweep_range
     spec = SweepSpec(axis=args.axis, start=start, stop=stop, step=step,
-                     seed=args.seed, samples=args.samples,
-                     workers=args.workers)
+                     seed=args.seed, samples=args.samples)
     result = RUNNERS[args.command](cfg, spec)
     text = render_csv(result) if args.format == "csv" else render_json(result)
     if args.out == "-":

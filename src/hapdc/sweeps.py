@@ -3,19 +3,16 @@
 A sweep walks one scenario knob over an inclusive range, evaluates one of
 the four analyses at every grid point, and renders the rows as RFC-4180
 CSV (with a ``#`` manifest header) or as a JSON mirror.  Reruns with the
-same config, seed, and worker count produce byte-identical files; the
-worker count itself never changes the numbers because random draws are
-keyed to fixed indices, not to scheduling order: an outage sweep's Monte
-Carlo draws by their chunk of ``channel.MC_CHUNK``, a delay sweep's
-simulations by grid point.
+same config and seed produce byte-identical files: an outage sweep's
+Monte Carlo draws through ``channel.empirical_ccdf`` from the seed, a
+delay sweep's simulation at each grid point from the seed and the
+point's grid index.
 
 Each of the four analyses (flying condition, energy saving, outage,
 delay) is one ``_Analysis`` record: metric columns, one function that
-answers a contiguous chunk of grid points, and its fleet and axis needs.
-One engine runs them all: it cuts the grid into one chunk per worker and
-joins the answers in grid order.  Every number stays local to its row, so
-the cut never shows in the output.  Flying condition and delay answer
-their chunk point by point (``_each_point``).  Rows read the model
+answers the whole grid in one process, and its fleet and axis needs.
+One engine runs them all.  Flying condition and delay answer the grid
+point by point (``_each_point``).  Rows read the model
 quantities from their owners: the link budget from the config's
 ``ChannelConfig``, the fleet service rate of the delay simulation from the
 analytic ``DelayReport``.
@@ -23,16 +20,16 @@ analytic ``DelayReport``.
 A grid point is a ``Scenario`` and a total offered rate (``_axis_point``),
 never a copy of the whole config: no axis moves the server, cooling,
 platform, wind, channel or task model, so every row reads those from the
-sweep's own config.  The energy and outage analyses price a chunk at
+sweep's own config.  The energy and outage analyses price the grid at
 once: each point builds its scenario (an energy point allocates its load
 on the per-server lambda_max, looked up once per distinct site, date and
-fleet in the chunk), ``offload.evaluate_offload`` prices the chunk in
+fleet on the grid), ``offload.evaluate_offload`` prices the grid in
 array passes and the delivery policies price its evaluations (the outage
 bounds are one array call each, and give the evaluation its drops).  Each
 cell keeps the bits ``offload.saving`` gives it at the point, and a
 point's link saturation is read from its evaluation rather than from a
-warning.  An outage chunk counts the sweep's whole Monte Carlo sample
-against its own demands.
+warning.  An outage sweep counts its whole Monte Carlo sample against
+every grid point's demand.
 
 Per-point failures (a polar night, an overloaded fleet) land in the
 row's ``error`` column and the sweep carries on; a sweep where every
@@ -69,13 +66,18 @@ AXES = ("latitude", "day", "hap_servers", "arrival_rate")
 
 _ROW_ERRORS = (PolarError, OverloadError, StabilityError, LinkRateError)
 
+# Largest grid a sweep takes; the shipped grids have at most 401 points.
+MAX_GRID_POINTS = 1_000_000
+
 
 @dataclass(frozen=True)
 class SweepSpec:
     """One axis, an inclusive start:stop:step range, and run controls.
 
     ``outputs`` optionally narrows the emitted metric columns (the axis
-    and error columns always stay).
+    and error columns always stay).  A range of more than
+    ``MAX_GRID_POINTS`` points is refused when the spec is built, before
+    any grid list exists.
     """
 
     axis: str
@@ -84,7 +86,6 @@ class SweepSpec:
     step: float
     seed: int = 0
     samples: int = 100_000
-    workers: int = 1
     outputs: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -100,13 +101,19 @@ class SweepSpec:
             raise ConfigError("sweep range is empty (stop < start)")
         if self.samples < 1:
             raise ConfigError("samples must be at least 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
+        count = self._count()
+        if count > MAX_GRID_POINTS:
+            raise ConfigError(f"sweep grid has {count:,} points; at most "
+                              f"{MAX_GRID_POINTS:,} are allowed")
+
+    def _count(self) -> int | float:
+        """Number of grid points; inf when the range overflows a float."""
+        span = (self.stop - self.start) / self.step + 1e-9
+        return math.floor(span) + 1 if math.isfinite(span) else span
 
     def values(self) -> list[float]:
         """Grid points, start-inclusive, stop-inclusive up to float slack."""
-        count = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
-        vals = [self.start + k * self.step for k in range(count)]
+        vals = [self.start + k * self.step for k in range(self._count())]
         if self.axis == "latitude":
             if any(v < -90.0 or v > 90.0 for v in vals):
                 raise ConfigError("latitude axis must stay within [-90, 90]")
@@ -168,23 +175,14 @@ def _axis_point(cfg: ModelConfig, axis: str,
     return sc, cfg.workload.arrival_rate_total
 
 
-def _map_points(fn, args, workers: int):
-    if workers > 1 and len(args) > 1:
-        # imported here: a single-process sweep never pays for the pool
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, args))
-    return [fn(a) for a in args]
-
-
 # --- the analyses -----------------------------------------------------------
 
 @dataclass(frozen=True)
 class _Analysis:
-    """One sweep kind: its metric columns and how a chunk is answered.
+    """One sweep kind: its metric columns and how the grid is answered.
 
-    ``rows(cfg, spec, points)`` answers a contiguous chunk of (grid index,
-    grid value) points with one (row, saturated) pair each: the row is the
+    ``rows(cfg, spec, points)`` answers the sweep's (grid index, grid
+    value) points with one (row, saturated) pair each: the row is the
     grid value, the metric cells in column order and the error message or
     None.  ``offload_rate`` analyses read the grid value as the
     per-platform offload arrival rate instead of as the axis knob of
@@ -200,7 +198,7 @@ class _Analysis:
 
 
 def _each_point(row, width, cfg, spec, points):
-    """The (row, saturated) pairs of a chunk answered point by point:
+    """The (row, saturated) pairs of grid points answered one by one:
     ``row(cfg, spec, index, value)`` gives the ``width`` metric cells, and
     a ``_ROW_ERRORS`` exception that escapes it blanks them all and names
     itself in the error cell.  No analysis answered so offers the link
@@ -222,15 +220,15 @@ def _fly_row(cfg, spec, index, value):
 
 
 def _energy_rows(cfg, spec, points):
-    """Energy rows of a chunk of grid points, each cell as
+    """Energy rows of the grid points, each cell as
     ``saving(allocated_scenario(point), point, with_retransmission=True)``
     gives it at the point's config, error text included, each with whether
     the point's offered traffic saturates the link.
 
     Each point allocates its total on the per-server lambda_max of its
-    site, date and fleet, derived once per distinct triple in the chunk (a
+    site, date and fleet, derived once per distinct triple on the grid (a
     triple that raises, a polar one, is derived again and raises at each
-    of its points).  The sweep's own config prices the chunk: the bills
+    of its points).  The sweep's own config prices the grid: the bills
     read the server, cooling and task length, the link the channel and the
     workload's bits per task and overhead, and no axis moves any of them.
     """
@@ -280,26 +278,19 @@ def _offload_scenario(cfg: ModelConfig, per_link_rate: float):
 
 
 def _outage_rows(cfg, spec, points):
-    """Outage rows of a chunk of grid points, each with whether it prices
-    a saving on offered traffic that saturates the link: the link columns,
-    kept on every row, and both policies priced on the chunk's
-    evaluations, each saving cell as ``saving`` gives it.
+    """Outage rows of the grid points, each with whether it prices a saving
+    on offered traffic that saturates the link: the link columns, kept on
+    every row, and both policies priced on the grid's evaluations, each
+    saving cell as ``saving`` gives it.
 
-    The Monte Carlo cells count the sweep's whole sample against the
-    chunk's demands.  Draw chunk ``c`` of ``channel.MC_CHUNK`` rates is
-    seeded from ``SeedSequence(seed, spawn_key=(c,))``, so every chunk of
-    grid points draws the same rates and a row's count does not depend on
-    how the grid was cut."""
+    The Monte Carlo cells are ``channel.empirical_ccdf`` of the sweep's
+    whole sample at every point's demand, drawn from ``default_rng(seed)``
+    (its draw chunk ``c`` from ``SeedSequence(seed, spawn_key=(c,))``)."""
     ch = cfg.channel
     values = [value for _, value in points]
     demands = channel.spectral_demand(ch, cfg.workload, np.array(values))
-    counts = 0
-    for c, first in enumerate(range(0, spec.samples, channel.MC_CHUNK)):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(spec.seed, spawn_key=(c,)))
-        counts = counts + channel.exceedances(
-            ch, demands, min(channel.MC_CHUNK, spec.samples - first), rng)
-    mcs, ses = channel.ccdf_estimate(counts, spec.samples)
+    mcs, ses = channel.empirical_ccdf(ch, demands, spec.samples,
+                                      np.random.default_rng(spec.seed))
     answered, offered = [], []
     for value, lb, ub, mc, se in zip(
             values, channel.ccdf_lower(ch, demands).tolist(),
@@ -366,12 +357,6 @@ _DELAY = _Analysis("delay", ("analytic_wait", "des_wait", "des_se", "rtt",
 
 # --- the engine -------------------------------------------------------------
 
-def _chunk(args):
-    """The (row, saturated) pairs of one contiguous chunk of grid points."""
-    analysis, cfg, spec, points = args
-    return analysis.rows(cfg, spec, points)
-
-
 def _run(analysis: _Analysis, cfg: ModelConfig, spec: SweepSpec) -> SweepResult:
     if analysis.offload_rate and spec.axis != "arrival_rate":
         raise ConfigError(
@@ -379,13 +364,7 @@ def _run(analysis: _Analysis, cfg: ModelConfig, spec: SweepSpec) -> SweepResult:
     if analysis.needs_fleet and cfg.scenario.hap_servers < 1:
         raise ConfigError(
             f"{analysis.name} sweep needs at least one airborne server")
-    points = list(enumerate(spec.values()))
-    parts = min(spec.workers, len(points))
-    cuts = [len(points) * j // parts for j in range(parts + 1)]
-    chunks = [(analysis, cfg, spec, points[a:b])
-              for a, b in zip(cuts, cuts[1:])]
-    answered = [pair for part in _map_points(_chunk, chunks, spec.workers)
-                for pair in part]
+    answered = analysis.rows(cfg, spec, list(enumerate(spec.values())))
     rows = [row for row, _ in answered]
 
     manifest = {

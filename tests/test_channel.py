@@ -336,12 +336,17 @@ def test_empirical_ccdf_short_last_chunk(samples):
     demands = np.array([1.0, 1.6, 1.7, 2.5])
     prob, se = channel.empirical_ccdf(ch, demands, samples=samples,
                                       rng=np.random.default_rng(18))
-    rng = np.random.default_rng(18)
+    # chunk c draws from the c-th generator default_rng(18) spawns
     counts = np.zeros(len(demands), dtype=np.int64)
-    for done in range(0, samples, channel.MC_CHUNK):
+    for c, done in enumerate(range(0, samples, channel.MC_CHUNK)):
+        rng = np.random.default_rng(np.random.SeedSequence(18, spawn_key=(c,)))
         counts += channel.exceedances(
             ch, demands, min(channel.MC_CHUNK, samples - done), rng)
     assert np.array_equal(prob, counts / samples)
+    # the outage sweep's bytes rest on spawned children keying by index
+    spawned = np.random.default_rng(18).spawn(2)[1]
+    keyed = np.random.default_rng(np.random.SeedSequence(18, spawn_key=(1,)))
+    assert np.array_equal(spawned.standard_normal(8), keyed.standard_normal(8))
     assert np.all(se > 0.0)
     assert np.all(np.diff(prob) <= 0.0)
 

@@ -225,7 +225,7 @@ def test_reliable_rate_inverted_once_per_link(shipped_cfg, monkeypatch):
 
     monkeypatch.setattr(channel, "max_reliable_rate", counting)
     offload._reliable_rate.cache_clear()
-    spec = sweeps.SweepSpec("arrival_rate", 4000.0, 8000.0, 1000.0, workers=1)
+    spec = sweeps.SweepSpec("arrival_rate", 4000.0, 8000.0, 1000.0)
     result = sweeps.run_energy_sweep(shipped_cfg, spec)
     assert all(row[-1] is None for row in result.rows)
     assert len(calls) == 1

@@ -46,8 +46,22 @@ def test_spec_rejects_bad_ranges():
         sweeps.SweepSpec("day", 0.0, math.inf, 1.0)
     with pytest.raises(ConfigError):
         sweeps.SweepSpec("day", 0.0, 10.0, 1.0, samples=0)
-    with pytest.raises(ConfigError):
-        sweeps.SweepSpec("day", 0.0, 10.0, 1.0, workers=0)
+
+
+def test_spec_refuses_an_oversized_grid(monkeypatch):
+    # the count is checked when the spec is built, before any grid list
+    monkeypatch.setattr(sweeps.SweepSpec, "values",
+                        lambda self: pytest.fail("grid list built"))
+    with pytest.raises(ConfigError, match="366,000,000,001 points"):
+        sweeps.SweepSpec("day", 0.0, 366.0, 1e-9)
+    with pytest.raises(ConfigError, match="inf points"):
+        sweeps.SweepSpec("arrival_rate", -1.7e308, 1.7e308, 1.0)
+    with pytest.raises(ConfigError, match="1,000,001 points"):
+        sweeps.SweepSpec("arrival_rate", 0.0, 1e6, 1.0)
+    assert sweeps.SweepSpec("arrival_rate", 0.0, 999_999.0, 1.0)._count() == (
+        sweeps.MAX_GRID_POINTS)
+    assert cli.main(["energy", "--axis", "day",
+                     "--range", "0:366:1e-9"]) == 2
 
 
 def test_spec_axis_domains():
@@ -188,18 +202,17 @@ def test_saturation_note_counts_grid_points(shipped_cfg):
         shipped_cfg, sweeps.SweepSpec("day", 150.0, 152.0, 1.0))
     assert len(out.notes) == 1
     assert out.notes[0].startswith("3 grid point(s) offered more traffic")
-    # the shipped sweeps, whole and cut into chunks: each saturated point
-    # is counted once, read from its airtime
+    # the shipped sweeps: each saturated point is counted once, read from
+    # its airtime
     for axis, bounds, count in (("day", (1.0, 365.0, 1.0), 218),
                                 ("arrival_rate", (0.0, 40_000.0, 100.0), 312),
                                 ("hap_servers", (1.0, 40.0, 3.0), 10)):
-        for workers in (1, 3):
-            out = sweeps.run_energy_sweep(
-                shipped_cfg, sweeps.SweepSpec(axis, *bounds, workers=workers))
-            assert out.notes == [
-                f"{count} grid point(s) offered more traffic than the link "
-                "carries; their energy figures assume the backlog still goes "
-                "out"], (axis, workers)
+        out = sweeps.run_energy_sweep(shipped_cfg,
+                                      sweeps.SweepSpec(axis, *bounds))
+        assert out.notes == [
+            f"{count} grid point(s) offered more traffic than the link "
+            "carries; their energy figures assume the backlog still goes "
+            "out"], axis
 
 
 def test_sweep_passes_other_warnings_on(shipped_cfg, monkeypatch):
@@ -304,29 +317,6 @@ def test_outage_without_ground_servers_errs_per_row(shipped_cfg, tmp_path,
     assert rc == 4
     assert "error:" not in capsys.readouterr().err
     assert csv_out.read_text().count("no ground servers") == 4
-
-
-def test_outage_sweep_worker_count_invariant(shipped_cfg):
-    spec1 = sweeps.SweepSpec("arrival_rate", 2000.0, 6000.0, 2000.0,
-                             seed=9, samples=30_000, workers=1)
-    spec2 = replace(spec1, workers=3)
-    a = sweeps.run_outage_sweep(shipped_cfg, spec1)
-    b = sweeps.run_outage_sweep(shipped_cfg, spec2)
-    assert sweeps.render_csv(a) == sweeps.render_csv(b)
-    # 11 points across the gate (about 5362 task/s) and the link's
-    # saturation, cut into 6 + 5 and 3 + 4 + 4 chunks
-    spec = sweeps.SweepSpec("arrival_rate", 0.0, 12_000.0, 1100.0,
-                            seed=9, samples=2000)
-    gate = offload.drop_gate(shipped_cfg)
-    values = spec.values()
-    assert values[0] < gate < values[-1]
-    one = sweeps.run_outage_sweep(shipped_cfg, spec)
-    assert 0 < int(one.notes[0].split()[0]) < len(values)
-    for workers in (2, 3):
-        many = sweeps.run_outage_sweep(shipped_cfg,
-                                       replace(spec, workers=workers))
-        assert sweeps.render_csv(many) == sweeps.render_csv(one)
-        assert many.notes == one.notes
 
 
 def test_outage_sweep_notes_saturated_rows(shipped_cfg):
@@ -506,7 +496,12 @@ def test_delay_sweep_requires_rate_axis(shipped_cfg):
                                sweeps.SweepSpec("latitude", 0.0, 10.0, 5.0))
 
 
-def test_delay_sweep_unstable_rows_error(shipped_cfg):
+def test_delay_sweep_unstable_rows_error(shipped_cfg, monkeypatch):
+    calls = []
+    rows = sweeps._DELAY.rows
+    monkeypatch.setattr(sweeps, "_DELAY", replace(
+        sweeps._DELAY, rows=lambda cfg, spec, points:
+        calls.append(points) or rows(cfg, spec, points)))
     spec = sweeps.SweepSpec("arrival_rate", 23000.0, 24000.0, 500.0,
                             samples=2000)
     out = sweeps.run_delay_sweep(shipped_cfg, spec)
@@ -514,23 +509,11 @@ def test_delay_sweep_unstable_rows_error(shipped_cfg):
     assert out.rows[1][7] is not None
     assert out.rows[2][7] is not None
     assert not out.all_failed
+    # one call answers the whole grid, a failing point included
+    assert calls == [list(enumerate(spec.values()))]
 
 
 # --- every sweep ------------------------------------------------------------
-
-@pytest.mark.parametrize("kind, axis, bounds, samples", [
-    ("fly", "latitude", (-30.0, 30.0, 30.0), 1),
-    ("energy", "day", (150.0, 152.0, 1.0), 1),
-    ("outage", "arrival_rate", (2000.0, 6000.0, 2000.0), 2000),
-    ("delay", "arrival_rate", (1000.0, 3000.0, 1000.0), 2000),
-])
-def test_sweep_worker_count_invariant(shipped_cfg, kind, axis, bounds, samples):
-    spec = sweeps.SweepSpec(axis, *bounds, seed=6, samples=samples)
-    one = sweeps.RUNNERS[kind](shipped_cfg, spec)
-    two = sweeps.RUNNERS[kind](shipped_cfg, replace(spec, workers=2))
-    assert sweeps.render_csv(one) == sweeps.render_csv(two)
-    assert one.notes == two.notes
-
 
 def test_bench_tracer_targets_exist():
     # the benchmark tracer wraps these by name and finds the runners in
@@ -821,18 +804,6 @@ def test_energy_cells_equal_saving_per_point(shipped_cfg):
     assert seen["shapes"] > 1 and all(seen.values()), seen
 
 
-def test_energy_sweep_workers_split_unevenly(shipped_cfg):
-    # 11 points cut into 6 + 5 and 3 + 4 + 4 chunks
-    spec = sweeps.SweepSpec("arrival_rate", 0.0, 42_000.0, 4200.0)
-    one = sweeps.run_energy_sweep(shipped_cfg, spec)
-    assert any(row[-1] for row in one.rows) and one.notes
-    for workers in (2, 3):
-        many = sweeps.run_energy_sweep(shipped_cfg,
-                                       replace(spec, workers=workers))
-        assert sweeps.render_csv(many) == sweeps.render_csv(one)
-        assert many.notes == one.notes
-
-
 def _count_bills(monkeypatch):
     """Batch sizes of every baseline and split-bill pricing call."""
     sizes = {"tdc_total_energy": [], "split_bills": []}
@@ -1049,25 +1020,3 @@ def test_energy_pricing_passes_other_warnings_on(shipped_cfg, monkeypatch):
         assert not [w for w in record
                     if issubclass(w.category, LinkSaturationWarning)], kind
         assert out.notes[0].startswith("3 grid point(s)"), kind
-
-
-def test_energy_and_outage_analyses_are_cut_per_worker(shipped_cfg,
-                                                        monkeypatch):
-    # every analysis, delay included, gets one contiguous chunk per worker
-    tasks = []
-    real = sweeps._map_points
-
-    def recording(fn, args, workers):
-        if fn is sweeps._chunk:
-            tasks.append([len(points) for *_, points in args])
-        return real(fn, args, 1)
-
-    monkeypatch.setattr(sweeps, "_map_points", recording)
-    spec = sweeps.SweepSpec("arrival_rate", 0.0, 4000.0, 1000.0, workers=3,
-                            samples=2000)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        sweeps.run_delay_sweep(shipped_cfg, spec)
-        sweeps.run_outage_sweep(shipped_cfg, spec)
-        sweeps.run_energy_sweep(shipped_cfg, spec)
-    assert tasks == [[1, 2, 2]] * 3
