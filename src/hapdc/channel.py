@@ -15,6 +15,11 @@ Goodman 1963 for the complex case).  ``sample_channel`` and
 ``channel_rate`` draw H and take its rate directly, at the configured mean
 receive SNR as well; they are the reference that sampler is tested
 against.
+
+Each link quantity has one route.  ``_threshold`` maps a spectral demand
+to its Marcum threshold for both CCDF bounds, the drop probability and the
+reliable-rate bisection; ``empirical_ccdf`` draws, sorts and counts the
+Monte Carlo estimate.
 """
 
 from __future__ import annotations
@@ -39,9 +44,9 @@ _UNSURE = math.log1p(-1e-9)
 # Airtime share above which the offered traffic saturates the link.
 SATURATION = 1.0 + 1e-12
 
-# Monte Carlo draws are taken in chunks of this many channels, which bounds
+# Monte Carlo draws are taken in chunks of this many rates, which bounds
 # the memory of one draw; ``empirical_ccdf`` draws chunk ``c`` from the
-# ``c``-th child its generator spawns.
+# ``c``-th child its generator spawns, then sorts and counts it.
 MC_CHUNK = 20_000
 
 
@@ -104,7 +109,10 @@ def channel_rate(ch: ChannelConfig, h: np.ndarray) -> np.ndarray:
 def reference_rate(ch: ChannelConfig) -> float:
     """Offload rate on the unfaded line-of-sight channel with MRT, bit/s."""
     array_snr = ch.tx_antennas * ch.rx_antennas * ch.avg_rx_snr
-    return ch.bandwidth_hz * math.log2(1.0 + array_snr)
+    rate = ch.bandwidth_hz * math.log2(1.0 + array_snr)
+    if rate <= 0.0:
+        raise LinkRateError("link reference rate is not positive")
+    return rate
 
 
 def _non_negative(name: str, value: float | np.ndarray) -> None:
@@ -145,45 +153,44 @@ def _bound_params(ch: ChannelConfig) -> tuple[int, float, float]:
     return orders, noncentral, scale
 
 
+def _threshold(demand: float, rank: int, scale: float) -> float:
+    """Marcum threshold y of a spectral demand spread over ``rank``
+    virtual streams.
+
+    A demand that is not positive gives y = 0, where Q = 1, and one past
+    700 / ln 2 bit/s/Hz per stream gives y = inf, where Q = 0; neither
+    needs the series.  A NaN gives a NaN, which goes to the series.
+    """
+    if demand <= 0.0:
+        return 0.0
+    if (demand / rank) * _LN2 > 700.0:
+        return math.inf
+    return math.sqrt(2.0 * scale * (rank * math.expm1(demand * _LN2 / rank)))
+
+
+def _marcum(orders: int, noncentral: float, ys: np.ndarray) -> np.ndarray:
+    """Q of each threshold of ``_threshold``; one ``marcum_q`` call serves
+    every threshold but y = 0 (Q = 1) and y = inf (Q = 0)."""
+    values = np.where(ys == 0.0, 1.0, 0.0)
+    series = (ys != 0.0) & (ys != math.inf)
+    if series.any():
+        values[series] = marcum_q(orders, noncentral, ys[series])
+    return values
+
+
 def _bound(ch: ChannelConfig, demand: float | np.ndarray,
            rank: int) -> float | np.ndarray:
     """Marcum-Q bound on Pr(link rate > demand * bandwidth) with the
     demand spread over ``rank`` virtual streams; elementwise over an
-    ndarray of demands, and a float for a scalar one.
-
-    One ``marcum_q`` call serves every demand that needs the series.
-    """
+    ndarray of demands, and a float for a scalar one."""
     demands = np.asarray(demand, dtype=float)
-    values = np.ones(demands.shape)
-    flat = values.reshape(-1)
-    # a NaN fails ``d <= 0.0``, so it takes the series
-    series = [(i, d) for i, d in enumerate(demands.ravel().tolist())
-              if not d <= 0.0]
-    if series:
-        orders, noncentral, scale = _bound_params(ch)
-        at, ys = [], []
-        for i, d in series:
-            y = _marcum_threshold(d, rank, scale)
-            if y is None:
-                flat[i] = 0.0
-            else:
-                at.append(i)
-                ys.append(y)
-        if ys:
-            flat[at] = marcum_q(orders, noncentral, np.array(ys))
+    orders, noncentral, scale = _bound_params(ch)
+    ys = np.array([_threshold(d, rank, scale)
+                   for d in demands.ravel().tolist()])
+    values = _marcum(orders, noncentral, ys).reshape(demands.shape)
     if isinstance(demand, np.ndarray) or values.ndim:
         return values
-    return float(flat[0])
-
-
-def _marcum_threshold(demand: float, rank: int,
-                      scale: float) -> float | None:
-    """Marcum threshold y of a positive demand, or None past a demand of
-    700 / ln 2 bit/s/Hz per stream, where the bound is 0."""
-    if (demand / rank) * _LN2 > 700.0:
-        return None
-    threshold = rank * math.expm1(demand * _LN2 / rank)
-    return math.sqrt(2.0 * scale * threshold)
+    return float(values)
 
 
 def ccdf_lower(ch: ChannelConfig,
@@ -255,91 +262,65 @@ def sample_rates(ch: ChannelConfig, count: int,
     return ch.bandwidth_hz * np.log2(np.maximum(det, 1.0))
 
 
-def count_above(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """How many of ``values`` lie strictly above each threshold."""
-    ordered = np.sort(values)
-    return len(ordered) - np.searchsorted(ordered, thresholds, side="right")
+def empirical_ccdf(ch: ChannelConfig, demands, samples: int = 100_000,
+                   rng: np.random.Generator | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Monte-Carlo CCDF of the full-covariance rate at each spectral demand.
 
-
-def exceedances(ch: ChannelConfig, demands: np.ndarray, count: int,
-                rng: np.random.Generator) -> np.ndarray:
-    """Count, per spectral demand, how many of ``count`` full-covariance
-    rates drawn from ``rng`` lie above it.
-
-    The rates follow the Gram-matrix law of ``sample_rates`` (Bartlett
-    1933; Goodman 1963).  ``empirical_ccdf`` calls it once per chunk of
-    ``MC_CHUNK`` draws, adds up the counts and hands the total to
-    ``ccdf_estimate``.
+    The rates are drawn by ``sample_rates`` from the law of the Gram
+    matrix H^H H (Bartlett 1933; Goodman 1963), not from the channel
+    itself, in chunks of ``MC_CHUNK``: chunk ``c`` draws from
+    ``rng.spawn(n_chunks)[c]``, which for ``rng = default_rng(seed)`` is
+    the generator of ``SeedSequence(seed, spawn_key=(c,))``.  Each chunk
+    is sorted once and counts, per demand, the rates strictly above
+    ``demand * bandwidth``; every demand is counted against the same
+    draws.  Returns the exceedance probability and its standard error
+    over ``samples`` draws; the error takes a half-count continuity
+    adjustment where a count is 0 or ``samples``, so it never collapses
+    to zero.
     """
-    return count_above(sample_rates(ch, count, rng),
-                       demands * ch.bandwidth_hz)
-
-
-def ccdf_estimate(counts: np.ndarray, samples: int
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Exceedance probability and its standard error from ``counts`` hits
-    out of ``samples`` draws.
-
-    The standard error uses a half-count continuity adjustment when a
-    count is 0 or ``samples``, so the error bar never collapses to zero.
-    """
+    if rng is None:
+        rng = np.random.default_rng()
+    demands = np.atleast_1d(np.asarray(demands, dtype=float))
+    thresholds = demands * ch.bandwidth_hz
+    counts = np.zeros(demands.shape, dtype=np.int64)
+    starts = range(0, samples, MC_CHUNK)
+    for done, chunk_rng in zip(starts, rng.spawn(len(starts))):
+        rates = np.sort(sample_rates(ch, min(MC_CHUNK, samples - done),
+                                     chunk_rng))
+        counts += len(rates) - np.searchsorted(rates, thresholds,
+                                               side="right")
     prob = counts / samples
     edge = (counts == 0) | (counts == samples)
     adjusted = np.where(edge, (counts + 0.5) / (samples + 1.0), prob)
     return prob, np.sqrt(adjusted * (1.0 - adjusted) / samples)
 
 
-def empirical_ccdf(ch: ChannelConfig, demands, samples: int = 100_000,
-                   rng: np.random.Generator | None = None
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Monte-Carlo CCDF of the full-covariance rate at each spectral demand.
-
-    The rates are drawn by ``exceedances`` from the law of the Gram matrix
-    H^H H (Bartlett 1933; Goodman 1963), not from the channel itself.
-    Returns the (probability, standard error) arrays of ``ccdf_estimate``
-    over ``samples`` draws taken in chunks of ``MC_CHUNK``: chunk ``c``
-    draws from ``rng.spawn(n_chunks)[c]``, which for ``rng =
-    default_rng(seed)`` is the generator of ``SeedSequence(seed,
-    spawn_key=(c,))``.  Every demand is counted against the same draws.
-    """
-    if rng is None:
-        rng = np.random.default_rng()
-    demands = np.atleast_1d(np.asarray(demands, dtype=float))
-    counts = np.zeros(demands.shape, dtype=np.int64)
-    starts = range(0, samples, MC_CHUNK)
-    for done, chunk_rng in zip(starts, rng.spawn(len(starts))):
-        counts += exceedances(ch, demands, min(MC_CHUNK, samples - done),
-                              chunk_rng)
-    return ccdf_estimate(counts, samples)
-
-
 def drop_probability(ch: ChannelConfig, workload: WorkloadSpec,
                      arrival_rate: float | np.ndarray,
                      task_len: float | None = None) -> float | np.ndarray:
     """Conservative per-task drop probability: one minus the CCDF lower
-    bound; elementwise over an ndarray of arrival rates.
+    bound; elementwise over an ndarray of arrival rates, and a float for
+    a scalar one.
 
-    A scalar rate takes ``1 - ccdf_lower`` as it is, the reference the
-    array path keeps every bit of.  An array evaluates each distinct rate
-    once and settles a rate without the Marcum series where the Chernoff
-    bound ``specfun.marcum_log_bound`` puts Q below 2^-60: the series then
-    returns less than 2^-54 (it cannot overshoot the true Q 2^6-fold), and
-    one minus that rounds to exactly 1.0.  The other rates, demands past
-    the threshold cap included, share one ``ccdf_lower`` call.
+    Each distinct rate is evaluated once.  A rate whose threshold the
+    Chernoff bound ``specfun.marcum_log_bound`` puts Q below 2^-60 is
+    settled at exactly 1.0 without the Marcum series: the series then
+    returns less than 2^-54 (it cannot overshoot the true Q 2^6-fold),
+    and one minus that rounds to 1.0.  The other thresholds share one
+    ``marcum_q`` call, so every drop keeps the bits of
+    ``1 - ccdf_lower``.
     """
     demand = spectral_demand(ch, workload, arrival_rate, task_len)
-    if not isinstance(demand, np.ndarray):
-        return 1.0 - ccdf_lower(ch, demand)
     distinct, inverse = np.unique(demand, return_inverse=True)
     orders, noncentral, scale = _bound_params(ch)
-    # a demand that is not positive or past the cap stands at y = 0 here
-    ys = np.array([(_marcum_threshold(d, 1, scale) or 0.0) if d > 0.0
-                   else 0.0 for d in distinct.tolist()])
-    deep = ys * ys > noncentral * noncentral + 2 * orders
+    ys = np.array([_threshold(d, 1, scale) for d in distinct.tolist()])
+    deep = (ys * ys > noncentral * noncentral + 2 * orders) & (ys < math.inf)
     deep[deep] = marcum_log_bound(orders, noncentral, ys[deep]) < _DEEP_TAIL
     drops = np.ones(distinct.shape)
-    drops[~deep] = 1.0 - ccdf_lower(ch, distinct[~deep])
-    return drops[inverse].reshape(demand.shape)
+    drops[~deep] = 1.0 - _marcum(orders, noncentral, ys[~deep])
+    drops = drops[inverse].reshape(np.shape(demand))
+    return drops if isinstance(demand, np.ndarray) else float(drops)
 
 
 def max_reliable_rate(ch: ChannelConfig, workload: WorkloadSpec,
@@ -359,11 +340,10 @@ def max_reliable_rate(ch: ChannelConfig, workload: WorkloadSpec,
     mean = noncentral * noncentral + 2 * orders
 
     def ok(lam: float) -> bool:
-        demand = spectral_demand(ch, workload, lam, task_len)
-        y = _marcum_threshold(demand, 1, scale) if demand > 0.0 else None
-        if y is None:
+        y = _threshold(spectral_demand(ch, workload, lam, task_len), 1, scale)
+        if y in (0.0, math.inf):
             # the lower bound is 1 at no demand, 0 past the threshold cap
-            return demand <= 0.0
+            return y == 0.0
         bound = marcum_log_bound(orders, noncentral, y)
         if y * y < mean and bound <= _SURE:
             return True
@@ -396,8 +376,6 @@ def airtime_fraction(ch: ChannelConfig, workload: WorkloadSpec,
     """Share of the window the transmitter must be on air, overhead
     included; elementwise over an ndarray of arrival rates."""
     rate = reference_rate(ch)
-    if rate <= 0.0:
-        raise LinkRateError("link reference rate is not positive")
     bits = workload.overhead_ratio * offered_bit_rate(workload, arrival_rate, task_len)
     return bits / rate
 
@@ -442,6 +420,4 @@ def round_trip_time(ch: ChannelConfig, workload: WorkloadSpec,
                     arrival_rate: float, task_len: float | None = None) -> float:
     """Two-way transport delay of one second of offered traffic, s."""
     rate = reference_rate(ch)
-    if rate <= 0.0:
-        raise LinkRateError("link reference rate is not positive")
     return 2.0 * offered_bit_rate(workload, arrival_rate, task_len) / rate

@@ -68,6 +68,9 @@ _ROW_ERRORS = (PolarError, OverloadError, StabilityError, LinkRateError)
 
 # Largest grid a sweep takes; the shipped grids have at most 401 points.
 MAX_GRID_POINTS = 1_000_000
+# Most Monte Carlo draws or simulated tasks a grid point takes; at the cap
+# the delay simulation holds about 32 B per task, some 3.2 GB.
+MAX_SAMPLES = 10**8
 
 
 @dataclass(frozen=True)
@@ -76,8 +79,8 @@ class SweepSpec:
 
     ``outputs`` optionally narrows the emitted metric columns (the axis
     and error columns always stay).  A range of more than
-    ``MAX_GRID_POINTS`` points is refused when the spec is built, before
-    any grid list exists.
+    ``MAX_GRID_POINTS`` points, or more than ``MAX_SAMPLES`` samples, is
+    refused when the spec is built, before any grid list exists.
     """
 
     axis: str
@@ -101,6 +104,9 @@ class SweepSpec:
             raise ConfigError("sweep range is empty (stop < start)")
         if self.samples < 1:
             raise ConfigError("samples must be at least 1")
+        if self.samples > MAX_SAMPLES:
+            raise ConfigError(f"sweep asks for {self.samples:,} samples; "
+                              f"at most {MAX_SAMPLES:,} are allowed")
         count = self._count()
         if count > MAX_GRID_POINTS:
             raise ConfigError(f"sweep grid has {count:,} points; at most "

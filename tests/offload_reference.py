@@ -44,15 +44,16 @@ def _charged(per_link, cfg):
 
 def evaluate(scenario, cfg, drop=None):
     """(baseline J, per-link rate, drop probability, lossless split bill);
-    ``drop``, when given, stands in for ``drop_probability`` above the
-    gate."""
+    the drop is one minus the CCDF lower bound, which ``drop``, when
+    given, stands in for above the gate."""
     baseline = thermal.tdc_total_energy(scenario, cfg)
     per_link = math.fsum(scenario.hap_rates)
     pr_drop = 0.0
     if _charged(per_link, cfg):
-        pr_drop = drop if drop is not None else channel.drop_probability(
-            cfg.channel, cfg.workload, per_link,
-            cfg.workload.task_length_instr)
+        pr_drop = drop if drop is not None else 1.0 - channel.ccdf_lower(
+            cfg.channel, channel.spectral_demand(
+                cfg.channel, cfg.workload, per_link,
+                cfg.workload.task_length_instr))
     lossless = offload.hybrid_total_energy(scenario, cfg)
     return baseline.total_j, per_link, pr_drop, lossless
 

@@ -305,50 +305,32 @@ def test_sample_rates_shipped_link_moments(shipped_cfg):
 
 # --- exceedance counting ------------------------------------------------------
 
-def test_count_above_matches_comparison_with_ties():
-    rates = np.array([3.0, 1.0, 2.0, 2.0, 5.0, 1.0, 3.0, 3.0, 0.0, 5.0])
-    thresholds = np.array([-1.0, 0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 5.0, 6.0,
-                           np.inf, -np.inf])
-    want = (rates[None, :] > thresholds[:, None]).sum(axis=1)
-    assert np.array_equal(channel.count_above(rates, thresholds), want)
-    # many ties in a random integer draw, thresholds on the drawn values
-    rng = np.random.default_rng(16)
-    rates = rng.integers(0, 20, 5000).astype(float)
-    thresholds = np.concatenate([rates[:50], np.arange(-1.0, 22.0, 0.5)])
-    want = (rates[None, :] > thresholds[:, None]).sum(axis=1)
-    assert np.array_equal(channel.count_above(rates, thresholds), want)
-
-
-def test_exceedances_counts_demands_at_drawn_rates():
-    ch = ChannelConfig()
-    rates = channel.sample_rates(ch, 3000, np.random.default_rng(17))
-    demands = np.concatenate([rates[:40] / ch.bandwidth_hz,
-                              np.linspace(0.0, 3.0, 31)])
-    got = channel.exceedances(ch, demands, 3000, np.random.default_rng(17))
-    thresholds = demands * ch.bandwidth_hz
-    want = (rates[None, :] > thresholds[:, None]).sum(axis=1)
-    assert np.array_equal(got, want)
-
-
 @pytest.mark.parametrize("samples", [1, channel.MC_CHUNK + 1])
 def test_empirical_ccdf_short_last_chunk(samples):
     ch = ChannelConfig()
-    demands = np.array([1.0, 1.6, 1.7, 2.5])
+    # chunk c draws from the c-th generator default_rng(18) spawns
+    chunks = [channel.sample_rates(
+        ch, min(channel.MC_CHUNK, samples - done),
+        np.random.default_rng(np.random.SeedSequence(18, spawn_key=(c,))))
+        for c, done in enumerate(range(0, samples, channel.MC_CHUNK))]
+    # demands at drawn rates keep the tie rule tested: a rate equal to the
+    # threshold is not above it
+    demands = np.concatenate([[1.0, 1.6, 1.7, 2.5]]
+                             + [rates[:5] / ch.bandwidth_hz
+                                for rates in chunks])
     prob, se = channel.empirical_ccdf(ch, demands, samples=samples,
                                       rng=np.random.default_rng(18))
-    # chunk c draws from the c-th generator default_rng(18) spawns
-    counts = np.zeros(len(demands), dtype=np.int64)
-    for c, done in enumerate(range(0, samples, channel.MC_CHUNK)):
-        rng = np.random.default_rng(np.random.SeedSequence(18, spawn_key=(c,)))
-        counts += channel.exceedances(
-            ch, demands, min(channel.MC_CHUNK, samples - done), rng)
+    rates = np.concatenate(chunks)
+    thresholds = demands * ch.bandwidth_hz
+    assert np.isin(thresholds, rates).sum() >= len(chunks)
+    counts = (rates[None, :] > thresholds[:, None]).sum(axis=1)
     assert np.array_equal(prob, counts / samples)
     # the outage sweep's bytes rest on spawned children keying by index
     spawned = np.random.default_rng(18).spawn(2)[1]
     keyed = np.random.default_rng(np.random.SeedSequence(18, spawn_key=(1,)))
     assert np.array_equal(spawned.standard_normal(8), keyed.standard_normal(8))
     assert np.all(se > 0.0)
-    assert np.all(np.diff(prob) <= 0.0)
+    assert np.all(np.diff(prob[:4]) <= 0.0)
 
 
 @pytest.mark.parametrize("tx, rx, zeta", [(2, 16, 10.0), (1, 8, 0.0),
@@ -406,11 +388,25 @@ def test_bounds_and_drops_on_arrays_equal_scalar_calls(tx, rx, zeta, mapping):
     rates = np.concatenate([[0.0], rng.uniform(0.0, 3.0e4, 30)])
     if mapping == "identity":
         rates /= 3.0e3
-    drops = channel.drop_probability(ch, w, rates)
-    assert drops.tolist() == [channel.drop_probability(ch, w, float(r))
-                              for r in rates]
+    # the reference drop is one minus the lower bound at the rate's demand
+    want = [1.0 - channel.ccdf_lower(
+        ch, channel.spectral_demand(ch, w, float(r))) for r in rates]
+    assert channel.drop_probability(ch, w, rates).tolist() == want
+    assert [channel.drop_probability(ch, w, float(r)) for r in rates] == want
+    assert type(channel.drop_probability(ch, w, float(rates[1]))) is float
     with pytest.raises(ValueError, match="arrival_rate"):
         channel.drop_probability(ch, w, np.array([1.0, -1.0]))
+
+
+def test_bounds_are_zero_where_the_threshold_overflows():
+    # under the 700 / ln 2 cap per stream, a weak link's threshold y can
+    # still overflow to inf; Q is 0 there, as past the cap
+    ch = replace(ChannelConfig(tx_antennas=4, rx_antennas=4,
+                               rician_factor=20.0, demand_mapping="identity"),
+                 avg_rx_snr=1e-8)
+    assert channel.ccdf_upper(ch, 4030.0) == 0.0
+    assert channel.ccdf_lower(ch, 1005.0) == 0.0
+    assert channel.drop_probability(ch, WorkloadSpec(), 1005.0) == 1.0
 
 
 def _prune_edge(orders, a):
@@ -437,7 +433,7 @@ def test_drop_probability_array_equals_scalar_across_the_prune(
     # rates drawn with repeats, their thresholds y^2 from 1/20 of the mean
     # a^2 + 2m up to deep in the tail, half of them within a factor e of
     # the edge where the Chernoff bound starts to settle the drop: the
-    # array must keep the scalar series' bits on both sides of it
+    # drops must keep the bits of one minus the lower bound on both sides
     ch = ChannelConfig(tx_antennas=tx, rx_antennas=rx, rician_factor=zeta,
                        avg_rx_snr=snr, demand_mapping="identity")
     w = WorkloadSpec()
@@ -452,7 +448,8 @@ def test_drop_probability_array_equals_scalar_across_the_prune(
     rates = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=1,
                                         max_size=20)))
     assert channel.drop_probability(ch, w, rates).tolist() == [
-        channel.drop_probability(ch, w, float(r)) for r in rates]
+        1.0 - channel.ccdf_lower(ch, channel.spectral_demand(ch, w, float(r)))
+        for r in rates]
 
 
 def _series_only_reliable_rate(ch, w):

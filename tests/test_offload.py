@@ -155,22 +155,26 @@ def test_saving_study_point(shipped_cfg):
 
 def test_saving_monotone_in_wind(shipped_cfg):
     rates = []
-    for w in (0.0, 10.0, 20.0, 30.0):
-        cfg = replace(shipped_cfg, wind=WindSpec(speed=w))
-        scen = offload.allocated_scenario(cfg)
-        rates.append(offload.saving(scen, cfg, with_retransmission=True).saved_rate)
+    with pytest.warns(LinkSaturationWarning):
+        for w in (0.0, 10.0, 20.0, 30.0):
+            cfg = replace(shipped_cfg, wind=WindSpec(speed=w))
+            scen = offload.allocated_scenario(cfg)
+            rates.append(
+                offload.saving(scen, cfg, with_retransmission=True).saved_rate)
     for a, b in zip(rates, rates[1:]):
         assert b <= a + 1e-12
 
 
 def test_saving_grows_with_fleet_size(default_cfg):
     rates = []
-    for servers in (30, 40, 50):
-        scen = Scenario(latitude_deg=40.0, day_of_year=150.0,
-                        ground_servers=40, hap_servers=servers)
-        cfg = replace(default_cfg, scenario=scen)
-        alloc = offload.allocated_scenario(cfg)
-        rates.append(offload.saving(alloc, cfg, with_retransmission=True).saved_rate)
+    with pytest.warns(LinkSaturationWarning):
+        for servers in (30, 40, 50):
+            scen = Scenario(latitude_deg=40.0, day_of_year=150.0,
+                            ground_servers=40, hap_servers=servers)
+            cfg = replace(default_cfg, scenario=scen)
+            alloc = offload.allocated_scenario(cfg)
+            rates.append(offload.saving(
+                alloc, cfg, with_retransmission=True).saved_rate)
     for a, b in zip(rates, rates[1:]):
         assert b >= a - 1e-12
 
@@ -183,8 +187,9 @@ def test_saving_second_platform_helps(shipped_cfg, default_cfg):
                             ground_servers=40, hap_servers=40, hap_count=k)
             cfg = replace(base, scenario=scen)
             alloc = offload.allocated_scenario(cfg)
-            by_count.append(
-                offload.saving(alloc, cfg, with_retransmission=True).saved_rate)
+            with pytest.warns(LinkSaturationWarning):
+                by_count.append(offload.saving(
+                    alloc, cfg, with_retransmission=True).saved_rate)
         assert by_count[1] >= by_count[0] - 1e-12
 
 
@@ -204,13 +209,18 @@ def test_saving_with_beats_without_above_onset(shipped_cfg):
     onset = channel.max_reliable_rate(shipped_cfg.channel, shipped_cfg.workload,
                                       shipped_cfg.workload.task_length_instr)
     assert math.isclose(onset, 5361.78, rel_tol=1e-3)
-    for lam in (6000.0, 7000.0, 8000.0):
-        scen = Scenario(latitude_deg=40.0, day_of_year=150.0, ground_servers=40,
-                        hap_servers=40, hap_rates=uniform_split(lam, 40))
-        with_r = offload.saving(scen, shipped_cfg, with_retransmission=True)
-        without = offload.saving(scen, shipped_cfg, with_retransmission=False)
-        assert with_r.saved_j >= without.saved_j
-        assert with_r.retransmissions > 0
+    # 8000 task/s saturates the link
+    with pytest.warns(LinkSaturationWarning):
+        for lam in (6000.0, 7000.0, 8000.0):
+            scen = Scenario(latitude_deg=40.0, day_of_year=150.0,
+                            ground_servers=40, hap_servers=40,
+                            hap_rates=uniform_split(lam, 40))
+            with_r = offload.saving(scen, shipped_cfg,
+                                    with_retransmission=True)
+            without = offload.saving(scen, shipped_cfg,
+                                     with_retransmission=False)
+            assert with_r.saved_j >= without.saved_j
+            assert with_r.retransmissions > 0
 
 
 def test_reliable_rate_inverted_once_per_link(shipped_cfg, monkeypatch):
@@ -267,7 +277,8 @@ def test_hybrid_reduces_to_baseline_without_fleet(shipped_cfg):
 def test_ground_bill_shared_by_baseline_and_hybrid(shipped_cfg):
     scen = offload.allocated_scenario(shipped_cfg)
     ground = thermal.ground_energy(scen.ground_rates, shipped_cfg, scen.window)
-    hybrid = offload.hybrid_total_energy(scen, shipped_cfg)
+    with pytest.warns(LinkSaturationWarning):
+        hybrid = offload.hybrid_total_energy(scen, shipped_cfg)
     assert (hybrid.compute_j, hybrid.cooling_j) == (ground.compute_j,
                                                     ground.cooling_j)
     everything = scen.ground_rates + scen.hap_rates * scen.hap_count

@@ -62,6 +62,15 @@ def test_spec_refuses_an_oversized_grid(monkeypatch):
         sweeps.MAX_GRID_POINTS)
     assert cli.main(["energy", "--axis", "day",
                      "--range", "0:366:1e-9"]) == 2
+    # so is the sample count, before the delay simulation allocates a task
+    monkeypatch.setattr(queueing, "simulate_mm1_vacations",
+                        lambda *a, **k: pytest.fail("tasks simulated"))
+    with pytest.raises(ConfigError, match="10,000,000,000 samples"):
+        sweeps.SweepSpec("arrival_rate", 0.0, 1.0, 1.0, samples=10**10)
+    assert sweeps.SweepSpec("arrival_rate", 0.0, 1.0, 1.0,
+                            samples=sweeps.MAX_SAMPLES).samples == 10**8
+    assert cli.main(["delay", "--axis", "arrival_rate", "--range",
+                     "1000:1000:1", "--samples", "10000000000"]) == 2
 
 
 def test_spec_axis_domains():
@@ -413,7 +422,7 @@ def test_outage_saving_cells_equal_saving_bit_for_bit(shipped_cfg):
 
 
 def test_outage_row_evaluates_the_baseline_once(shipped_cfg, monkeypatch):
-    # the baselines of a chunk are one array pass, and its drops are the
+    # the sweep's baselines are one array pass, and its drops are the
     # rows' own 1 - ccdf_lb, so no drop probability is evaluated
     calls = {"tdc_total_energy": 0, "drop_probability": 0}
 
@@ -432,11 +441,6 @@ def test_outage_row_evaluates_the_baseline_once(shipped_cfg, monkeypatch):
     out = sweeps.run_outage_sweep(shipped_cfg, spec)
     assert any(row[5] > 0.0 for row in out.rows)  # some rows drop traffic
     assert calls == {"tdc_total_energy": 1, "drop_probability": 0}
-    points = list(enumerate(spec.values()))
-    rows = (sweeps._outage_rows(shipped_cfg, spec, points[:3])
-            + sweeps._outage_rows(shipped_cfg, spec, points[3:]))
-    assert calls == {"tdc_total_energy": 3, "drop_probability": 0}
-    assert [row for row, _ in rows] == out.rows
 
 
 # --- delay sweep -------------------------------------------------------------
@@ -829,7 +833,7 @@ def test_energy_bills_priced_once_per_fleet_shape(shipped_cfg, monkeypatch):
                         lambda *args, **kw: saving_calls.append(args))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        day = sweeps.run_energy_sweep(
+        sweeps.run_energy_sweep(
             shipped_cfg, sweeps.SweepSpec("day", 1.0, 361.0, 30.0))
         assert sizes == {"tdc_total_energy": [13], "split_bills": [13]}
         sizes["tdc_total_energy"].clear()
@@ -844,17 +848,7 @@ def test_energy_bills_priced_once_per_fleet_shape(shipped_cfg, monkeypatch):
         sizes["split_bills"].clear()
         sweeps.run_energy_sweep(
             shipped_cfg, sweeps.SweepSpec("hap_servers", 1.0, 40.0, 3.0))
-        assert sizes == {"tdc_total_energy": [1] * 14,
-                         "split_bills": [1] * 14}
-        sizes["tdc_total_energy"].clear()
-        sizes["split_bills"].clear()
-        # one pricing per chunk, and the chunks give the whole sweep's rows
-        spec = sweeps.SweepSpec("day", 1.0, 361.0, 30.0)
-        points = list(enumerate(spec.values()))
-        rows = (sweeps._energy_rows(shipped_cfg, spec, points[:5])
-                + sweeps._energy_rows(shipped_cfg, spec, points[5:]))
-    assert sizes == {"tdc_total_energy": [5, 8], "split_bills": [5, 8]}
-    assert [row for row, _ in rows] == day.rows
+    assert sizes == {"tdc_total_energy": [1] * 14, "split_bills": [1] * 14}
     assert saving_calls == []
 
 
@@ -885,7 +879,7 @@ def test_energy_baseline_overload_blanks_only_its_row(shipped_cfg,
     assert out.notes[0].startswith("2 grid point(s)")
 
 
-def test_energy_gate_and_drops_looked_up_once_per_chunk(shipped_cfg,
+def test_energy_gate_and_drops_looked_up_once_per_sweep(shipped_cfg,
                                                         monkeypatch):
     gates, drops = [], []
     real_gate, real_drop = offload.drop_gate, channel.drop_probability
@@ -896,7 +890,6 @@ def test_energy_gate_and_drops_looked_up_once_per_chunk(shipped_cfg,
                         or real_drop(*args))
     cfg = shipped_cfg
     gate = real_gate(cfg)
-    outs = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for spec in (sweeps.SweepSpec("day", 1.0, 361.0, 30.0),
@@ -904,7 +897,7 @@ def test_energy_gate_and_drops_looked_up_once_per_chunk(shipped_cfg,
                      sweeps.SweepSpec("hap_servers", 1.0, 40.0, 3.0)):
             gates.clear()
             drops.clear()
-            out = outs[spec.axis] = sweeps.run_energy_sweep(cfg, spec)
+            out = sweeps.run_energy_sweep(cfg, spec)
             lossy = 0
             for row, value in zip(out.rows, spec.values()):
                 if row[-1] is None:
@@ -912,18 +905,12 @@ def test_energy_gate_and_drops_looked_up_once_per_chunk(shipped_cfg,
                         offload_reference.apply_axis(cfg, spec.axis, value))
                     lossy += math.fsum(sc.hap_rates) >= gate
             assert gates == [1] and drops == [lossy], spec.axis
-        # three chunks of the arrival ramp: 0 task/s offloads nothing and
-        # looks nothing up; 3000 lies below the gate, 6000-15000 above it,
-        # and the two top points overload the ground fleet
+        # a sweep that offloads nothing looks nothing up
         gates.clear()
         drops.clear()
-        spec = sweeps.SweepSpec("arrival_rate", 0.0, 42_000.0, 3000.0)
-        points = list(enumerate(spec.values()))
-        rows = (sweeps._energy_rows(cfg, spec, points[:1])
-                + sweeps._energy_rows(cfg, spec, points[1:6])
-                + sweeps._energy_rows(cfg, spec, points[6:]))
-    assert gates == [1, 1] and drops == [4, 7]
-    assert [row for row, _ in rows] == outs["arrival_rate"].rows
+        sweeps.run_energy_sweep(
+            cfg, sweeps.SweepSpec("arrival_rate", 0.0, 0.0, 1.0))
+    assert gates == [] and drops == []
 
 
 def test_energy_drops_run_the_series_once_per_distinct_shallow_rate(
