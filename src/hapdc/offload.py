@@ -2,17 +2,20 @@
 into the airborne-fleet decisions: can the platform fly, how much workload it
 may accept, what the two-site system consumes, and what offloading saves.
 
-A saving is priced by one flow over a list of scenarios, each step once
-for the whole list.  ``evaluate_offload`` computes what every delivery
-policy shares: the all-ground baseline and the lossless split-system bill
-(one array pass per group sharing a fleet shape and window), the
+A saving is priced as columns.  A ``Fleets`` group holds offload scenarios
+of one fleet shape and window as rows x servers rate arrays, one row per
+scenario.  ``evaluate_offload`` prices what every delivery policy shares,
+each step once per group: the all-ground baseline and the lossless
+split-system bill (compute and cooling columns from the thermal bills,
+propulsion read once per distinct site, one ``math.fsum`` per row), the
 reliable-rate gate (looked up once; below it the link counts as lossless
-and no drop is evaluated), the drops (one ``channel.drop_probability``
-call) and the uplinks (one ``channel.link_energy`` call).  A policy then
-charges the dropped traffic: ``retransmit_savings`` resends it over the
-link, ``reroute_savings`` recomputes it on the ground.  A scenario that
-cannot be priced holds its error in place of its evaluation and reports;
-``saving``, the one-scenario call, raises it.
+and no drop is evaluated), the drops (one ``channel.drop_probability`` call
+for all groups) and the uplinks (one ``channel.link_energy`` call).  A
+policy then charges the dropped traffic as column arithmetic:
+``retransmit_savings`` resends it over the link, ``reroute_savings``
+recomputes it on the ground.  A row that cannot be priced holds its error
+beside the columns, and its cells mean nothing; ``saving``, the one-row
+call, raises it.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ class SavingReport:
     e_hybrid_j: float
     saved_j: float
     saved_rate: float
-    retransmissions: int
+    retransmissions: int | None
 
 
 @dataclass(frozen=True)
@@ -173,14 +176,16 @@ def allocate_rates(cfg: ModelConfig, total_rate: float | None = None,
         raise ValueError("total_rate must be non-negative")
     per_server = (lambda_max(sc.latitude_deg, sc.day_of_year, sc.hap_servers,
                              cfg) if sc.hap_servers * sc.hap_count else 0.0)
-    return _allocate(sc, total_rate, per_server, cfg)
+    return _allocate(sc, sc.hap_servers, total_rate, per_server, cfg)
 
 
-def _allocate(sc: Scenario, total_rate: float, per_server: float,
-              cfg: ModelConfig) -> tuple[tuple[float, ...], tuple[float, ...]]:
+def _allocate(sc: Scenario, hap_servers: int, total_rate: float,
+              per_server: float, cfg: ModelConfig,
+              ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """``allocate_rates`` of a non-negative ``total_rate`` on the fleet of
-    ``sc``, whose airborne servers each admit ``per_server`` task/s."""
-    airborne = sc.hap_servers * sc.hap_count
+    ``sc`` with ``hap_servers`` servers on each platform, which each admit
+    ``per_server`` task/s."""
+    airborne = hap_servers * sc.hap_count
     hap_total = min(total_rate, per_server * airborne) if airborne else 0.0
     ground_total = total_rate - hap_total
     if ground_total > 0 and sc.ground_servers == 0:
@@ -192,7 +197,7 @@ def _allocate(sc: Scenario, total_rate: float, per_server: float,
         )
     ground = uniform_split(ground_total, sc.ground_servers)
     hap = uniform_split(hap_total / sc.hap_count if airborne else 0.0,
-                        sc.hap_servers)
+                        hap_servers)
     return ground, hap
 
 
@@ -201,19 +206,48 @@ def allocated_scenario(cfg: ModelConfig) -> Scenario:
     return replace(cfg.scenario, ground_rates=ground, hap_rates=hap)
 
 
-def split_bills(scenarios: list[Scenario], cfg: ModelConfig) -> list:
-    """(ground bill, per-platform payload energy) of each of ``scenarios``,
-    which share one fleet shape and window, J; each bill is priced for all
-    scenarios in one array pass, and a row over the utilization ceiling
-    holds its OverloadError in place of the bill.  The stratosphere cools
-    the platform for free, so payload energy is compute only."""
-    window = scenarios[0].window
-    ground = thermal.ground_energy([s.ground_rates for s in scenarios], cfg,
-                                   window)
-    payload = thermal.fleet_compute_energy(
-        cfg.server, [s.hap_rates for s in scenarios],
-        cfg.workload.task_length_instr, window)
-    return list(zip(ground, payload))
+@dataclass(frozen=True)
+class Fleets:
+    """Offload scenarios sharing one fleet shape and window, one per row.
+
+    ``ground_rates`` and ``hap_rates`` are rows x servers arrays of the
+    per-server rates of each row's ground fleet and of each of its
+    ``hap_count`` platforms, task/s; ``sites`` holds each row's (latitude,
+    day), where its wind is read.
+    """
+
+    ground_rates: np.ndarray
+    hap_rates: np.ndarray
+    sites: list[tuple[float, float]]
+    hap_count: int
+    window: tuple[float, float]
+
+    @classmethod
+    def of(cls, scenario: Scenario) -> "Fleets":
+        """The one-row group of ``scenario``."""
+        return cls(np.array([scenario.ground_rates], dtype=float),
+                   np.array([scenario.hap_rates], dtype=float),
+                   [(scenario.latitude_deg, scenario.day_of_year)],
+                   scenario.hap_count, scenario.window)
+
+    def __len__(self) -> int:
+        return len(self.sites)
+
+
+def split_bills(fleets: Fleets, cfg: ModelConfig):
+    """The split system's bills on each row of ``fleets``, J: the ground
+    fleet's compute and cooling columns, one platform's payload energy
+    column, and each row's OverloadError (the ground bill's first) or
+    None.  The stratosphere cools the platform for free, so payload
+    energy is compute only."""
+    compute, cooling, errors = thermal.ground_energy(fleets.ground_rates, cfg,
+                                                     fleets.window)
+    payload, hap_errors = thermal.fleet_compute_energy(
+        cfg.server, fleets.hap_rates, cfg.workload.task_length_instr,
+        fleets.window)
+    return compute, cooling, payload, [
+        hap if ground is None else ground
+        for ground, hap in zip(errors, hap_errors)]
 
 
 def hybrid_total_energy(scenario: Scenario, cfg: ModelConfig) -> thermal.EnergyBreakdown:
@@ -225,213 +259,240 @@ def hybrid_total_energy(scenario: Scenario, cfg: ModelConfig) -> thermal.EnergyB
     the all-ground baseline (no platform deployed).
     """
     ground = thermal.ground_energy(scenario.ground_rates, cfg, scenario.window)
+    if scenario.hap_servers == 0:
+        return ground
     payload = thermal.fleet_compute_energy(cfg.server, scenario.hap_rates,
                                            cfg.workload.task_length_instr,
                                            scenario.window)
-    link = channel.transmission_energy(
-        cfg.channel, cfg.workload, math.fsum(scenario.hap_rates),
-        scenario.window_length, cfg.workload.task_length_instr
-    ) if scenario.hap_servers else None
-    return _hybrid(scenario, cfg, ground, payload, link)
-
-
-def _hybrid(scenario: Scenario, cfg: ModelConfig, ground, payload,
-            link) -> thermal.EnergyBreakdown:
-    """``hybrid_total_energy`` on the scenario's ground bill and payload
-    energy and one platform's uplink energy ``link``; an error held in
-    place of any of them is raised, the bills' first."""
-    for bill in (ground, payload):
-        if isinstance(bill, OverloadError):
-            raise bill
-    if scenario.hap_servers == 0:
-        return ground
     k = scenario.hap_count
     wind = cfg.wind.speed_at(scenario.latitude_deg, scenario.day_of_year)
-    propulsion = k * aero.propulsion_energy(cfg.hap, wind, scenario.window)
-    if isinstance(link, Exception):
-        raise link
-    transmission = k * link
+    link = channel.transmission_energy(
+        cfg.channel, cfg.workload, math.fsum(scenario.hap_rates),
+        scenario.window_length, cfg.workload.task_length_instr)
     return thermal.EnergyBreakdown.from_parts(
         compute_j=ground.compute_j, cooling_j=ground.cooling_j,
-        payload_j=k * payload, propulsion_j=propulsion,
-        transmission_j=transmission,
+        payload_j=k * payload,
+        propulsion_j=k * aero.propulsion_energy(cfg.hap, wind, scenario.window),
+        transmission_j=k * link,
     )
 
 
-def _reroute_scenario(scenario: Scenario, drop_prob: float) -> Scenario:
-    """Dropped offload traffic comes back to the ground servers."""
-    kept = tuple(r * (1.0 - drop_prob) for r in scenario.hap_rates)
-    rerouted = (math.fsum(scenario.hap_rates) - math.fsum(kept)) * scenario.hap_count
-    if rerouted > 0 and scenario.ground_servers == 0:
-        raise OverloadError("no ground servers to absorb dropped workload")
-    extra = rerouted / scenario.ground_servers if scenario.ground_servers else 0.0
-    ground = tuple(r + extra for r in scenario.ground_rates)
-    return replace(scenario, ground_rates=ground, hap_rates=kept)
+def _propulsion(fleets: Fleets, cfg: ModelConfig) -> np.ndarray:
+    """Station-keeping energy of all platforms at each row's site over the
+    window, J, read once per distinct site."""
+    per_site = {}
+    for site in fleets.sites:
+        if site not in per_site:
+            per_site[site] = fleets.hap_count * aero.propulsion_energy(
+                cfg.hap, cfg.wind.speed_at(*site), fleets.window)
+    return np.array([per_site[site] for site in fleets.sites])
 
 
-def _by_shape(scenarios: list[Scenario], price) -> list:
-    """``price(batch)`` of each of ``scenarios``, in their order, with one
-    call per group of them sharing a fleet shape and window."""
-    groups = {}
-    for k, sc in enumerate(scenarios):
-        groups.setdefault((len(sc.ground_rates), len(sc.hap_rates),
-                           sc.hap_count, sc.window), []).append(k)
-    priced = [None] * len(scenarios)
-    for members in groups.values():
-        for k, bill in zip(members, price([scenarios[k] for k in members])):
-            priced[k] = bill
-    return priced
-
-
-def _uplinks(scenarios: list[Scenario], rates: list[float],
-             cfg: ModelConfig) -> tuple[list, list]:
+def _uplinks(fleets: Fleets, rates: np.ndarray, cfg: ModelConfig):
     """One platform's uplink energy, J, and airtime share at each per-link
-    rate over its scenario's window, in one ``channel.link_energy`` call."""
-    if not scenarios:
-        return [], []
-    energy, duty = channel.link_energy(
-        cfg.channel, cfg.workload, np.array(rates),
-        np.array([sc.window_length for sc in scenarios]),
-        cfg.workload.task_length_instr)
-    return energy.tolist(), duty.tolist()
+    rate over the window of ``fleets``, in one ``channel.link_energy``
+    call."""
+    return channel.link_energy(cfg.channel, cfg.workload, rates,
+                               fleets.window[1] - fleets.window[0],
+                               cfg.workload.task_length_instr)
+
+
+def _hybrid(compute, cooling, payload, propulsion, transmission,
+            hap_count: int) -> np.ndarray:
+    """Split-system total of each row, J: one ``math.fsum`` of its ground
+    compute and cooling and its platforms' payload, propulsion and
+    transmission, each platform's payload charged ``hap_count`` times."""
+    return thermal.fsum_rows(np.column_stack(
+        [compute, cooling, hap_count * payload, propulsion, transmission]))
 
 
 @dataclass(frozen=True)
 class OffloadEvaluation:
-    """What both delivery policies read of one offload scenario.
+    """What both delivery policies read of each row of ``fleets``, as
+    columns.
 
     ``pr_drop`` is the per-task drop probability the policies charge: 0
     below the reliable-rate gate, where the link is treated as lossless,
-    and the drop of the per-link rate above it.  ``lossless`` is the
-    split-system bill with nothing dropped, and ``airtime`` the share of
-    the window its uplink is on air.
+    and the drop of the per-link rate above it.  ``lossless_j`` is the
+    split-system total with nothing dropped, ``transmission_j`` and
+    ``propulsion_j`` its parts paid by all platforms, and ``airtime`` the
+    share of the window one uplink is on air.  A row whose pricing raised
+    holds the error in ``errors``, a drop of 0 and figures that mean
+    nothing.
     """
 
-    scenario: Scenario
-    e_tdc_j: float
-    per_link: float
-    pr_drop: float
-    lossless: thermal.EnergyBreakdown
-    airtime: float
+    fleets: Fleets
+    e_tdc_j: np.ndarray
+    per_link: np.ndarray
+    pr_drop: np.ndarray
+    lossless_j: np.ndarray
+    transmission_j: np.ndarray
+    propulsion_j: np.ndarray
+    airtime: np.ndarray
+    errors: list
 
     @property
-    def saturated(self) -> bool:
-        """Whether the offered traffic is more than the link carries."""
+    def saturated(self) -> np.ndarray:
+        """Whether each row's offered traffic is more than the link
+        carries."""
         return self.airtime > channel.SATURATION
 
 
-def evaluate_offload(scenarios: list[Scenario], cfg: ModelConfig,
-                     drops: list[float] | None = None) -> list:
-    """The ``OffloadEvaluation`` of each of ``scenarios``, or the
-    OverloadError or LinkRateError pricing it raised, the bills' first.
+def evaluate_offload(groups: list[Fleets], cfg: ModelConfig,
+                     drops: list[np.ndarray] | None = None) -> list:
+    """The ``OffloadEvaluation`` of each of ``groups``.
 
-    A caller that already holds ``1 - ccdf_lower`` at each scenario's
-    per-link rate passes them, one per scenario, as ``drops``; they then
-    stand in for ``channel.drop_probability``.
+    A row's error is the OverloadError of its baseline, else of its split
+    bills, else the LinkRateError of its uplink.  The drops of all groups'
+    rows at or above the gate are one ``channel.drop_probability`` call,
+    which leaves out every row whose baseline overloads.  A caller that
+    already holds ``1 - ccdf_lower`` at each row's per-link rate passes
+    them, one column per group, as ``drops``; they then stand in for
+    ``channel.drop_probability``.
     """
-    bills = _by_shape(scenarios, lambda batch: zip(
-        thermal.tdc_total_energy(batch, cfg), split_bills(batch, cfg)))
-    evals = [baseline if isinstance(baseline, OverloadError) else None
-             for baseline, _ in bills]
-    per_link = {k: math.fsum(sc.hap_rates) for k, sc in enumerate(scenarios)
-                if evals[k] is None}
-    pr_drop = dict.fromkeys(per_link, 0.0)
+    if not groups:
+        return []
+    baselines = [thermal.tdc_total_energy(fleets, cfg) for fleets in groups]
+    per_links = [thermal.fsum_rows(fleets.hap_rates) for fleets in groups]
+    per_link = np.concatenate(per_links)
     # a link is charged a drop at or above the gate, which is looked up
     # only when some link offloads
-    lossy = [k for k, rate in per_link.items() if rate > 0]
-    if lossy:
-        gate = drop_gate(cfg)
-        lossy = [k for k in lossy if per_link[k] >= gate]
-    if drops is None and lossy:
-        drops = dict(zip(lossy, channel.drop_probability(
-            cfg.channel, cfg.workload, np.array([per_link[k] for k in lossy]),
-            cfg.workload.task_length_instr).tolist()))
-    pr_drop.update((k, drops[k]) for k in lossy)
+    lossy = (per_link > 0) & np.array(
+        [error is None for *_, errors in baselines for error in errors],
+        dtype=bool)
+    if lossy.any():
+        lossy &= per_link >= drop_gate(cfg)
+    if drops is None:
+        drop = np.zeros(len(per_link))
+        if lossy.any():
+            drop[lossy] = channel.drop_probability(
+                cfg.channel, cfg.workload, per_link[lossy],
+                cfg.workload.task_length_instr)
+    else:
+        drop = np.concatenate(drops)
+    pr_drops = np.split(np.where(lossy, drop, 0.0),
+                        np.cumsum([len(fleets) for fleets in groups])[:-1])
+    return [_evaluated(*priced, cfg) for priced
+            in zip(groups, baselines, per_links, pr_drops)]
 
-    linked = [k for k in per_link if scenarios[k].hap_servers]
-    try:
-        energy, duty = _uplinks([scenarios[k] for k in linked],
-                                [per_link[k] for k in linked], cfg)
-    except LinkRateError as exc:
-        energy, duty = [exc] * len(linked), []
-    link, airtime = dict(zip(linked, energy)), dict(zip(linked, duty))
-    for k, rate in per_link.items():
-        sc = scenarios[k]
+
+def _evaluated(fleets: Fleets, baseline, per_link, pr_drop,
+               cfg: ModelConfig) -> OffloadEvaluation:
+    """The evaluation of ``fleets`` on its baseline bills, per-link rates
+    and charged drops."""
+    compute, cooling, errors = baseline
+    ground, ground_cooling, payload, split_errors = split_bills(fleets, cfg)
+    errors = [split if error is None else error
+              for error, split in zip(errors, split_errors)]
+    transmission, propulsion, airtime = np.zeros((3, len(fleets)))
+    if fleets.hap_rates.shape[1]:
         try:
-            lossless = _hybrid(sc, cfg, *bills[k][1], link.get(k))
-        except (OverloadError, LinkRateError) as exc:
-            evals[k] = exc
+            link, airtime = _uplinks(fleets, per_link, cfg)
+        except LinkRateError as exc:
+            errors = [exc if error is None else error for error in errors]
         else:
-            evals[k] = OffloadEvaluation(sc, bills[k][0].total_j, rate,
-                                         pr_drop[k], lossless,
-                                         airtime.get(k, 0.0))
-    return evals
+            transmission = fleets.hap_count * link
+        propulsion = _propulsion(fleets, cfg)
+        lossless = _hybrid(ground, ground_cooling, payload, propulsion,
+                           transmission, fleets.hap_count)
+    else:
+        # no platform deployed: the split system is its ground fleet
+        lossless = ground + ground_cooling
+    failed = np.array([error is not None for error in errors], dtype=bool)
+    return OffloadEvaluation(fleets, compute + cooling, per_link,
+                             np.where(failed, 0.0, pr_drop), lossless,
+                             transmission, propulsion, airtime, errors)
 
 
-def _report(e_tdc: float, e_hybrid: float,
-            retransmissions: int = 0) -> SavingReport:
+@dataclass(frozen=True)
+class Savings:
+    """A delivery policy's saving on each row of an evaluation, as the
+    columns of a ``SavingReport``; a row's error, held in ``errors``,
+    blanks its figures."""
+
+    e_tdc_j: list[float]
+    e_hybrid_j: list[float]
+    saved_rate: list[float]
+    retransmissions: list
+    errors: list
+
+    def report(self, row: int) -> SavingReport:
+        """Row ``row`` as a ``SavingReport``; its error is raised."""
+        if self.errors[row] is not None:
+            raise self.errors[row]
+        e_tdc, e_hybrid = self.e_tdc_j[row], self.e_hybrid_j[row]
+        return SavingReport(
+            e_tdc_j=e_tdc, e_hybrid_j=e_hybrid, saved_j=e_tdc - e_hybrid,
+            saved_rate=self.saved_rate[row],
+            retransmissions=self.retransmissions[row])
+
+
+def _savings(e_tdc: np.ndarray, e_hybrid: np.ndarray, retransmissions: list,
+             errors: list) -> Savings:
+    """The savings of a split system billed ``e_hybrid`` against the
+    baseline ``e_tdc``; a zero baseline saves a rate of 0."""
     saved = e_tdc - e_hybrid
-    rate = saved / e_tdc if e_tdc > 0 else 0.0
-    return SavingReport(
-        e_tdc_j=e_tdc, e_hybrid_j=e_hybrid, saved_j=saved,
-        saved_rate=rate, retransmissions=retransmissions,
-    )
+    rate = np.divide(saved, e_tdc, out=np.zeros(len(saved)), where=e_tdc > 0)
+    return Savings(e_tdc.tolist(), e_hybrid.tolist(), rate.tolist(),
+                   retransmissions, errors)
 
 
-def retransmit_savings(evals: list, cfg: ModelConfig) -> list:
-    """The retransmit policy's report of each of ``evals``, or the error
-    held in its place: dropped offload traffic is resent over the link, so
-    one more round of uplink energy, at the per-link rate times the drop
-    probability, is charged on every platform, and the report counts how
-    many such rounds the gross saving could fund."""
-    linked = [k for k, ev in enumerate(evals)
-              if isinstance(ev, OffloadEvaluation) and ev.scenario.hap_servers]
-    energy, _ = _uplinks([evals[k].scenario for k in linked],
-                         [evals[k].per_link * evals[k].pr_drop
-                          for k in linked], cfg)
-    rounds = dict(zip(linked, energy))
-    reports = []
-    for k, ev in enumerate(evals):
-        if not isinstance(ev, OffloadEvaluation):
-            reports.append(ev)
-        elif ev.pr_drop <= 0.0:
-            reports.append(_report(ev.e_tdc_j, ev.lossless.total_j))
-        else:
-            e_round = ev.scenario.hap_count * rounds[k]
-            e_hybrid = ev.lossless.total_j + e_round
-            gross = ev.e_tdc_j - (e_hybrid - e_round)
-            reports.append(_report(ev.e_tdc_j, e_hybrid, math.ceil(
-                gross / e_round) if e_round > 0 and gross > 0 else 0))
-    return reports
+def retransmit_savings(ev: OffloadEvaluation, cfg: ModelConfig) -> Savings:
+    """The retransmit policy's savings on each row of ``ev``: dropped
+    offload traffic is resent over the link, so one more round of uplink
+    energy, at the per-link rate times the drop probability, is charged on
+    every platform.  The count of such rounds the gross saving could fund
+    is left empty (None) where that ratio is not a finite number, as when
+    a round costs a subnormal energy."""
+    e_hybrid = ev.lossless_j.copy()
+    retransmissions = [0] * len(e_hybrid)
+    charged = np.flatnonzero(ev.pr_drop > 0.0)
+    if charged.size:
+        energy, _ = _uplinks(ev.fleets, ev.per_link[charged]
+                             * ev.pr_drop[charged], cfg)
+        e_round = ev.fleets.hap_count * energy
+        e_hybrid[charged] = ev.lossless_j[charged] + e_round
+        gross = ev.e_tdc_j[charged] - (e_hybrid[charged] - e_round)
+        for k, spent, funded in zip(charged.tolist(), e_round.tolist(),
+                                    gross.tolist()):
+            if spent > 0 and funded > 0:
+                rounds = funded / spent
+                retransmissions[k] = (math.ceil(rounds)
+                                      if math.isfinite(rounds) else None)
+    return _savings(ev.e_tdc_j, e_hybrid, retransmissions, ev.errors)
 
 
-def reroute_savings(evals: list, cfg: ModelConfig) -> list:
-    """The reroute policy's report of each of ``evals``, or the error held
-    in its place or raised by a reroute the ground fleet cannot take:
-    dropped offload traffic is recomputed on the ground, while the uplink
-    energy of the full offered stream stays charged."""
-    parts = [ev.lossless if isinstance(ev, OffloadEvaluation) else ev
-             for ev in evals]
-    moved = {}
-    for k, ev in enumerate(evals):
-        if isinstance(ev, OffloadEvaluation) and ev.pr_drop > 0.0:
-            try:
-                moved[k] = _reroute_scenario(ev.scenario, ev.pr_drop)
-            except OverloadError as exc:
-                parts[k] = exc
-    rerouted = list(moved.values())
-    energy, _ = _uplinks(rerouted, [math.fsum(sc.hap_rates) for sc in rerouted],
-                         cfg)
-    for k, sc, split, link in zip(moved, rerouted, _by_shape(
-            rerouted, lambda batch: split_bills(batch, cfg)), energy):
-        try:
-            parts[k] = _hybrid(sc, cfg, *split, link)
-        except OverloadError as exc:
-            parts[k] = exc
-    return [part if isinstance(part, Exception) else _report(
-                ev.e_tdc_j, part.total_j - part.transmission_j
-                + ev.lossless.transmission_j)
-            for part, ev in zip(parts, evals)]
+def reroute_savings(ev: OffloadEvaluation, cfg: ModelConfig) -> Savings:
+    """The reroute policy's savings on each row of ``ev``: dropped offload
+    traffic is recomputed on the ground, while the uplink energy of the
+    full offered stream stays charged.  A row whose reroute the ground
+    fleet cannot take holds that OverloadError."""
+    fleets, errors = ev.fleets, list(ev.errors)
+    total, transmission = ev.lossless_j.copy(), ev.transmission_j.copy()
+    moved = np.flatnonzero(ev.pr_drop > 0.0)
+    if moved.size:
+        k = fleets.hap_count
+        kept = fleets.hap_rates[moved] * (1.0 - ev.pr_drop[moved])[:, None]
+        per_link = thermal.fsum_rows(kept)
+        back = (ev.per_link[moved] - per_link) * k
+        servers = fleets.ground_rates.shape[1]
+        extra = back / servers if servers else np.zeros(len(moved))
+        rerouted = Fleets(fleets.ground_rates[moved] + extra[:, None], kept,
+                          [fleets.sites[row] for row in moved.tolist()], k,
+                          fleets.window)
+        ground, cooling, payload, split_errors = split_bills(rerouted, cfg)
+        link, _ = _uplinks(rerouted, per_link, cfg)
+        transmission[moved] = k * link
+        total[moved] = _hybrid(ground, cooling, payload,
+                               ev.propulsion_j[moved], transmission[moved], k)
+        for row, spilled, error in zip(moved.tolist(), back.tolist(),
+                                       split_errors):
+            if spilled > 0 and not servers:
+                error = OverloadError(
+                    "no ground servers to absorb dropped workload")
+            errors[row] = error
+    return _savings(ev.e_tdc_j, total - transmission + ev.transmission_j,
+                    [0] * len(total), errors)
 
 
 def saving(scenario: Scenario, cfg: ModelConfig,
@@ -439,20 +500,17 @@ def saving(scenario: Scenario, cfg: ModelConfig,
     """Energy saved by the split system against the all-ground baseline.
 
     Both systems serve the identical rate vector on the same total server
-    count.  This is the one-scenario call of ``evaluate_offload`` and a
-    policy, ``retransmit_savings`` with retransmission and
-    ``reroute_savings`` without it.  The error pricing held is raised, a
+    count.  This is the one-row call of ``evaluate_offload`` and a policy,
+    ``retransmit_savings`` with retransmission and ``reroute_savings``
+    without it.  The error pricing held is raised, a
     ``LinkSaturationWarning`` is issued when the offered traffic is more
     than the link carries, and negative savings are reported, not raised.
     """
-    evals = evaluate_offload([scenario], cfg)
-    if isinstance(evals[0], OffloadEvaluation):
-        channel.warn_if_saturated(evals[0].airtime)
+    ev, = evaluate_offload([Fleets.of(scenario)], cfg)
+    if ev.errors[0] is None:
+        channel.warn_if_saturated(ev.airtime[0])
     policy = retransmit_savings if with_retransmission else reroute_savings
-    report, = policy(evals, cfg)
-    if isinstance(report, Exception):
-        raise report
-    return report
+    return policy(ev, cfg).report(0)
 
 
 def end_to_end_delay(cfg: ModelConfig, arrival_rate: float) -> DelayReport:

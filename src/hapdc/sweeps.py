@@ -17,19 +17,21 @@ quantities from their owners: the link budget from the config's
 ``ChannelConfig``, the fleet service rate of the delay simulation from the
 analytic ``DelayReport``.
 
-A grid point is a ``Scenario`` and a total offered rate (``_axis_point``),
-never a copy of the whole config: no axis moves the server, cooling,
-platform, wind, channel or task model, so every row reads those from the
-sweep's own config.  The energy and outage analyses price the grid at
-once: each point builds its scenario (an energy point allocates its load
-on the per-server lambda_max, looked up once per distinct site, date and
-fleet on the grid), ``offload.evaluate_offload`` prices the grid in
-array passes and the delivery policies price its evaluations (the outage
-bounds are one array call each, and give the evaluation its drops).  Each
-cell keeps the bits ``offload.saving`` gives it at the point, and a
-point's link saturation is read from its evaluation rather than from a
-warning.  An outage sweep counts its whole Monte Carlo sample against
-every grid point's demand.
+A grid point is a site, a date, a platform fleet size and a total
+offered rate (``_axis_point``), never a copy of the config or its
+scenario: no axis moves the server, cooling, platform, wind, channel or
+task model, so every row reads those from the sweep's own config.  The
+energy and outage analyses price the grid at once, as columns: each point
+allocates its load (an energy point on the per-server lambda_max, looked
+up once per distinct site, date and fleet on the grid), the allocations of
+each fleet shape become the rate rows of one ``offload.Fleets`` group,
+``offload.evaluate_offload`` prices the groups and the delivery policies
+price its evaluations (the outage bounds are one array call each, and
+give the evaluation its drops).  Each cell keeps the bits
+``offload.saving`` gives it at the point, and a point's link saturation is
+read from its evaluation's airtime rather than from a warning.  An outage
+sweep counts its whole Monte Carlo sample against every grid point's
+demand.
 
 Per-point failures (a polar night, an overloaded fleet) land in the
 row's ``error`` column and the sweep carries on; a sweep where every
@@ -51,14 +53,14 @@ import io
 import json
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
 from . import channel, offload, queueing
 from ._version import __version__
-from .config import ModelConfig, Scenario, config_hash, uniform_split
+from .config import ModelConfig, config_hash, uniform_split
 from .errors import (ConfigError, LinkRateError, NumericsError, OverloadError,
                      PolarError, StabilityError)
 
@@ -165,20 +167,16 @@ def _select_columns(result: SweepResult, outputs) -> SweepResult:
 
 
 def _axis_point(cfg: ModelConfig, axis: str,
-                value: float) -> tuple[Scenario, float]:
-    """The scenario of one grid point and its total offered rate, task/s:
-    the config's own, with the axis knob set to the grid value."""
+                value: float) -> tuple[float, float, int, float]:
+    """The (latitude, day, servers per platform, total offered rate) of one
+    grid point, in ``AXES`` order: the config's own, with the axis knob set
+    to the grid value."""
     sc = cfg.scenario
-    if axis == "latitude":
-        sc = replace(sc, latitude_deg=float(value))
-    elif axis == "day":
-        sc = replace(sc, day_of_year=float(value))
-    elif axis == "hap_servers":
-        n = int(round(value))
-        sc = replace(sc, hap_servers=n, hap_rates=(0.0,) * n)
-    else:
-        return sc, float(value)
-    return sc, cfg.workload.arrival_rate_total
+    point = [sc.latitude_deg, sc.day_of_year, sc.hap_servers,
+             cfg.workload.arrival_rate_total]
+    point[AXES.index(axis)] = (int(round(value)) if axis == "hap_servers"
+                               else float(value))
+    return tuple(point)
 
 
 # --- the analyses -----------------------------------------------------------
@@ -220,9 +218,7 @@ def _each_point(row, width, cfg, spec, points):
 
 
 def _fly_row(cfg, spec, index, value):
-    sc, _ = _axis_point(cfg, spec.axis, value)
-    return offload.fly_point(sc.latitude_deg, sc.day_of_year, sc.hap_servers,
-                             cfg)
+    return offload.fly_point(*_axis_point(cfg, spec.axis, value)[:3], cfg)
 
 
 def _energy_rows(cfg, spec, points):
@@ -234,41 +230,61 @@ def _energy_rows(cfg, spec, points):
     Each point allocates its total on the per-server lambda_max of its
     site, date and fleet, derived once per distinct triple on the grid (a
     triple that raises, a polar one, is derived again and raises at each
-    of its points).  The sweep's own config prices the grid: the bills
-    read the server, cooling and task length, the link the channel and the
+    of its points).  The allocations are gathered into one
+    ``offload.Fleets`` group per fleet shape, and the grid is priced as
+    their columns.  The sweep's own config prices the grid: the bills read
+    the server, cooling and task length, the link the channel and the
     workload's bits per task and overhead, and no axis moves any of them.
     """
-    answered, allocated, admitted = [], [], {}
+    sc = cfg.scenario
+    answered, admitted, groups = [], {}, {}
     for _, value in points:
         row = [value, *[None] * len(_ENERGY.columns), None]
         answered.append((row, False))
-        sc, total = _axis_point(cfg, spec.axis, value)
-        site = (sc.latitude_deg, sc.day_of_year, sc.hap_servers)
+        latitude, day, servers, total = _axis_point(cfg, spec.axis, value)
+        site = (latitude, day, servers)
         try:
-            if sc.hap_servers * sc.hap_count and site not in admitted:
+            if servers * sc.hap_count and site not in admitted:
                 admitted[site] = offload.lambda_max(*site, cfg)
-            ground, hap = offload._allocate(sc, total, admitted.get(site, 0.0),
-                                            cfg)
+            ground, hap = offload._allocate(sc, servers, total,
+                                            admitted.get(site, 0.0), cfg)
         except _ROW_ERRORS as exc:
             row[-1] = str(exc)
         else:
-            allocated.append((len(answered) - 1,
-                              replace(sc, ground_rates=ground, hap_rates=hap)))
-    evals = offload.evaluate_offload([sc for _, sc in allocated], cfg)
-    for (k, _), ev, report in zip(allocated, evals,
-                                  offload.retransmit_savings(evals, cfg)):
-        row = answered[k][0]
-        if isinstance(report, Exception):
-            row[-1] = str(report)
-        else:
-            row[1:5] = (report.e_tdc_j, report.e_hybrid_j,
-                        report.saved_rate, report.retransmissions)
-            answered[k] = row, ev.saturated
+            groups.setdefault(servers, []).append(
+                (len(answered) - 1, ground, hap, (latitude, day)))
+    groups = [tuple(zip(*members)) for members in groups.values()]
+    evals = offload.evaluate_offload(
+        [offload.Fleets(np.array(ground, dtype=float),
+                        np.array(hap, dtype=float), list(sites),
+                        sc.hap_count, sc.window)
+         for _, ground, hap, sites in groups], cfg)
+    for (indices, *_), ev in zip(groups, evals):
+        savings = offload.retransmit_savings(ev, cfg)
+        _fill(answered, indices, ev, savings.errors, slice(1, 5),
+              savings.e_tdc_j, savings.e_hybrid_j, savings.saved_rate,
+              savings.retransmissions)
     return answered
 
 
-def _offload_scenario(cfg: ModelConfig, per_link_rate: float):
-    """Scenario whose platforms each carry ``per_link_rate`` of offload.
+def _fill(answered, indices, ev, errors, cells, *columns):
+    """Answer the priced rows ``indices`` of ``answered``, the rows of
+    ``ev``: a row's error text goes in its error cell, else its entries of
+    ``columns`` go in its ``cells`` slice and it records whether its
+    offered traffic saturates the link."""
+    for k, error, saturated, *priced in zip(indices, errors,
+                                            ev.saturated.tolist(), *columns):
+        row = answered[k][0]
+        if error is not None:
+            row[-1] = str(error)
+        else:
+            row[cells] = priced
+            answered[k] = row, saturated
+
+
+def _offload_rates(cfg: ModelConfig, per_link_rate: float):
+    """(ground rates, per-platform rates) of the config's fleet when its
+    platforms each carry ``per_link_rate`` of offload.
 
     The ground fleet keeps whatever the configured total leaves over
     (never negative); OverloadError when it has no server to take that.
@@ -279,20 +295,21 @@ def _offload_scenario(cfg: ModelConfig, per_link_rate: float):
                        - per_link_rate * sc.hap_count)
     if ground_total > 0 and sc.ground_servers == 0:
         raise OverloadError("no ground servers to take the residual workload")
-    ground = uniform_split(ground_total, sc.ground_servers)
-    return replace(sc, hap_rates=hap, ground_rates=ground)
+    return uniform_split(ground_total, sc.ground_servers), hap
 
 
 def _outage_rows(cfg, spec, points):
     """Outage rows of the grid points, each with whether it prices a saving
     on offered traffic that saturates the link: the link columns, kept on
-    every row, and both policies priced on the grid's evaluations, each
+    every row, and both policies priced on the grid's evaluation, each
     saving cell as ``saving`` gives it.
 
     The Monte Carlo cells are ``channel.empirical_ccdf`` of the sweep's
     whole sample at every point's demand, drawn from ``default_rng(seed)``
-    (its draw chunk ``c`` from ``SeedSequence(seed, spawn_key=(c,))``)."""
-    ch = cfg.channel
+    (its draw chunk ``c`` from ``SeedSequence(seed, spawn_key=(c,))``).
+    Every point shares the config's fleet shape and site, so the offered
+    points are one ``offload.Fleets`` group."""
+    ch, sc = cfg.channel, cfg.scenario
     values = [value for _, value in points]
     demands = channel.spectral_demand(ch, cfg.workload, np.array(values))
     mcs, ses = channel.empirical_ccdf(ch, demands, spec.samples,
@@ -305,24 +322,27 @@ def _outage_rows(cfg, spec, points):
         row = [value, lb, ub, mc, se, 1.0 - lb, None, None, None]
         answered.append((row, False))
         try:
-            offered.append((len(answered) - 1, _offload_scenario(cfg, value)))
+            ground, hap = _offload_rates(cfg, value)
         except OverloadError as exc:
             row[-1] = str(exc)
-    # each scenario's per-link rate sums the exact split of its value, so
-    # the row's drop cell is the drop_probability the evaluation would take
-    evals = offload.evaluate_offload([sc for _, sc in offered], cfg,
-                                     [answered[k][0][5] for k, _ in offered])
-    for (k, _), ev, with_r, without in zip(
-            offered, evals, offload.retransmit_savings(evals, cfg),
-            offload.reroute_savings(evals, cfg)):
-        row = answered[k][0]
-        # both policies hold an evaluation's error; only the reroute holds
-        # the error of a reroute the ground fleet cannot take
-        if isinstance(without, Exception):
-            row[-1] = str(without)
         else:
-            row[6:8] = with_r.saved_rate, without.saved_rate
-            answered[k] = row, ev.saturated
+            offered.append((len(answered) - 1, ground, hap))
+    if not offered:
+        return answered
+    indices, grounds, haps = zip(*offered)
+    # each row's per-link rate sums the exact split of its value, so the
+    # row's drop cell is the drop_probability the evaluation would take
+    ev, = offload.evaluate_offload(
+        [offload.Fleets(np.array(grounds, dtype=float),
+                        np.array(haps, dtype=float),
+                        [(sc.latitude_deg, sc.day_of_year)] * len(indices),
+                        sc.hap_count, sc.window)], cfg,
+        [np.array([answered[k][0][5] for k in indices])])
+    without = offload.reroute_savings(ev, cfg)
+    # both policies hold the evaluation's errors; only the reroute holds
+    # the error of a reroute the ground fleet cannot take
+    _fill(answered, indices, ev, without.errors, slice(6, 8),
+          offload.retransmit_savings(ev, cfg).saved_rate, without.saved_rate)
     return answered
 
 
@@ -398,7 +418,14 @@ def run_flying_sweep(cfg: ModelConfig, spec: SweepSpec) -> SweepResult:
 
 
 def run_energy_sweep(cfg: ModelConfig, spec: SweepSpec) -> SweepResult:
-    """Baseline vs. split-system energy (retransmission variant) along the axis."""
+    """Baseline vs. split-system energy (retransmission variant) along the axis.
+
+    ``n_retx`` counts the retry rounds the gross saving could fund, 0
+    where nothing is dropped or nothing is saved.  It is left empty where
+    that count is not a finite number: a transmit power so faint that one
+    round costs a subnormal energy overflows the ratio, and the row keeps
+    its other cells.
+    """
     return _run(_ENERGY, cfg, spec)
 
 

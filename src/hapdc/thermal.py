@@ -6,14 +6,15 @@ has a closed form (sum of exponential relaxations); tests check it against
 direct quadrature of the instantaneous cooling power.
 
 The fleet bills price a rows x servers array, one fleet per row, in one
-array pass; one fleet's rate vector is priced as the one-row batch.  Each
-server's power and heat addend is the scalar expression evaluated
-elementwise, each CRAC's heat is summed in server order with
-``np.add.accumulate`` (strictly sequential, so it rounds as a scalar loop
-does), the CRAC totals are added in CRAC order, and a fleet's compute
-energy is one correctly rounded ``math.fsum``.  A batch row over the
-utilization ceiling holds the OverloadError naming its first server over
-it in place of its bill; a single fleet raises it.  ``ground_energy`` is
+array pass, and return one column per bill with one entry per row; one
+fleet's rate vector is priced as the one-row batch.  Each server's power
+and heat addend is the scalar expression evaluated elementwise, each
+CRAC's heat is summed in server order with ``np.add.accumulate``
+(strictly sequential, so it rounds as a scalar loop does), the CRAC
+totals are added in CRAC order, and a fleet's compute energy is one
+correctly rounded ``math.fsum``.  A batch comes back with each row's
+OverloadError, naming its first server over the utilization ceiling, or
+None beside its columns; a single fleet raises it.  ``ground_energy`` is
 the one ground bill, compute plus cooling, that the all-ground baseline
 and the split system's ground side both pay.
 """
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import CoolingSpec, ModelConfig, Scenario, ServerSpec
+from .config import CoolingSpec, ModelConfig, ServerSpec
 from .errors import OverloadError
 
 KELVIN_OFFSET = 273.15
@@ -59,37 +60,49 @@ def compute_power(server: ServerSpec, rate, task_len: float):
 
 def _billed(server: ServerSpec, rates, task_len: float, bill, *args):
     """``bill(power, *args)`` of the per-server power at ``rates``, a rows x
-    servers batch, one fleet per row: a list of each row's bill or its
-    OverloadError.  One fleet's rate vector is the one-row batch, and its
-    row's bill is returned or its error raised.  ``bill`` prices each fleet
-    along the last axis of ``power``.
+    servers batch, one fleet per row (one fleet's rate vector is the
+    one-row batch), and a list of each row's OverloadError or None.
+    ``bill`` prices each fleet along the last axis of ``power``; an
+    overloaded row is priced all the same.
     """
-    rates = np.asarray(rates, dtype=float)
-    # a row over the ceiling is priced, then its bill replaced
-    u = utilization(server, np.atleast_2d(rates), task_len)
+    u = utilization(server, np.atleast_2d(np.asarray(rates, dtype=float)),
+                    task_len)
     over = u > server.desired_utilization * (1.0 + 1e-12)
-    bills = bill(server.p_idle + (server.p_peak - server.p_idle) * u, *args)
+    errors = [None] * len(u)
     for row in np.flatnonzero(over.any(axis=1)):
-        bills[row] = _overload(server, u[row, over[row].argmax()])
-    if rates.ndim == 2:
-        return bills
-    if isinstance(bills[0], OverloadError):
-        raise bills[0]
-    return bills[0]
+        errors[row] = _overload(server, u[row, over[row].argmax()])
+    return bill(server.p_idle + (server.p_peak - server.p_idle) * u,
+                *args), errors
+
+
+def _one_row(errors, *columns) -> list[float]:
+    """The entry of each of ``columns`` of a one-fleet batch; its
+    OverloadError is raised."""
+    if errors[0] is not None:
+        raise errors[0]
+    return [float(column[0]) for column in columns]
+
+
+def fsum_rows(parts: np.ndarray) -> np.ndarray:
+    """One correctly rounded ``math.fsum`` along each row of ``parts``."""
+    return np.array(list(map(math.fsum, parts.tolist())), dtype=float)
 
 
 def _compute_bill(power: np.ndarray, window: tuple[float, float]):
     """Compute energy over the window of each fleet along the last axis of
     ``power``: one correctly rounded sum per fleet, J."""
-    return list(map(math.fsum, (power * (window[1] - window[0])).tolist()))
+    return fsum_rows(power * (window[1] - window[0]))
 
 
 def fleet_compute_energy(server: ServerSpec, rates, task_len: float,
                          window: tuple[float, float]):
     """Compute energy of a fleet at per-server ``rates`` over the window, J:
     one correctly rounded sum of the per-server energies.  A rows x servers
-    batch gets a list of each row's energy or its OverloadError."""
-    return _billed(server, rates, task_len, _compute_bill, window)
+    batch gets the energy column and each row's OverloadError or None."""
+    energy, errors = _billed(server, rates, task_len, _compute_bill, window)
+    if np.ndim(rates) == 2:
+        return energy, errors
+    return _one_row(errors, energy)[0]
 
 
 def cop(cooling: CoolingSpec, temp_k: float) -> float:
@@ -220,7 +233,7 @@ def _cooling_bill(power: np.ndarray, server: ServerSpec, cooling: CoolingSpec,
         heat = np.insert(heat, ends, 0.0, axis=-1)
     cracs = _crac_energy(heat.reshape(*heat.shape[:-1], len(sizes), -1),
                          cooling, window)
-    return np.add.accumulate(cracs, axis=-1)[..., -1].tolist()
+    return np.add.accumulate(cracs, axis=-1)[..., -1]
 
 
 def partition_servers(count: int, crac_count: int) -> list[int]:
@@ -251,38 +264,38 @@ class EnergyBreakdown:
 def grouped_cooling_energy(rates, server: ServerSpec, cooling: CoolingSpec,
                             task_len: float, window):
     """Cooling energy with the rate list split near-uniformly across CRACs.
-    A rows x servers batch gets a list of each row's energy or its
-    OverloadError."""
-    return _billed(server, rates, task_len, _cooling_bill, server, cooling,
-                   window)
-
-
-def _ground_bill(power: np.ndarray, cfg: ModelConfig,
-                 window: tuple[float, float]):
-    """Compute plus cooling of each ground fleet along the last axis of
-    ``power``, J."""
-    return [EnergyBreakdown.from_parts(compute_j=c, cooling_j=k)
-            for c, k in zip(_compute_bill(power, window),
-                            _cooling_bill(power, cfg.server, cfg.cooling,
-                                          window))]
+    A rows x servers batch gets the energy column and each row's
+    OverloadError or None."""
+    energy, errors = _billed(server, rates, task_len, _cooling_bill, server,
+                             cooling, window)
+    if np.ndim(rates) == 2:
+        return energy, errors
+    return _one_row(errors, energy)[0]
 
 
 def ground_energy(rates, cfg: ModelConfig, window: tuple[float, float]):
     """Compute plus CRAC cooling of a ground fleet at ``rates``, J: the
     ground bill of both the baseline and the split system.  A rows x
-    servers batch gets a list of each row's bill or its OverloadError."""
-    return _billed(cfg.server, rates, cfg.workload.task_length_instr,
-                   _ground_bill, cfg, window)
+    servers batch gets the compute and cooling columns and each row's
+    OverloadError or None."""
+    (compute, cooling), errors = _billed(
+        cfg.server, rates, cfg.workload.task_length_instr,
+        lambda power: (_compute_bill(power, window),
+                       _cooling_bill(power, cfg.server, cfg.cooling, window)))
+    if np.ndim(rates) == 2:
+        return compute, cooling, errors
+    compute, cooling = _one_row(errors, compute, cooling)
+    return EnergyBreakdown.from_parts(compute_j=compute, cooling_j=cooling)
 
 
-def tdc_total_energy(scenario: Scenario | list[Scenario], cfg: ModelConfig):
+def tdc_total_energy(fleets, cfg: ModelConfig):
     """Baseline energy with every server on the ground.
 
     The airborne rate vector (replicated per platform) joins the ground one,
-    so the baseline serves the identical workload.  ``scenario`` may also be
-    a list of scenarios sharing one fleet shape and window, priced in one
-    array pass as ``ground_energy`` prices a batch."""
-    one = isinstance(scenario, Scenario)
-    batch = [scenario] if one else scenario
-    fleets = [s.ground_rates + s.hap_rates * s.hap_count for s in batch]
-    return ground_energy(fleets[0] if one else fleets, cfg, batch[0].window)
+    so the baseline serves the identical workload.  ``fleets`` is one
+    ``Scenario``, or an ``offload.Fleets`` group whose rows x servers rates
+    are priced in one array pass as ``ground_energy`` prices a batch."""
+    hap = np.tile(np.asarray(fleets.hap_rates, dtype=float), fleets.hap_count)
+    return ground_energy(np.concatenate(
+        [np.asarray(fleets.ground_rates, dtype=float), hap], axis=-1),
+        cfg, fleets.window)

@@ -31,6 +31,10 @@ SHIPPED_CONFIG = os.path.join(REPO_ROOT, "configs", "default.yaml")
 CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "byte_corpus.json")
 SEED = "7"
+# An inline (latitude, day, speed) wind table, so the wind, and with it the
+# propulsion bill, changes from row to row along the day axis.
+WIND_TABLE = ("[[40.0, 1.0, 35.0], [40.0, 91.0, 18.0], [40.0, 182.0, 9.5], "
+              "[40.0, 274.0, 27.0], [60.0, 182.0, 41.0]]")
 
 # The shipped sweeps: (command, axis, range).  Outage and delay take the
 # default 1e5 samples.
@@ -49,7 +53,9 @@ SWEEPS = [
 
 def commands() -> dict[str, list[str]]:
     """Every corpus entry's name and its argv; ``{no_ground}`` stands for
-    the path of the shipped config without ground servers."""
+    the path of the shipped config without ground servers, ``{windy}`` for
+    the shipped config with two platforms and the wind table
+    ``WIND_TABLE``."""
     runs = {}
     for command, axis, grid in SWEEPS:
         argv = [command, "--config", SHIPPED_CONFIG, "--axis", axis,
@@ -64,6 +70,12 @@ def commands() -> dict[str, list[str]]:
     runs["outage no ground servers"] = [
         "outage", "--config", "{no_ground}", "--axis", "arrival_rate",
         "--range", "0:20000:2000", "--samples", "2000", "--seed", SEED]
+    runs["energy day wind table two platforms"] = [
+        "energy", "--config", "{windy}", "--axis", "day",
+        "--range", "1:365:30", "--seed", SEED]
+    runs["outage wind table two platforms"] = [
+        "outage", "--config", "{windy}", "--axis", "arrival_rate",
+        "--range", "0:12000:500", "--samples", "2000", "--seed", SEED]
     return runs
 
 
@@ -100,8 +112,14 @@ def outputs():
             text = fh.read()
         with open(no_ground, "w", encoding="utf-8") as fh:
             fh.write(text.replace("ground_servers: 40", "ground_servers: 0"))
+        # two platforms under a wind that varies by site and date
+        windy = os.path.join(tmp, "windy.yaml")
+        with open(windy, "w", encoding="utf-8") as fh:
+            fh.write(text.replace("hap_count: 1", "hap_count: 2").replace(
+                "wind:\n", f"wind:\n  table: {WIND_TABLE}\n"))
+        paths = {"{no_ground}": no_ground, "{windy}": windy}
         for name, argv in commands().items():
-            argv = [no_ground if a == "{no_ground}" else a for a in argv]
+            argv = [paths.get(a, a) for a in argv]
             yield (name, *run(argv))
 
 

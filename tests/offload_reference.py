@@ -69,7 +69,8 @@ def _report(e_tdc, e_hybrid, retransmissions=0):
 
 def retransmit_saving(scenario, cfg, evaluation):
     """Dropped traffic resent over the link: one more round of uplink
-    energy on every platform, and how many rounds the gross saving funds."""
+    energy on every platform, and how many rounds the gross saving funds
+    (None where that ratio overflows to inf)."""
     e_tdc, per_link, pr_drop, lossless = evaluation
     if pr_drop <= 0.0:
         return _report(e_tdc, lossless.total_j)
@@ -80,7 +81,8 @@ def retransmit_saving(scenario, cfg, evaluation):
     gross = e_tdc - (e_hybrid - e_round)
     retransmissions = 0
     if e_round > 0 and gross > 0:
-        retransmissions = math.ceil(gross / e_round)
+        rounds = gross / e_round
+        retransmissions = math.ceil(rounds) if math.isfinite(rounds) else None
     return _report(e_tdc, e_hybrid, retransmissions)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from hapdc import channel, cli, offload, queueing, sweeps, thermal
-from hapdc.config import ModelConfig, WorkloadSpec, load_config
+from hapdc.config import ModelConfig, WindSpec, WorkloadSpec, load_config
 from hapdc.errors import ConfigError, LinkSaturationWarning, OverloadError
 
 import offload_reference
@@ -89,24 +89,26 @@ def test_spec_axis_domains():
 # --- axis application --------------------------------------------------------
 
 def test_apply_axis(shipped_cfg):
-    # a grid point is the config's scenario with the axis knob set, and
-    # the config's total offered rate unless the axis sets that
+    # a grid point is the config's site, date and airborne fleet with the
+    # axis knob set, and the config's total offered rate unless the axis
+    # sets that
     total = shipped_cfg.workload.arrival_rate_total
     for axis, value in (("latitude", -10.0), ("day", 200.0),
                         ("hap_servers", 12.0), ("arrival_rate", 5000.0)):
-        sc, rate = sweeps._axis_point(shipped_cfg, axis, value)
+        got = sweeps._axis_point(shipped_cfg, axis, value)
         point = offload_reference.apply_axis(shipped_cfg, axis, value)
-        assert sc == point.scenario
-        assert rate == point.workload.arrival_rate_total
-    sc, rate = sweeps._axis_point(shipped_cfg, "latitude", -10.0)
-    assert sc.latitude_deg == -10.0 and rate == total
-    sc, _ = sweeps._axis_point(shipped_cfg, "day", 200.0)
-    assert sc.day_of_year == 200.0
-    sc, _ = sweeps._axis_point(shipped_cfg, "hap_servers", 12.0)
-    assert sc.hap_servers == 12
-    assert sc.hap_rates == (0.0,) * 12
-    sc, rate = sweeps._axis_point(shipped_cfg, "arrival_rate", 5000.0)
-    assert sc is shipped_cfg.scenario and rate == 5000.0
+        assert got == (point.scenario.latitude_deg,
+                       point.scenario.day_of_year,
+                       point.scenario.hap_servers,
+                       point.workload.arrival_rate_total)
+    sc = shipped_cfg.scenario
+    assert sweeps._axis_point(shipped_cfg, "latitude", -10.0) == (
+        -10.0, sc.day_of_year, sc.hap_servers, total)
+    assert sweeps._axis_point(shipped_cfg, "day", 200.0)[1] == 200.0
+    servers = sweeps._axis_point(shipped_cfg, "hap_servers", 12.0)[2]
+    assert servers == 12 and type(servers) is int
+    assert sweeps._axis_point(shipped_cfg, "arrival_rate", 5000.0) == (
+        sc.latitude_deg, sc.day_of_year, sc.hap_servers, 5000.0)
 
 
 def _with_scenario(cfg, **changes):
@@ -396,10 +398,11 @@ def test_outage_saving_cells_equal_saving_bit_for_bit(shipped_cfg):
                                           1.0 - lb]
             assert row[3] in (0.0, 1.0)  # one Monte Carlo draw
             try:
-                sc = sweeps._offload_scenario(cfg, value)
+                ground, hap = sweeps._offload_rates(cfg, value)
             except OverloadError as exc:
                 reports = [str(exc)] * 2
             else:
+                sc = replace(cfg.scenario, ground_rates=ground, hap_rates=hap)
                 reports = [_priced(offload.saving, sc, cfg, flag)
                            for flag in (True, False)]
                 assert reports == [
@@ -756,9 +759,14 @@ def test_cli_import_leaves_pool_and_validate_unloaded():
 
 def _energy_grids(shipped_cfg):
     """(config, spec) pairs on the four axes: polar rows, a ground
-    residual over the ceiling, the reliable-rate gate closed and open, and
-    one fleet shape per row on the hap_servers axis."""
+    residual over the ceiling, the reliable-rate gate closed and open, one
+    fleet shape per row on the hap_servers axis, and two platforms under a
+    wind table, whose speed changes from row to row on the day axis."""
+    windy = replace(_with_scenario(shipped_cfg, hap_count=2), wind=WindSpec(
+        table=((40.0, 1.0, 35.0), (40.0, 91.0, 18.0), (40.0, 182.0, 9.5),
+               (40.0, 274.0, 27.0), (60.0, 182.0, 41.0))))
     return [
+        (windy, sweeps.SweepSpec("day", 1.0, 365.0, 30.0)),
         (shipped_cfg, sweeps.SweepSpec("latitude", -90.0, 90.0, 15.0)),
         (_with_scenario(shipped_cfg, latitude_deg=75.0),
          sweeps.SweepSpec("day", 1.0, 365.0, 73.0)),
@@ -857,10 +865,10 @@ def test_energy_baseline_overload_blanks_only_its_row(shipped_cfg,
     real = thermal.tdc_total_energy
     drops = []
 
-    def overloaded_second(scenarios, cfg):
-        bills = real(scenarios, cfg)
-        bills[1] = OverloadError("utilization 1.2000 exceeds ceiling 1.0")
-        return bills
+    def overloaded_second(fleets, cfg):
+        compute, cooling, errors = real(fleets, cfg)
+        errors[1] = OverloadError("utilization 1.2000 exceeds ceiling 1.0")
+        return compute, cooling, errors
 
     monkeypatch.setattr(thermal, "tdc_total_energy", overloaded_second)
     real_drop = channel.drop_probability
@@ -985,6 +993,38 @@ def test_energy_link_rate_error_lands_after_the_bills(shipped_cfg):
     errors = [row[-1] for row in out.rows]
     assert errors.count("link reference rate is not positive") == 7
     assert "ground capacity" in errors[-1]
+
+
+def test_retry_count_left_empty_where_it_overflows(tmp_path):
+    # a transmit power so faint that one retry round costs a subnormal
+    # energy: the rounds the gross saving funds overflow a float, so the
+    # count is left empty while the row keeps its other cells
+    faint = tmp_path / "faint.yaml"
+    faint.write_text("channel: {tx_power: 1.0e-310, avg_rx_snr: 0.001}\n")
+    rows = {}
+    for command, extra in (("energy", []), ("outage", ["--samples", "100"])):
+        out = tmp_path / f"{command}.csv"
+        assert cli.main([command, "--config", str(faint), "--axis",
+                         "arrival_rate", "--range", "6000:6000:1",
+                         "--out", str(out), *extra]) == 0
+        lines = [line for line in out.read_text().splitlines()
+                 if not line.startswith("#")]
+        header, row = csv.reader(lines)
+        rows[command] = dict(zip(header, row))
+    energy = rows["energy"]
+    assert energy["n_retx"] == "" and energy["error"] == ""
+    assert all(energy[k] for k in ("e_tdc", "e_hybrid", "saved_rate"))
+    assert rows["outage"]["saved_with_retx"] and rows["outage"]["error"] == ""
+    cfg = load_config(str(faint))
+    point = offload_reference.apply_axis(cfg, "arrival_rate", 6000.0)
+    sc = offload.allocated_scenario(point)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinkSaturationWarning)
+        report = offload.saving(sc, point, with_retransmission=True)
+        assert report == offload_reference.saving(sc, point,
+                                                  with_retransmission=True)
+    assert report.retransmissions is None
+    assert repr(report.saved_rate) == energy["saved_rate"]
 
 
 def test_energy_pricing_passes_other_warnings_on(shipped_cfg, monkeypatch):

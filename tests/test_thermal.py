@@ -384,25 +384,50 @@ def _ground_loop(rates, cfg, window):
                                         task_len, window))
 
 
+def _fleets(scenarios):
+    """``scenarios``, which share one fleet shape and window, as one group."""
+    return offload.Fleets(
+        np.array([s.ground_rates for s in scenarios], dtype=float),
+        np.array([s.hap_rates for s in scenarios], dtype=float),
+        [(s.latitude_deg, s.day_of_year) for s in scenarios],
+        scenarios[0].hap_count, scenarios[0].window)
+
+
+def _bills(compute, cooling, errors):
+    """Each row of a batch's compute and cooling columns as a ground bill,
+    or its error."""
+    return [thermal.EnergyBreakdown.from_parts(compute_j=c, cooling_j=k)
+            if error is None else error
+            for c, k, error in zip(compute.tolist(), cooling.tolist(), errors)]
+
+
 def _assert_batch_matches_loops(scenarios, cfg, server, cooling, task_len,
                                 window):
     ground = np.array([s.ground_rates for s in scenarios])
     hap = np.array([s.hap_rates for s in scenarios])
-    assert thermal.fleet_compute_energy(server, ground, task_len, window) \
-        == [_compute_sum_loop(s.ground_rates, server, task_len, window)
-            for s in scenarios]
-    assert thermal.grouped_cooling_energy(ground, server, cooling, task_len,
-                                          window) \
-        == [_grouped_cooling_loop(list(s.ground_rates), server, cooling,
-                                  task_len, window) for s in scenarios]
-    assert thermal.ground_energy(ground, cfg, window) \
+    fine = [None] * len(scenarios)
+    energy, errors = thermal.fleet_compute_energy(server, ground, task_len,
+                                                  window)
+    assert (energy.tolist(), errors) == (
+        [_compute_sum_loop(s.ground_rates, server, task_len, window)
+         for s in scenarios], fine)
+    energy, errors = thermal.grouped_cooling_energy(ground, server, cooling,
+                                                    task_len, window)
+    assert (energy.tolist(), errors) == (
+        [_grouped_cooling_loop(list(s.ground_rates), server, cooling,
+                               task_len, window) for s in scenarios], fine)
+    assert _bills(*thermal.ground_energy(ground, cfg, window)) \
         == [_ground_loop(s.ground_rates, cfg, window) for s in scenarios]
-    assert thermal.fleet_compute_energy(server, hap, task_len, window) \
-        == [_compute_sum_loop(s.hap_rates, server, task_len, window)
-            for s in scenarios]
-    baseline = thermal.tdc_total_energy(scenarios, cfg)
-    assert baseline == [_tdc_loop(s, cfg) for s in scenarios]
-    assert offload.split_bills(scenarios, cfg) \
+    energy, errors = thermal.fleet_compute_energy(server, hap, task_len,
+                                                  window)
+    assert (energy.tolist(), errors) == (
+        [_compute_sum_loop(s.hap_rates, server, task_len, window)
+         for s in scenarios], fine)
+    fleets = _fleets(scenarios)
+    assert _bills(*thermal.tdc_total_energy(fleets, cfg)) \
+        == [_tdc_loop(s, cfg) for s in scenarios]
+    compute, cool, payload, errors = offload.split_bills(fleets, cfg)
+    assert list(zip(_bills(compute, cool, errors), payload.tolist())) \
         == [(_ground_loop(s.ground_rates, cfg, window),
              _compute_sum_loop(s.hap_rates, server, task_len, window))
             for s in scenarios]
@@ -453,29 +478,33 @@ def test_batched_overloaded_row_keeps_the_other_rows(monkeypatch):
     assert "1.0400" in str(loop.value)
 
     batch = np.array(rows)
-    for got, want in (
+    for (*columns, errors), want in (
             (thermal.fleet_compute_energy(server, batch, task_len, window),
-             lambda r: _compute_sum_loop(r, server, task_len, window)),
+             lambda r: [_compute_sum_loop(r, server, task_len, window)]),
             (thermal.grouped_cooling_energy(batch, server, cfg.cooling,
                                             task_len, window),
-             lambda r: _grouped_cooling_loop(list(r), server, cfg.cooling,
-                                             task_len, window)),
+             lambda r: [_grouped_cooling_loop(list(r), server, cfg.cooling,
+                                              task_len, window)]),
             (thermal.ground_energy(batch, cfg, window),
-             lambda r: _ground_loop(r, cfg, window))):
-        assert isinstance(got[1], OverloadError)
-        assert str(got[1]) == str(loop.value)
-        assert [got[0], got[2]] == [want(fine[0]), want(fine[1])]
+             lambda r: [_ground_loop(r, cfg, window).compute_j,
+                        _ground_loop(r, cfg, window).cooling_j])):
+        assert isinstance(errors[1], OverloadError)
+        assert str(errors[1]) == str(loop.value)
+        assert errors[0] is None and errors[2] is None
+        assert [[column[k] for column in columns] for k in (0, 2)] \
+            == [want(fine[0]), want(fine[1])]
 
     # the same rows as the airborne side of three scenarios
     scenarios = [Scenario(ground_servers=2, hap_servers=5, window=window,
                           ground_rates=(0.1 * cap, 0.2 * cap), hap_rates=r)
                  for r in rows]
-    baseline = thermal.tdc_total_energy(scenarios, cfg)
+    fleets = _fleets(scenarios)
+    baseline = _bills(*thermal.tdc_total_energy(fleets, cfg))
     assert str(baseline[1]) == str(loop.value)
     assert [baseline[0], baseline[2]] == [_tdc_loop(scenarios[0], cfg),
                                           _tdc_loop(scenarios[2], cfg)]
-    split = offload.split_bills(scenarios, cfg)
-    assert str(split[1][1]) == str(loop.value)
+    *_, errors = offload.split_bills(fleets, cfg)
+    assert str(errors[1]) == str(loop.value)
 
     # priced together, the overloaded row holds its baseline's error and
     # never reaches the drop; the others price as the scalar route does
@@ -484,21 +513,23 @@ def test_batched_overloaded_row_keeps_the_other_rows(monkeypatch):
     monkeypatch.setattr(channel, "drop_probability",
                         lambda *args: drops.append(args[2]) or real_drop(*args))
     monkeypatch.setattr(offload, "_reliable_rate", lambda *args: 0.0)
-    evals = offload.evaluate_offload(scenarios, cfg)
-    priced = offload.retransmit_savings(evals, cfg)
-    assert evals[1] is priced[1] and str(priced[1]) == str(loop.value)
+    ev, = offload.evaluate_offload([fleets], cfg)
+    priced = offload.retransmit_savings(ev, cfg)
+    assert priced.errors[1] is ev.errors[1]
+    assert str(priced.errors[1]) == str(loop.value)
     assert [r.tolist() for r in drops] == [[math.fsum(rows[0]),
                                             math.fsum(rows[2])]]
     # rerouting every dropped task overloads the other two rows' ground
     # fleets, which their reroute reports hold
-    rerouted = offload.reroute_savings(evals, cfg)
-    assert rerouted[1] is evals[1]
+    rerouted = offload.reroute_savings(ev, cfg)
+    assert rerouted.errors[1] is ev.errors[1]
 
-    def reported(saving, flag):
+    def reported(price):
+        """``price(k)`` of the two fine rows, or its error's text."""
         out = []
         for k in (0, 2):
             try:
-                out.append(saving(scenarios[k], cfg, with_retransmission=flag))
+                out.append(price(k))
             except OverloadError as exc:
                 out.append(str(exc))
         return out
@@ -506,8 +537,9 @@ def test_batched_overloaded_row_keeps_the_other_rows(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LinkSaturationWarning)
         for flag, got in ((True, priced), (False, rerouted)):
-            want = reported(offload.saving, flag)
-            assert [r if isinstance(r, offload.SavingReport) else str(r)
-                    for r in (got[0], got[2])] == want
-            assert want == reported(offload_reference.saving, flag)
-    assert all(isinstance(r, OverloadError) for r in rerouted)
+            want = reported(lambda k: offload.saving(
+                scenarios[k], cfg, with_retransmission=flag))
+            assert reported(got.report) == want
+            assert want == reported(lambda k: offload_reference.saving(
+                scenarios[k], cfg, with_retransmission=flag))
+    assert all(isinstance(error, OverloadError) for error in rerouted.errors)
