@@ -8,42 +8,29 @@ Monte Carlo draws through ``channel.empirical_ccdf`` from the seed, a
 delay sweep's simulation at each grid point from the seed and the
 point's grid index.
 
-Each of the four analyses (flying condition, energy saving, outage,
-delay) is one ``_Analysis`` record: metric columns, one function that
-answers the whole grid in one process, and its fleet and axis needs.
-One engine runs them all.  Flying condition and delay answer the grid
-point by point (``_each_point``).  Rows read the model
-quantities from their owners: the link budget from the config's
-``ChannelConfig``, the fleet service rate of the delay simulation from the
-analytic ``DelayReport``.
+Each analysis (flying condition, energy saving, outage, delay) is one
+``_Analysis`` record: its metric columns, its fleet and axis needs, and
+one function that answers the whole grid in one process with a
+``_Columns`` record: a column of cells per metric name, each point's
+error and the count of points whose offered traffic saturates the link
+(read from their evaluation's airtime; the count goes to the result's
+``notes``, not to the rows).  One engine, ``_run``, refuses unknown
+``outputs`` before the grid is priced, then zips the grid values, the
+selected columns and the errors into rows.  Flying condition and delay
+answer point by point (``_each_point``).  Energy and outage price the grid
+at once through ``offload.evaluate_offload`` and fill each priced point's
+cells by column name (``_Columns.fill``); every cell keeps the bits
+``offload.saving`` gives it at the point.
 
 A grid point is a site, a date, a platform fleet size and a total
 offered rate (``_axis_point``), never a copy of the config or its
 scenario: no axis moves the server, cooling, platform, wind, channel or
-task model, so every row reads those from the sweep's own config.  The
-energy and outage analyses price the grid at once, as columns: each point
-allocates its load (an energy point on the per-server lambda_max, looked
-up once per distinct site, date and fleet on the grid), the allocations of
-each fleet shape become the rate rows of one ``offload.Fleets`` group,
-``offload.evaluate_offload`` prices the groups and the delivery policies
-price its evaluations (the outage bounds are one array call each, and
-give the evaluation its drops).  Each cell keeps the bits
-``offload.saving`` gives it at the point, and a point's link saturation is
-read from its evaluation's airtime rather than from a warning.  An outage
-sweep counts its whole Monte Carlo sample against every grid point's
-demand.
+task model, so every row reads those from the sweep's own config.
 
 Per-point failures (a polar night, an overloaded fleet) land in the
 row's ``error`` column and the sweep carries on; a sweep where every
 point failed is reported as infeasible by the caller.  A failure blanks
-only the columns that depend on it: an outage row keeps its link columns
-when the fleet overloads, and a delay row whose simulation saw too few
-regeneration cycles for an error bar leaves only its two simulation
-cells empty.
-
-Grid points whose offered traffic saturates the link are counted, each
-once, in the result's ``notes`` rather than in the data rows; a point
-without energy figures is not counted.
+only the columns that depend on it, as the outage and delay runners say.
 """
 
 from __future__ import annotations
@@ -54,7 +41,6 @@ import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -79,10 +65,13 @@ MAX_SAMPLES = 10**8
 class SweepSpec:
     """One axis, an inclusive start:stop:step range, and run controls.
 
-    ``outputs`` optionally narrows the emitted metric columns (the axis
-    and error columns always stay).  A range of more than
-    ``MAX_GRID_POINTS`` points, or more than ``MAX_SAMPLES`` samples, is
-    refused when the spec is built, before any grid list exists.
+    ``outputs`` optionally narrows the metric columns to the named ones, in
+    the analysis's order (the axis and error columns always stay); an
+    unknown name is refused before the grid is priced.  It is a sequence
+    of names, not one string, and no command-line flag sets it yet.  A
+    range of more than ``MAX_GRID_POINTS`` points, or more than
+    ``MAX_SAMPLES`` samples, is refused when the spec is built, before any
+    grid list exists.
     """
 
     axis: str
@@ -94,6 +83,9 @@ class SweepSpec:
     outputs: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if isinstance(self.outputs, str):
+            raise ConfigError("SweepSpec.outputs takes a sequence of column "
+                              f"names, not the string {self.outputs!r}")
         if self.axis not in AXES:
             raise ConfigError(f"unknown sweep axis {self.axis!r}; "
                               f"expected one of {', '.join(AXES)}")
@@ -151,21 +143,6 @@ class SweepResult:
         return bool(self.rows) and all(row[-1] is not None for row in self.rows)
 
 
-def _select_columns(result: SweepResult, outputs) -> SweepResult:
-    """Keep only the requested metric columns (axis and error always stay)."""
-    if not outputs:
-        return result
-    wanted = set(outputs)
-    unknown = wanted - set(result.header)
-    if unknown:
-        raise ConfigError(f"unknown output column(s): {', '.join(sorted(unknown))}")
-    keep = [i for i, name in enumerate(result.header)
-            if i == 0 or name == "error" or name in wanted]
-    result.header = [result.header[i] for i in keep]
-    result.rows = [[row[i] for i in keep] for row in result.rows]
-    return result
-
-
 def _axis_point(cfg: ModelConfig, axis: str,
                 value: float) -> tuple[float, float, int, float]:
     """The (latitude, day, servers per platform, total offered rate) of one
@@ -185,62 +162,85 @@ def _axis_point(cfg: ModelConfig, axis: str,
 class _Analysis:
     """One sweep kind: its metric columns and how the grid is answered.
 
-    ``rows(cfg, spec, points)`` answers the sweep's (grid index, grid
-    value) points with one (row, saturated) pair each: the row is the
-    grid value, the metric cells in column order and the error message or
-    None.  ``offload_rate`` analyses read the grid value as the
-    per-platform offload arrival rate instead of as the axis knob of
-    ``_axis_point``, so they take only the ``arrival_rate`` axis, head
-    their first column ``lambda`` and record ``samples`` in the manifest.
+    ``answer(cfg, spec, values)`` answers the grid with one ``_Columns``:
+    ``len(values)`` cells in grid order for each name in ``columns``.
+    ``offload_rate`` analyses read the grid value as the per-platform
+    offload arrival rate instead of as the axis knob of ``_axis_point``,
+    so they take only the ``arrival_rate`` axis, head their first column
+    ``lambda`` and record ``samples`` in the manifest.
     """
 
     name: str
     columns: tuple[str, ...]
-    rows: Callable
+    answer: Callable
     needs_fleet: bool = False
     offload_rate: bool = False
 
 
-def _each_point(row, width, cfg, spec, points):
-    """The (row, saturated) pairs of grid points answered one by one:
-    ``row(cfg, spec, index, value)`` gives the ``width`` metric cells, and
-    a ``_ROW_ERRORS`` exception that escapes it blanks them all and names
-    itself in the error cell.  No analysis answered so offers the link
-    traffic, so no row is saturated."""
-    answered = []
-    for index, value in points:
+@dataclass
+class _Columns:
+    """An analysis's answer on a grid: one cell per grid point in each
+    column of ``cells``, each point's error text or None, and the count
+    of points whose offered traffic saturates the link."""
+
+    cells: dict[str, list]
+    errors: list
+    saturated: int = 0
+
+    def fill(self, indices, errors, saturated: np.ndarray, **columns):
+        """Answer the grid points ``indices``, the rows of an evaluation:
+        a row's error text, else its entry of each named column and
+        whether its offered traffic saturates the link."""
+        for row, (index, error, flag) in enumerate(
+                zip(indices, errors, saturated.tolist())):
+            if error is not None:
+                self.errors[index] = str(error)
+                continue
+            self.saturated += flag
+            for name, column in columns.items():
+                self.cells[name][index] = column[row]
+
+
+def _each_point(point, names, cfg, spec, values) -> _Columns:
+    """The columns ``names`` of grid values answered one by one:
+    ``point(cfg, spec, index, value)`` gives a point's cells in ``names``
+    order, and a ``_ROW_ERRORS`` exception that escapes it leaves them
+    empty and gives the point's error.  No analysis answered so offers the
+    link traffic, so no point is saturated."""
+    rows, errors, blank = [], [], (None,) * len(names)
+    for index, value in enumerate(values):
         try:
-            cells, error = row(cfg, spec, index, value), None
+            rows.append(point(cfg, spec, index, value))
         except _ROW_ERRORS as exc:
-            cells, error = [None] * width, str(exc)
-        answered.append(([value, *cells, error], False))
-    return answered
+            rows.append(blank)
+            errors.append(str(exc))
+        else:
+            errors.append(None)
+    return _Columns(dict(zip(names, map(list, zip(*rows)))), errors)
 
 
 def _fly_row(cfg, spec, index, value):
     return offload.fly_point(*_axis_point(cfg, spec.axis, value)[:3], cfg)
 
 
-def _energy_rows(cfg, spec, points):
-    """Energy rows of the grid points, each cell as
+def _energy_columns(cfg, spec, values):
+    """Energy columns of the grid values, each cell as
     ``saving(allocated_scenario(point), point, with_retransmission=True)``
-    gives it at the point's config, error text included, each with whether
-    the point's offered traffic saturates the link.
+    gives it at the point's config, error text included, and the count of
+    points whose offered traffic saturates the link.
 
     Each point allocates its total on the per-server lambda_max of its
     site, date and fleet, derived once per distinct triple on the grid (a
     triple that raises, a polar one, is derived again and raises at each
     of its points).  The allocations are gathered into one
     ``offload.Fleets`` group per fleet shape, and the grid is priced as
-    their columns.  The sweep's own config prices the grid: the bills read
-    the server, cooling and task length, the link the channel and the
-    workload's bits per task and overhead, and no axis moves any of them.
+    their columns.
     """
-    sc = cfg.scenario
-    answered, admitted, groups = [], {}, {}
-    for _, value in points:
-        row = [value, *[None] * len(_ENERGY.columns), None]
-        answered.append((row, False))
+    sc, size = cfg.scenario, len(values)
+    answer = _Columns({name: [None] * size for name in _ENERGY.columns},
+                      [None] * size)
+    admitted, groups = {}, {}
+    for index, value in enumerate(values):
         latitude, day, servers, total = _axis_point(cfg, spec.axis, value)
         site = (latitude, day, servers)
         try:
@@ -249,10 +249,10 @@ def _energy_rows(cfg, spec, points):
             ground, hap = offload._allocate(sc, servers, total,
                                             admitted.get(site, 0.0), cfg)
         except _ROW_ERRORS as exc:
-            row[-1] = str(exc)
+            answer.errors[index] = str(exc)
         else:
             groups.setdefault(servers, []).append(
-                (len(answered) - 1, ground, hap, (latitude, day)))
+                (index, ground, hap, (latitude, day)))
     groups = [tuple(zip(*members)) for members in groups.values()]
     evals = offload.evaluate_offload(
         [offload.Fleets(np.array(ground, dtype=float),
@@ -261,25 +261,11 @@ def _energy_rows(cfg, spec, points):
          for _, ground, hap, sites in groups], cfg)
     for (indices, *_), ev in zip(groups, evals):
         savings = offload.retransmit_savings(ev, cfg)
-        _fill(answered, indices, ev, savings.errors, slice(1, 5),
-              savings.e_tdc_j, savings.e_hybrid_j, savings.saved_rate,
-              savings.retransmissions)
-    return answered
-
-
-def _fill(answered, indices, ev, errors, cells, *columns):
-    """Answer the priced rows ``indices`` of ``answered``, the rows of
-    ``ev``: a row's error text goes in its error cell, else its entries of
-    ``columns`` go in its ``cells`` slice and it records whether its
-    offered traffic saturates the link."""
-    for k, error, saturated, *priced in zip(indices, errors,
-                                            ev.saturated.tolist(), *columns):
-        row = answered[k][0]
-        if error is not None:
-            row[-1] = str(error)
-        else:
-            row[cells] = priced
-            answered[k] = row, saturated
+        answer.fill(indices, savings.errors, ev.saturated,
+                    e_tdc=savings.e_tdc_j, e_hybrid=savings.e_hybrid_j,
+                    saved_rate=savings.saved_rate,
+                    n_retx=savings.retransmissions)
+    return answer
 
 
 def _offload_rates(cfg: ModelConfig, per_link_rate: float):
@@ -298,52 +284,55 @@ def _offload_rates(cfg: ModelConfig, per_link_rate: float):
     return uniform_split(ground_total, sc.ground_servers), hap
 
 
-def _outage_rows(cfg, spec, points):
-    """Outage rows of the grid points, each with whether it prices a saving
-    on offered traffic that saturates the link: the link columns, kept on
-    every row, and both policies priced on the grid's evaluation, each
-    saving cell as ``saving`` gives it.
+def _outage_columns(cfg, spec, values):
+    """Outage columns of the grid values, and the count of points that
+    price a saving on offered traffic that saturates the link: the link
+    columns, kept at every point, and both policies priced on the grid's
+    evaluation, each saving cell as ``saving`` gives it.
 
     The Monte Carlo cells are ``channel.empirical_ccdf`` of the sweep's
     whole sample at every point's demand, drawn from ``default_rng(seed)``
     (its draw chunk ``c`` from ``SeedSequence(seed, spawn_key=(c,))``).
     Every point shares the config's fleet shape and site, so the offered
     points are one ``offload.Fleets`` group."""
-    ch, sc = cfg.channel, cfg.scenario
-    values = [value for _, value in points]
+    ch, sc, size = cfg.channel, cfg.scenario, len(values)
     demands = channel.spectral_demand(ch, cfg.workload, np.array(values))
     mcs, ses = channel.empirical_ccdf(ch, demands, spec.samples,
                                       np.random.default_rng(spec.seed))
-    answered, offered = [], []
-    for value, lb, ub, mc, se in zip(
-            values, channel.ccdf_lower(ch, demands).tolist(),
-            channel.ccdf_upper(ch, demands).tolist(), mcs.tolist(),
-            ses.tolist()):
-        row = [value, lb, ub, mc, se, 1.0 - lb, None, None, None]
-        answered.append((row, False))
+    lb = channel.ccdf_lower(ch, demands)
+    drops = 1.0 - lb
+    answer = _Columns({"ccdf_lb": lb.tolist(),
+                       "ccdf_ub": channel.ccdf_upper(ch, demands).tolist(),
+                       "ccdf_mc": mcs.tolist(), "ccdf_mc_se": ses.tolist(),
+                       "drop_rate": drops.tolist(),
+                       "saved_with_retx": [None] * size,
+                       "saved_without": [None] * size}, [None] * size)
+    offered = []
+    for index, value in enumerate(values):
         try:
             ground, hap = _offload_rates(cfg, value)
         except OverloadError as exc:
-            row[-1] = str(exc)
+            answer.errors[index] = str(exc)
         else:
-            offered.append((len(answered) - 1, ground, hap))
+            offered.append((index, ground, hap))
     if not offered:
-        return answered
+        return answer
     indices, grounds, haps = zip(*offered)
-    # each row's per-link rate sums the exact split of its value, so the
-    # row's drop cell is the drop_probability the evaluation would take
+    # each point's per-link rate sums the exact split of its value, so its
+    # drop cell is the drop_probability the evaluation would take
     ev, = offload.evaluate_offload(
         [offload.Fleets(np.array(grounds, dtype=float),
                         np.array(haps, dtype=float),
                         [(sc.latitude_deg, sc.day_of_year)] * len(indices),
                         sc.hap_count, sc.window)], cfg,
-        [np.array([answered[k][0][5] for k in indices])])
+        [drops[list(indices)]])
     without = offload.reroute_savings(ev, cfg)
     # both policies hold the evaluation's errors; only the reroute holds
     # the error of a reroute the ground fleet cannot take
-    _fill(answered, indices, ev, without.errors, slice(6, 8),
-          offload.retransmit_savings(ev, cfg).saved_rate, without.saved_rate)
-    return answered
+    answer.fill(indices, without.errors, ev.saturated,
+                saved_with_retx=offload.retransmit_savings(ev, cfg).saved_rate,
+                saved_without=without.saved_rate)
+    return answer
 
 
 def _delay_row(cfg, spec, index, value):
@@ -368,17 +357,18 @@ def _delay_row(cfg, spec, index, value):
 
 
 _FLY = _Analysis("flying", ("lambda_max", "threshold", "binding"),
-                 partial(_each_point, _fly_row, 3), needs_fleet=True)
+                 lambda *grid: _each_point(_fly_row, _FLY.columns, *grid),
+                 needs_fleet=True)
 _ENERGY = _Analysis("energy", ("e_tdc", "e_hybrid", "saved_rate", "n_retx"),
-                    _energy_rows)
+                    _energy_columns)
 _OUTAGE = _Analysis("outage", ("ccdf_lb", "ccdf_ub", "ccdf_mc", "ccdf_mc_se",
                                "drop_rate", "saved_with_retx",
                                "saved_without"),
-                    _outage_rows, needs_fleet=True, offload_rate=True)
+                    _outage_columns, needs_fleet=True, offload_rate=True)
 _DELAY = _Analysis("delay", ("analytic_wait", "des_wait", "des_se", "rtt",
                              "total", "regime"),
-                   partial(_each_point, _delay_row, 6), needs_fleet=True,
-                   offload_rate=True)
+                   lambda *grid: _each_point(_delay_row, _DELAY.columns, *grid),
+                   needs_fleet=True, offload_rate=True)
 
 
 # --- the engine -------------------------------------------------------------
@@ -390,8 +380,17 @@ def _run(analysis: _Analysis, cfg: ModelConfig, spec: SweepSpec) -> SweepResult:
     if analysis.needs_fleet and cfg.scenario.hap_servers < 1:
         raise ConfigError(
             f"{analysis.name} sweep needs at least one airborne server")
-    answered = analysis.rows(cfg, spec, list(enumerate(spec.values())))
-    rows = [row for row, _ in answered]
+    first = "lambda" if analysis.offload_rate else spec.axis
+    unknown = set(spec.outputs) - {first, *analysis.columns, "error"}
+    if unknown:
+        raise ConfigError(
+            f"unknown output column(s): {', '.join(sorted(unknown))}")
+    names = [name for name in analysis.columns
+             if not spec.outputs or name in spec.outputs]
+    values = spec.values()
+    answer = analysis.answer(cfg, spec, values)
+    rows = list(map(list, zip(values, *(answer.cells[name] for name in names),
+                              answer.errors)))
 
     manifest = {
         "tool": f"hapdc {__version__}",
@@ -402,14 +401,13 @@ def _run(analysis: _Analysis, cfg: ModelConfig, spec: SweepSpec) -> SweepResult:
     }
     if analysis.offload_rate:
         manifest["samples"] = str(spec.samples)
-    first = "lambda" if analysis.offload_rate else spec.axis
-    result = SweepResult([first, *analysis.columns, "error"], rows, manifest)
-    saturated = sum(flag for _, flag in answered)
-    if saturated:
+    result = SweepResult([first, *names, "error"], rows, manifest)
+    if answer.saturated:
         result.notes.append(
-            f"{saturated} grid point(s) offered more traffic than the link "
-            "carries; their energy figures assume the backlog still goes out")
-    return _select_columns(result, spec.outputs)
+            f"{answer.saturated} grid point(s) offered more traffic than the "
+            "link carries; their energy figures assume the backlog still "
+            "goes out")
+    return result
 
 
 def run_flying_sweep(cfg: ModelConfig, spec: SweepSpec) -> SweepResult:

@@ -383,20 +383,24 @@ def test_outage_saving_cells_equal_saving_bit_for_bit(shipped_cfg):
     spec = sweeps.SweepSpec("arrival_rate", 0.0, 1.0, 1.0, samples=1)
     seen = dict.fromkeys(("closed", "open", "drop 1", "exceeds ceiling",
                           "residual", "absorb"), 0)
+    names = ("ccdf_lb", "ccdf_ub", "ccdf_mc", "drop_rate", "saved_with_retx",
+             "saved_without")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        rows = [(cfg, value, row) for cfg, values in _outage_cases(shipped_cfg)
-                for (row, _), value in zip(
-                    sweeps._outage_rows(cfg, spec, list(enumerate(values))),
-                    values)]
-        for cfg, value, row in rows:
+        points = []
+        for cfg, values in _outage_cases(shipped_cfg):
+            answer = sweeps._OUTAGE.answer(cfg, spec, values)
+            points += [(cfg, value, dict(zip(names, cells)), error)
+                       for value, error, *cells in zip(
+                           values, answer.errors,
+                           *(answer.cells[name] for name in names))]
+        for cfg, value, point, error in points:
             ch = cfg.channel
             demand = channel.spectral_demand(ch, cfg.workload, value)
             lb = channel.ccdf_lower(ch, demand)
-            assert row[:3] + row[5:6] == [value, lb,
-                                          channel.ccdf_upper(ch, demand),
-                                          1.0 - lb]
-            assert row[3] in (0.0, 1.0)  # one Monte Carlo draw
+            assert [point["ccdf_lb"], point["ccdf_ub"], point["drop_rate"]] == [
+                lb, channel.ccdf_upper(ch, demand), 1.0 - lb]
+            assert point["ccdf_mc"] in (0.0, 1.0)  # one Monte Carlo draw
             try:
                 ground, hap = sweeps._offload_rates(cfg, value)
             except OverloadError as exc:
@@ -411,13 +415,14 @@ def test_outage_saving_cells_equal_saving_bit_for_bit(shipped_cfg):
             # a policy's error blanks both cells; the reroute's comes last
             errors = [r for r in reports if isinstance(r, str)]
             want = [None, None] if errors else [r.saved_rate for r in reports]
-            assert row[6:] == [*want, errors[-1] if errors else None], (
-                value, row, reports)
+            assert [point["saved_with_retx"], point["saved_without"],
+                    error] == [*want, errors[-1] if errors else None], (
+                value, point, error, reports)
             if errors:
                 seen[next(k for k in seen if k in errors[-1])] += 1
-            elif row[5] == 1.0:
+            elif point["drop_rate"] == 1.0:
                 seen["drop 1"] += 1
-            elif row[6] != row[7]:
+            elif point["saved_with_retx"] != point["saved_without"]:
                 seen["open"] += 1
             else:
                 seen["closed"] += 1
@@ -505,10 +510,10 @@ def test_delay_sweep_requires_rate_axis(shipped_cfg):
 
 def test_delay_sweep_unstable_rows_error(shipped_cfg, monkeypatch):
     calls = []
-    rows = sweeps._DELAY.rows
+    answer = sweeps._DELAY.answer
     monkeypatch.setattr(sweeps, "_DELAY", replace(
-        sweeps._DELAY, rows=lambda cfg, spec, points:
-        calls.append(points) or rows(cfg, spec, points)))
+        sweeps._DELAY, answer=lambda cfg, spec, values:
+        calls.append(values) or answer(cfg, spec, values)))
     spec = sweeps.SweepSpec("arrival_rate", 23000.0, 24000.0, 500.0,
                             samples=2000)
     out = sweeps.run_delay_sweep(shipped_cfg, spec)
@@ -517,7 +522,7 @@ def test_delay_sweep_unstable_rows_error(shipped_cfg, monkeypatch):
     assert out.rows[2][7] is not None
     assert not out.all_failed
     # one call answers the whole grid, a failing point included
-    assert calls == [list(enumerate(spec.values()))]
+    assert calls == [spec.values()]
 
 
 # --- every sweep ------------------------------------------------------------
@@ -595,6 +600,83 @@ def test_output_column_selection(shipped_cfg):
             shipped_cfg,
             sweeps.SweepSpec("latitude", -60.0, 60.0, 60.0,
                              outputs=("no_such_column",)))
+
+
+def test_outputs_string_is_refused():
+    # a bare string would be read as its letters, one column name each
+    with pytest.raises(ConfigError, match="SweepSpec.outputs"):
+        sweeps.SweepSpec("latitude", -60.0, 60.0, 60.0, outputs="lambda_max")
+
+
+# one small grid per sweep: a polar point, a saturated energy ramp whose
+# top overloads the ground fleet, an outage ramp that saturates the link,
+# and a delay point past the capacity
+_SMALL_GRIDS = {
+    "fly": sweeps.SweepSpec("latitude", -60.0, 90.0, 50.0),
+    "energy": sweeps.SweepSpec("arrival_rate", 0.0, 40_000.0, 8000.0),
+    "outage": sweeps.SweepSpec("arrival_rate", 0.0, 12_000.0, 4000.0,
+                               samples=100),
+    "delay": sweeps.SweepSpec("arrival_rate", 4000.0, 24_000.0, 10_000.0,
+                              samples=2000),
+}
+_ANALYSES = {"fly": "_FLY", "energy": "_ENERGY", "outage": "_OUTAGE",
+             "delay": "_DELAY"}
+
+
+@pytest.mark.parametrize("kind", sorted(_SMALL_GRIDS))
+def test_unknown_output_is_refused_before_pricing(shipped_cfg, monkeypatch,
+                                                  kind):
+    calls = []
+    monkeypatch.setattr(sweeps, _ANALYSES[kind], replace(
+        getattr(sweeps, _ANALYSES[kind]),
+        answer=lambda *grid: calls.append(grid)))
+    spec = replace(_SMALL_GRIDS[kind], outputs=("no_such_column",))
+    with pytest.raises(ConfigError, match="no_such_column"):
+        sweeps.RUNNERS[kind](shipped_cfg, spec)
+    assert calls == []
+
+
+@pytest.mark.parametrize("kind", sorted(_SMALL_GRIDS))
+def test_outputs_select_the_full_runs_cells(shipped_cfg, kind):
+    run, spec = sweeps.RUNNERS[kind], _SMALL_GRIDS[kind]
+    full = run(shipped_cfg, spec)
+    # the shipped ground fleet takes every outage residual
+    assert (kind == "outage") != any(row[-1] is not None
+                                     for row in full.rows), kind
+    # the energy and outage ramps saturate the link, so their notes carry
+    # a count to compare below
+    assert bool(full.notes) == (kind in ("energy", "outage")), kind
+    metrics = full.header[1:-1]
+    # naming every metric column renders the default run's bytes
+    every = run(shipped_cfg, replace(spec, outputs=tuple(metrics)))
+    assert sweeps.render_csv(every) == sweeps.render_csv(full)
+    assert sweeps.render_json(every) == sweeps.render_json(full)
+    # a narrowed run keeps the analysis's column order and the full run's
+    # cells, errors, notes and manifest
+    picked = metrics[::2]
+    narrow = run(shipped_cfg, replace(spec, outputs=tuple(picked[::-1])))
+    assert narrow.header == [full.header[0], *picked, "error"]
+    keep = [full.header.index(name) for name in narrow.header]
+    assert narrow.rows == [[row[i] for i in keep] for row in full.rows]
+    assert narrow.notes == full.notes
+    assert narrow.manifest == full.manifest
+
+
+@pytest.mark.parametrize("size", [1, 3])
+@pytest.mark.parametrize("kind", sorted(_SMALL_GRIDS))
+def test_every_analysis_answers_a_full_column_per_name(shipped_cfg, kind,
+                                                       size):
+    spec = _SMALL_GRIDS[kind]
+    spec = replace(spec, stop=spec.start + (size - 1) * spec.step)
+    values = spec.values()
+    assert len(values) == size
+    analysis = getattr(sweeps, _ANALYSES[kind])
+    answer = analysis.answer(shipped_cfg, spec, values)
+    assert set(analysis.columns) <= set(answer.cells)
+    assert {name: len(cells) for name, cells in answer.cells.items()} == (
+        dict.fromkeys(answer.cells, size))
+    assert len(answer.errors) == size
+    assert 0 <= answer.saturated <= size
 
 
 def test_cell_rendering():
