@@ -4,18 +4,18 @@ may accept, what the two-site system consumes, and what offloading saves.
 
 A saving is priced as columns.  A ``Fleets`` group holds offload scenarios
 of one fleet shape and window as rows x servers rate arrays, one row per
-scenario.  ``evaluate_offload`` prices what every delivery policy shares,
-each step once per group: the all-ground baseline and the lossless
+scenario.  ``evaluate_offload`` prices what every delivery policy shares
+on one group, each step once: the all-ground baseline and the lossless
 split-system bill (compute and cooling columns from the thermal bills,
 propulsion read once per distinct site, one ``math.fsum`` per row), the
-reliable-rate gate (looked up once; below it the link counts as lossless
-and no drop is evaluated), the drops (one ``channel.drop_probability`` call
-for all groups) and the uplinks (one ``channel.link_energy`` call).  A
-policy then charges the dropped traffic as column arithmetic:
-``retransmit_savings`` resends it over the link, ``reroute_savings``
-recomputes it on the ground.  A row that cannot be priced holds its error
-beside the columns, and its cells mean nothing; ``saving``, the one-row
-call, raises it.
+reliable-rate gate (below it the link counts as lossless and no drop is
+evaluated), the drops (one ``channel.drop_probability`` call) and the
+uplinks (one ``channel.link_energy`` call).  A caller with several fleet
+shapes evaluates one group per shape.  A policy then charges the dropped
+traffic as column arithmetic: ``retransmit_savings`` resends it over the
+link, ``reroute_savings`` recomputes it on the ground.  A row that cannot
+be priced holds its error beside the columns, and its cells mean nothing;
+``saving``, the one-row call, raises it.
 """
 
 from __future__ import annotations
@@ -338,49 +338,31 @@ class OffloadEvaluation:
         return self.airtime > channel.SATURATION
 
 
-def evaluate_offload(groups: list[Fleets], cfg: ModelConfig,
-                     drops: list[np.ndarray] | None = None) -> list:
-    """The ``OffloadEvaluation`` of each of ``groups``.
+def evaluate_offload(fleets: Fleets, cfg: ModelConfig,
+                     drops: np.ndarray | None = None) -> OffloadEvaluation:
+    """The ``OffloadEvaluation`` of the rows of ``fleets``.
 
     A row's error is the OverloadError of its baseline, else of its split
-    bills, else the LinkRateError of its uplink.  The drops of all groups'
-    rows at or above the gate are one ``channel.drop_probability`` call,
-    which leaves out every row whose baseline overloads.  A caller that
-    already holds ``1 - ccdf_lower`` at each row's per-link rate passes
-    them, one column per group, as ``drops``; they then stand in for
-    ``channel.drop_probability``.
+    bills, else the LinkRateError of its uplink.  The drops of the rows at
+    or above the gate are one ``channel.drop_probability`` call, which
+    leaves out every row whose baseline overloads.  A caller that already
+    holds ``1 - ccdf_lower`` at each row's per-link rate passes that
+    column as ``drops``; it then stands in for ``channel.drop_probability``.
     """
-    if not groups:
-        return []
-    baselines = [thermal.tdc_total_energy(fleets, cfg) for fleets in groups]
-    per_links = [thermal.fsum_rows(fleets.hap_rates) for fleets in groups]
-    per_link = np.concatenate(per_links)
+    compute, cooling, errors = thermal.tdc_total_energy(fleets, cfg)
+    per_link = thermal.fsum_rows(fleets.hap_rates)
     # a link is charged a drop at or above the gate, which is looked up
     # only when some link offloads
-    lossy = (per_link > 0) & np.array(
-        [error is None for *_, errors in baselines for error in errors],
-        dtype=bool)
+    lossy = (per_link > 0) & np.array([error is None for error in errors],
+                                      dtype=bool)
     if lossy.any():
         lossy &= per_link >= drop_gate(cfg)
     if drops is None:
-        drop = np.zeros(len(per_link))
+        drops = np.zeros(len(per_link))
         if lossy.any():
-            drop[lossy] = channel.drop_probability(
+            drops[lossy] = channel.drop_probability(
                 cfg.channel, cfg.workload, per_link[lossy],
                 cfg.workload.task_length_instr)
-    else:
-        drop = np.concatenate(drops)
-    pr_drops = np.split(np.where(lossy, drop, 0.0),
-                        np.cumsum([len(fleets) for fleets in groups])[:-1])
-    return [_evaluated(*priced, cfg) for priced
-            in zip(groups, baselines, per_links, pr_drops)]
-
-
-def _evaluated(fleets: Fleets, baseline, per_link, pr_drop,
-               cfg: ModelConfig) -> OffloadEvaluation:
-    """The evaluation of ``fleets`` on its baseline bills, per-link rates
-    and charged drops."""
-    compute, cooling, errors = baseline
     ground, ground_cooling, payload, split_errors = split_bills(fleets, cfg)
     errors = [split if error is None else error
               for error, split in zip(errors, split_errors)]
@@ -398,9 +380,9 @@ def _evaluated(fleets: Fleets, baseline, per_link, pr_drop,
     else:
         # no platform deployed: the split system is its ground fleet
         lossless = ground + ground_cooling
-    failed = np.array([error is not None for error in errors], dtype=bool)
+    priced = np.array([error is None for error in errors], dtype=bool)
     return OffloadEvaluation(fleets, compute + cooling, per_link,
-                             np.where(failed, 0.0, pr_drop), lossless,
+                             np.where(lossy & priced, drops, 0.0), lossless,
                              transmission, propulsion, airtime, errors)
 
 
@@ -506,7 +488,7 @@ def saving(scenario: Scenario, cfg: ModelConfig,
     ``LinkSaturationWarning`` is issued when the offered traffic is more
     than the link carries, and negative savings are reported, not raised.
     """
-    ev, = evaluate_offload([Fleets.of(scenario)], cfg)
+    ev = evaluate_offload(Fleets.of(scenario), cfg)
     if ev.errors[0] is None:
         channel.warn_if_saturated(ev.airtime[0])
     policy = retransmit_savings if with_retransmission else reroute_savings

@@ -14,13 +14,15 @@ one function that answers the whole grid in one process with a
 ``_Columns`` record: a column of cells per metric name, each point's
 error and the count of points whose offered traffic saturates the link
 (read from their evaluation's airtime; the count goes to the result's
-``notes``, not to the rows).  One engine, ``_run``, refuses unknown
-``outputs`` before the grid is priced, then zips the grid values, the
-selected columns and the errors into rows.  Flying condition and delay
-answer point by point (``_each_point``).  Energy and outage price the grid
-at once through ``offload.evaluate_offload`` and fill each priced point's
-cells by column name (``_Columns.fill``); every cell keeps the bits
-``offload.saving`` gives it at the point.
+``notes``, not to the rows).  One engine, ``_run``, refuses ``outputs``
+that name an unknown column or no metric column before the grid is
+priced, then zips the grid values, the selected columns and the errors
+into rows.  Flying condition and delay answer point by point
+(``_each_point``).  Energy and outage price the grid one fleet shape at a
+time, each shape's points in one ``offload.evaluate_offload`` call (an
+outage grid has one shape), and fill each priced point's cells by column
+name (``_Columns.fill``); every cell keeps the bits ``offload.saving``
+gives it at the point.
 
 A grid point is a site, a date, a platform fleet size and a total
 offered rate (``_axis_point``), never a copy of the config or its
@@ -67,11 +69,11 @@ class SweepSpec:
 
     ``outputs`` optionally narrows the metric columns to the named ones, in
     the analysis's order (the axis and error columns always stay); an
-    unknown name is refused before the grid is priced.  It is a sequence
-    of names, not one string, and no command-line flag sets it yet.  A
-    range of more than ``MAX_GRID_POINTS`` points, or more than
-    ``MAX_SAMPLES`` samples, is refused when the spec is built, before any
-    grid list exists.
+    unknown name, or a selection that names no metric column, is refused
+    before the grid is priced.  It is a sequence of names, not one string,
+    and no command-line flag sets it yet.  A range of more than
+    ``MAX_GRID_POINTS`` points, or more than ``MAX_SAMPLES`` samples, is
+    refused when the spec is built, before any grid list exists.
     """
 
     axis: str
@@ -233,8 +235,8 @@ def _energy_columns(cfg, spec, values):
     site, date and fleet, derived once per distinct triple on the grid (a
     triple that raises, a polar one, is derived again and raises at each
     of its points).  The allocations are gathered into one
-    ``offload.Fleets`` group per fleet shape, and the grid is priced as
-    their columns.
+    ``offload.Fleets`` group per fleet shape, and each group is priced by
+    its own ``offload.evaluate_offload`` call.
     """
     sc, size = cfg.scenario, len(values)
     answer = _Columns({name: [None] * size for name in _ENERGY.columns},
@@ -253,13 +255,12 @@ def _energy_columns(cfg, spec, values):
         else:
             groups.setdefault(servers, []).append(
                 (index, ground, hap, (latitude, day)))
-    groups = [tuple(zip(*members)) for members in groups.values()]
-    evals = offload.evaluate_offload(
-        [offload.Fleets(np.array(ground, dtype=float),
-                        np.array(hap, dtype=float), list(sites),
-                        sc.hap_count, sc.window)
-         for _, ground, hap, sites in groups], cfg)
-    for (indices, *_), ev in zip(groups, evals):
+    for members in groups.values():
+        indices, ground, hap, sites = zip(*members)
+        ev = offload.evaluate_offload(
+            offload.Fleets(np.array(ground, dtype=float),
+                           np.array(hap, dtype=float), list(sites),
+                           sc.hap_count, sc.window), cfg)
         savings = offload.retransmit_savings(ev, cfg)
         answer.fill(indices, savings.errors, ev.saturated,
                     e_tdc=savings.e_tdc_j, e_hybrid=savings.e_hybrid_j,
@@ -320,12 +321,11 @@ def _outage_columns(cfg, spec, values):
     indices, grounds, haps = zip(*offered)
     # each point's per-link rate sums the exact split of its value, so its
     # drop cell is the drop_probability the evaluation would take
-    ev, = offload.evaluate_offload(
-        [offload.Fleets(np.array(grounds, dtype=float),
-                        np.array(haps, dtype=float),
-                        [(sc.latitude_deg, sc.day_of_year)] * len(indices),
-                        sc.hap_count, sc.window)], cfg,
-        [drops[list(indices)]])
+    ev = offload.evaluate_offload(
+        offload.Fleets(np.array(grounds, dtype=float),
+                       np.array(haps, dtype=float),
+                       [(sc.latitude_deg, sc.day_of_year)] * len(indices),
+                       sc.hap_count, sc.window), cfg, drops[list(indices)])
     without = offload.reroute_savings(ev, cfg)
     # both policies hold the evaluation's errors; only the reroute holds
     # the error of a reroute the ground fleet cannot take
@@ -387,6 +387,9 @@ def _run(analysis: _Analysis, cfg: ModelConfig, spec: SweepSpec) -> SweepResult:
             f"unknown output column(s): {', '.join(sorted(unknown))}")
     names = [name for name in analysis.columns
              if not spec.outputs or name in spec.outputs]
+    if not names:
+        raise ConfigError(f"outputs name no {analysis.name} metric column; "
+                          f"pick from {', '.join(analysis.columns)}")
     values = spec.values()
     answer = analysis.answer(cfg, spec, values)
     rows = list(map(list, zip(values, *(answer.cells[name] for name in names),

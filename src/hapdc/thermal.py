@@ -5,18 +5,18 @@ configured initial state toward steady state.  Cooling energy over a window
 has a closed form (sum of exponential relaxations); tests check it against
 direct quadrature of the instantaneous cooling power.
 
-The fleet bills price a rows x servers array, one fleet per row, in one
-array pass, and return one column per bill with one entry per row; one
-fleet's rate vector is priced as the one-row batch.  Each server's power
-and heat addend is the scalar expression evaluated elementwise, each
-CRAC's heat is summed in server order with ``np.add.accumulate``
-(strictly sequential, so it rounds as a scalar loop does), the CRAC
-totals are added in CRAC order, and a fleet's compute energy is one
+Power has one route, ``_power`` (utilization, ceiling, idle-to-peak line),
+and ``compute_power`` is its raising one-fleet form.  The fleet bills price
+a rows x servers array, one fleet per row, in one array pass: one column
+per bill with one entry per row, one fleet's rates being the one-row batch.
+Each server's heat addend is the scalar expression evaluated elementwise,
+each CRAC sums its slice of the servers in server order with
+``np.add.accumulate`` (strictly sequential, so it rounds as a scalar loop
+does), the CRACs are added in order, and a fleet's compute energy is one
 correctly rounded ``math.fsum``.  A batch comes back with each row's
-OverloadError, naming its first server over the utilization ceiling, or
-None beside its columns; a single fleet raises it.  ``ground_energy`` is
-the one ground bill, compute plus cooling, that the all-ground baseline
-and the split system's ground side both pay.
+OverloadError, naming its first server over the ceiling, or None beside
+its columns; a single fleet raises it.  ``ground_energy`` is the one ground
+bill, compute plus cooling, that the baseline and the split system pay.
 """
 
 from __future__ import annotations
@@ -46,33 +46,31 @@ def _overload(server: ServerSpec, u) -> OverloadError:
         f"utilization {u:.4f} exceeds ceiling {server.desired_utilization}")
 
 
+def _power(server: ServerSpec, rates, task_len: float):
+    """Electrical draw at ``rates`` (one rate, one fleet's array or a rows x
+    servers array, one fleet per row), W, linear idle-to-peak, and each
+    fleet's OverloadError, naming its first server over the ceiling, or
+    None; an overloaded fleet is priced all the same."""
+    u = utilization(server, rates, task_len)
+    over = np.atleast_2d(u > server.desired_utilization * (1.0 + 1e-12))
+    errors = [None] * len(over)
+    # one test first: quadratures call this once per scalar rate
+    if over.any():
+        fleets = np.atleast_2d(u)
+        for row in np.flatnonzero(over.any(axis=1)):
+            errors[row] = _overload(server, fleets[row, over[row].argmax()])
+    return server.p_idle + (server.p_peak - server.p_idle) * u, errors
+
+
 def compute_power(server: ServerSpec, rate, task_len: float):
     """Electrical draw at the given arrival rate, W; linear idle-to-peak.
 
-    ``rate`` is one rate or an array of them, one per server; the
+    ``rate`` is one rate or one fleet's array of per-server rates; the
     OverloadError names the first server over the ceiling."""
-    u = utilization(server, rate, task_len)
-    over = np.ravel(u > server.desired_utilization * (1.0 + 1e-12))
-    if over.any():
-        raise _overload(server, np.ravel(u)[over.argmax()])
-    return server.p_idle + (server.p_peak - server.p_idle) * u
-
-
-def _billed(server: ServerSpec, rates, task_len: float, bill, *args):
-    """``bill(power, *args)`` of the per-server power at ``rates``, a rows x
-    servers batch, one fleet per row (one fleet's rate vector is the
-    one-row batch), and a list of each row's OverloadError or None.
-    ``bill`` prices each fleet along the last axis of ``power``; an
-    overloaded row is priced all the same.
-    """
-    u = utilization(server, np.atleast_2d(np.asarray(rates, dtype=float)),
-                    task_len)
-    over = u > server.desired_utilization * (1.0 + 1e-12)
-    errors = [None] * len(u)
-    for row in np.flatnonzero(over.any(axis=1)):
-        errors[row] = _overload(server, u[row, over[row].argmax()])
-    return bill(server.p_idle + (server.p_peak - server.p_idle) * u,
-                *args), errors
+    power, (error,) = _power(server, rate, task_len)
+    if error is not None:
+        raise error
+    return power
 
 
 def _one_row(errors, *columns) -> list[float]:
@@ -99,7 +97,9 @@ def fleet_compute_energy(server: ServerSpec, rates, task_len: float,
     """Compute energy of a fleet at per-server ``rates`` over the window, J:
     one correctly rounded sum of the per-server energies.  A rows x servers
     batch gets the energy column and each row's OverloadError or None."""
-    energy, errors = _billed(server, rates, task_len, _compute_bill, window)
+    power, errors = _power(server, np.array(rates, dtype=float, ndmin=2),
+                           task_len)
+    energy = _compute_bill(power, window)
     if np.ndim(rates) == 2:
         return energy, errors
     return _one_row(errors, energy)[0]
@@ -223,17 +223,13 @@ def _crac_energy(heat: np.ndarray, cooling: CoolingSpec,
 def _cooling_bill(power: np.ndarray, server: ServerSpec, cooling: CoolingSpec,
                   window: tuple[float, float]):
     """CRAC energy of each fleet along the last axis of ``power``, J: the
-    servers split near-uniformly across the CRACs in order, each CRAC's
-    heat summed in server order, the CRACs added in order."""
+    servers split near-uniformly across the CRACs, each CRAC's slice of
+    them summed in server order, the CRACs added in order."""
     heat = _heat_integral(server, power, cooling, window)
-    sizes = partition_servers(heat.shape[-1], cooling.crac_count)
-    if sizes[0] != sizes[-1]:
-        # a trailing 0.0 on each narrower CRAC leaves its sum as it is
-        ends = np.cumsum(sizes)[sizes.index(sizes[-1]):]
-        heat = np.insert(heat, ends, 0.0, axis=-1)
-    cracs = _crac_energy(heat.reshape(*heat.shape[:-1], len(sizes), -1),
-                         cooling, window)
-    return np.add.accumulate(cracs, axis=-1)[..., -1]
+    ends = np.cumsum([0, *partition_servers(heat.shape[-1],
+                                            cooling.crac_count)])
+    return sum(_crac_energy(heat[..., start:end], cooling, window)
+               for start, end in zip(ends[:-1], ends[1:]))
 
 
 def partition_servers(count: int, crac_count: int) -> list[int]:
@@ -266,8 +262,9 @@ def grouped_cooling_energy(rates, server: ServerSpec, cooling: CoolingSpec,
     """Cooling energy with the rate list split near-uniformly across CRACs.
     A rows x servers batch gets the energy column and each row's
     OverloadError or None."""
-    energy, errors = _billed(server, rates, task_len, _cooling_bill, server,
-                             cooling, window)
+    power, errors = _power(server, np.array(rates, dtype=float, ndmin=2),
+                           task_len)
+    energy = _cooling_bill(power, server, cooling, window)
     if np.ndim(rates) == 2:
         return energy, errors
     return _one_row(errors, energy)[0]
@@ -278,10 +275,10 @@ def ground_energy(rates, cfg: ModelConfig, window: tuple[float, float]):
     ground bill of both the baseline and the split system.  A rows x
     servers batch gets the compute and cooling columns and each row's
     OverloadError or None."""
-    (compute, cooling), errors = _billed(
-        cfg.server, rates, cfg.workload.task_length_instr,
-        lambda power: (_compute_bill(power, window),
-                       _cooling_bill(power, cfg.server, cfg.cooling, window)))
+    power, errors = _power(cfg.server, np.array(rates, dtype=float, ndmin=2),
+                           cfg.workload.task_length_instr)
+    compute = _compute_bill(power, window)
+    cooling = _cooling_bill(power, cfg.server, cfg.cooling, window)
     if np.ndim(rates) == 2:
         return compute, cooling, errors
     compute, cooling = _one_row(errors, compute, cooling)

@@ -72,15 +72,19 @@ def _check_thermal(cfg: ModelConfig, rng: np.random.Generator) -> CheckResult:
 
 
 def _marcum_quadrature(m: int, a: float, y: float) -> float:
+    """Q_m(a, y) by quadrature of the noncentral chi density from y to
+    max(y, a, sqrt(a^2 + 2m)) + 40; 0 when y lies past that limit."""
     from scipy.integrate import quad
     from scipy.special import ive
 
-    def integrand(x):
+    def density(x):
         return (x * (x / a) ** (m - 1) * math.exp(-0.5 * (x - a) ** 2)
                 * ive(m - 1, a * x))
 
-    val, _ = quad(integrand, y, y + 40.0 + a, limit=400)
-    return min(val, 1.0)
+    hi = max(y, a, math.sqrt(a * a + 2.0 * m)) + 40.0
+    if y >= hi:
+        return 0.0
+    return quad(density, y, hi, limit=500, epsabs=1e-12, epsrel=1e-12)[0]
 
 
 def _check_marcum(cfg: ModelConfig, rng: np.random.Generator) -> CheckResult:

@@ -12,7 +12,10 @@ bytes on purpose:
 
     python tests/byte_corpus.py
 
-It is not collected by pytest.
+Before it writes, it prints each entry and stream (``stdout``, ``stderr``,
+``exit``) whose digest differs from the file it replaces, and each entry
+added or removed, so the rewrite shows what moved.  It is not collected by
+pytest.
 """
 
 from __future__ import annotations
@@ -127,8 +130,25 @@ def digest(stdout: str, stderr: str, code: int) -> dict:
     return {"stdout": _sha(stdout), "stderr": _sha(stderr), "exit": code}
 
 
+def changes(old: dict, new: dict) -> list[str]:
+    """``name: stream`` for each digest that differs between two corpora's
+    entries, then ``added: name`` and ``removed: name`` for each entry
+    only one of them holds."""
+    moved = [f"{name}: {key}" for name in sorted(old.keys() & new.keys())
+             for key in ("stdout", "stderr", "exit")
+             if old[name][key] != new[name][key]]
+    return (moved + [f"added: {name}" for name in sorted(new.keys() - old)]
+            + [f"removed: {name}" for name in sorted(old.keys() - new)])
+
+
 def main() -> int:
     entries = {name: digest(*streams) for name, *streams in outputs()}
+    old = {}
+    if os.path.exists(CORPUS):
+        with open(CORPUS, encoding="utf-8") as fh:
+            old = json.load(fh)["entries"]
+    report = changes(old, entries)
+    print("\n".join(report) if report else "no digest changed")
     with open(CORPUS, "w", encoding="utf-8") as fh:
         json.dump({"environment": environment(), "entries": entries}, fh,
                   indent=2, sort_keys=True)

@@ -16,7 +16,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hapdc import aero, channel, offload, queueing, solar, thermal
+from hapdc import (aero, channel, offload, queueing, solar, thermal,
+                   validate)
 from hapdc.config import (
     ChannelConfig,
     CoolingSpec,
@@ -37,26 +38,6 @@ def _report(n: int, detail: str = ""):
     print(f"ACCEPTANCE criterion {n}: PASS{extra}")
 
 
-def _marcum_by_quadrature(m: int, a: float, y: float) -> float:
-    """Adaptive quadrature of the noncentral chi density from y upward."""
-    from scipy.integrate import quad
-    from scipy.special import ive
-
-    def density(x):
-        if x <= 0.0:
-            return 0.0
-        return (x * (x / a) ** (m - 1) * math.exp(-0.5 * (x - a) ** 2)
-                * ive(m - 1, a * x))
-
-    hi = max(y, a, math.sqrt(a * a + 2.0 * m)) + 40.0
-    if y >= hi:
-        return 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        val, _ = quad(density, y, hi, limit=500, epsabs=1e-12, epsrel=1e-12)
-    return val
-
-
 def test_criterion_1_marcum_against_quadrature():
     t0 = time.monotonic()
     rng = np.random.default_rng(2024)
@@ -69,7 +50,7 @@ def test_criterion_1_marcum_against_quadrature():
     worst = 0.0
     for m, a, y in cases:
         got = marcum_q(m, a, y)
-        want = _marcum_by_quadrature(m, a, y)
+        want = validate._marcum_quadrature(m, a, y)
         worst = max(worst, abs(got - want))
         assert abs(got - want) <= 1e-8, (m, a, y, got, want)
     ident = 0.5 * (1.0 + math.exp(-1.0) * bessel_i(0, 1.0))

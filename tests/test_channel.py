@@ -226,6 +226,29 @@ def test_max_reliable_rate_boundary():
     assert above < floor
 
 
+def test_max_reliable_rate_through_the_threshold_cap(shipped_cfg,
+                                                     monkeypatch):
+    # so strong a link that the doubling runs into the threshold cap
+    # (y = inf, a lower bound of 0) before the bound leaves the floor; the
+    # onset is still finite
+    ch = ChannelConfig(avg_rx_snr=1e300, link_distance=1.0)
+    thresholds = []
+    real = channel._threshold
+    monkeypatch.setattr(channel, "_threshold",
+                        lambda *args: thresholds.append(real(*args))
+                        or thresholds[-1])
+    w = shipped_cfg.workload
+    lam = channel.max_reliable_rate(ch, w, w.task_length_instr)
+    assert math.inf in thresholds
+    assert math.isfinite(lam) and math.isclose(lam, 5.0e6, rel_tol=1e-3)
+    # the cap sits at the onset: the lower bound holds there, is 0 above
+    at = channel.ccdf_lower(ch, channel.spectral_demand(
+        ch, w, lam, w.task_length_instr))
+    above = channel.ccdf_lower(ch, channel.spectral_demand(
+        ch, w, lam * 1.01, w.task_length_instr))
+    assert at >= 1.0 - 1e-12 and above == 0.0
+
+
 def test_airtime_and_transmission_energy():
     ch = ChannelConfig().resolved()
     w = WorkloadSpec()

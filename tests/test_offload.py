@@ -14,7 +14,8 @@ from hapdc.config import (
     WindSpec,
     uniform_split,
 )
-from hapdc.errors import LinkSaturationWarning, OverloadError, StabilityError
+from hapdc.errors import (LinkRateError, LinkSaturationWarning, OverloadError,
+                          StabilityError)
 
 
 def test_payload_energy_idle_fleet():
@@ -247,6 +248,26 @@ def test_reliable_rate_inverted_once_per_link(shipped_cfg, monkeypatch):
         shipped_cfg.workload, arrival_rate_total=12345.0))
     sweeps.run_energy_sweep(busier, spec)
     assert len(calls) == 2
+
+
+def test_link_that_never_drops_charges_no_drop(shipped_cfg, monkeypatch):
+    # so few bits per task that the lower bound never leaves the floor: the
+    # inversion raises, the gate falls back to inf, and a ramp charges no
+    # drop anywhere
+    cfg = replace(shipped_cfg, workload=replace(
+        shipped_cfg.workload, bits_per_instruction=1e-30))
+    with pytest.raises(LinkRateError, match="never drops"):
+        channel.max_reliable_rate(cfg.channel, cfg.workload,
+                                  cfg.workload.task_length_instr)
+    offload._reliable_rate.cache_clear()
+    assert offload.drop_gate(cfg) == math.inf
+    monkeypatch.setattr(channel, "drop_probability",
+                        lambda *args: pytest.fail("a drop was evaluated"))
+    out = sweeps.run_energy_sweep(
+        cfg, sweeps.SweepSpec("arrival_rate", 0.0, 40_000.0, 4000.0))
+    priced = [row for row in out.rows if row[-1] is None]
+    assert len(priced) == 10 and out.notes == []
+    assert all(row[out.header.index("n_retx")] == 0 for row in priced)
 
 
 def test_retransmission_budget_formula(shipped_cfg):

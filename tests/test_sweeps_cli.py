@@ -637,6 +637,25 @@ def test_unknown_output_is_refused_before_pricing(shipped_cfg, monkeypatch,
 
 
 @pytest.mark.parametrize("kind", sorted(_SMALL_GRIDS))
+def test_outputs_naming_no_metric_column_are_refused_before_pricing(
+        shipped_cfg, monkeypatch, kind):
+    # the axis and error columns always stay, so a selection of only
+    # those would answer a header without a single metric
+    calls = []
+    analysis = getattr(sweeps, _ANALYSES[kind])
+    monkeypatch.setattr(sweeps, _ANALYSES[kind], replace(
+        analysis, answer=lambda *grid: calls.append(grid)))
+    first = "lambda" if analysis.offload_rate else _SMALL_GRIDS[kind].axis
+    for outputs in ((first,), ("error",), (first, "error")):
+        spec = replace(_SMALL_GRIDS[kind], outputs=outputs)
+        with pytest.raises(ConfigError, match=f"no {analysis.name} metric "
+                           "column") as info:
+            sweeps.RUNNERS[kind](shipped_cfg, spec)
+        assert ", ".join(analysis.columns) in str(info.value), outputs
+    assert calls == []
+
+
+@pytest.mark.parametrize("kind", sorted(_SMALL_GRIDS))
 def test_outputs_select_the_full_runs_cells(shipped_cfg, kind):
     run, spec = sweeps.RUNNERS[kind], _SMALL_GRIDS[kind]
     full = run(shipped_cfg, spec)
@@ -730,6 +749,37 @@ def test_cli_malformed_range_exits_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["fly", "--axis", "day", "--range", "1:10"])
     assert exc.value.code == 2
+
+
+def test_cli_unparsable_range_value_exits_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fly", "--axis", "day", "--range", "1:x:2"])
+    assert exc.value.code == 2
+    assert "bad range '1:x:2'" in capsys.readouterr().err
+
+
+def test_cli_out_into_a_missing_directory_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "no_such_dir" / "fly.csv"
+    rc = cli.main(["fly", "--config", SHIPPED_CONFIG, "--axis", "day",
+                   "--range", "100:101:1", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.parent.exists()
+
+
+def test_cli_numerical_failure_exits_3(monkeypatch, capsys):
+    # no validated config reaches this path, so a runner is made to fail
+    from hapdc.errors import NumericsError
+
+    def failing(cfg, spec):
+        raise NumericsError("series did not converge")
+
+    monkeypatch.setitem(sweeps.RUNNERS, "fly", failing)
+    rc = cli.main(["fly", "--axis", "day", "--range", "100:101:1"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.err == "numerical failure: series did not converge\n"
+    assert captured.out == ""
 
 
 def test_cli_unknown_axis_exits_usage(capsys):
@@ -971,13 +1021,17 @@ def test_energy_baseline_overload_blanks_only_its_row(shipped_cfg,
 
 def test_energy_gate_and_drops_looked_up_once_per_sweep(shipped_cfg,
                                                         monkeypatch):
-    gates, drops = [], []
+    gates, drops, inversions = [], [], []
     real_gate, real_drop = offload.drop_gate, channel.drop_probability
+    real_inversion = channel.max_reliable_rate
     monkeypatch.setattr(offload, "drop_gate",
                         lambda cfg: gates.append(1) or real_gate(cfg))
     monkeypatch.setattr(channel, "drop_probability",
                         lambda *args: drops.append(len(args[2]))
                         or real_drop(*args))
+    monkeypatch.setattr(channel, "max_reliable_rate",
+                        lambda *args: inversions.append(1)
+                        or real_inversion(*args))
     cfg = shipped_cfg
     gate = real_gate(cfg)
     with warnings.catch_warnings():
@@ -987,20 +1041,35 @@ def test_energy_gate_and_drops_looked_up_once_per_sweep(shipped_cfg,
                      sweeps.SweepSpec("hap_servers", 1.0, 40.0, 3.0)):
             gates.clear()
             drops.clear()
+            inversions.clear()
+            offload._reliable_rate.cache_clear()
             out = sweeps.run_energy_sweep(cfg, spec)
-            lossy = 0
+            # the lossy links of each fleet shape, in grid order
+            lossy = {}
             for row, value in zip(out.rows, spec.values()):
                 if row[-1] is None:
-                    sc = offload.allocated_scenario(
-                        offload_reference.apply_axis(cfg, spec.axis, value))
-                    lossy += math.fsum(sc.hap_rates) >= gate
-            assert gates == [1] and drops == [lossy], spec.axis
+                    point = offload_reference.apply_axis(cfg, spec.axis,
+                                                         value)
+                    sc = offload.allocated_scenario(point)
+                    shape = point.scenario.hap_servers
+                    lossy[shape] = (lossy.get(shape, 0)
+                                    + (math.fsum(sc.hap_rates) >= gate))
+            assert inversions == [1], spec.axis
+            if spec.axis == "hap_servers":
+                # one drop call per fleet shape with a lossy link, each
+                # carrying exactly that shape's lossy links
+                assert drops == [n for n in lossy.values() if n]
+                assert len(drops) > 1 and sum(drops) == sum(lossy.values())
+            else:
+                assert gates == [1] and drops == [sum(lossy.values())], \
+                    spec.axis
         # a sweep that offloads nothing looks nothing up
         gates.clear()
         drops.clear()
+        inversions.clear()
         sweeps.run_energy_sweep(
             cfg, sweeps.SweepSpec("arrival_rate", 0.0, 0.0, 1.0))
-    assert gates == [] and drops == []
+    assert gates == [] and drops == [] and inversions == []
 
 
 def test_energy_drops_run_the_series_once_per_distinct_shallow_rate(

@@ -513,7 +513,7 @@ def test_batched_overloaded_row_keeps_the_other_rows(monkeypatch):
     monkeypatch.setattr(channel, "drop_probability",
                         lambda *args: drops.append(args[2]) or real_drop(*args))
     monkeypatch.setattr(offload, "_reliable_rate", lambda *args: 0.0)
-    ev, = offload.evaluate_offload([fleets], cfg)
+    ev = offload.evaluate_offload(fleets, cfg)
     priced = offload.retransmit_savings(ev, cfg)
     assert priced.errors[1] is ev.errors[1]
     assert str(priced.errors[1]) == str(loop.value)
