@@ -168,16 +168,6 @@ def _threshold(demand: float, rank: int, scale: float) -> float:
     return math.sqrt(2.0 * scale * (rank * math.expm1(demand * _LN2 / rank)))
 
 
-def _marcum(orders: int, noncentral: float, ys: np.ndarray) -> np.ndarray:
-    """Q of each threshold of ``_threshold``; one ``marcum_q`` call serves
-    every threshold but y = 0 (Q = 1) and y = inf (Q = 0)."""
-    values = np.where(ys == 0.0, 1.0, 0.0)
-    series = (ys != 0.0) & (ys != math.inf)
-    if series.any():
-        values[series] = marcum_q(orders, noncentral, ys[series])
-    return values
-
-
 def _bound(ch: ChannelConfig, demand: float | np.ndarray,
            rank: int) -> float | np.ndarray:
     """Marcum-Q bound on Pr(link rate > demand * bandwidth) with the
@@ -187,7 +177,7 @@ def _bound(ch: ChannelConfig, demand: float | np.ndarray,
     orders, noncentral, scale = _bound_params(ch)
     ys = np.array([_threshold(d, rank, scale)
                    for d in demands.ravel().tolist()])
-    values = _marcum(orders, noncentral, ys).reshape(demands.shape)
+    values = marcum_q(orders, noncentral, ys).reshape(demands.shape)
     if isinstance(demand, np.ndarray) or values.ndim:
         return values
     return float(values)
@@ -318,7 +308,7 @@ def drop_probability(ch: ChannelConfig, workload: WorkloadSpec,
     deep = (ys * ys > noncentral * noncentral + 2 * orders) & (ys < math.inf)
     deep[deep] = marcum_log_bound(orders, noncentral, ys[deep]) < _DEEP_TAIL
     drops = np.ones(distinct.shape)
-    drops[~deep] = 1.0 - _marcum(orders, noncentral, ys[~deep])
+    drops[~deep] = 1.0 - marcum_q(orders, noncentral, ys[~deep])
     drops = drops[inverse].reshape(np.shape(demand))
     return drops if isinstance(demand, np.ndarray) else float(drops)
 

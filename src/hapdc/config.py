@@ -23,6 +23,7 @@ import math
 import os
 from dataclasses import dataclass, field, fields
 
+import numpy as np
 import yaml
 
 from .errors import ConfigError, ValidationError
@@ -421,24 +422,55 @@ class ModelConfig:
                     )
 
 
-def uniform_split(total: float, n: int) -> tuple[float, ...]:
-    """Split ``total`` into ``n`` equal shares that sum to ``total`` exactly."""
+def uniform_split(total: float | np.ndarray,
+                  n: int) -> tuple[float, ...] | np.ndarray:
+    """Split ``total`` into ``n`` equal shares that sum to ``total`` exactly.
+
+    The last share takes the residual that the rounded sum of the equal
+    shares leaves, or where that still misses, the exact residual; both
+    sums are ``fsum_runs``.  A column of totals gives one row of shares
+    per total, each as the one-row call, a tuple, gives it.
+    """
     if n < 0:
         raise ValidationError("uniform_split: n must be non-negative")
-    if n == 0:
-        if total:
-            raise ValidationError("uniform_split: cannot split a non-zero total over 0 servers")
-        return ()
-    if total < 0:
+    totals = np.array(total, dtype=float, ndmin=1)
+    if n == 0 and totals.any():
+        raise ValidationError(
+            "uniform_split: cannot split a non-zero total over 0 servers")
+    if n and (totals < 0).any():
         raise ValidationError("uniform_split: total must be non-negative")
-    share = total / n
-    shares = [share] * n
-    shares[-1] += total - math.fsum(shares)
-    if math.fsum(shares) != total:
-        # the rounded sum of the equal shares hid part of the residual:
-        # take it exactly; a split the first correction closes is kept
-        shares[-1] = share + math.fsum([total] + [-share] * n)
-    return tuple(shares)
+    share = totals / max(n, 1)
+    shares = np.repeat(share[:, None], n, axis=1)
+    if n:
+        with np.errstate(invalid="ignore"):  # inf - inf, as a float gives
+            last = share + (totals - fsum_runs(share[:, None], [n]))
+        miss = fsum_runs(np.column_stack([share, last]), [n - 1, 1]) != totals
+        last[miss] = share[miss] + fsum_runs(
+            np.column_stack([totals, -share])[miss], [1, n])
+        shares[:, -1] = last
+    return shares if np.ndim(total) else tuple(shares[0].tolist())
+
+
+def fsum_runs(values: np.ndarray, counts) -> np.ndarray:
+    """``math.fsum`` of each row of ``values`` with column j repeated
+    ``counts[j]`` times, bit for bit, from the exact terms count x hi and
+    count x lo of Dekker's split v = hi + lo (Numer. Math. 18, 1971): exact
+    where the counts sum to at most 2**26 and the row's values are finite
+    and zero or of magnitude in [2**-969, 2**969]; any other row is summed
+    entry by entry."""
+    counts = np.asarray(counts, dtype=float)
+    size = np.abs(values)
+    exact = (((size >= 2.0**-969) & (size <= 2.0**969)) | (size == 0.0)
+             ).all(axis=1) & (counts.sum() <= 2**26)
+    split = values[exact] * (2.0**27 + 1.0)
+    hi = split - (split - values[exact])
+    sums = np.empty(len(values))
+    sums[exact] = list(map(math.fsum, np.hstack(
+        [counts * hi, counts * (values[exact] - hi)]).tolist()))
+    for row in np.flatnonzero(~exact).tolist():
+        sums[row] = math.fsum(
+            np.repeat(values[row], counts.astype(int)).tolist())
+    return sums
 
 
 def max_hap_servers(platform: HapPlatform, server: ServerSpec) -> int:

@@ -7,15 +7,15 @@ of one fleet shape and window as rows x servers rate arrays, one row per
 scenario.  ``evaluate_offload`` prices what every delivery policy shares
 on one group, each step once: the all-ground baseline and the lossless
 split-system bill (compute and cooling columns from the thermal bills,
-propulsion read once per distinct site, one ``math.fsum`` per row), the
-reliable-rate gate (below it the link counts as lossless and no drop is
-evaluated), the drops (one ``channel.drop_probability`` call) and the
-uplinks (one ``channel.link_energy`` call).  A caller with several fleet
-shapes evaluates one group per shape.  A policy then charges the dropped
-traffic as column arithmetic: ``retransmit_savings`` resends it over the
-link, ``reroute_savings`` recomputes it on the ground.  A row that cannot
-be priced holds its error beside the columns, and its cells mean nothing;
-``saving``, the one-row call, raises it.
+propulsion priced once per distinct wind speed, one ``math.fsum`` per
+row), the reliable-rate gate (below it the link counts as lossless and no
+drop is evaluated), the drops (one ``channel.drop_probability`` call) and
+the uplinks (one ``channel.link_energy`` call).  A caller with several
+fleet shapes evaluates one group per shape.  A policy then charges the
+dropped traffic as column arithmetic: ``retransmit_savings`` resends it
+over the link, ``reroute_savings`` recomputes it on the ground.  A row
+that cannot be priced holds its error beside the columns, and its cells
+mean nothing; ``saving``, the one-row call, raises it.
 """
 
 from __future__ import annotations
@@ -176,29 +176,37 @@ def allocate_rates(cfg: ModelConfig, total_rate: float | None = None,
         raise ValueError("total_rate must be non-negative")
     per_server = (lambda_max(sc.latitude_deg, sc.day_of_year, sc.hap_servers,
                              cfg) if sc.hap_servers * sc.hap_count else 0.0)
-    return _allocate(sc, sc.hap_servers, total_rate, per_server, cfg)
+    ground, hap, (error,) = _allocate(
+        sc, sc.hap_servers, np.array([float(total_rate)]), per_server, cfg)
+    if error is not None:
+        raise error
+    return tuple(ground[0].tolist()), tuple(hap[0].tolist())
 
 
-def _allocate(sc: Scenario, hap_servers: int, total_rate: float,
-              per_server: float, cfg: ModelConfig,
-              ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """``allocate_rates`` of a non-negative ``total_rate`` on the fleet of
-    ``sc`` with ``hap_servers`` servers on each platform, which each admit
-    ``per_server`` task/s."""
+def _allocate(sc: Scenario, hap_servers: int, totals: np.ndarray, per_server,
+              cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray, list]:
+    """``allocate_rates`` of a column of non-negative ``totals`` on the
+    fleet of ``sc`` with ``hap_servers`` servers per platform, each
+    admitting ``per_server`` task/s (one rate, or one per total): the rows
+    of ground and of per-platform rates, and each row's OverloadError or
+    None; a failed row holds zero ground rates."""
     airborne = hap_servers * sc.hap_count
-    hap_total = min(total_rate, per_server * airborne) if airborne else 0.0
-    ground_total = total_rate - hap_total
-    if ground_total > 0 and sc.ground_servers == 0:
-        raise OverloadError("no ground servers to take the residual workload")
+    offered = np.asarray(per_server * airborne, dtype=float)
+    hap_total = (np.where(offered < totals, offered, totals) if airborne
+                 else np.zeros(len(totals)))
+    ground_total = totals - hap_total
     cap = high_load_threshold(cfg.server, cfg.workload.task_length_instr)
-    if sc.ground_servers and ground_total / sc.ground_servers > cap * (1 + 1e-12):
-        raise OverloadError(
-            f"residual workload {ground_total:.6g} task/s exceeds ground capacity"
-        )
-    ground = uniform_split(ground_total, sc.ground_servers)
-    hap = uniform_split(hap_total / sc.hap_count if airborne else 0.0,
-                        hap_servers)
-    return ground, hap
+    failed = (ground_total / sc.ground_servers > cap * (1 + 1e-12)
+              if sc.ground_servers else ground_total > 0)
+    errors = [None] * len(totals)
+    for row in np.flatnonzero(failed).tolist():
+        errors[row] = OverloadError(
+            f"residual workload {ground_total[row]:.6g} task/s exceeds ground "
+            "capacity" if sc.ground_servers
+            else "no ground servers to take the residual workload")
+    ground = uniform_split(np.where(failed, 0.0, ground_total),
+                           sc.ground_servers)
+    return ground, uniform_split(hap_total / sc.hap_count, hap_servers), errors
 
 
 def allocated_scenario(cfg: ModelConfig) -> Scenario:
@@ -279,13 +287,12 @@ def hybrid_total_energy(scenario: Scenario, cfg: ModelConfig) -> thermal.EnergyB
 
 def _propulsion(fleets: Fleets, cfg: ModelConfig) -> np.ndarray:
     """Station-keeping energy of all platforms at each row's site over the
-    window, J, read once per distinct site."""
-    per_site = {}
-    for site in fleets.sites:
-        if site not in per_site:
-            per_site[site] = fleets.hap_count * aero.propulsion_energy(
-                cfg.hap, cfg.wind.speed_at(*site), fleets.window)
-    return np.array([per_site[site] for site in fleets.sites])
+    window, J: the wind read once per distinct site, the energy priced
+    once per distinct wind speed."""
+    winds = {site: cfg.wind.speed_at(*site) for site in set(fleets.sites)}
+    per_wind = {wind: fleets.hap_count * aero.propulsion_energy(
+        cfg.hap, wind, fleets.window) for wind in set(winds.values())}
+    return np.array([per_wind[winds[site]] for site in fleets.sites])
 
 
 def _uplinks(fleets: Fleets, rates: np.ndarray, cfg: ModelConfig):

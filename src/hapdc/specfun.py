@@ -212,8 +212,9 @@ def _poisson_weights(h: float) -> tuple[int, int, int, np.ndarray]:
 
 def _marcum_q(m: int, a: float, ys: list) -> list[float]:
     """``marcum_q(m, a, y)`` of every y in ``ys``, m and a validated."""
-    values = [1.0] * len(ys)
-    rows = [i for i, y in enumerate(ys) if y != 0.0]
+    # Q is 1 at y = 0 and 0 at y = inf, its limit; neither needs the series
+    values = [0.0 if y == math.inf else 1.0 for y in ys]
+    rows = [i for i, y in enumerate(ys) if y != 0.0 and y != math.inf]
     if not rows:
         return values
     h = 0.5 * a * a

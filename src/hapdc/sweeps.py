@@ -231,12 +231,12 @@ def _energy_columns(cfg, spec, values):
     gives it at the point's config, error text included, and the count of
     points whose offered traffic saturates the link.
 
-    Each point allocates its total on the per-server lambda_max of its
-    site, date and fleet, derived once per distinct triple on the grid (a
-    triple that raises, a polar one, is derived again and raises at each
-    of its points).  The allocations are gathered into one
-    ``offload.Fleets`` group per fleet shape, and each group is priced by
-    its own ``offload.evaluate_offload`` call.
+    Each point's per-server lambda_max is derived once per distinct site,
+    date and fleet on the grid (a triple that raises, a polar one, is
+    derived again and raises at each of its points).  The points are
+    gathered by fleet shape, and each shape's totals are allocated in one
+    ``offload._allocate`` call and its admitted points priced by one
+    ``offload.evaluate_offload`` call.
     """
     sc, size = cfg.scenario, len(values)
     answer = _Columns({name: [None] * size for name in _ENERGY.columns},
@@ -248,41 +248,43 @@ def _energy_columns(cfg, spec, values):
         try:
             if servers * sc.hap_count and site not in admitted:
                 admitted[site] = offload.lambda_max(*site, cfg)
-            ground, hap = offload._allocate(sc, servers, total,
-                                            admitted.get(site, 0.0), cfg)
         except _ROW_ERRORS as exc:
             answer.errors[index] = str(exc)
         else:
             groups.setdefault(servers, []).append(
-                (index, ground, hap, (latitude, day)))
-    for members in groups.values():
-        indices, ground, hap, sites = zip(*members)
+                (index, total, admitted.get(site, 0.0), (latitude, day)))
+    for servers, members in groups.items():
+        indices, totals, per_server, sites = zip(*members)
+        ground, hap, errors = offload._allocate(
+            sc, servers, np.array(totals), np.array(per_server), cfg)
+        answer.fill(indices, errors, np.zeros(len(indices), dtype=bool))
+        rows = [row for row, error in enumerate(errors) if error is None]
         ev = offload.evaluate_offload(
-            offload.Fleets(np.array(ground, dtype=float),
-                           np.array(hap, dtype=float), list(sites),
+            offload.Fleets(ground[rows], hap[rows], [sites[k] for k in rows],
                            sc.hap_count, sc.window), cfg)
         savings = offload.retransmit_savings(ev, cfg)
-        answer.fill(indices, savings.errors, ev.saturated,
+        answer.fill([indices[k] for k in rows], savings.errors, ev.saturated,
                     e_tdc=savings.e_tdc_j, e_hybrid=savings.e_hybrid_j,
                     saved_rate=savings.saved_rate,
                     n_retx=savings.retransmissions)
     return answer
 
 
-def _offload_rates(cfg: ModelConfig, per_link_rate: float):
-    """(ground rates, per-platform rates) of the config's fleet when its
-    platforms each carry ``per_link_rate`` of offload.
-
-    The ground fleet keeps whatever the configured total leaves over
-    (never negative); OverloadError when it has no server to take that.
-    """
+def _offload_rates(cfg: ModelConfig, per_link_rates: np.ndarray):
+    """Rows of ground and of per-platform rates of the config's fleet when
+    its platforms each carry one of the column ``per_link_rates``, and each
+    row's OverloadError or None.  The ground fleet keeps whatever the
+    configured total leaves over (never negative); a row with no ground
+    server to take that fails and holds zero ground rates."""
     sc = cfg.scenario
-    hap = uniform_split(per_link_rate, sc.hap_servers)
-    ground_total = max(0.0, cfg.workload.arrival_rate_total
-                       - per_link_rate * sc.hap_count)
-    if ground_total > 0 and sc.ground_servers == 0:
-        raise OverloadError("no ground servers to take the residual workload")
-    return uniform_split(ground_total, sc.ground_servers), hap
+    left = cfg.workload.arrival_rate_total - per_link_rates * sc.hap_count
+    ground_total = np.where(left > 0.0, left, 0.0)
+    failed = (ground_total > 0) & (sc.ground_servers == 0)
+    errors = [OverloadError("no ground servers to take the residual workload")
+              if flag else None for flag in failed.tolist()]
+    return (uniform_split(np.where(failed, 0.0, ground_total),
+                          sc.ground_servers),
+            uniform_split(per_link_rates, sc.hap_servers), errors)
 
 
 def _outage_columns(cfg, spec, values):
@@ -308,28 +310,19 @@ def _outage_columns(cfg, spec, values):
                        "drop_rate": drops.tolist(),
                        "saved_with_retx": [None] * size,
                        "saved_without": [None] * size}, [None] * size)
-    offered = []
-    for index, value in enumerate(values):
-        try:
-            ground, hap = _offload_rates(cfg, value)
-        except OverloadError as exc:
-            answer.errors[index] = str(exc)
-        else:
-            offered.append((index, ground, hap))
-    if not offered:
-        return answer
-    indices, grounds, haps = zip(*offered)
+    grounds, haps, errors = _offload_rates(cfg, np.array(values))
+    answer.fill(range(size), errors, np.zeros(size, dtype=bool))
+    offered = [index for index, error in enumerate(errors) if error is None]
     # each point's per-link rate sums the exact split of its value, so its
     # drop cell is the drop_probability the evaluation would take
     ev = offload.evaluate_offload(
-        offload.Fleets(np.array(grounds, dtype=float),
-                       np.array(haps, dtype=float),
-                       [(sc.latitude_deg, sc.day_of_year)] * len(indices),
-                       sc.hap_count, sc.window), cfg, drops[list(indices)])
+        offload.Fleets(grounds[offered], haps[offered],
+                       [(sc.latitude_deg, sc.day_of_year)] * len(offered),
+                       sc.hap_count, sc.window), cfg, drops[offered])
     without = offload.reroute_savings(ev, cfg)
     # both policies hold the evaluation's errors; only the reroute holds
     # the error of a reroute the ground fleet cannot take
-    answer.fill(indices, without.errors, ev.saturated,
+    answer.fill(offered, without.errors, ev.saturated,
                 saved_with_retx=offload.retransmit_savings(ev, cfg).saved_rate,
                 saved_without=without.saved_rate)
     return answer

@@ -73,7 +73,9 @@ def _check_thermal(cfg: ModelConfig, rng: np.random.Generator) -> CheckResult:
 
 def _marcum_quadrature(m: int, a: float, y: float) -> float:
     """Q_m(a, y) by quadrature of the noncentral chi density from y to
-    max(y, a, sqrt(a^2 + 2m)) + 40; 0 when y lies past that limit."""
+    max(y, a, sqrt(a^2 + 2m)) + 40.  Only an infinite y, or one so large
+    that adding 40 leaves it as it is, lies past that limit: Q is 0
+    there, its limit, and the density is not evaluated."""
     from scipy.integrate import quad
     from scipy.special import ive
 

@@ -132,6 +132,28 @@ def test_allocate_rates_overload(shipped_cfg):
         offload.allocate_rates(cfg)  # 20000 task/s will not fit airborne
 
 
+def test_propulsion_priced_once_per_wind_speed(shipped_cfg, monkeypatch):
+    import numpy as np
+
+    real = aero.propulsion_energy
+    winds = []
+    monkeypatch.setattr(aero, "propulsion_energy",
+                        lambda hap, wind, window: winds.append(wind)
+                        or real(hap, wind, window))
+    sites = [(40.0, float(day)) for day in range(1, 366)]
+    fleets = offload.Fleets(np.zeros((365, 4)), np.zeros((365, 4)), sites, 2,
+                            (0.0, 86400.0))
+    table = WindSpec(table=((40.0, 10.0, 15.0), (40.0, 200.0, 15.0),
+                            (40.0, 300.0, 25.0)))
+    for cfg, distinct in ((shipped_cfg, 1),
+                          (replace(shipped_cfg, wind=table), 2)):
+        winds.clear()
+        got = offload._propulsion(fleets, cfg).tolist()
+        assert len(winds) == len(set(winds)) == distinct
+        assert got == [2 * real(cfg.hap, cfg.wind.speed_at(*site),
+                                fleets.window) for site in sites]
+
+
 def test_saving_no_fleet_is_zero(shipped_cfg):
     scen = Scenario(latitude_deg=40.0, day_of_year=150.0, ground_servers=40,
                     hap_servers=0, ground_rates=uniform_split(8000.0, 40))

@@ -6,18 +6,80 @@ import json
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hapdc import channel, offload, sweeps, thermal
-from hapdc.config import ChannelConfig, Scenario, uniform_split
+from hapdc.config import ChannelConfig, Scenario, fsum_runs, uniform_split
+
+_TOTALS = st.floats(min_value=0.0, max_value=1e12, allow_nan=False)
 
 
-@given(total=st.floats(min_value=0.0, max_value=1e12, allow_nan=False),
-       n=st.integers(min_value=1, max_value=200))
-def test_uniform_split_sums_exactly(total, n):
-    shares = uniform_split(total, n)
-    assert len(shares) == n
-    assert math.fsum(shares) == total
+# the first correction leaves these two splits open, so their last share
+# takes the exact residual
+@example(total=4716.748146842442, n=18, others=[1017.834439738432, 1.0])
+@example(total=1017.834439738432, n=3, others=[4716.748146842442, 0.0])
+@example(total=0.0, n=0, others=[])
+@example(total=7.0, n=1, others=[0.1, 0.0])
+@given(total=_TOTALS, n=st.integers(min_value=0, max_value=200),
+       others=st.lists(_TOTALS, max_size=6))
+def test_uniform_split_sums_exactly(total, n, others):
+    # over no server only zero totals split
+    totals = [total, *others] if n else [0.0] * (1 + len(others))
+    rows = uniform_split(np.array(totals), n)
+    assert rows.shape == (len(totals), n)
+    for total, row in zip(totals, rows):
+        shares = uniform_split(total, n)
+        assert len(shares) == n
+        assert math.fsum(shares) == total
+        assert np.array(shares, dtype=float).tobytes() == row.tobytes()
+
+
+def test_uniform_split_examples_take_the_second_correction():
+    for total, n in ((4716.748146842442, 18), (1017.834439738432, 3)):
+        share = total / n
+        first = share + (total - math.fsum([share] * n))
+        assert math.fsum([share] * (n - 1) + [first]) != total
+        shares = uniform_split(total, n)
+        assert shares[-1] == share + math.fsum([total] + [-share] * n)
+        assert math.fsum(shares) == total
+
+
+def _fsum_outcome(fsum, *args):
+    """What ``fsum(*args)`` gives: its value's bits, or its exception
+    class."""
+    try:
+        return np.asarray(fsum(*args), dtype=float).tobytes()
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+# finite values of either sign from 1e-300 to 1e300, zeros of either sign
+_RUN_VALUES = st.one_of(
+    st.builds(lambda sign, mantissa, power: sign * mantissa * 10.0**power,
+              st.sampled_from([1.0, -1.0]),
+              st.floats(min_value=1.0, max_value=10.0),
+              st.integers(min_value=-300, max_value=299)),
+    st.sampled_from([0.0, -0.0]))
+_SPECIAL = st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e308])
+
+
+@settings(max_examples=300)
+@given(data=st.data(),
+       counts=st.lists(st.integers(min_value=1, max_value=40), min_size=1,
+                       max_size=6),
+       rows=st.integers(min_value=1, max_value=4), special=st.booleans())
+def test_fsum_rows_equals_fsum_row_by_row(data, counts, rows, special):
+    values = st.one_of(_RUN_VALUES, _SPECIAL) if special else _RUN_VALUES
+    table = np.array([data.draw(st.lists(values, min_size=len(counts),
+                                         max_size=len(counts)))
+                      for _ in range(rows)])
+    parts = np.repeat(table, counts, axis=1)
+    # a batch raises what its first raising row raises
+    want = [_fsum_outcome(math.fsum, row) for row in parts.tolist()]
+    raised = [w for w in want if isinstance(w, type)]
+    want = raised[0] if raised else b"".join(want)
+    assert _fsum_outcome(thermal.fsum_rows, parts) == want
+    assert _fsum_outcome(fsum_runs, table, counts) == want
 
 
 @settings(deadline=None, max_examples=40)

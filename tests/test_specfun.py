@@ -317,3 +317,19 @@ def test_marcum_array_bitwise_equal_to_scalar_calls():
     assert marcum_q(4, 5.0, np.array([])).shape == (0,)
     with pytest.raises(ValueError):
         marcum_q(4, 5.0, np.array([1.0, -0.1]))
+
+
+def test_marcum_q_at_an_infinite_threshold_is_its_limit_zero():
+    from hapdc import validate
+
+    assert marcum_q(32, 25.3, math.inf) == 0.0
+    assert marcum_q(3, 0.0, math.inf) == 0.0  # the Erlang-tail branch
+    ys = np.array([0.0, 3.0, math.inf, 40.0])
+    assert marcum_q(4, 5.0, ys).tolist() == [
+        1.0, marcum_q(4, 5.0, 3.0), 0.0, marcum_q(4, 5.0, 40.0)]
+    assert marcum_q(4, 0.0, ys).tolist() == [
+        1.0, marcum_q(4, 0.0, 3.0), 0.0, marcum_q(4, 0.0, 40.0)]
+    # the quadrature oracle stops past its limit, where only an infinite
+    # y lies (and a finite one so large that y + 40 rounds to y)
+    assert validate._marcum_quadrature(32, 25.3, math.inf) == 0.0
+    assert validate._marcum_quadrature(3, 2.0, 1e300) == 0.0

@@ -401,12 +401,13 @@ def test_outage_saving_cells_equal_saving_bit_for_bit(shipped_cfg):
             assert [point["ccdf_lb"], point["ccdf_ub"], point["drop_rate"]] == [
                 lb, channel.ccdf_upper(ch, demand), 1.0 - lb]
             assert point["ccdf_mc"] in (0.0, 1.0)  # one Monte Carlo draw
-            try:
-                ground, hap = sweeps._offload_rates(cfg, value)
-            except OverloadError as exc:
+            ground, hap, (exc,) = sweeps._offload_rates(cfg, np.array([value]))
+            if exc is not None:
                 reports = [str(exc)] * 2
             else:
-                sc = replace(cfg.scenario, ground_rates=ground, hap_rates=hap)
+                sc = replace(cfg.scenario,
+                             ground_rates=tuple(ground[0].tolist()),
+                             hap_rates=tuple(hap[0].tolist()))
                 reports = [_priced(offload.saving, sc, cfg, flag)
                            for flag in (True, False)]
                 assert reports == [
@@ -1101,6 +1102,39 @@ def test_energy_drops_run_the_series_once_per_distinct_shallow_rate(
     channel.drop_probability(shipped_cfg.channel, shipped_cfg.workload,
                              np.full(5, 6000.0))
     assert thresholds == [1]
+
+
+def test_energy_error_cells_are_the_allocation_errors(shipped_cfg):
+    # the top of the ramp overloads the ground fleet, a fleet without
+    # ground servers fails wherever the platforms leave a residual, and
+    # small platform fleets at a high load overload the ground
+    sc = shipped_cfg.scenario
+    no_ground = replace(shipped_cfg, scenario=replace(
+        sc, ground_servers=0, ground_rates=()))
+    high = replace(shipped_cfg, workload=replace(shipped_cfg.workload,
+                                                 arrival_rate_total=20_000.0))
+    cases = [(shipped_cfg, sweeps.SweepSpec("arrival_rate", 0, 40_000, 100)),
+             (no_ground, sweeps.SweepSpec("arrival_rate", 0, 40_000, 500)),
+             (high, sweeps.SweepSpec("hap_servers", 1, 40, 3))]
+    kinds = set()
+    for cfg, spec in cases:
+        result = sweeps.run_energy_sweep(cfg, spec)
+        for value, *cells, error in result.rows:
+            at = cfg
+            if spec.axis == "hap_servers":
+                at = replace(cfg, scenario=replace(
+                    cfg.scenario, hap_servers=int(value), hap_rates=()))
+            try:
+                offload.allocate_rates(at, value if spec.axis == "arrival_rate"
+                                       else None)
+            except OverloadError as exc:
+                assert error == str(exc), (spec.axis, value)
+                assert cells == [None] * len(cells)
+                kinds.add(str(exc).split()[0])
+            else:
+                assert error is None, (spec.axis, value)
+                kinds.add("admitted")
+    assert kinds == {"admitted", "residual", "no"}
 
 
 def test_energy_ramp_derives_lambda_max_once(shipped_cfg, monkeypatch):
