@@ -1,9 +1,10 @@
 """Ground-to-HAP offload link.
 
-Rician MIMO channel sampling, achievable-rate laws, closed-form CCDF bounds
-built on the Marcum Q-function with a Monte Carlo estimate to check them,
-and the transmission-side energy/latency quantities the offload planner
-consumes.
+Rician MIMO channel sampling, the full-covariance achievable rate,
+closed-form CCDF bounds built on the Marcum Q-function with a Monte Carlo
+estimate to check them, and the transmission-side energy/latency
+quantities the offload planner consumes.  Every link quantity reads the
+task length from its workload, through ``WorkloadSpec.bits_per_task``.
 
 The Monte Carlo estimate draws the full-covariance rate from the law of
 the Gram matrix H^H H rather than from H itself.  A unitary rotation on
@@ -11,10 +12,10 @@ the larger antenna side moves the rank-one line of sight onto one row, so
 the Gram matrix is that noncentral row's outer product plus a central
 complex Wishart matrix with ``max(tx, rx) - 1`` degrees of freedom, which
 the Bartlett decomposition draws as a triangular factor (Bartlett 1933;
-Goodman 1963 for the complex case).  ``sample_channel`` and
-``channel_rate`` draw H and take its rate directly, at the configured mean
-receive SNR as well; they are the reference that sampler is tested
-against.
+Goodman 1963 for the complex case).  The reference draw is
+``sample_channel`` and ``channel_rate``: they draw H and take its rate
+directly, at the configured mean receive SNR as well, and that sampler is
+tested against them.
 
 Each link quantity has one route.  ``_threshold`` maps a spectral demand
 to its Marcum threshold for both CCDF bounds, the drop probability and the
@@ -75,19 +76,6 @@ def sample_channel(ch: ChannelConfig, count: int,
     return h
 
 
-def beamformed_rate(ch: ChannelConfig, h: np.ndarray) -> np.ndarray:
-    """Single-stream rate B*log2(1 + |h q|^2 / noise) for channel(s) ``h``.
-
-    ``q`` is the transmit vector matched to the line-of-sight direction,
-    equal entries with |q|^2 = P, where P/noise is
-    ``ChannelConfig.power_over_noise``."""
-    precoder = np.full(ch.tx_antennas, math.sqrt(1.0 / ch.tx_antennas),
-                       dtype=complex)
-    received = h @ precoder
-    snr = ch.power_over_noise() * np.sum(np.abs(received) ** 2, axis=-1)
-    return ch.bandwidth_hz * np.log2(1.0 + snr)
-
-
 def channel_rate(ch: ChannelConfig, h: np.ndarray) -> np.ndarray:
     """Full-covariance achievable rate B*log2 det(I + (P/noise) h^H h).
 
@@ -121,17 +109,16 @@ def _non_negative(name: str, value: float | np.ndarray) -> None:
         raise ValueError(f"{name} must be non-negative")
 
 
-def offered_bit_rate(workload: WorkloadSpec, arrival_rate: float | np.ndarray,
-                     task_len: float | None = None) -> float | np.ndarray:
+def offered_bit_rate(workload: WorkloadSpec,
+                     arrival_rate: float | np.ndarray) -> float | np.ndarray:
     """Bits per second the offloaded stream presents to the link;
     elementwise over an ndarray of arrival rates."""
     _non_negative("arrival_rate", arrival_rate)
-    return arrival_rate * workload.bits_per_task(task_len)
+    return arrival_rate * workload.bits_per_task()
 
 
 def spectral_demand(ch: ChannelConfig, workload: WorkloadSpec,
-                    arrival_rate: float | np.ndarray,
-                    task_len: float | None = None) -> float | np.ndarray:
+                    arrival_rate: float | np.ndarray) -> float | np.ndarray:
     """Rate argument of the outage CCDF for a given arrival rate, or for
     each of an ndarray of them.
 
@@ -143,7 +130,7 @@ def spectral_demand(ch: ChannelConfig, workload: WorkloadSpec,
         if isinstance(arrival_rate, np.ndarray):
             return arrival_rate.astype(float)
         return float(arrival_rate)
-    return offered_bit_rate(workload, arrival_rate, task_len) / ch.bandwidth_hz
+    return offered_bit_rate(workload, arrival_rate) / ch.bandwidth_hz
 
 
 def _bound_params(ch: ChannelConfig) -> tuple[int, float, float]:
@@ -287,8 +274,7 @@ def empirical_ccdf(ch: ChannelConfig, demands, samples: int = 100_000,
 
 
 def drop_probability(ch: ChannelConfig, workload: WorkloadSpec,
-                     arrival_rate: float | np.ndarray,
-                     task_len: float | None = None) -> float | np.ndarray:
+                     arrival_rate: float | np.ndarray) -> float | np.ndarray:
     """Conservative per-task drop probability: one minus the CCDF lower
     bound; elementwise over an ndarray of arrival rates, and a float for
     a scalar one.
@@ -301,7 +287,7 @@ def drop_probability(ch: ChannelConfig, workload: WorkloadSpec,
     ``marcum_q`` call, so every drop keeps the bits of
     ``1 - ccdf_lower``.
     """
-    demand = spectral_demand(ch, workload, arrival_rate, task_len)
+    demand = spectral_demand(ch, workload, arrival_rate)
     distinct, inverse = np.unique(demand, return_inverse=True)
     orders, noncentral, scale = _bound_params(ch)
     ys = np.array([_threshold(d, 1, scale) for d in distinct.tolist()])
@@ -313,8 +299,7 @@ def drop_probability(ch: ChannelConfig, workload: WorkloadSpec,
     return drops if isinstance(demand, np.ndarray) else float(drops)
 
 
-def max_reliable_rate(ch: ChannelConfig, workload: WorkloadSpec,
-                      task_len: float | None = None) -> float:
+def max_reliable_rate(ch: ChannelConfig, workload: WorkloadSpec) -> float:
     """Largest offload arrival rate whose CCDF lower bound stays at or
     above 1 - 1e-12.
 
@@ -330,7 +315,7 @@ def max_reliable_rate(ch: ChannelConfig, workload: WorkloadSpec,
     mean = noncentral * noncentral + 2 * orders
 
     def ok(lam: float) -> bool:
-        y = _threshold(spectral_demand(ch, workload, lam, task_len), 1, scale)
+        y = _threshold(spectral_demand(ch, workload, lam), 1, scale)
         if y in (0.0, math.inf):
             # the lower bound is 1 at no demand, 0 past the threshold cap
             return y == 0.0
@@ -361,18 +346,17 @@ def max_reliable_rate(ch: ChannelConfig, workload: WorkloadSpec,
 
 
 def airtime_fraction(ch: ChannelConfig, workload: WorkloadSpec,
-                     arrival_rate: float | np.ndarray,
-                     task_len: float | None = None) -> float | np.ndarray:
+                     arrival_rate: float | np.ndarray) -> float | np.ndarray:
     """Share of the window the transmitter must be on air, overhead
     included; elementwise over an ndarray of arrival rates."""
     rate = reference_rate(ch)
-    bits = workload.overhead_ratio * offered_bit_rate(workload, arrival_rate, task_len)
+    bits = workload.overhead_ratio * offered_bit_rate(workload, arrival_rate)
     return bits / rate
 
 
 def link_energy(ch: ChannelConfig, workload: WorkloadSpec,
-                arrival_rate: float | np.ndarray, window: float | np.ndarray,
-                task_len: float | None = None) -> tuple:
+                arrival_rate: float | np.ndarray,
+                window: float | np.ndarray) -> tuple:
     """Transmit energy over ``window`` seconds of offloading, J, and the
     airtime share it takes; elementwise over ndarrays of arrival rates and
     windows.
@@ -382,16 +366,15 @@ def link_energy(ch: ChannelConfig, workload: WorkloadSpec,
     warns there, this function does not.
     """
     _non_negative("window", window)
-    duty = airtime_fraction(ch, workload, arrival_rate, task_len)
+    duty = airtime_fraction(ch, workload, arrival_rate)
     return ch.tx_power * duty * window, duty
 
 
 def transmission_energy(ch: ChannelConfig, workload: WorkloadSpec,
-                        arrival_rate: float, window: float,
-                        task_len: float | None = None) -> float:
+                        arrival_rate: float, window: float) -> float:
     """Transmit energy over ``window`` seconds of offloading, J; a
     ``LinkSaturationWarning`` past ``SATURATION``."""
-    energy, duty = link_energy(ch, workload, arrival_rate, window, task_len)
+    energy, duty = link_energy(ch, workload, arrival_rate, window)
     warn_if_saturated(duty)
     return energy
 
@@ -407,7 +390,7 @@ def warn_if_saturated(duty: float) -> None:
 
 
 def round_trip_time(ch: ChannelConfig, workload: WorkloadSpec,
-                    arrival_rate: float, task_len: float | None = None) -> float:
+                    arrival_rate: float) -> float:
     """Two-way transport delay of one second of offered traffic, s."""
     rate = reference_rate(ch)
-    return 2.0 * offered_bit_rate(workload, arrival_rate, task_len) / rate
+    return 2.0 * offered_bit_rate(workload, arrival_rate) / rate

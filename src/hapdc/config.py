@@ -83,7 +83,8 @@ class WorkloadSpec:
     arrival_rate_total: float = 1000.0
     """Aggregate task arrival rate for the whole system, task/s."""
     task_length_instr: float = 1.0e6
-    """Instructions per task used by energy/flying computations."""
+    """Instructions per task: the one task length the energy and link
+    models read."""
     small_task_instr: float = 1.0e6
     large_task_instr: float = 1.0e8
     bits_per_instruction: float = 32.0
@@ -93,9 +94,8 @@ class WorkloadSpec:
     vacation_rate: float = 10.0
     """Rate of the exponential server vacations, 1/s."""
 
-    def bits_per_task(self, task_len: float | None = None) -> float:
-        length = self.task_length_instr if task_len is None else task_len
-        return length * self.bits_per_instruction
+    def bits_per_task(self) -> float:
+        return self.task_length_instr * self.bits_per_instruction
 
     def validate(self):
         if self.arrival_rate_total < 0:
@@ -226,11 +226,12 @@ class WindSpec:
     def speed_at(self, latitude_deg: float, day: float) -> float:
         if not self.table:
             return self.speed
-        best = min(
-            self.table,
-            key=lambda row: (row[0] - latitude_deg) ** 2 + (row[1] - day) ** 2,
-        )
-        return best[2]
+        # the nearest row, its day gap taken the shorter way around the year
+        def gap(row):
+            days = abs(row[1] - day) % 365.0
+            return (row[0] - latitude_deg) ** 2 + min(days, 365.0 - days) ** 2
+
+        return min(self.table, key=gap)[2]
 
     def validate(self):
         if self.speed < 0:

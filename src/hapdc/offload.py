@@ -40,11 +40,12 @@ def _reliable_rate(ch, bits_per_instruction: float, task_len: float) -> float:
     ``task_len * bits_per_instruction``, so the cache key holds the channel
     and those two numbers, not the whole ``WorkloadSpec``.  In particular
     the offered load ``arrival_rate_total`` is left out: the threshold does
-    not depend on it, and an arrival-rate sweep changes it at every point.
+    not depend on it, and the sweep reference's per-point configs change it.
     """
-    workload = WorkloadSpec(bits_per_instruction=bits_per_instruction)
+    workload = WorkloadSpec(task_length_instr=task_len,
+                            bits_per_instruction=bits_per_instruction)
     try:
-        return channel.max_reliable_rate(ch, workload, task_len)
+        return channel.max_reliable_rate(ch, workload)
     except LinkRateError:
         return math.inf
 
@@ -276,7 +277,7 @@ def hybrid_total_energy(scenario: Scenario, cfg: ModelConfig) -> thermal.EnergyB
     wind = cfg.wind.speed_at(scenario.latitude_deg, scenario.day_of_year)
     link = channel.transmission_energy(
         cfg.channel, cfg.workload, math.fsum(scenario.hap_rates),
-        scenario.window_length, cfg.workload.task_length_instr)
+        scenario.window_length)
     return thermal.EnergyBreakdown.from_parts(
         compute_j=ground.compute_j, cooling_j=ground.cooling_j,
         payload_j=k * payload,
@@ -300,8 +301,7 @@ def _uplinks(fleets: Fleets, rates: np.ndarray, cfg: ModelConfig):
     rate over the window of ``fleets``, in one ``channel.link_energy``
     call."""
     return channel.link_energy(cfg.channel, cfg.workload, rates,
-                               fleets.window[1] - fleets.window[0],
-                               cfg.workload.task_length_instr)
+                               fleets.window[1] - fleets.window[0])
 
 
 def _hybrid(compute, cooling, payload, propulsion, transmission,
@@ -368,8 +368,7 @@ def evaluate_offload(fleets: Fleets, cfg: ModelConfig,
         drops = np.zeros(len(per_link))
         if lossy.any():
             drops[lossy] = channel.drop_probability(
-                cfg.channel, cfg.workload, per_link[lossy],
-                cfg.workload.task_length_instr)
+                cfg.channel, cfg.workload, per_link[lossy])
     ground, ground_cooling, payload, split_errors = split_bills(fleets, cfg)
     errors = [split if error is None else error
               for error, split in zip(errors, split_errors)]
@@ -514,7 +513,7 @@ def end_to_end_delay(cfg: ModelConfig, arrival_rate: float) -> DelayReport:
     service_rate = cfg.scenario.hap_servers * cfg.server.service_rate_ips / task_len
     wait = queueing.mean_wait(arrival_rate, service_rate,
                               cfg.workload.vacation_rate)
-    rtt = channel.round_trip_time(cfg.channel, cfg.workload, arrival_rate, task_len)
+    rtt = channel.round_trip_time(cfg.channel, cfg.workload, arrival_rate)
     return DelayReport(
         arrival_rate=arrival_rate, service_rate=service_rate,
         mean_wait_s=wait, rtt_s=rtt,

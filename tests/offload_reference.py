@@ -52,8 +52,7 @@ def evaluate(scenario, cfg, drop=None):
     if _charged(per_link, cfg):
         pr_drop = drop if drop is not None else 1.0 - channel.ccdf_lower(
             cfg.channel, channel.spectral_demand(
-                cfg.channel, cfg.workload, per_link,
-                cfg.workload.task_length_instr))
+                cfg.channel, cfg.workload, per_link))
     lossless = offload.hybrid_total_energy(scenario, cfg)
     return baseline.total_j, per_link, pr_drop, lossless
 
@@ -76,7 +75,7 @@ def retransmit_saving(scenario, cfg, evaluation):
         return _report(e_tdc, lossless.total_j)
     e_round = scenario.hap_count * channel.transmission_energy(
         cfg.channel, cfg.workload, per_link * pr_drop,
-        scenario.window_length, cfg.workload.task_length_instr)
+        scenario.window_length)
     e_hybrid = lossless.total_j + e_round
     gross = e_tdc - (e_hybrid - e_round)
     retransmissions = 0

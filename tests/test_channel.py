@@ -80,8 +80,6 @@ def test_strong_los_approaches_reference_rate():
     ref = channel.reference_rate(ch)
     for r in channel.channel_rate(ch, h):
         assert math.isclose(r, ref, rel_tol=1e-4)
-    for r in channel.beamformed_rate(ch, h):
-        assert math.isclose(r, ref, rel_tol=1e-4)
 
 
 def test_sampling_is_seed_deterministic():
@@ -110,7 +108,9 @@ def test_single_antenna_det_equals_beamformed():
     rng = np.random.default_rng(5)
     h = channel.sample_channel(ch, 32, rng)
     a = channel.channel_rate(ch, h)
-    b = channel.beamformed_rate(ch, h)
+    # one stream: B log2(1 + (P/N) |h|^2)
+    gain = np.sum(np.abs(h[:, :, 0]) ** 2, axis=-1)
+    b = ch.bandwidth_hz * np.log2(1.0 + ch.power_over_noise() * gain)
     assert np.allclose(a, b, rtol=1e-12)
 
 
@@ -133,8 +133,9 @@ def test_spectral_demand_mappings():
     assert channel.spectral_demand(ident, w, lam) == 3.0
     with pytest.raises(ValueError):
         channel.spectral_demand(ch, w, -1.0)
-    # explicit task length overrides the workload default
-    short = channel.spectral_demand(ch, w, lam, task_len=w.task_length_instr / 2)
+    # the demand reads the workload's task length
+    short = channel.spectral_demand(
+        ch, replace(w, task_length_instr=w.task_length_instr / 2), lam)
     assert math.isclose(short, want / 2, rel_tol=1e-12)
 
 
@@ -238,14 +239,12 @@ def test_max_reliable_rate_through_the_threshold_cap(shipped_cfg,
                         lambda *args: thresholds.append(real(*args))
                         or thresholds[-1])
     w = shipped_cfg.workload
-    lam = channel.max_reliable_rate(ch, w, w.task_length_instr)
+    lam = channel.max_reliable_rate(ch, w)
     assert math.inf in thresholds
     assert math.isfinite(lam) and math.isclose(lam, 5.0e6, rel_tol=1e-3)
     # the cap sits at the onset: the lower bound holds there, is 0 above
-    at = channel.ccdf_lower(ch, channel.spectral_demand(
-        ch, w, lam, w.task_length_instr))
-    above = channel.ccdf_lower(ch, channel.spectral_demand(
-        ch, w, lam * 1.01, w.task_length_instr))
+    at = channel.ccdf_lower(ch, channel.spectral_demand(ch, w, lam))
+    above = channel.ccdf_lower(ch, channel.spectral_demand(ch, w, lam * 1.01))
     assert at >= 1.0 - 1e-12 and above == 0.0
 
 
@@ -381,7 +380,7 @@ def test_reference_rates_read_the_configured_snr():
     h = channel.sample_channel(ch, 4, np.random.default_rng(3))
     ref = channel.reference_rate(ch)
     assert ref > 1.5 * channel.reference_rate(derived)
-    for r in [*channel.channel_rate(ch, h), *channel.beamformed_rate(ch, h)]:
+    for r in channel.channel_rate(ch, h):
         assert math.isclose(r, ref, rel_tol=1e-4)
 
 
@@ -542,3 +541,25 @@ def test_link_energy_on_arrays_equals_transmission_energy():
     assert (duty > channel.SATURATION).tolist() == [False, False, False, True]
     with pytest.raises(ValueError, match="window"):
         channel.link_energy(ch, w, rates, -windows)
+
+
+def test_link_reads_the_workload_only_through_its_bits_per_task(shipped_cfg):
+    # twice the task length at half the bits per instruction: the same bits
+    # per task, exactly, so every link quantity keeps its bits.  The
+    # reliable-rate cache keys on these two numbers.
+    ch, w = shipped_cfg.channel, shipped_cfg.workload
+    scaled = replace(w, task_length_instr=2.0 * w.task_length_instr,
+                     bits_per_instruction=w.bits_per_instruction / 2.0)
+    assert scaled.bits_per_task() == w.bits_per_task()
+    onset = channel.max_reliable_rate(ch, w)
+    assert channel.max_reliable_rate(ch, scaled) == onset
+    rates = np.linspace(0.5, 4.0, 36) * onset
+    drops = channel.drop_probability(ch, w, rates)
+    # from below the onset into the tail that the Chernoff bound settles
+    assert drops.min() < 1e-12 and drops.max() == 1.0
+    assert channel.drop_probability(ch, scaled, rates).tolist() \
+        == drops.tolist()
+    energy, duty = channel.link_energy(ch, w, rates, 3600.0)
+    energy2, duty2 = channel.link_energy(ch, scaled, rates, 3600.0)
+    assert energy2.tolist() == energy.tolist()
+    assert duty2.tolist() == duty.tolist()

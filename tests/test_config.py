@@ -144,6 +144,10 @@ def test_wind_nearest_neighbor():
     assert w.speed_at(41.0, 280.0) == 12.0
     assert w.speed_at(2.0, 90.0) == 5.0
     assert WindSpec(speed=7.0).speed_at(10.0, 10.0) == 7.0
+    # the day gap wraps at the year end: day 365 is one day from day 1
+    seasons = WindSpec(table=((40.0, 1.0, 35.0), (40.0, 91.0, 18.0),
+                              (40.0, 182.0, 9.5), (40.0, 274.0, 27.0)))
+    assert seasons.speed_at(40.0, 365.0) == 35.0
 
 
 def test_wind_table_from_csv(tmp_path):
@@ -252,7 +256,6 @@ def test_channel_checks_the_reference_draw_budget_at_construction():
     assert math.isfinite(near.power_over_noise())
     h = channel.sample_channel(near, 8, np.random.default_rng(1))
     assert np.isfinite(channel.channel_rate(near, h)).all()
-    assert np.isfinite(channel.beamformed_rate(near, h)).all()
     with pytest.raises(ValidationError, match="it must be finite"):
         ChannelConfig(avg_rx_snr=snr,
                       link_distance=math.nextafter(edge, math.inf))

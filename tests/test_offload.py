@@ -229,8 +229,7 @@ def test_saving_branches_agree_below_drop_onset(shipped_cfg):
 
 
 def test_saving_with_beats_without_above_onset(shipped_cfg):
-    onset = channel.max_reliable_rate(shipped_cfg.channel, shipped_cfg.workload,
-                                      shipped_cfg.workload.task_length_instr)
+    onset = channel.max_reliable_rate(shipped_cfg.channel, shipped_cfg.workload)
     assert math.isclose(onset, 5361.78, rel_tol=1e-3)
     # 8000 task/s saturates the link
     with pytest.warns(LinkSaturationWarning):
@@ -279,8 +278,7 @@ def test_link_that_never_drops_charges_no_drop(shipped_cfg, monkeypatch):
     cfg = replace(shipped_cfg, workload=replace(
         shipped_cfg.workload, bits_per_instruction=1e-30))
     with pytest.raises(LinkRateError, match="never drops"):
-        channel.max_reliable_rate(cfg.channel, cfg.workload,
-                                  cfg.workload.task_length_instr)
+        channel.max_reliable_rate(cfg.channel, cfg.workload)
     offload._reliable_rate.cache_clear()
     assert offload.drop_gate(cfg) == math.inf
     monkeypatch.setattr(channel, "drop_probability",
@@ -298,10 +296,9 @@ def test_retransmission_budget_formula(shipped_cfg):
     scen = Scenario(latitude_deg=40.0, day_of_year=150.0, ground_servers=40,
                     hap_servers=40, hap_rates=uniform_split(lam, 40))
     report = offload.saving(scen, cfg, with_retransmission=True)
-    task_len = cfg.workload.task_length_instr
-    pr = channel.drop_probability(cfg.channel, cfg.workload, lam, task_len)
+    pr = channel.drop_probability(cfg.channel, cfg.workload, lam)
     e_round = channel.transmission_energy(cfg.channel, cfg.workload, lam * pr,
-                                          scen.window_length, task_len)
+                                          scen.window_length)
     e_base = offload.hybrid_total_energy(scen, cfg).total_j
     gross = report.e_tdc_j - e_base
     assert report.e_hybrid_j == pytest.approx(e_base + e_round, rel=1e-12)

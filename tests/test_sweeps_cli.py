@@ -879,13 +879,27 @@ def test_delay_sweep_simulates_at_the_report_service_rate(shipped_cfg,
 
 def test_cli_import_leaves_pool_and_validate_unloaded():
     # a single-process sweep pays for neither the process pool nor the
-    # cross-check module; both load only when used
-    probe = ("import sys, hapdc.cli; print(sorted(m for m in "
-             "('concurrent.futures', 'multiprocessing', 'hapdc.validate') "
-             "if m in sys.modules))")
+    # cross-check module; both load only when used.  No sweep loads scipy
+    # either: the acceptance tests take it as an oracle independent of the
+    # library
+    probe = f"""
+import contextlib, io, sys, hapdc.cli
+print(sorted(m for m in ('concurrent.futures', 'multiprocessing',
+                         'hapdc.validate') if m in sys.modules))
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [hapdc.cli.main([command, '--config', {SHIPPED_CONFIG!r},
+                             '--axis', 'arrival_rate', '--range', grid,
+                             *extra])
+             for command, grid, extra in (
+                 ('fly', '1000:1000:1', []),
+                 ('energy', '1000:1000:1', []),
+                 ('outage', '2000:2000:1', ['--samples', '10']),
+                 ('delay', '1000:1000:1', ['--samples', '10']))]
+print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+"""
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, timeout=60, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["[]", "[0, 0, 0, 0] []"]
 
 
 # --- the energy sweep's batched bills ---------------------------------------

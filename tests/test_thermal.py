@@ -256,7 +256,7 @@ def _hybrid_loop(scenario, cfg):
     propulsion = k * aero.propulsion_energy(cfg.hap, wind, window)
     transmission = k * channel.transmission_energy(
         cfg.channel, cfg.workload, math.fsum(scenario.hap_rates),
-        scenario.window_length, task_len)
+        scenario.window_length)
     return thermal.EnergyBreakdown.from_parts(
         compute_j=compute, cooling_j=cooling, payload_j=payload,
         propulsion_j=propulsion, transmission_j=transmission)
