@@ -53,6 +53,12 @@ SWEEPS = [
     ("delay", "arrival_rate", "0:22000:1000"),
 ]
 
+# Per-link rates at the shipped link's reliable-rate gate, 5361.783167347312
+# task/s: the float below it, the gate itself, and the two floats above it,
+# which lie inside the bisection's final bracket (it spans 4096 ulps).  The
+# step is one ulp (2^-40) there, so every grid value is exact.
+GATE_RANGE = "5361.783167347311:5361.783167347314:9.094947017729282e-13"
+
 
 def commands() -> dict[str, list[str]]:
     """Every corpus entry's name and its argv; ``{no_ground}`` stands for
@@ -79,6 +85,12 @@ def commands() -> dict[str, list[str]]:
     runs["outage wind table two platforms"] = [
         "outage", "--config", "{windy}", "--axis", "arrival_rate",
         "--range", "0:12000:500", "--samples", "2000", "--seed", SEED]
+    runs["energy arrival_rate at the reliable-rate gate"] = [
+        "energy", "--config", SHIPPED_CONFIG, "--axis", "arrival_rate",
+        "--range", GATE_RANGE, "--seed", SEED]
+    runs["outage arrival_rate at the reliable-rate gate"] = [
+        "outage", "--config", SHIPPED_CONFIG, "--axis", "arrival_rate",
+        "--range", GATE_RANGE, "--samples", "2000", "--seed", SEED]
     return runs
 
 
