@@ -19,8 +19,8 @@ tested against them.
 
 Each link quantity has one route.  ``_threshold`` maps a spectral demand
 to its Marcum threshold for both CCDF bounds, the drop probability and the
-reliable-rate bisection; ``empirical_ccdf`` draws, sorts and counts the
-Monte Carlo estimate.
+reliable-rate bisection, which yields its brackets step by step;
+``empirical_ccdf`` draws, sorts and counts the Monte Carlo estimate.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .specfun import marcum_log_bound, marcum_q
 
 _LN2 = math.log(2.0)
 # ln of the Chernoff bounds below which ``drop_probability`` takes a drop
-# of exactly 1.0, and ``max_reliable_rate`` passes or fails an iterate,
+# of exactly 1.0, and ``reliable_brackets`` passes or fails an iterate,
 # without the Marcum series
 _DEEP_TAIL = -60.0 * _LN2
 _SURE = math.log(1e-14)
@@ -299,17 +299,19 @@ def drop_probability(ch: ChannelConfig, workload: WorkloadSpec,
     return drops if isinstance(demand, np.ndarray) else float(drops)
 
 
-def max_reliable_rate(ch: ChannelConfig, workload: WorkloadSpec) -> float:
-    """Largest offload arrival rate whose CCDF lower bound stays at or
-    above 1 - 1e-12.
+def reliable_brackets(ch: ChannelConfig, workload: WorkloadSpec):
+    """The reliable-rate bisection's brackets (lo, hi), task/s: one once
+    doubling finds a failing ``hi``, then one after each step.
 
-    Bisection on the monotone lower bound; this is where link drops stop
-    being negligible.  An iterate that the Chernoff bound
-    ``specfun.marcum_log_bound`` settles skips the Marcum series and
-    keeps the series' verdict, so the result keeps its bits: it passes
-    where the bound puts 1 - Q at or below 1e-14, 100 times below the
-    test, which the series, noisy by about 1e-13 near Q = 1, passes too,
-    and it fails past the mean, where the bound puts Q below 1 - 1e-9.
+    It bisects the test that a rate's CCDF lower bound stays at or above
+    1 - 1e-12.  A step only raises ``lo`` or lowers ``hi``, so the last
+    ``lo`` lies in every bracket even where the test is not monotone.  An
+    iterate that the Chernoff bound ``specfun.marcum_log_bound`` settles
+    skips the Marcum series and keeps the series' verdict, so every bracket
+    keeps its bits: it passes where the bound puts 1 - Q at or below 1e-14,
+    100 times below the test, which the series, noisy by about 1e-13 near
+    Q = 1, passes too, and fails past the mean, where the bound puts Q
+    below 1 - 1e-9.
     """
     orders, noncentral, scale = _bound_params(ch)
     mean = noncentral * noncentral + 2 * orders
@@ -334,15 +336,22 @@ def max_reliable_rate(ch: ChannelConfig, workload: WorkloadSpec) -> float:
         if grow > 80:
             raise LinkRateError("CCDF lower bound never drops below the floor")
     lo = 0.0
+    yield lo, hi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if ok(mid):
             lo = mid
         else:
             hi = mid
+        yield lo, hi
         if hi - lo <= 1e-12 * max(1.0, hi):
             break
-    return lo
+
+
+def max_reliable_rate(ch: ChannelConfig, workload: WorkloadSpec) -> float:
+    """Largest offload arrival rate whose CCDF lower bound stays at or
+    above 1 - 1e-12: the last ``lo`` of ``reliable_brackets``."""
+    return list(reliable_brackets(ch, workload))[-1][0]
 
 
 def airtime_fraction(ch: ChannelConfig, workload: WorkloadSpec,

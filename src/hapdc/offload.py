@@ -9,13 +9,14 @@ on one group, each step once: the all-ground baseline and the lossless
 split-system bill (compute and cooling columns from the thermal bills,
 propulsion priced once per distinct wind speed, one ``math.fsum`` per
 row), the reliable-rate gate (below it the link counts as lossless and no
-drop is evaluated), the drops (one ``channel.drop_probability`` call) and
-the uplinks (one ``channel.link_energy`` call).  A caller with several
-fleet shapes evaluates one group per shape.  A policy then charges the
-dropped traffic as column arithmetic: ``retransmit_savings`` resends it
-over the link, ``reroute_savings`` recomputes it on the ground.  A row
-that cannot be priced holds its error beside the columns, and its cells
-mean nothing; ``saving``, the one-row call, raises it.
+drop is evaluated; its bisection steps only as far as the per-link rates
+need), the drops (one ``channel.drop_probability`` call) and the uplinks
+(one ``channel.link_energy`` call).  A caller with several fleet shapes
+evaluates one group per shape.  A policy then charges the dropped traffic
+as column arithmetic: ``retransmit_savings`` resends it over the link,
+``reroute_savings`` recomputes it on the ground.  A row that cannot be
+priced holds its error beside the columns, and its cells mean nothing;
+``saving``, the one-row call, raises it.
 """
 
 from __future__ import annotations
@@ -32,34 +33,64 @@ from .config import (ModelConfig, Scenario, ServerSpec, WorkloadSpec,
 from .errors import LinkRateError, OverloadError
 
 
-@lru_cache(maxsize=32)
-def _reliable_rate(ch, bits_per_instruction: float, task_len: float) -> float:
-    """Arrival rate where the link first shows measurable outage, task/s.
+class _Gate:
+    """A link's ``channel.reliable_brackets``, stepped only while a rate
+    asked about lies in its bracket [lo, hi), first [0, inf).  The gate
+    lies in every bracket: a rate below ``lo`` is below it, one at or above
+    ``hi`` is not.  It is inf where the bound never leaves the floor; a
+    step that raised anything else raises again at every later use."""
 
-    The inversion reads the workload only through its bits per task,
-    ``task_len * bits_per_instruction``, so the cache key holds the channel
-    and those two numbers, not the whole ``WorkloadSpec``.  In particular
-    the offered load ``arrival_rate_total`` is left out: the threshold does
-    not depend on it, and the sweep reference's per-point configs change it.
+    def __init__(self, brackets):
+        self._brackets, self._error = brackets, None
+        self.lo, self.hi = 0.0, math.inf
+
+    def refine(self, rates: np.ndarray | None = None) -> float:
+        """Step while some of ``rates`` lies in [lo, hi), or to the end
+        without ``rates``; the current ``lo``."""
+        if self._error is not None:
+            raise self._error
+        while self.lo < self.hi and (rates is None or (
+                (rates >= self.lo) & (rates < self.hi)).any()):
+            try:
+                self.lo, self.hi = next(self._brackets)
+            except StopIteration:
+                self.hi = self.lo  # the last bracket's lo is the gate
+            except LinkRateError:
+                self.lo = self.hi = math.inf
+            except BaseException as exc:
+                self._error = exc
+                raise
+        return self.lo
+
+
+@lru_cache(maxsize=32)
+def _link_gate(ch, bits_per_instruction: float, task_len: float) -> _Gate:
+    """One link's gate, kept for the process.  The inversion reads the
+    workload only through its bits per task, ``task_len *
+    bits_per_instruction``, so the cache key holds the channel and those
+    two numbers, not the whole ``WorkloadSpec``.  In particular the offered
+    load ``arrival_rate_total`` is left out: the threshold does not depend
+    on it, and the sweep reference's per-point configs change it.
     """
     workload = WorkloadSpec(task_length_instr=task_len,
                             bits_per_instruction=bits_per_instruction)
-    try:
-        return channel.max_reliable_rate(ch, workload)
-    except LinkRateError:
-        return math.inf
+    return _Gate(channel.reliable_brackets(ch, workload))
+
+
+def _gate(cfg: ModelConfig) -> _Gate:
+    return _link_gate(cfg.channel, cfg.workload.bits_per_instruction,
+                      cfg.workload.task_length_instr)
 
 
 def drop_gate(cfg: ModelConfig) -> float:
     """Per-link offload rate from which a drop probability is charged,
-    task/s.
+    task/s: the link's cached bisection run to its end, or inf.
 
     Below it the drop bound is vanishingly small, so the link counts as
     lossless there and every delivery policy agrees; a link that offloads
     nothing drops nothing and never looks the gate up.
     """
-    return _reliable_rate(cfg.channel, cfg.workload.bits_per_instruction,
-                          cfg.workload.task_length_instr)
+    return _gate(cfg).refine()
 
 
 HARVEST_BOUND = "harvest"
@@ -363,7 +394,7 @@ def evaluate_offload(fleets: Fleets, cfg: ModelConfig,
     lossy = (per_link > 0) & np.array([error is None for error in errors],
                                       dtype=bool)
     if lossy.any():
-        lossy &= per_link >= drop_gate(cfg)
+        lossy[lossy] = per_link[lossy] >= _gate(cfg).refine(per_link[lossy])
     if drops is None:
         drops = np.zeros(len(per_link))
         if lossy.any():

@@ -3,10 +3,13 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hapdc import aero, channel, offload, queueing, solar, sweeps, thermal
 from hapdc.config import (
+    ChannelConfig,
     HapPlatform,
     ModelConfig,
     Scenario,
@@ -14,8 +17,8 @@ from hapdc.config import (
     WindSpec,
     uniform_split,
 )
-from hapdc.errors import (LinkRateError, LinkSaturationWarning, OverloadError,
-                          StabilityError)
+from hapdc.errors import (LinkRateError, LinkSaturationWarning,
+                          NumericsError, OverloadError, StabilityError)
 
 
 def test_payload_energy_idle_fleet():
@@ -249,14 +252,14 @@ def test_reliable_rate_inverted_once_per_link(shipped_cfg, monkeypatch):
     # the threshold does not depend on the offered load, so a load sweep
     # inverts the link once, and only the bits per task start a new inversion
     calls = []
-    real = channel.max_reliable_rate
+    real = channel.reliable_brackets
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(channel, "max_reliable_rate", counting)
-    offload._reliable_rate.cache_clear()
+    monkeypatch.setattr(channel, "reliable_brackets", counting)
+    offload._link_gate.cache_clear()
     spec = sweeps.SweepSpec("arrival_rate", 4000.0, 8000.0, 1000.0)
     result = sweeps.run_energy_sweep(shipped_cfg, spec)
     assert all(row[-1] is None for row in result.rows)
@@ -279,7 +282,7 @@ def test_link_that_never_drops_charges_no_drop(shipped_cfg, monkeypatch):
         shipped_cfg.workload, bits_per_instruction=1e-30))
     with pytest.raises(LinkRateError, match="never drops"):
         channel.max_reliable_rate(cfg.channel, cfg.workload)
-    offload._reliable_rate.cache_clear()
+    offload._link_gate.cache_clear()
     assert offload.drop_gate(cfg) == math.inf
     monkeypatch.setattr(channel, "drop_probability",
                         lambda *args: pytest.fail("a drop was evaluated"))
@@ -288,6 +291,103 @@ def test_link_that_never_drops_charges_no_drop(shipped_cfg, monkeypatch):
     priced = [row for row in out.rows if row[-1] is None]
     assert len(priced) == 10 and out.notes == []
     assert all(row[out.header.index("n_retx")] == 0 for row in priced)
+
+
+def _link(cfg, link):
+    """The channel and workload of a link case: the shipped link, a
+    (tx, rx, Rician factor, SNR) channel on the shipped workload, or the
+    shipped channel carrying so few bits per task that it never drops."""
+    ch, w = cfg.channel, cfg.workload
+    if link == "never drops":
+        return ch, replace(w, bits_per_instruction=1e-30)
+    if link is not None:
+        tx, rx, zeta, snr = link
+        ch = ChannelConfig(tx_antennas=tx, rx_antennas=rx, rician_factor=zeta,
+                           avg_rx_snr=snr)
+    return ch, w
+
+
+def _gate_rates(ch, w):
+    """The full gate of a link and the rates that decide a lazy one: 0,
+    rates far below and far above the gate, and the gate and every bracket
+    edge of its bisection, each with its float neighbours."""
+    try:
+        brackets = list(channel.reliable_brackets(ch, w))
+    except LinkRateError:
+        gate, brackets = math.inf, []
+    else:
+        gate = channel.max_reliable_rate(ch, w)
+        assert gate == brackets[-1][0]
+    rates = {0.0, 1e-300, 1.0, 1e4, 1e300}
+    for edge in {gate, *(edge for bracket in brackets for edge in bracket)}:
+        if math.isfinite(edge):
+            rates |= {edge, np.nextafter(edge, -1.0),
+                      np.nextafter(edge, math.inf), edge * 1e-6, edge * 1e6}
+    return gate, sorted(float(rate) for rate in rates if rate >= 0.0)
+
+
+@pytest.mark.parametrize("link", [
+    None,                    # the shipped link
+    (1, 1, 0.0, 0.5),        # Rayleigh: a = 0
+    (4, 3, 2.5, 2.0),
+    (3, 8, 18.0, 0.01),
+    "never drops",           # the gate is inf
+])
+def test_lazy_gate_answers_as_the_full_gate(shipped_cfg, link):
+    # the gate steps its bisection only while some rate lies in its
+    # current bracket; every answer, fresh or after earlier calls refined
+    # it part-way, is ``rates >= max_reliable_rate``
+    ch, w = _link(shipped_cfg, link)
+    gate, rates = _gate_rates(ch, w)
+
+    def lazy():
+        return offload._Gate(channel.reliable_brackets(ch, w))
+
+    fresh = [rate >= lazy().refine(np.array([rate])) for rate in rates]
+    assert fresh == [rate >= gate for rate in rates]
+    column = np.array(rates)
+    assert (column >= lazy().refine(column)).tolist() == fresh
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.lists(st.lists(st.sampled_from(rates), min_size=1, max_size=6),
+                    min_size=1, max_size=4))
+    def answers(columns):
+        stepped = lazy()
+        for column in map(np.array, columns):
+            assert (column >= stepped.refine(column)).tolist() \
+                == (column >= gate).tolist()
+        assert stepped.refine() == gate
+
+    answers()
+
+
+def test_gate_whose_step_raised_raises_again(shipped_cfg, monkeypatch):
+    # a step that raises leaves the bisection dead: the cached gate must
+    # not read its last bracket as final, so every later use raises too,
+    # even one whose rate an earlier bracket already settles
+    real, failed = channel.marcum_q, []
+
+    def once(*args):
+        if not failed:
+            failed.append(1)
+            raise NumericsError("Marcum series did not converge")
+        return real(*args)
+
+    below = Scenario(latitude_deg=40.0, day_of_year=150.0, ground_servers=40,
+                     hap_servers=40, hap_rates=uniform_split(1000.0, 40))
+    monkeypatch.setattr(channel, "marcum_q", once)
+    offload._link_gate.cache_clear()
+    try:
+        for _ in range(2):
+            with pytest.raises(NumericsError):
+                offload.drop_gate(shipped_cfg)
+        assert offload._gate(shipped_cfg).lo > 1000.0
+        with pytest.raises(NumericsError):
+            offload.saving(below, shipped_cfg)
+    finally:
+        offload._link_gate.cache_clear()
+    assert failed == [1]
+    assert offload.drop_gate(shipped_cfg) == 5361.783167347312
 
 
 def test_retransmission_budget_formula(shipped_cfg):

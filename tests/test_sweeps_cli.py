@@ -927,9 +927,7 @@ def _energy_grids(shipped_cfg):
 def test_energy_cells_equal_saving_per_point(shipped_cfg):
     # each row holds what saving() and the one-scenario reference report
     seen = {"polar": 0, "overload": 0, "closed": 0, "open": 0, "shapes": 0}
-    gate = offload._reliable_rate(
-        shipped_cfg.channel, shipped_cfg.workload.bits_per_instruction,
-        shipped_cfg.workload.task_length_instr)
+    gate = offload.drop_gate(shipped_cfg)
     for cfg, spec in _energy_grids(shipped_cfg):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -1036,19 +1034,21 @@ def test_energy_baseline_overload_blanks_only_its_row(shipped_cfg,
 
 def test_energy_gate_and_drops_looked_up_once_per_sweep(shipped_cfg,
                                                         monkeypatch):
+    # a gate lookup is one ``offload._gate`` call, an inversion one
+    # bisection sequence, however far the lookups step it
     gates, drops, inversions = [], [], []
-    real_gate, real_drop = offload.drop_gate, channel.drop_probability
-    real_inversion = channel.max_reliable_rate
-    monkeypatch.setattr(offload, "drop_gate",
+    real_gate, real_drop = offload._gate, channel.drop_probability
+    real_inversion = channel.reliable_brackets
+    cfg = shipped_cfg
+    gate = offload.drop_gate(cfg)
+    monkeypatch.setattr(offload, "_gate",
                         lambda cfg: gates.append(1) or real_gate(cfg))
     monkeypatch.setattr(channel, "drop_probability",
                         lambda *args: drops.append(len(args[2]))
                         or real_drop(*args))
-    monkeypatch.setattr(channel, "max_reliable_rate",
+    monkeypatch.setattr(channel, "reliable_brackets",
                         lambda *args: inversions.append(1)
                         or real_inversion(*args))
-    cfg = shipped_cfg
-    gate = real_gate(cfg)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for spec in (sweeps.SweepSpec("day", 1.0, 361.0, 30.0),
@@ -1057,7 +1057,7 @@ def test_energy_gate_and_drops_looked_up_once_per_sweep(shipped_cfg,
             gates.clear()
             drops.clear()
             inversions.clear()
-            offload._reliable_rate.cache_clear()
+            offload._link_gate.cache_clear()
             out = sweeps.run_energy_sweep(cfg, spec)
             # the lossy links of each fleet shape, in grid order
             lossy = {}
@@ -1085,6 +1085,30 @@ def test_energy_gate_and_drops_looked_up_once_per_sweep(shipped_cfg,
         sweeps.run_energy_sweep(
             cfg, sweeps.SweepSpec("arrival_rate", 0.0, 0.0, 1.0))
     assert gates == [] and drops == [] and inversions == []
+
+
+def test_energy_sweeps_step_the_gate_only_as_far_as_their_rates_need(
+        shipped_cfg, monkeypatch):
+    # from a cold gate, the shipped ramp (nearest per-link rate 38.2 task/s
+    # from the gate) and the seasonal day sweep (33.4 task/s) step the
+    # reliable-rate bisection only until its bracket leaves their rates:
+    # the whole sweep, its drops included, makes at most 7 and 8 Marcum
+    # calls, where the full inversion alone makes 40
+    calls = []
+    real_q = channel.marcum_q
+    monkeypatch.setattr(channel, "marcum_q",
+                        lambda *args: calls.append(1) or real_q(*args))
+    for spec, most in ((sweeps.SweepSpec("arrival_rate", 0.0, 40_000.0, 100.0),
+                        7),
+                       (sweeps.SweepSpec("day", 1.0, 365.0, 1.0), 8)):
+        offload._link_gate.cache_clear()
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sweeps.run_energy_sweep(shipped_cfg, spec)
+        assert len(calls) <= most, spec.axis
+        # the bisection the sweep left part-way ends where the full one does
+        assert offload.drop_gate(shipped_cfg) == 5361.783167347312
 
 
 def test_energy_drops_run_the_series_once_per_distinct_shallow_rate(

@@ -512,8 +512,14 @@ def test_batched_overloaded_row_keeps_the_other_rows(monkeypatch):
     real_drop = channel.drop_probability
     monkeypatch.setattr(channel, "drop_probability",
                         lambda *args: drops.append(args[2]) or real_drop(*args))
-    monkeypatch.setattr(offload, "_reliable_rate", lambda *args: 0.0)
+    # a bisection that ends before its first bracket leaves the gate at 0
+    # (the default link's own gate, 3.35 task/s, is below every row too)
+    gates = []
+    monkeypatch.setattr(
+        offload, "_gate",
+        lambda cfg: gates.append(cfg) or offload._Gate(iter(())))
     ev = offload.evaluate_offload(fleets, cfg)
+    assert gates == [cfg]
     priced = offload.retransmit_savings(ev, cfg)
     assert priced.errors[1] is ev.errors[1]
     assert str(priced.errors[1]) == str(loop.value)
