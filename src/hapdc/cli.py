@@ -38,6 +38,14 @@ def _parse_range(text: str) -> tuple[float, float, float]:
         raise argparse.ArgumentTypeError(f"bad range {text!r}: {exc}") from None
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: an integer >= 0, as numpy's generators take."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hapdc",
@@ -55,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--range", required=True, type=_parse_range,
                        metavar="START:STOP:STEP", dest="sweep_range",
                        help="inclusive grid, e.g. 1:365:3")
-        p.add_argument("--seed", type=int, default=0,
+        p.add_argument("--seed", type=_seed, default=0,
                        help="base seed for all random draws")
         p.add_argument("--samples", type=int, default=100_000,
                        help="Monte Carlo draws per outage sweep; "
@@ -69,13 +77,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("validate", help="run built-in cross-checks")
     v.add_argument("--config", help="YAML model configuration")
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=_seed, default=0)
     return parser
 
 
 def _load(config_path: str | None) -> ModelConfig:
-    """The validated config at ``config_path``, or the defaults, which an
-    empty file yields too (same model, same manifest hash)."""
+    """The validated config at ``config_path``, or the defaults: the shipped
+    study, which an empty file yields too (same model, same manifest hash)."""
     return load_config(config_path) if config_path else build_config({})
 
 

@@ -1,9 +1,9 @@
 """Typed configuration model and YAML loader.
 
-Every model parameter lives in one of the frozen dataclasses below.  A config
-file may set any subset of fields; everything else falls back to the library
-defaults, so an empty file is a valid full configuration.  ``load_config`` /
-``dump_config`` round-trip exactly.
+Every model parameter lives in one of the frozen dataclasses below.  Their
+defaults are the shipped study, ``configs/default.yaml`` (a test keeps the
+two equal), so a config file may set any subset of fields and an empty file
+is that study.  ``load_config`` / ``dump_config`` round-trip exactly.
 
 YAML is parsed and emitted by libyaml (PyYAML's ``CSafeLoader`` and
 ``CSafeDumper``) when the installed PyYAML is built with it, and by the
@@ -41,17 +41,18 @@ _NOISE_DENSITY_W_PER_HZ = 10.0 ** ((-174.0 - 30.0) / 10.0)
 class ServerSpec:
     """One compute server: capacity, power envelope and thermal bulk."""
 
-    service_rate_mips: float = 580.0
-    p_idle: float = 150.0
+    # an int, as the shipped YAML writes it: config_hash tells 580 from 580.0
+    service_rate_mips: float = 580
+    p_idle: float = 10000.0
     """Idle power draw, W."""
-    p_peak: float = 300.0
+    p_peak: float = 60000.0
     """Power draw at full utilization, W."""
     desired_utilization: float = 1.0
     heat_capacity: float = 340.0
     """Lumped thermal capacitance of the server, J/K."""
     thermal_resistance: float = 0.34
     """CPU-to-air thermal resistance, K/W."""
-    mass: float = 9.0
+    mass: float = 100.0
 
     @property
     def service_rate_ips(self) -> float:
@@ -80,14 +81,14 @@ class ServerSpec:
 class WorkloadSpec:
     """Task stream characteristics shared by both data centers."""
 
-    arrival_rate_total: float = 1000.0
+    arrival_rate_total: float = 20000.0
     """Aggregate task arrival rate for the whole system, task/s."""
     task_length_instr: float = 1.0e6
     """Instructions per task: the one task length the energy and link
     models read."""
     small_task_instr: float = 1.0e6
     large_task_instr: float = 1.0e8
-    bits_per_instruction: float = 32.0
+    bits_per_instruction: float = 0.02
     """Offloaded data bits carried per instruction of compute."""
     overhead_ratio: float = 1.1
     """Transmission overhead multiplier applied to offered bits."""
@@ -192,7 +193,7 @@ class HapPlatform:
     hap_velocity: float = 8.0
     drag_constant: float = 1.8
     """Hull-to-envelope drag multiplier."""
-    payload_capacity: float = 450.0
+    payload_capacity: float = 5000.0
     rack_mass: float = 363.0
 
     @property
@@ -577,9 +578,9 @@ def _load_wind_table(path: str, base_dir: str):
 def load_config(path: str) -> ModelConfig:
     """Parse a YAML config file into a validated ModelConfig.
 
-    Missing sections and fields use the library defaults; an empty file yields
-    the full default configuration.  Unknown keys, and NaN or infinite
-    numbers, are rejected with a ConfigError that names the key.
+    Missing sections and fields take the library defaults, which are the
+    shipped study, so an empty file yields it.  Unknown keys, and NaN or
+    infinite numbers, are rejected with a ConfigError that names the key.
     """
     try:
         with open(path) as fh:

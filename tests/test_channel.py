@@ -209,7 +209,9 @@ def test_empirical_seed_pair_consistent():
 
 def test_drop_probability_complements_lower_bound():
     ch = ChannelConfig()
-    w = WorkloadSpec()
+    # a drop of 1.06e-5 at this demand; the shipped 0.02 bits would give
+    # 7.8e-14, within the Marcum series' rounding noise
+    w = WorkloadSpec(bits_per_instruction=32.0)
     lam = 4.0
     d = channel.spectral_demand(ch, w, lam)
     assert channel.drop_probability(ch, w, lam) == 1.0 - channel.ccdf_lower(ch, d)

@@ -38,13 +38,27 @@ def test_default_config_validates():
     ModelConfig().validate()
 
 
+def _empty_file(tmp_path):
+    path = tmp_path / "empty.yaml"
+    path.write_text("")
+    return str(path)
+
+
 def test_empty_file_is_default(tmp_path):
-    p = tmp_path / "empty.yaml"
-    p.write_text("")
-    cfg = load_config(str(p))
-    # loader resolves the channel, so compare against the resolved default
-    want = replace(ModelConfig(), channel=ChannelConfig().resolved())
-    assert config_hash(cfg) == config_hash(want)
+    assert load_config(_empty_file(tmp_path)) == ModelConfig() == build_config(
+        {})
+
+
+def test_default_model_hashes_as_the_empty_file(tmp_path):
+    assert config_hash(ModelConfig()) == config_hash(
+        load_config(_empty_file(tmp_path))) == config_hash(build_config({}))
+
+
+def test_defaults_are_the_shipped_study(shipped_cfg):
+    # one model: the shipped study loads to the library defaults, with the
+    # manifest hash of the defaults
+    assert shipped_cfg == ModelConfig() == build_config({})
+    assert config_hash(shipped_cfg) == config_hash(ModelConfig())
 
 
 def test_shipped_config_loads(shipped_cfg):
@@ -261,12 +275,6 @@ def test_channel_checks_the_reference_draw_budget_at_construction():
                       link_distance=math.nextafter(edge, math.inf))
 
 
-def test_default_model_hashes_as_the_empty_file(tmp_path):
-    p = tmp_path / "empty.yaml"
-    p.write_text("")
-    assert config_hash(ModelConfig()) == config_hash(load_config(str(p)))
-
-
 def test_channel_explicit_noise_kept():
     ch = ChannelConfig(noise_power=1e-12).resolved()
     assert ch.noise_power == 1e-12
@@ -288,7 +296,7 @@ def test_validation_messages():
 def test_config_hash_stable_and_sensitive(shipped_cfg):
     h1 = config_hash(shipped_cfg)
     assert h1 == config_hash(shipped_cfg)
-    assert h1 != config_hash(ModelConfig())
+    assert h1 != config_hash(replace(shipped_cfg, wind=WindSpec(speed=21.0)))
 
 
 # --- YAML backends -------------------------------------------------------------

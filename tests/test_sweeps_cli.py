@@ -746,6 +746,41 @@ def test_cli_default_config_used_when_omitted(capsys):
     assert text.startswith("# tool=hapdc ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["fly", "--axis", "day", "--range", "100:102:1"],
+    ["energy", "--axis", "arrival_rate", "--range", "1000:9000:4000"],
+    ["energy", "--axis", "day", "--range", "150:151:1", "--format", "json"],
+    ["outage", "--axis", "arrival_rate", "--range", "2000:8000:3000",
+     "--samples", "1000"],
+    ["delay", "--axis", "arrival_rate", "--range", "1000:3000:1000",
+     "--samples", "1000"],
+    ["validate"],
+], ids=["fly", "energy-csv", "energy-json", "outage", "delay", "validate"])
+def test_cli_without_config_runs_the_shipped_study(argv, capsys):
+    # one model: the library defaults are configs/default.yaml, so leaving
+    # out --config changes no byte of any output and no exit code
+    runs = []
+    for extra in ([], ["--config", SHIPPED_CONFIG]):
+        rc = cli.main(argv + extra)
+        captured = capsys.readouterr()
+        runs.append((rc, captured.out, captured.err))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and runs[0][1]
+
+
+@pytest.mark.parametrize("command",
+                         ["fly", "energy", "outage", "delay", "validate"])
+def test_cli_refuses_a_negative_seed(command, capsys):
+    grid = [] if command == "validate" else [
+        "--axis", "arrival_rate", "--range", "2000:2000:1", "--samples", "100"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *grid, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be an integer >= 0, got '-1'" in (
+        capsys.readouterr().err)
+    assert cli.main([command, *grid, "--seed", "0"]) == 0
+
+
 def test_cli_malformed_range_exits_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["fly", "--axis", "day", "--range", "1:10"])

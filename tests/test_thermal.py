@@ -463,9 +463,13 @@ def test_batched_bills_edge_fleets(ground_n, hap_n, crac_count):
                                 window)
 
 
-def test_batched_overloaded_row_keeps_the_other_rows(monkeypatch):
-    server = ServerSpec(desired_utilization=0.8)
-    cfg = ModelConfig(server=server)
+def test_batched_overloaded_row_keeps_the_other_rows(faint_link_cfg,
+                                                     monkeypatch):
+    # the faint link drops every fine row's traffic, which then overloads
+    # its ground fleet (the last assertion); the shipped link drops ~8e-14
+    server = dataclasses.replace(faint_link_cfg.server,
+                                 desired_utilization=0.8)
+    cfg = dataclasses.replace(faint_link_cfg, server=server)
     task_len = cfg.workload.task_length_instr
     cap = 0.8 * server.service_rate_ips / task_len
     window = (0.0, 3600.0)
@@ -513,7 +517,7 @@ def test_batched_overloaded_row_keeps_the_other_rows(monkeypatch):
     monkeypatch.setattr(channel, "drop_probability",
                         lambda *args: drops.append(args[2]) or real_drop(*args))
     # a bisection that ends before its first bracket leaves the gate at 0
-    # (the default link's own gate, 3.35 task/s, is below every row too)
+    # (the faint link's own gate, 3.35 task/s, is below every row too)
     gates = []
     monkeypatch.setattr(
         offload, "_gate",
