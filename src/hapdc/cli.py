@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 usage or config problem, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from ._version import __version__
@@ -46,7 +47,9 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; nothing mutates it."""
     parser = argparse.ArgumentParser(
         prog="hapdc",
         description="Energy and delay model of a stratospheric platform "
@@ -55,25 +58,26 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"hapdc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in _SWEEP_COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="YAML model configuration")
-        p.add_argument("--axis", required=True, choices=AXES,
+    sweep = argparse.ArgumentParser(add_help=False)
+    sweep.add_argument("--config", help="YAML model configuration")
+    sweep.add_argument("--axis", required=True, choices=AXES,
                        help="scenario knob the sweep walks")
-        p.add_argument("--range", required=True, type=_parse_range,
+    sweep.add_argument("--range", required=True, type=_parse_range,
                        metavar="START:STOP:STEP", dest="sweep_range",
                        help="inclusive grid, e.g. 1:365:3")
-        p.add_argument("--seed", type=_seed, default=0,
+    sweep.add_argument("--seed", type=_seed, default=0,
                        help="base seed for all random draws")
-        p.add_argument("--samples", type=int, default=100_000,
+    sweep.add_argument("--samples", type=int, default=100_000,
                        help="Monte Carlo draws per outage sweep; "
                             "simulated tasks per delay grid point")
-        # ignored; bench/run.py passes it until ROADMAP item 1 drops it
-        p.add_argument("--workers", type=int, default=1,
+    # ignored; bench/run.py passes it until ROADMAP item 1 drops it
+    sweep.add_argument("--workers", type=int, default=1,
                        help=argparse.SUPPRESS)
-        p.add_argument("--out", default="-",
+    sweep.add_argument("--out", default="-",
                        help="output path, '-' for stdout")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+    sweep.add_argument("--format", choices=("csv", "json"), default="csv")
+    for name, help_text in _SWEEP_COMMANDS.items():
+        sub.add_parser(name, help=help_text, parents=[sweep])
 
     v = sub.add_parser("validate", help="run built-in cross-checks")
     v.add_argument("--config", help="YAML model configuration")
@@ -124,14 +128,10 @@ def _run_sweep(args) -> int:
 
 def _normalize(argv: list[str]) -> list[str]:
     """Join ``--range`` with its value so a negative start parses as a value."""
-    out = []
-    it = iter(argv)
+    out, it = [], iter(argv)
     for arg in it:
-        if arg == "--range":
-            value = next(it, None)
-            out.append(arg if value is None else f"--range={value}")
-        else:
-            out.append(arg)
+        value = next(it, None) if arg == "--range" else None
+        out.append(arg if value is None else f"--range={value}")
     return out
 
 

@@ -1,6 +1,7 @@
 """Composition layer tying solar harvest, propulsion, thermal and link models
-into the airborne-fleet decisions: can the platform fly, how much workload it
-may accept, what the two-site system consumes, and what offloading saves.
+into the airborne-fleet decisions: can the platform fly and how much work it
+may take (the flight check, elementwise in ``fly_points``), what the two-site
+system consumes, and what offloading saves.
 
 A saving is priced as columns.  A ``Fleets`` group holds offload scenarios
 of one fleet shape and window as rows x servers rate arrays, one row per
@@ -136,45 +137,47 @@ def high_load_threshold(server: ServerSpec, task_len: float) -> float:
     return server.desired_utilization * server.service_rate_ips / task_len
 
 
-def _harvest_bound_rate(latitude_deg: float, day: float, hap_servers: int,
-                        cfg: ModelConfig) -> float:
-    """Per-server rate at which harvest exactly covers propulsion + compute."""
-    wind = cfg.wind.speed_at(latitude_deg, day)
-    budget = (solar.harvested_power(cfg.hap, latitude_deg, day)
-              - aero.propulsion_power_reduced(cfg.hap, wind)) / hap_servers
-    srv = cfg.server
-    u_bind = (budget - srv.p_idle) / (srv.p_peak - srv.p_idle)
-    return u_bind * srv.service_rate_ips / cfg.workload.task_length_instr
-
-
 def lambda_max(latitude_deg: float, day: float, hap_servers: int,
                cfg: ModelConfig) -> float:
-    """Largest admissible per-server arrival rate on the platform, task/s.
-
-    The first element of ``fly_point``: the harvest balance and the
-    utilization ceiling both cap it, and it is zero when harvest cannot
-    even hold the fleet idle.
-    """
+    """Largest admissible per-server arrival rate on the platform, task/s:
+    the first element of ``fly_point``."""
     return fly_point(latitude_deg, day, hap_servers, cfg)[0]
 
 
 def fly_point(latitude_deg: float, day: float, hap_servers: int,
               cfg: ModelConfig) -> tuple[float, float, str]:
-    """(lambda_max, high-load threshold, binding constraint) for one site/date.
+    """(lambda_max, high-load threshold, binding constraint) for one
+    site/date: the one-point call of ``fly_points``; raises its error."""
+    (rate,), cap, (bound,), (error,) = fly_points([latitude_deg], [day],
+                                                  [hap_servers], cfg)
+    if error is not None:
+        raise error
+    return rate, cap, bound
 
-    The constraint names whichever limit produced the reported rate:
-    ``payload`` when idle draw already exceeds the budget, else ``harvest``
-    or ``high-load``.
-    """
-    if hap_servers < 1:
+
+def fly_points(latitudes, days, hap_servers, cfg: ModelConfig):
+    """``fly_point`` elementwise over equal-length sequences of latitudes,
+    days and servers per platform: the lambda_max and binding columns, the
+    threshold they share, and each point's PolarError or None.  The rate
+    is where harvest covers propulsion and compute, capped by the
+    threshold, 0 where harvest cannot hold the fleet idle; station keeping
+    is priced once per distinct wind."""
+    servers = np.asarray(hap_servers)
+    if (servers < 1).any():
         raise ValueError("fly_point needs at least one airborne server")
-    bind = _harvest_bound_rate(latitude_deg, day, hap_servers, cfg)
-    cap = high_load_threshold(cfg.server, cfg.workload.task_length_instr)
-    if bind <= 0.0:
-        return 0.0, cap, PAYLOAD_BOUND
-    if bind < cap:
-        return bind, cap, HARVEST_BOUND
-    return cap, cap, HIGH_LOAD_BOUND
+    harvested, errors = solar.harvest(cfg.hap, latitudes, days)
+    winds = list(map(cfg.wind.speed_at, latitudes, days))
+    power = {wind: aero.propulsion_power_reduced(cfg.hap, wind)
+             for wind in set(winds)}
+    srv, task_len = cfg.server, cfg.workload.task_length_instr
+    budget = (harvested - np.array([power[wind] for wind in winds])) / servers
+    bind = ((budget - srv.p_idle) / (srv.p_peak - srv.p_idle)
+            * srv.service_rate_ips / task_len)
+    cap = high_load_threshold(srv, task_len)
+    idle, low = bind <= 0.0, bind < cap
+    return (np.where(idle, 0.0, np.where(low, bind, cap)).tolist(), cap,
+            np.where(idle, PAYLOAD_BOUND, np.where(
+                low, HARVEST_BOUND, HIGH_LOAD_BOUND)).tolist(), errors)
 
 
 def flying_condition(scenario: Scenario, cfg: ModelConfig) -> FlyingAssessment:

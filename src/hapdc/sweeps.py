@@ -17,12 +17,13 @@ error and the count of points whose offered traffic saturates the link
 ``notes``, not to the rows).  One engine, ``_run``, refuses ``outputs``
 that name an unknown column or no metric column before the grid is
 priced, then zips the grid values, the selected columns and the errors
-into rows.  Flying condition and delay answer point by point
-(``_each_point``).  Energy and outage price the grid one fleet shape at a
-time, each shape's points in one ``offload.evaluate_offload`` call (an
-outage grid has one shape), and fill each priced point's cells by column
-name (``_Columns.fill``); every cell keeps the bits ``offload.saving``
-gives it at the point.
+into rows.  Delay answers point by point (``_each_point``); flying
+condition and energy read the grid's flight check from one
+``offload.fly_points`` call.  Energy and outage price the grid one fleet
+shape at a time, each shape's points in one ``offload.evaluate_offload``
+call (an outage grid has one shape), and fill each priced point's cells
+by column name (``_Columns.fill``); every cell keeps the bits
+``offload.fly_point`` or ``offload.saving`` gives it at the point.
 
 A grid point is a site, a date, a platform fleet size and a total
 offered rate (``_axis_point``), never a copy of the config or its
@@ -181,9 +182,9 @@ class _Analysis:
 
 @dataclass
 class _Columns:
-    """An analysis's answer on a grid: one cell per grid point in each
-    column of ``cells``, each point's error text or None, and the count
-    of points whose offered traffic saturates the link."""
+    """An analysis's answer on a grid: one plain Python cell per grid
+    point in each column of ``cells``, each point's error text or None,
+    and the count of points whose offered traffic saturates the link."""
 
     cells: dict[str, list]
     errors: list
@@ -221,8 +222,17 @@ def _each_point(point, names, cfg, spec, values) -> _Columns:
     return _Columns(dict(zip(names, map(list, zip(*rows)))), errors)
 
 
-def _fly_row(cfg, spec, index, value):
-    return offload.fly_point(*_axis_point(cfg, spec.axis, value)[:3], cfg)
+def _fly_columns(cfg, spec, values):
+    """Flying columns of the grid values from one ``offload.fly_points``
+    call, each cell and error as ``offload.fly_point`` gives it."""
+    size = len(values)
+    answer = _Columns({name: [None] * size for name in _FLY.columns},
+                      [None] * size)
+    rates, cap, bounds, errors = offload.fly_points(*zip(*(
+        _axis_point(cfg, spec.axis, value)[:3] for value in values)), cfg)
+    answer.fill(range(size), errors, np.zeros(size, dtype=bool),
+                lambda_max=rates, threshold=[cap] * size, binding=bounds)
+    return answer
 
 
 def _energy_columns(cfg, spec, values):
@@ -231,28 +241,29 @@ def _energy_columns(cfg, spec, values):
     gives it at the point's config, error text included, and the count of
     points whose offered traffic saturates the link.
 
-    Each point's per-server lambda_max is derived once per distinct site,
-    date and fleet on the grid (a triple that raises, a polar one, is
-    derived again and raises at each of its points).  The points are
-    gathered by fleet shape, and each shape's totals are allocated in one
-    ``offload._allocate`` call and its admitted points priced by one
+    Every distinct site, date and fleet on the grid with a platform
+    server gets its per-server lambda_max, or its error, from one
+    ``offload.fly_points`` call.  The points are gathered by fleet shape,
+    and each shape's totals are allocated in one ``offload._allocate``
+    call and its admitted points priced by one
     ``offload.evaluate_offload`` call.
     """
     sc, size = cfg.scenario, len(values)
     answer = _Columns({name: [None] * size for name in _ENERGY.columns},
                       [None] * size)
-    admitted, groups = {}, {}
-    for index, value in enumerate(values):
-        latitude, day, servers, total = _axis_point(cfg, spec.axis, value)
-        site = (latitude, day, servers)
-        try:
-            if servers * sc.hap_count and site not in admitted:
-                admitted[site] = offload.lambda_max(*site, cfg)
-        except _ROW_ERRORS as exc:
-            answer.errors[index] = str(exc)
+    points = [_axis_point(cfg, spec.axis, value) for value in values]
+    sites = list(dict.fromkeys(point[:3] for point in points
+                               if point[2] * sc.hap_count))
+    rates, _, _, errors = (offload.fly_points(*zip(*sites), cfg) if sites
+                           else ((),) * 4)
+    admitted, groups = dict(zip(sites, zip(rates, errors))), {}
+    for index, (latitude, day, servers, total) in enumerate(points):
+        rate, error = admitted.get((latitude, day, servers), (0.0, None))
+        if error is not None:
+            answer.errors[index] = str(error)
         else:
             groups.setdefault(servers, []).append(
-                (index, total, admitted.get(site, 0.0), (latitude, day)))
+                (index, total, rate, (latitude, day)))
     for servers, members in groups.items():
         indices, totals, per_server, sites = zip(*members)
         ground, hap, errors = offload._allocate(
@@ -350,8 +361,7 @@ def _delay_row(cfg, spec, index, value):
 
 
 _FLY = _Analysis("flying", ("lambda_max", "threshold", "binding"),
-                 lambda *grid: _each_point(_fly_row, _FLY.columns, *grid),
-                 needs_fleet=True)
+                 _fly_columns, needs_fleet=True)
 _ENERGY = _Analysis("energy", ("e_tdc", "e_hybrid", "saved_rate", "n_retx"),
                     _energy_columns)
 _OUTAGE = _Analysis("outage", ("ccdf_lb", "ccdf_ub", "ccdf_mc", "ccdf_mc_se",
@@ -449,37 +459,15 @@ def run_delay_sweep(cfg: ModelConfig, spec: SweepSpec) -> SweepResult:
 
 # --- rendering --------------------------------------------------------------
 
-def _native(value):
-    """The plain Python value of a numpy scalar; anything else as it is."""
-    return value.item() if isinstance(value, np.generic) else value
-
-
-def _cell(value) -> str:
-    value = _native(value)
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-# cell types that ``csv.writer`` renders as ``_cell`` does
-_PLAIN = frozenset((float, int, str, type(None)))
-
-
 def render_csv(result: SweepResult) -> str:
-    """RFC-4180 text: ``#`` manifest lines, header row, data rows."""
+    """RFC-4180 text: ``#`` manifest lines, header row, data rows; ``csv``
+    writes each plain cell, a float as its repr and None as empty."""
     buf = io.StringIO()
     for key, val in result.manifest.items():
         buf.write(f"# {key}={val}\r\n")
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(result.header)
-    writer.writerows(row if all(type(v) in _PLAIN for v in row)
-                     else [_cell(v) for v in row] for row in result.rows)
+    writer.writerows(result.rows)
     return buf.getvalue()
 
 
@@ -488,7 +476,7 @@ def render_json(result: SweepResult) -> str:
     payload = {
         "manifest": result.manifest,
         "columns": result.header,
-        "rows": [[_native(v) for v in row] for row in result.rows],
+        "rows": result.rows,
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

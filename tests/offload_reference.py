@@ -1,6 +1,8 @@
 """One-scenario pricing of the two delivery policies, kept as an
 independent reference for ``offload.saving`` and the chunk pricing of the
-sweeps, and the per-point config of a sweep grid point.
+sweeps, the flight check in scalar ``math`` (``fly_point``, a reference
+for ``offload.fly_points``), and the per-point config of a sweep grid
+point.
 
 It prices each step on its own, one scalar call at a time: the baseline
 with ``thermal.tdc_total_energy`` on one scenario, the drop with one
@@ -13,8 +15,8 @@ in array passes instead, and must agree with this bit for bit.
 import math
 from dataclasses import replace
 
-from hapdc import channel, offload, thermal
-from hapdc.errors import OverloadError
+from hapdc import aero, channel, offload, solar, thermal
+from hapdc.errors import OverloadError, PolarError
 
 
 def apply_axis(cfg, axis, value):
@@ -110,3 +112,45 @@ def saving(scenario, cfg, with_retransmission=False, drop=None):
     evaluation = evaluate(scenario, cfg, drop)
     policy = retransmit_saving if with_retransmission else reroute_saving
     return policy(scenario, cfg, evaluation)
+
+
+def _irradiance(latitude_deg, day):
+    """``solar.irradiance`` in scalar ``math``, its PolarError text
+    included."""
+    lat = math.radians(latitude_deg)
+    dec = solar.OBLIQUITY * math.sin(2.0 * math.pi * ((day - 79.75) / 365.0))
+    xi = (math.pi / 2.0 + lat - dec if lat >= dec
+          else math.pi / 2.0 + dec - lat)
+    if xi > math.pi:
+        raise PolarError(f"sun geometry out of range at latitude "
+                         f"{latitude_deg} deg, day {day}")
+    m = -0.041 + 0.017202 * day
+    azimuth = -1.3411 + m + 0.0334 * math.sin(m) + 0.0003 * math.sin(2.0 * m)
+    s = math.sin(solar.OBLIQUITY) * math.sin(azimuth)
+    arg = math.tan(lat) * s / math.sqrt(1.0 - s * s)
+    if not -1.0 <= arg <= 1.0:
+        raise PolarError(f"continuous polar day/night at latitude "
+                         f"{latitude_deg} deg, day {day}")
+    tau = 1.0 - math.acos(arg) / math.pi
+    ecc = 1.0 + solar.ECCENTRICITY_FACTOR * math.cos(2.0 * math.pi
+                                                     * (day / 365.0))
+    peak = solar.SOLAR_CONSTANT * ecc * math.cos(lat - dec)
+    return tau * peak * (1.0 - math.cos(xi)) / xi
+
+
+def fly_point(latitude_deg, day, hap_servers, cfg):
+    """What ``offload.fly_point`` gives at one site and date, each step one
+    scalar ``math`` call: (lambda_max, threshold, binding)."""
+    hap, srv = cfg.hap, cfg.server
+    harvested = hap.pv_efficiency * hap.pv_area * _irradiance(latitude_deg,
+                                                              day)
+    wind = cfg.wind.speed_at(latitude_deg, day)
+    budget = (harvested - aero.propulsion_power_reduced(hap, wind)) / hap_servers
+    u_bind = (budget - srv.p_idle) / (srv.p_peak - srv.p_idle)
+    bind = u_bind * srv.service_rate_ips / cfg.workload.task_length_instr
+    cap = offload.high_load_threshold(srv, cfg.workload.task_length_instr)
+    if bind <= 0.0:
+        return 0.0, cap, offload.PAYLOAD_BOUND
+    if bind < cap:
+        return bind, cap, offload.HARVEST_BOUND
+    return cap, cap, offload.HIGH_LOAD_BOUND

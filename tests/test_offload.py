@@ -18,7 +18,10 @@ from hapdc.config import (
     uniform_split,
 )
 from hapdc.errors import (LinkRateError, LinkSaturationWarning,
-                          NumericsError, OverloadError, StabilityError)
+                          NumericsError, OverloadError, PolarError,
+                          StabilityError)
+
+import offload_reference
 
 
 def test_payload_energy_idle_fleet():
@@ -80,6 +83,51 @@ def test_fly_point_bindings(shipped_cfg):
     lam1, thr1, binding1 = offload.fly_point(40.0, 150.0, 1, shipped_cfg)
     assert binding1 == offload.HIGH_LOAD_BOUND
     assert lam1 == thr1
+
+
+def _flight_outcome(fly, *point):
+    """``fly(*point)``'s (lambda_max, threshold, binding), or its
+    PolarError's text."""
+    try:
+        return fly(*point)
+    except PolarError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("windy", [False, True])
+def test_fly_points_equal_the_scalar_flight_check_bit_for_bit(shipped_cfg,
+                                                              windy):
+    # a latitude x day grid through both polar circles, with a column of
+    # fleet sizes that reaches every binding, under the shipped wind and
+    # under a wind table (one still row); every point's array cells equal
+    # the one-point call's and the scalar math route's bits, and every
+    # polar point's error text equals theirs
+    cfg = shipped_cfg
+    if windy:
+        cfg = replace(cfg, wind=WindSpec(table=(
+            (40.0, 1.0, 35.0), (40.0, 182.0, 9.5), (-70.0, 274.0, 0.0),
+            (60.0, 182.0, 41.0))))
+    days = (0.0, 30.5, 79.75, 120.0, 171.0, 230.0, 300.0, 355.0, 366.0)
+    # with the latitudes where numpy's tan rounds otherwise than math's
+    fine = np.arange(-89.9, 90.0, 0.1).round(1)
+    angles = np.radians(fine)
+    odd = fine[np.tan(angles) != list(map(math.tan, angles))]
+    points = [(lat, day, (1, 40, 1000)[k % 3])
+              for lat in np.arange(-90.0, 90.1, 3.75).tolist() + odd.tolist()
+              for k, day in enumerate(days)]
+    rates, cap, bounds, errors = offload.fly_points(*zip(*points), cfg)
+    kinds = set()
+    for point, rate, bound, error in zip(points, rates, bounds, errors):
+        got = str(error) if error else (rate, cap, bound)
+        assert _flight_outcome(offload.fly_point, *point, cfg) == got, point
+        want = _flight_outcome(offload_reference.fly_point, *point, cfg)
+        assert got == want, point
+        if not error:
+            assert np.array(got[:2]).tobytes() == np.array(want[:2]).tobytes()
+        kinds.add(got.split()[0] if error else bound)
+    assert kinds == {"sun", "continuous", offload.PAYLOAD_BOUND,
+                     offload.HARVEST_BOUND, offload.HIGH_LOAD_BOUND}
+    assert {error.__class__ for error in errors} == {type(None), PolarError}
 
 
 def test_fly_point_needs_servers(shipped_cfg):

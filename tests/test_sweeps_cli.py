@@ -1,6 +1,8 @@
 """Sweep engine and command line behavior."""
 
+import argparse
 import ast
+import contextlib
 import csv
 import importlib
 import io
@@ -15,10 +17,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import hapdc
 from hapdc import channel, cli, offload, queueing, sweeps, thermal
 from hapdc.config import ModelConfig, WindSpec, WorkloadSpec, load_config
 from hapdc.errors import ConfigError, LinkSaturationWarning, OverloadError
 
+import byte_corpus
 import offload_reference
 from conftest import REPO_ROOT, SHIPPED_CONFIG
 
@@ -227,13 +231,14 @@ def test_saturation_note_counts_grid_points(shipped_cfg):
 
 
 def test_sweep_passes_other_warnings_on(shipped_cfg, monkeypatch):
-    admitted = offload.lambda_max
+    # a warning raised in the flight check reaches the caller
+    admitted = offload.fly_points
 
     def noisy(*args):
         warnings.warn("unrelated", UserWarning)
         return admitted(*args)
 
-    monkeypatch.setattr(offload, "lambda_max", noisy)
+    monkeypatch.setattr(offload, "fly_points", noisy)
     with pytest.warns(UserWarning, match="unrelated"):
         out = sweeps.run_energy_sweep(
             shipped_cfg, sweeps.SweepSpec("day", 150.0, 150.0, 1.0))
@@ -699,15 +704,83 @@ def test_every_analysis_answers_a_full_column_per_name(shipped_cfg, kind,
     assert 0 <= answer.saturated <= size
 
 
-def test_cell_rendering():
-    assert sweeps._cell(None) == ""
-    assert sweeps._cell(True) == "true"
-    assert sweeps._cell(3) == "3"
-    assert sweeps._cell(0.1) == "0.1"
-    assert sweeps._cell("x") == "x"
+@pytest.mark.parametrize("command, axis, grid", byte_corpus.SWEEPS)
+def test_shipped_sweep_cells_are_plain(shipped_cfg, command, axis, grid):
+    # ``render_csv`` writes the cells as they are, and under numpy 2
+    # ``csv`` would write an np.float64 as ``np.float64(...)``
+    spec = sweeps.SweepSpec(axis, *map(float, grid.split(":")), samples=100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinkSaturationWarning)
+        out = sweeps.RUNNERS[command](shipped_cfg, spec)
+    assert {type(cell) for row in out.rows for cell in row} <= {
+        float, int, str, type(None)}
 
 
 # --- command line ------------------------------------------------------------
+
+def _parser_with_options_per_command():
+    """The parser as it was built before the sweep commands took their
+    options from one shared parent: each command adds all eight."""
+    parser = argparse.ArgumentParser(
+        prog="hapdc",
+        description="Energy and delay model of a stratospheric platform "
+                    "offloading work from a ground data center.")
+    parser.add_argument("--version", action="version",
+                        version=f"hapdc {hapdc.__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text in cli._SWEEP_COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="YAML model configuration")
+        p.add_argument("--axis", required=True, choices=sweeps.AXES,
+                       help="scenario knob the sweep walks")
+        p.add_argument("--range", required=True, type=cli._parse_range,
+                       metavar="START:STOP:STEP", dest="sweep_range",
+                       help="inclusive grid, e.g. 1:365:3")
+        p.add_argument("--seed", type=cli._seed, default=0,
+                       help="base seed for all random draws")
+        p.add_argument("--samples", type=int, default=100_000,
+                       help="Monte Carlo draws per outage sweep; "
+                            "simulated tasks per delay grid point")
+        p.add_argument("--workers", type=int, default=1,
+                       help=argparse.SUPPRESS)
+        p.add_argument("--out", default="-",
+                       help="output path, '-' for stdout")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+    v = sub.add_parser("validate", help="run built-in cross-checks")
+    v.add_argument("--config", help="YAML model configuration")
+    v.add_argument("--seed", type=cli._seed, default=0)
+    return parser
+
+
+def _help(parse, argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exit_:
+        parse(argv)
+    assert exit_.value.code == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("command", [
+    [], ["fly"], ["energy"], ["outage"], ["delay"], ["validate"]])
+def test_help_is_unchanged_by_the_shared_options(monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [*command, "--help"]
+    want = _help(_parser_with_options_per_command().parse_args, argv)
+    # the second call reuses the parser the first one built
+    assert _help(cli.main, argv) == want
+    assert _help(cli.main, argv) == want
+
+
+def test_parser_is_built_once_and_kept_as_built():
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    base = ["fly", "--axis", "day", "--range=1:2:1"]
+    args = parser.parse_args(base + ["--seed", "3", "--samples", "5",
+                                     "--format", "json"])
+    assert (args.seed, args.samples, args.format) == (3, 5, "json")
+    args = cli.build_parser().parse_args(base)
+    assert (args.seed, args.samples, args.format) == (0, 100_000, "csv")
+
 
 def test_cli_fly_roundtrip(tmp_path, capsys):
     out = tmp_path / "fly.csv"
@@ -1210,29 +1283,53 @@ def test_energy_error_cells_are_the_allocation_errors(shipped_cfg):
     assert kinds == {"admitted", "residual", "no"}
 
 
+def _record_flight_checks(monkeypatch) -> list:
+    """The (latitude, day, servers) points of each ``offload.fly_points``
+    call from here on, one list per call."""
+    calls, real = [], offload.fly_points
+    monkeypatch.setattr(offload, "fly_points", lambda *args: calls.append(
+        list(zip(*args[:3]))) or real(*args))
+    return calls
+
+
 def test_energy_ramp_derives_lambda_max_once(shipped_cfg, monkeypatch):
     # one site, date and fleet on the arrival axis: one derivation per
-    # chunk; a polar site raises at every point
-    calls = []
-    real = offload.fly_point
-    monkeypatch.setattr(offload, "fly_point",
-                        lambda *args: calls.append(args[:3]) or real(*args))
+    # grid; a polar site is derived once and raises at every point
+    calls = _record_flight_checks(monkeypatch)
     spec = sweeps.SweepSpec("arrival_rate", 0.0, 40_000.0, 100.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         sweeps.run_energy_sweep(shipped_cfg, spec)
-        assert calls == [(40.0, 150.0, 40)]
+        assert calls == [[(40.0, 150.0, 40)]]
         calls.clear()
         polar = _with_scenario(shipped_cfg, latitude_deg=80.0,
                                day_of_year=355.0)
         out = sweeps.run_energy_sweep(
             polar, sweeps.SweepSpec("arrival_rate", 0.0, 2000.0, 1000.0))
-    assert len(calls) == 3
+    assert calls == [[(80.0, 355.0, 40)]]
     errors = [row[-1] for row in out.rows]
     assert errors[0] and errors == [errors[0]] * 3
     with pytest.raises(sweeps._ROW_ERRORS) as exc:
         offload.allocated_scenario(polar)
     assert str(exc.value) == errors[0]
+
+
+@pytest.mark.parametrize("command, axis, grid", [
+    sweep for sweep in byte_corpus.SWEEPS if sweep[0] in ("fly", "energy")])
+def test_flight_check_is_one_call_per_grid(shipped_cfg, monkeypatch, command,
+                                           axis, grid):
+    # every distinct site, date and fleet of the grid in one call; on the
+    # hap_servers axis that one call covers every fleet shape
+    calls = _record_flight_checks(monkeypatch)
+    spec = sweeps.SweepSpec(axis, *map(float, grid.split(":")))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinkSaturationWarning)
+        sweeps.RUNNERS[command](shipped_cfg, spec)
+    want = [sweeps._axis_point(shipped_cfg, axis, value)[:3]
+            for value in spec.values()]
+    if command == "energy":
+        want = list(dict.fromkeys(want))
+    assert calls == [want]
 
 
 def test_energy_link_rate_error_lands_after_the_bills(shipped_cfg):
