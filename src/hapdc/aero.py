@@ -61,9 +61,3 @@ def propulsion_power_reduced(platform: HapPlatform, wind_speed: float) -> float:
     if wind_speed < 0.0:
         raise ValueError("wind_speed must be non-negative")
     return wind_speed ** (17.0 / 6.0) * reduced_drag_coeff(platform)
-
-
-def propulsion_energy(platform: HapPlatform, wind_speed: float,
-                      window: tuple[float, float]) -> float:
-    """Station-keeping energy over the window, J."""
-    return propulsion_power_reduced(platform, wind_speed) * (window[1] - window[0])

@@ -3,15 +3,19 @@ into the airborne-fleet decisions: can the platform fly and how much work it
 may take (the flight check, elementwise in ``fly_points``), what the two-site
 system consumes, and what offloading saves.
 
+Station keeping is one routine, ``station_keeping``, which reads each
+site's wind once; ``fly_points`` returns its power column, a ``Fleets``
+group carries it, and the bills multiply it by the window.
+
 A saving is priced as columns.  A ``Fleets`` group holds offload scenarios
 of one fleet shape and window as rows x servers rate arrays, one row per
 scenario.  ``evaluate_offload`` prices what every delivery policy shares
 on one group, each step once: the all-ground baseline and the lossless
 split-system bill (compute and cooling columns from the thermal bills,
-propulsion priced once per distinct wind speed, one ``math.fsum`` per
-row), the reliable-rate gate (below it the link counts as lossless and no
-drop is evaluated; its bisection steps only as far as the per-link rates
-need), the drops (one ``channel.drop_probability`` call) and the uplinks
+propulsion from the power column, one ``math.fsum`` per row), the
+reliable-rate gate (below it the link counts as lossless and no drop is
+evaluated; its bisection steps only as far as the per-link rates need),
+the drops (one ``channel.drop_probability`` call) and the uplinks
 (one ``channel.link_energy`` call).  A caller with several fleet shapes
 evaluates one group per shape.  A policy then charges the dropped traffic
 as column arithmetic: ``retransmit_savings`` resends it over the link,
@@ -148,36 +152,44 @@ def fly_point(latitude_deg: float, day: float, hap_servers: int,
               cfg: ModelConfig) -> tuple[float, float, str]:
     """(lambda_max, high-load threshold, binding constraint) for one
     site/date: the one-point call of ``fly_points``; raises its error."""
-    (rate,), cap, (bound,), (error,) = fly_points([latitude_deg], [day],
-                                                  [hap_servers], cfg)
+    (rate,), cap, (bound,), (error,), _ = fly_points(
+        [latitude_deg], [day], [hap_servers], cfg)
     if error is not None:
         raise error
     return rate, cap, bound
 
 
+def station_keeping(cfg: ModelConfig, latitudes, days) -> np.ndarray:
+    """One platform's station-keeping power at each (latitude, day) site,
+    W: each site's wind read once, the power priced once per distinct
+    wind."""
+    winds = list(map(cfg.wind.speed_at, latitudes, days))
+    power = {wind: aero.propulsion_power_reduced(cfg.hap, wind)
+             for wind in set(winds)}
+    return np.array([power[wind] for wind in winds], dtype=float)
+
+
 def fly_points(latitudes, days, hap_servers, cfg: ModelConfig):
     """``fly_point`` elementwise over equal-length sequences of latitudes,
     days and servers per platform: the lambda_max and binding columns, the
-    threshold they share, and each point's PolarError or None.  The rate
-    is where harvest covers propulsion and compute, capped by the
-    threshold, 0 where harvest cannot hold the fleet idle; station keeping
-    is priced once per distinct wind."""
+    threshold they share, each point's PolarError or None, and the
+    ``station_keeping`` power column it used.  The rate is where harvest
+    covers propulsion and compute, capped by the threshold, 0 where
+    harvest cannot hold the fleet idle."""
     servers = np.asarray(hap_servers)
     if (servers < 1).any():
         raise ValueError("fly_point needs at least one airborne server")
     harvested, errors = solar.harvest(cfg.hap, latitudes, days)
-    winds = list(map(cfg.wind.speed_at, latitudes, days))
-    power = {wind: aero.propulsion_power_reduced(cfg.hap, wind)
-             for wind in set(winds)}
+    power = station_keeping(cfg, latitudes, days)
     srv, task_len = cfg.server, cfg.workload.task_length_instr
-    budget = (harvested - np.array([power[wind] for wind in winds])) / servers
+    budget = (harvested - power) / servers
     bind = ((budget - srv.p_idle) / (srv.p_peak - srv.p_idle)
             * srv.service_rate_ips / task_len)
     cap = high_load_threshold(srv, task_len)
     idle, low = bind <= 0.0, bind < cap
     return (np.where(idle, 0.0, np.where(low, bind, cap)).tolist(), cap,
             np.where(idle, PAYLOAD_BOUND, np.where(
-                low, HARVEST_BOUND, HIGH_LOAD_BOUND)).tolist(), errors)
+                low, HARVEST_BOUND, HIGH_LOAD_BOUND)).tolist(), errors, power)
 
 
 def flying_condition(scenario: Scenario, cfg: ModelConfig) -> FlyingAssessment:
@@ -185,8 +197,9 @@ def flying_condition(scenario: Scenario, cfg: ModelConfig) -> FlyingAssessment:
     window = scenario.window
     harvested = solar.harvested_energy(cfg.hap, scenario.latitude_deg,
                                        scenario.day_of_year, window)
-    wind = cfg.wind.speed_at(scenario.latitude_deg, scenario.day_of_year)
-    propulsion = aero.propulsion_energy(cfg.hap, wind, window)
+    (power,) = station_keeping(cfg, [scenario.latitude_deg],
+                               [scenario.day_of_year]).tolist()
+    propulsion = power * scenario.window_length
     payload = thermal.fleet_compute_energy(
         cfg.server, scenario.hap_rates, cfg.workload.task_length_instr, window)
     slack = harvested - payload - propulsion
@@ -255,26 +268,27 @@ class Fleets:
 
     ``ground_rates`` and ``hap_rates`` are rows x servers arrays of the
     per-server rates of each row's ground fleet and of each of its
-    ``hap_count`` platforms, task/s; ``sites`` holds each row's (latitude,
-    day), where its wind is read.
+    ``hap_count`` platforms, task/s; ``power`` is one platform's
+    ``station_keeping`` power at each row's site, W.
     """
 
     ground_rates: np.ndarray
     hap_rates: np.ndarray
-    sites: list[tuple[float, float]]
+    power: np.ndarray
     hap_count: int
     window: tuple[float, float]
 
     @classmethod
-    def of(cls, scenario: Scenario) -> "Fleets":
-        """The one-row group of ``scenario``."""
+    def of(cls, scenario: Scenario, cfg: ModelConfig) -> "Fleets":
+        """The one-row group of ``scenario``, its site priced by ``cfg``."""
         return cls(np.array([scenario.ground_rates], dtype=float),
                    np.array([scenario.hap_rates], dtype=float),
-                   [(scenario.latitude_deg, scenario.day_of_year)],
+                   station_keeping(cfg, [scenario.latitude_deg],
+                                   [scenario.day_of_year]),
                    scenario.hap_count, scenario.window)
 
     def __len__(self) -> int:
-        return len(self.sites)
+        return len(self.power)
 
 
 def split_bills(fleets: Fleets, cfg: ModelConfig):
@@ -308,34 +322,17 @@ def hybrid_total_energy(scenario: Scenario, cfg: ModelConfig) -> thermal.EnergyB
                                            cfg.workload.task_length_instr,
                                            scenario.window)
     k = scenario.hap_count
-    wind = cfg.wind.speed_at(scenario.latitude_deg, scenario.day_of_year)
+    (power,) = station_keeping(cfg, [scenario.latitude_deg],
+                               [scenario.day_of_year]).tolist()
     link = channel.transmission_energy(
         cfg.channel, cfg.workload, math.fsum(scenario.hap_rates),
         scenario.window_length)
     return thermal.EnergyBreakdown.from_parts(
         compute_j=ground.compute_j, cooling_j=ground.cooling_j,
         payload_j=k * payload,
-        propulsion_j=k * aero.propulsion_energy(cfg.hap, wind, scenario.window),
+        propulsion_j=k * (power * scenario.window_length),
         transmission_j=k * link,
     )
-
-
-def _propulsion(fleets: Fleets, cfg: ModelConfig) -> np.ndarray:
-    """Station-keeping energy of all platforms at each row's site over the
-    window, J: the wind read once per distinct site, the energy priced
-    once per distinct wind speed."""
-    winds = {site: cfg.wind.speed_at(*site) for site in set(fleets.sites)}
-    per_wind = {wind: fleets.hap_count * aero.propulsion_energy(
-        cfg.hap, wind, fleets.window) for wind in set(winds.values())}
-    return np.array([per_wind[winds[site]] for site in fleets.sites])
-
-
-def _uplinks(fleets: Fleets, rates: np.ndarray, cfg: ModelConfig):
-    """One platform's uplink energy, J, and airtime share at each per-link
-    rate over the window of ``fleets``, in one ``channel.link_energy``
-    call."""
-    return channel.link_energy(cfg.channel, cfg.workload, rates,
-                               fleets.window[1] - fleets.window[0])
 
 
 def _hybrid(compute, cooling, payload, propulsion, transmission,
@@ -407,14 +404,16 @@ def evaluate_offload(fleets: Fleets, cfg: ModelConfig,
     errors = [split if error is None else error
               for error, split in zip(errors, split_errors)]
     transmission, propulsion, airtime = np.zeros((3, len(fleets)))
+    span = fleets.window[1] - fleets.window[0]
     if fleets.hap_rates.shape[1]:
         try:
-            link, airtime = _uplinks(fleets, per_link, cfg)
+            link, airtime = channel.link_energy(cfg.channel, cfg.workload,
+                                                per_link, span)
         except LinkRateError as exc:
             errors = [exc if error is None else error for error in errors]
         else:
             transmission = fleets.hap_count * link
-        propulsion = _propulsion(fleets, cfg)
+        propulsion = fleets.hap_count * (fleets.power * span)
         lossless = _hybrid(ground, ground_cooling, payload, propulsion,
                            transmission, fleets.hap_count)
     else:
@@ -470,8 +469,9 @@ def retransmit_savings(ev: OffloadEvaluation, cfg: ModelConfig) -> Savings:
     retransmissions = [0] * len(e_hybrid)
     charged = np.flatnonzero(ev.pr_drop > 0.0)
     if charged.size:
-        energy, _ = _uplinks(ev.fleets, ev.per_link[charged]
-                             * ev.pr_drop[charged], cfg)
+        energy, _ = channel.link_energy(
+            cfg.channel, cfg.workload, ev.per_link[charged]
+            * ev.pr_drop[charged], ev.fleets.window[1] - ev.fleets.window[0])
         e_round = ev.fleets.hap_count * energy
         e_hybrid[charged] = ev.lossless_j[charged] + e_round
         gross = ev.e_tdc_j[charged] - (e_hybrid[charged] - e_round)
@@ -500,10 +500,10 @@ def reroute_savings(ev: OffloadEvaluation, cfg: ModelConfig) -> Savings:
         servers = fleets.ground_rates.shape[1]
         extra = back / servers if servers else np.zeros(len(moved))
         rerouted = Fleets(fleets.ground_rates[moved] + extra[:, None], kept,
-                          [fleets.sites[row] for row in moved.tolist()], k,
-                          fleets.window)
+                          fleets.power[moved], k, fleets.window)
         ground, cooling, payload, split_errors = split_bills(rerouted, cfg)
-        link, _ = _uplinks(rerouted, per_link, cfg)
+        link, _ = channel.link_energy(cfg.channel, cfg.workload, per_link,
+                                      fleets.window[1] - fleets.window[0])
         transmission[moved] = k * link
         total[moved] = _hybrid(ground, cooling, payload,
                                ev.propulsion_j[moved], transmission[moved], k)
@@ -528,7 +528,7 @@ def saving(scenario: Scenario, cfg: ModelConfig,
     ``LinkSaturationWarning`` is issued when the offered traffic is more
     than the link carries, and negative savings are reported, not raised.
     """
-    ev = evaluate_offload(Fleets.of(scenario), cfg)
+    ev = evaluate_offload(Fleets.of(scenario, cfg), cfg)
     if ev.errors[0] is None:
         channel.warn_if_saturated(ev.airtime[0])
     policy = retransmit_savings if with_retransmission else reroute_savings

@@ -18,12 +18,13 @@ error and the count of points whose offered traffic saturates the link
 that name an unknown column or no metric column before the grid is
 priced, then zips the grid values, the selected columns and the errors
 into rows.  Delay answers point by point (``_each_point``); flying
-condition and energy read the grid's flight check from one
-``offload.fly_points`` call.  Energy and outage price the grid one fleet
-shape at a time, each shape's points in one ``offload.evaluate_offload``
-call (an outage grid has one shape), and fill each priced point's cells
-by column name (``_Columns.fill``); every cell keeps the bits
-``offload.fly_point`` or ``offload.saving`` gives it at the point.
+condition and energy read the grid's flight check, and energy its
+station-keeping power, from one ``offload.fly_points`` call.  Energy and
+outage price the grid one fleet shape at a time, each shape's points in
+one ``offload.evaluate_offload`` call (an outage grid has one shape and
+one site), and fill each priced point's cells by column name
+(``_Columns.fill``); every cell keeps the bits ``offload.fly_point`` or
+``offload.saving`` gives it at the point.
 
 A grid point is a site, a date, a platform fleet size and a total
 offered rate (``_axis_point``), never a copy of the config or its
@@ -170,7 +171,8 @@ class _Analysis:
     ``offload_rate`` analyses read the grid value as the per-platform
     offload arrival rate instead of as the axis knob of ``_axis_point``,
     so they take only the ``arrival_rate`` axis, head their first column
-    ``lambda`` and record ``samples`` in the manifest.
+    ``lambda`` and record ``samples`` in the manifest.  A spec with fewer
+    than ``min_samples`` samples is refused before the grid is priced.
     """
 
     name: str
@@ -178,6 +180,7 @@ class _Analysis:
     answer: Callable
     needs_fleet: bool = False
     offload_rate: bool = False
+    min_samples: int = 1
 
 
 @dataclass
@@ -228,7 +231,7 @@ def _fly_columns(cfg, spec, values):
     size = len(values)
     answer = _Columns({name: [None] * size for name in _FLY.columns},
                       [None] * size)
-    rates, cap, bounds, errors = offload.fly_points(*zip(*(
+    rates, cap, bounds, errors, _ = offload.fly_points(*zip(*(
         _axis_point(cfg, spec.axis, value)[:3] for value in values)), cfg)
     answer.fill(range(size), errors, np.zeros(size, dtype=bool),
                 lambda_max=rates, threshold=[cap] * size, binding=bounds)
@@ -242,10 +245,10 @@ def _energy_columns(cfg, spec, values):
     points whose offered traffic saturates the link.
 
     Every distinct site, date and fleet on the grid with a platform
-    server gets its per-server lambda_max, or its error, from one
-    ``offload.fly_points`` call.  The points are gathered by fleet shape,
-    and each shape's totals are allocated in one ``offload._allocate``
-    call and its admitted points priced by one
+    server gets its per-server lambda_max and station-keeping power, or
+    its error, from one ``offload.fly_points`` call.  The points are
+    gathered by fleet shape, and each shape's totals are allocated in one
+    ``offload._allocate`` call and its admitted points priced by one
     ``offload.evaluate_offload`` call.
     """
     sc, size = cfg.scenario, len(values)
@@ -254,24 +257,24 @@ def _energy_columns(cfg, spec, values):
     points = [_axis_point(cfg, spec.axis, value) for value in values]
     sites = list(dict.fromkeys(point[:3] for point in points
                                if point[2] * sc.hap_count))
-    rates, _, _, errors = (offload.fly_points(*zip(*sites), cfg) if sites
-                           else ((),) * 4)
-    admitted, groups = dict(zip(sites, zip(rates, errors))), {}
-    for index, (latitude, day, servers, total) in enumerate(points):
-        rate, error = admitted.get((latitude, day, servers), (0.0, None))
+    rates, _, _, errors, power = (offload.fly_points(*zip(*sites), cfg)
+                                  if sites else ((),) * 5)
+    admitted, groups = dict(zip(sites, zip(rates, errors, power))), {}
+    for index, point in enumerate(points):
+        rate, error, watts = admitted.get(point[:3], (0.0, None, 0.0))
         if error is not None:
             answer.errors[index] = str(error)
         else:
-            groups.setdefault(servers, []).append(
-                (index, total, rate, (latitude, day)))
+            groups.setdefault(point[2], []).append(
+                (index, point[3], rate, watts))
     for servers, members in groups.items():
-        indices, totals, per_server, sites = zip(*members)
+        indices, totals, per_server, power = zip(*members)
         ground, hap, errors = offload._allocate(
             sc, servers, np.array(totals), np.array(per_server), cfg)
         answer.fill(indices, errors, np.zeros(len(indices), dtype=bool))
         rows = [row for row, error in enumerate(errors) if error is None]
         ev = offload.evaluate_offload(
-            offload.Fleets(ground[rows], hap[rows], [sites[k] for k in rows],
+            offload.Fleets(ground[rows], hap[rows], np.array(power)[rows],
                            sc.hap_count, sc.window), cfg)
         savings = offload.retransmit_savings(ev, cfg)
         answer.fill([indices[k] for k in rows], savings.errors, ev.saturated,
@@ -326,10 +329,10 @@ def _outage_columns(cfg, spec, values):
     offered = [index for index, error in enumerate(errors) if error is None]
     # each point's per-link rate sums the exact split of its value, so its
     # drop cell is the drop_probability the evaluation would take
-    ev = offload.evaluate_offload(
-        offload.Fleets(grounds[offered], haps[offered],
-                       [(sc.latitude_deg, sc.day_of_year)] * len(offered),
-                       sc.hap_count, sc.window), cfg, drops[offered])
+    power = offload.station_keeping(cfg, [sc.latitude_deg], [sc.day_of_year])
+    ev = offload.evaluate_offload(offload.Fleets(
+        grounds[offered], haps[offered], power.repeat(len(offered)),
+        sc.hap_count, sc.window), cfg, drops[offered])
     without = offload.reroute_savings(ev, cfg)
     # both policies hold the evaluation's errors; only the reroute holds
     # the error of a reroute the ground fleet cannot take
@@ -371,7 +374,7 @@ _OUTAGE = _Analysis("outage", ("ccdf_lb", "ccdf_ub", "ccdf_mc", "ccdf_mc_se",
 _DELAY = _Analysis("delay", ("analytic_wait", "des_wait", "des_se", "rtt",
                              "total", "regime"),
                    lambda *grid: _each_point(_delay_row, _DELAY.columns, *grid),
-                   needs_fleet=True, offload_rate=True)
+                   needs_fleet=True, offload_rate=True, min_samples=2)
 
 
 # --- the engine -------------------------------------------------------------
@@ -380,6 +383,9 @@ def _run(analysis: _Analysis, cfg: ModelConfig, spec: SweepSpec) -> SweepResult:
     if analysis.offload_rate and spec.axis != "arrival_rate":
         raise ConfigError(
             f"{analysis.name} sweeps run over the arrival_rate axis")
+    if spec.samples < analysis.min_samples:
+        raise ConfigError(f"{analysis.name} sweeps need samples of at least "
+                          f"{analysis.min_samples}")
     if analysis.needs_fleet and cfg.scenario.hap_servers < 1:
         raise ConfigError(
             f"{analysis.name} sweep needs at least one airborne server")

@@ -82,6 +82,12 @@ def commands() -> dict[str, list[str]]:
     runs["energy day wind table two platforms"] = [
         "energy", "--config", "{windy}", "--axis", "day",
         "--range", "1:365:30", "--seed", SEED]
+    runs["fly day wind table two platforms"] = [
+        "fly", "--config", "{windy}", "--axis", "day",
+        "--range", "1:365:30", "--seed", SEED]
+    runs["energy latitude wind table two platforms"] = [
+        "energy", "--config", "{windy}", "--axis", "latitude",
+        "--range", "-60:60:5", "--seed", SEED]
     runs["outage wind table two platforms"] = [
         "outage", "--config", "{windy}", "--axis", "arrival_rate",
         "--range", "0:12000:500", "--samples", "2000", "--seed", SEED]

@@ -67,10 +67,3 @@ def test_power_grows_with_wind_speed():
     # drag falls slightly with Reynolds number, so the net exponent is 17/6
     assert math.isclose(powers[2] / powers[1], 2.0 ** (17.0 / 6.0),
                         rel_tol=1e-12)
-
-
-def test_propulsion_energy_is_power_times_span():
-    p = HapPlatform()
-    e = aero.propulsion_energy(p, 20.0, (0.0, 86400.0))
-    assert math.isclose(e, aero.propulsion_power(p, 20.0) * 86400.0,
-                        rel_tol=1e-12)

@@ -100,8 +100,9 @@ def test_fly_points_equal_the_scalar_flight_check_bit_for_bit(shipped_cfg,
     # a latitude x day grid through both polar circles, with a column of
     # fleet sizes that reaches every binding, under the shipped wind and
     # under a wind table (one still row); every point's array cells equal
-    # the one-point call's and the scalar math route's bits, and every
-    # polar point's error text equals theirs
+    # the one-point call's and the scalar math route's bits, every polar
+    # point's error text equals theirs, and the station-keeping power
+    # column is the scalar power of each point's wind, 0.0 in still air
     cfg = shipped_cfg
     if windy:
         cfg = replace(cfg, wind=WindSpec(table=(
@@ -115,7 +116,12 @@ def test_fly_points_equal_the_scalar_flight_check_bit_for_bit(shipped_cfg,
     points = [(lat, day, (1, 40, 1000)[k % 3])
               for lat in np.arange(-90.0, 90.1, 3.75).tolist() + odd.tolist()
               for k, day in enumerate(days)]
-    rates, cap, bounds, errors = offload.fly_points(*zip(*points), cfg)
+    rates, cap, bounds, errors, power = offload.fly_points(*zip(*points),
+                                                           cfg)
+    want_power = [aero.propulsion_power_reduced(
+        cfg.hap, cfg.wind.speed_at(lat, day)) for lat, day, _ in points]
+    assert power.tobytes() == np.array(want_power).tobytes()
+    assert (0.0 in power.tolist()) == windy
     kinds = set()
     for point, rate, bound, error in zip(points, rates, bounds, errors):
         got = str(error) if error else (rate, cap, bound)
@@ -148,7 +154,8 @@ def test_flying_condition_components(shipped_cfg):
         solar.harvested_energy(cfg.hap, 40.0, 150.0, window), rel_tol=1e-12)
     assert math.isclose(
         out.propulsion_j,
-        aero.propulsion_energy(cfg.hap, 20.0, window), rel_tol=1e-12)
+        aero.propulsion_power_reduced(cfg.hap, 20.0)
+        * (window[1] - window[0]), rel_tol=1e-12)
     assert math.isclose(
         out.slack_j, out.harvested_j - out.payload_j - out.propulsion_j,
         rel_tol=1e-9, abs_tol=1e-6)
@@ -184,25 +191,26 @@ def test_allocate_rates_overload(shipped_cfg):
 
 
 def test_propulsion_priced_once_per_wind_speed(shipped_cfg, monkeypatch):
-    import numpy as np
-
-    real = aero.propulsion_energy
+    # one platform's station keeping at 365 sites prices each distinct wind
+    # once, and two platforms' bill over a day is that power times the span
+    real = aero.propulsion_power_reduced
     winds = []
-    monkeypatch.setattr(aero, "propulsion_energy",
-                        lambda hap, wind, window: winds.append(wind)
-                        or real(hap, wind, window))
+    monkeypatch.setattr(aero, "propulsion_power_reduced",
+                        lambda hap, wind: winds.append(wind) or real(hap, wind))
     sites = [(40.0, float(day)) for day in range(1, 366)]
-    fleets = offload.Fleets(np.zeros((365, 4)), np.zeros((365, 4)), sites, 2,
-                            (0.0, 86400.0))
     table = WindSpec(table=((40.0, 10.0, 15.0), (40.0, 200.0, 15.0),
                             (40.0, 300.0, 25.0)))
     for cfg, distinct in ((shipped_cfg, 1),
                           (replace(shipped_cfg, wind=table), 2)):
         winds.clear()
-        got = offload._propulsion(fleets, cfg).tolist()
+        power = offload.station_keeping(cfg, *zip(*sites))
         assert len(winds) == len(set(winds)) == distinct
-        assert got == [2 * real(cfg.hap, cfg.wind.speed_at(*site),
-                                fleets.window) for site in sites]
+        want = [real(cfg.hap, cfg.wind.speed_at(*site)) for site in sites]
+        assert power.tolist() == want
+        fleets = offload.Fleets(np.zeros((365, 4)), np.zeros((365, 4)),
+                                power, 2, (0.0, 86400.0))
+        got = offload.evaluate_offload(fleets, cfg).propulsion_j.tolist()
+        assert got == [2 * (watts * 86400.0) for watts in want]
 
 
 def test_saving_no_fleet_is_zero(shipped_cfg):

@@ -903,6 +903,23 @@ def test_cli_empty_range_is_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_delay_refuses_one_sample_before_pricing(monkeypatch, capsys):
+    # a delay point simulates at least two tasks, so one sample is refused
+    # by name before any row is priced; two run
+    argv = ["delay", "--axis", "arrival_rate", "--range", "0:2000:1000"]
+    real, priced = offload.end_to_end_delay, []
+    monkeypatch.setattr(offload, "end_to_end_delay",
+                        lambda *args: priced.append(args[1]) or real(*args))
+    assert cli.main(argv + ["--samples", "1"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: delay sweeps need samples of at least 2\n")
+    assert priced == []
+    assert cli.main(argv + ["--samples", "2"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert "# samples=2" in rows and len(rows) == 10
+    assert priced == [0.0, 1000.0, 2000.0]
+
+
 def test_cli_zero_step_is_usage_error(capsys):
     rc = cli.main(["fly", "--axis", "day", "--range", "1:10:0"])
     assert rc == 2
@@ -1312,6 +1329,22 @@ def test_energy_ramp_derives_lambda_max_once(shipped_cfg, monkeypatch):
     with pytest.raises(sweeps._ROW_ERRORS) as exc:
         offload.allocated_scenario(polar)
     assert str(exc.value) == errors[0]
+
+
+@pytest.mark.parametrize("axis, grid, reads", [
+    ("day", "1:365:1", 365), ("arrival_rate", "0:40000:100", 1)])
+def test_energy_sweep_reads_each_site_wind_once(shipped_cfg, monkeypatch,
+                                                axis, grid, reads):
+    # the flight check reads each grid site's wind, and the propulsion
+    # bill takes the power it priced there without reading the wind again
+    real, sites = WindSpec.speed_at, []
+    monkeypatch.setattr(WindSpec, "speed_at", lambda self, *site: (
+        sites.append(site) or real(self, *site)))
+    spec = sweeps.SweepSpec(axis, *map(float, grid.split(":")))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sweeps.run_energy_sweep(shipped_cfg, spec)
+    assert len(sites) == len(set(sites)) == reads
 
 
 @pytest.mark.parametrize("command, axis, grid", [

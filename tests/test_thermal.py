@@ -253,7 +253,8 @@ def _hybrid_loop(scenario, cfg):
     k = scenario.hap_count
     payload = k * _compute_sum_loop(scenario.hap_rates, cfg.server, task_len, window)
     wind = cfg.wind.speed_at(scenario.latitude_deg, scenario.day_of_year)
-    propulsion = k * aero.propulsion_energy(cfg.hap, wind, window)
+    propulsion = k * (aero.propulsion_power_reduced(cfg.hap, wind)
+                      * (window[1] - window[0]))
     transmission = k * channel.transmission_energy(
         cfg.channel, cfg.workload, math.fsum(scenario.hap_rates),
         scenario.window_length)
@@ -384,12 +385,14 @@ def _ground_loop(rates, cfg, window):
                                         task_len, window))
 
 
-def _fleets(scenarios):
-    """``scenarios``, which share one fleet shape and window, as one group."""
+def _fleets(scenarios, cfg):
+    """``scenarios``, which share one fleet shape and window, as one group
+    whose sites are priced under ``cfg``."""
     return offload.Fleets(
         np.array([s.ground_rates for s in scenarios], dtype=float),
         np.array([s.hap_rates for s in scenarios], dtype=float),
-        [(s.latitude_deg, s.day_of_year) for s in scenarios],
+        offload.station_keeping(cfg, [s.latitude_deg for s in scenarios],
+                                [s.day_of_year for s in scenarios]),
         scenarios[0].hap_count, scenarios[0].window)
 
 
@@ -423,7 +426,7 @@ def _assert_batch_matches_loops(scenarios, cfg, server, cooling, task_len,
     assert (energy.tolist(), errors) == (
         [_compute_sum_loop(s.hap_rates, server, task_len, window)
          for s in scenarios], fine)
-    fleets = _fleets(scenarios)
+    fleets = _fleets(scenarios, cfg)
     assert _bills(*thermal.tdc_total_energy(fleets, cfg)) \
         == [_tdc_loop(s, cfg) for s in scenarios]
     compute, cool, payload, errors = offload.split_bills(fleets, cfg)
@@ -502,7 +505,7 @@ def test_batched_overloaded_row_keeps_the_other_rows(faint_link_cfg,
     scenarios = [Scenario(ground_servers=2, hap_servers=5, window=window,
                           ground_rates=(0.1 * cap, 0.2 * cap), hap_rates=r)
                  for r in rows]
-    fleets = _fleets(scenarios)
+    fleets = _fleets(scenarios, cfg)
     baseline = _bills(*thermal.tdc_total_energy(fleets, cfg))
     assert str(baseline[1]) == str(loop.value)
     assert [baseline[0], baseline[2]] == [_tdc_loop(scenarios[0], cfg),
