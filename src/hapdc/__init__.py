@@ -10,7 +10,7 @@ from ._version import __version__
 from .config import (ChannelConfig, CoolingSpec, FanSpec, HapPlatform,
                      ModelConfig, Scenario, ServerSpec, WindSpec,
                      WorkloadSpec, build_config, config_hash, load_config,
-                     max_hap_servers, uniform_split)
+                     uniform_split)
 from .errors import (ConfigError, LinkRateError, LinkSaturationWarning,
                      NumericsError, OverloadError, PolarError, StabilityError,
                      ValidationError)
@@ -24,8 +24,7 @@ __all__ = [
     "__version__",
     "ChannelConfig", "CoolingSpec", "FanSpec", "HapPlatform", "ModelConfig",
     "Scenario", "ServerSpec", "WindSpec", "WorkloadSpec",
-    "build_config", "config_hash", "load_config", "max_hap_servers",
-    "uniform_split",
+    "build_config", "config_hash", "load_config", "uniform_split",
     "ConfigError", "LinkRateError", "LinkSaturationWarning", "NumericsError",
     "OverloadError", "PolarError", "StabilityError", "ValidationError",
     "DelayReport", "FlyingAssessment", "SavingReport",

@@ -52,7 +52,6 @@ class ServerSpec:
     """Lumped thermal capacitance of the server, J/K."""
     thermal_resistance: float = 0.34
     """CPU-to-air thermal resistance, K/W."""
-    mass: float = 100.0
 
     @property
     def service_rate_ips(self) -> float:
@@ -73,8 +72,6 @@ class ServerSpec:
             raise ValidationError("ServerSpec: desired_utilization must be in (0, 1]")
         if self.heat_capacity <= 0 or self.thermal_resistance <= 0:
             raise ValidationError("ServerSpec: thermal parameters must be positive")
-        if self.mass <= 0:
-            raise ValidationError("ServerSpec: mass must be positive")
 
 
 @dataclass(frozen=True)
@@ -86,8 +83,6 @@ class WorkloadSpec:
     task_length_instr: float = 1.0e6
     """Instructions per task: the one task length the energy and link
     models read."""
-    small_task_instr: float = 1.0e6
-    large_task_instr: float = 1.0e8
     bits_per_instruction: float = 0.02
     """Offloaded data bits carried per instruction of compute."""
     overhead_ratio: float = 1.1
@@ -101,9 +96,8 @@ class WorkloadSpec:
     def validate(self):
         if self.arrival_rate_total < 0:
             raise ValidationError("WorkloadSpec: arrival_rate_total must be non-negative")
-        for name in ("task_length_instr", "small_task_instr", "large_task_instr"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"WorkloadSpec: {name} must be positive")
+        if self.task_length_instr <= 0:
+            raise ValidationError("WorkloadSpec: task_length_instr must be positive")
         if self.bits_per_instruction <= 0:
             raise ValidationError("WorkloadSpec: bits_per_instruction must be positive")
         if self.overhead_ratio < 1.0:
@@ -144,8 +138,6 @@ class CoolingSpec:
     fan_power: float = 500.0
     """Fan power per CRAC, W (ignored when ``fan`` is given)."""
     fan: FanSpec | None = None
-    air_heat_capacity_flow: float = 50.0
-    """Product of air heat capacity and mass flow per server, W/K."""
     recirculation_raise: float = 2.0
     """Steady inlet temperature rise above supply air, K."""
     crac_influence_rate: float = 0.05
@@ -167,8 +159,6 @@ class CoolingSpec:
             raise ValidationError("CoolingSpec: fan_power must be non-negative")
         if self.fan is not None:
             self.fan.validate()
-        if self.air_heat_capacity_flow <= 0:
-            raise ValidationError("CoolingSpec: air_heat_capacity_flow must be positive")
         if self.recirculation_raise < 0:
             raise ValidationError("CoolingSpec: recirculation_raise must be non-negative")
         if self.crac_influence_rate <= 0:
@@ -179,7 +169,7 @@ class CoolingSpec:
 
 @dataclass(frozen=True)
 class HapPlatform:
-    """Airship geometry, solar harvest chain and mass budget."""
+    """Airship geometry and solar harvest chain."""
 
     pv_area: float = 8000.0
     pv_efficiency: float = 0.4
@@ -193,8 +183,6 @@ class HapPlatform:
     hap_velocity: float = 8.0
     drag_constant: float = 1.8
     """Hull-to-envelope drag multiplier."""
-    payload_capacity: float = 5000.0
-    rack_mass: float = 363.0
 
     @property
     def fineness_ratio(self) -> float:
@@ -209,11 +197,6 @@ class HapPlatform:
                      "body_diameter", "hap_velocity", "drag_constant"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"HapPlatform: {name} must be positive")
-        if self.payload_capacity < self.rack_mass:
-            raise ValidationError(
-                "HapPlatform: payload_capacity must cover rack_mass "
-                f"({self.payload_capacity} < {self.rack_mass})"
-            )
 
 
 @dataclass(frozen=True)
@@ -473,12 +456,6 @@ def fsum_runs(values: np.ndarray, counts) -> np.ndarray:
         sums[row] = math.fsum(
             np.repeat(values[row], counts.astype(int)).tolist())
     return sums
-
-
-def max_hap_servers(platform: HapPlatform, server: ServerSpec) -> int:
-    """Servers the platform can lift after the rack: floor of spare mass, never negative."""
-    spare = platform.payload_capacity - platform.rack_mass
-    return max(0, math.floor(spare / server.mass))
 
 
 _SECTION_TYPES = {f.name: f.default_factory for f in fields(ModelConfig)}

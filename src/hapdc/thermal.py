@@ -121,41 +121,6 @@ def cop(cooling: CoolingSpec, temp_k: float) -> float:
     return 0.0068 * t * t + 0.008 * t + 0.458
 
 
-class ThermalTrace:
-    """Transient temperatures of a single server under one CRAC.
-
-    Component route: the removed heat follows from the inlet/outlet pair,
-    heat = C_air*f_air*(t_out - t_in).  The aggregated closed form in
-    ``heat_removed`` must match it.
-    """
-
-    def __init__(self, server: ServerSpec, rate: float, task_len: float,
-                 cooling: CoolingSpec):
-        self.server = server
-        self.cooling = cooling
-        self.p_comp = compute_power(server, rate, task_len)
-        self._t_steady = cooling.supply_temp + cooling.recirculation_raise
-        self._rc = server.thermal_resistance * server.heat_capacity
-
-    def t_in(self, t: float) -> float:
-        c = self.cooling
-        return self._t_steady + (c.t_in_initial - self._t_steady) * math.exp(
-            -c.crac_influence_rate * t)
-
-    def t_cpu(self, t: float) -> float:
-        tin = self.t_in(t)
-        rp = self.server.thermal_resistance * self.p_comp
-        return tin + rp + (self.cooling.t_cpu_initial - tin - rp) * math.exp(-t / self._rc)
-
-    def t_out(self, t: float) -> float:
-        share = 1.0 / (self.cooling.air_heat_capacity_flow * self.server.thermal_resistance)
-        return (1.0 - share) * self.t_in(t) + share * self.t_cpu(t)
-
-    def heat(self, t: float) -> float:
-        """Heat carried off by the airflow at time t, W."""
-        return self.cooling.air_heat_capacity_flow * (self.t_out(t) - self.t_in(t))
-
-
 def heat_removed(server_loads: list[ServerLoad], cooling: CoolingSpec,
                  task_len: float, t: float) -> float:
     """Total heat one CRAC removes from its servers at time t, W.

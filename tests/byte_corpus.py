@@ -3,19 +3,23 @@ of what each writes and returns.
 
 ``test_byte_corpus.py`` runs every command in-process through
 ``hapdc.cli.main`` and compares its stdout, stderr and exit code with the
-digests in ``byte_corpus.json``.  The digests depend on numpy's random
-streams and on float formatting, so the file also records the Python and
-numpy versions and the YAML backend it was written under.
+digests in ``byte_corpus.json``.  A fourth digest, ``data``, is taken of
+stdout with the config hash masked (the CSV ``# config=`` line and the
+JSON manifest's ``"config"`` value), so a change to the config's surface
+that keeps every number shows as ``stdout`` moving while ``data`` holds.
+The digests depend on numpy's random streams and on float formatting, so
+the file also records the Python and numpy versions and the YAML backend
+it was written under.
 
 Run this file to rewrite the corpus after a change that moves output
 bytes on purpose:
 
     python tests/byte_corpus.py
 
-Before it writes, it prints each entry and stream (``stdout``, ``stderr``,
-``exit``) whose digest differs from the file it replaces, and each entry
-added or removed, so the rewrite shows what moved.  It is not collected by
-pytest.
+Before it writes, it prints each entry and stream (``stdout``, ``data``,
+``stderr``, ``exit``) whose digest differs from the file it replaces, and
+each entry added or removed, so the rewrite shows what moved.  It is not
+collected by pytest.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import io
 import json
 import os
 import platform
+import re
 import sys
 import tempfile
 
@@ -58,6 +63,10 @@ SWEEPS = [
 # which lie inside the bisection's final bracket (it spans 4096 ulps).  The
 # step is one ulp (2^-40) there, so every grid value is exact.
 GATE_RANGE = "5361.783167347311:5361.783167347314:9.094947017729282e-13"
+
+STREAMS = ("stdout", "data", "stderr", "exit")
+# The manifest's config hash, in a CSV comment line or a JSON value.
+CONFIG_HASH = re.compile(r'(# config=|"config": ")[0-9a-f]{64}')
 
 
 def commands() -> dict[str, list[str]]:
@@ -145,16 +154,20 @@ def outputs():
 
 
 def digest(stdout: str, stderr: str, code: int) -> dict:
-    return {"stdout": _sha(stdout), "stderr": _sha(stderr), "exit": code}
+    data = CONFIG_HASH.sub(r"\1<config>", stdout)
+    return {"stdout": _sha(stdout), "data": _sha(data), "stderr": _sha(stderr),
+            "exit": code}
 
 
 def changes(old: dict, new: dict) -> list[str]:
     """``name: stream`` for each digest that differs between two corpora's
-    entries, then ``added: name`` and ``removed: name`` for each entry
-    only one of them holds."""
+    entries (a stream only one of them records is not compared), then
+    ``added: name`` and ``removed: name`` for each entry only one of them
+    holds."""
     moved = [f"{name}: {key}" for name in sorted(old.keys() & new.keys())
-             for key in ("stdout", "stderr", "exit")
-             if old[name][key] != new[name][key]]
+             for key in STREAMS
+             if key in old[name] and key in new[name]
+             and old[name][key] != new[name][key]]
     return (moved + [f"added: {name}" for name in sorted(new.keys() - old)]
             + [f"removed: {name}" for name in sorted(old.keys() - new)])
 

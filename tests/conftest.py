@@ -2,8 +2,7 @@ import os
 
 import pytest
 
-from hapdc.config import (HapPlatform, ModelConfig, ServerSpec, WorkloadSpec,
-                          load_config)
+from hapdc.config import ModelConfig, ServerSpec, WorkloadSpec, load_config
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SHIPPED_CONFIG = os.path.join(REPO_ROOT, "configs", "default.yaml")
@@ -29,12 +28,11 @@ def shipped_cfg():
 @pytest.fixture(scope="session")
 def faint_link_cfg():
     """The shipped study with a small server and a heavy uplink: 150-300 W
-    and 9 kg a server, a 450 kg payload, and 1000 task/s of 32 bits per
-    instruction.  Its link is gated at 3.35 task/s, not 5361.78, so nearly
-    every offered rate saturates it and drops with probability 1.  For the
-    tests that assert that faint-link behaviour only."""
+    a server, and 1000 task/s of 32 bits per instruction.  Its link is gated
+    at 3.35 task/s, not 5361.78, so nearly every offered rate saturates it
+    and drops with probability 1.  For the tests that assert that
+    faint-link behaviour only."""
     return ModelConfig(
-        server=ServerSpec(p_idle=150.0, p_peak=300.0, mass=9.0),
+        server=ServerSpec(p_idle=150.0, p_peak=300.0),
         workload=WorkloadSpec(arrival_rate_total=1000.0,
-                              bits_per_instruction=32.0),
-        hap=HapPlatform(payload_capacity=450.0))
+                              bits_per_instruction=32.0))

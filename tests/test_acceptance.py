@@ -32,6 +32,10 @@ from hapdc.sweeps import SweepSpec, run_delay_sweep
 
 from conftest import SHIPPED_CONFIG
 
+# The short and long task presets of criterion 8, instructions per task.
+SMALL_TASK_INSTR = 1.0e6
+LARGE_TASK_INSTR = 1.0e8
+
 
 def _report(n: int, detail: str = ""):
     extra = f" ({detail})" if detail else ""
@@ -121,10 +125,14 @@ def test_criterion_4_cooling_energy_closed_form():
             heat_capacity=float(rng.uniform(100.0, 900.0)),
             thermal_resistance=float(rng.uniform(0.05, 1.5)),
         )
+        supply_temp = float(rng.uniform(285.0, 303.0))
+        fan_power = float(rng.uniform(0.0, 900.0))
+        # an air heat-capacity flow, W/K, that no bill reads; drawn so the
+        # instances stay the ones this criterion was written against
+        rng.uniform(10.0, 120.0)
         cooling = CoolingSpec(
-            supply_temp=float(rng.uniform(285.0, 303.0)),
-            fan_power=float(rng.uniform(0.0, 900.0)),
-            air_heat_capacity_flow=float(rng.uniform(10.0, 120.0)),
+            supply_temp=supply_temp,
+            fan_power=fan_power,
             recirculation_raise=float(rng.uniform(0.0, 5.0)),
             crac_influence_rate=float(rng.uniform(0.005, 0.5)),
             t_in_initial=float(rng.uniform(300.0, 320.0)),
@@ -260,9 +268,9 @@ def test_criterion_8_shipped_config_trends(shipped_cfg):
 
     # (e) longer tasks push the outage onset to lower arrival rates
     onset_small = channel.max_reliable_rate(cfg.channel, replace(
-        cfg.workload, task_length_instr=cfg.workload.small_task_instr))
+        cfg.workload, task_length_instr=SMALL_TASK_INSTR))
     onset_large = channel.max_reliable_rate(cfg.channel, replace(
-        cfg.workload, task_length_instr=cfg.workload.large_task_instr))
+        cfg.workload, task_length_instr=LARGE_TASK_INSTR))
     assert onset_large < onset_small
 
     # (f) short tasks leave the queue in charge everywhere; long tasks
@@ -271,7 +279,7 @@ def test_criterion_8_shipped_config_trends(shipped_cfg):
     small = run_delay_sweep(cfg, spec)
     assert all(row[6] == "queueing" for row in small.rows)
     cfg_large = replace(cfg, workload=replace(
-        cfg.workload, task_length_instr=cfg.workload.large_task_instr))
+        cfg.workload, task_length_instr=LARGE_TASK_INSTR))
     large = run_delay_sweep(cfg_large, spec)
     assert any(row[6] == "transport" for row in large.rows)
     assert all(row[7] is None for row in large.rows)

@@ -18,6 +18,6 @@ def test_outputs_match_the_byte_corpus():
     for name, *streams in byte_corpus.outputs():
         got = byte_corpus.digest(*streams)
         want = corpus["entries"][name]
-        mismatched += [f"{name}: {key}" for key in ("exit", "stdout", "stderr")
+        mismatched += [f"{name}: {key}" for key in byte_corpus.STREAMS
                        if got[key] != want[key]]
     assert not mismatched, mismatched

@@ -26,7 +26,6 @@ from hapdc.config import (
     config_yaml,
     dump_config,
     load_config,
-    max_hap_servers,
     uniform_split,
 )
 from hapdc.errors import ConfigError, ValidationError
@@ -79,9 +78,25 @@ def test_unknown_section_rejected():
         build_config({"reactor": {}})
 
 
-def test_unknown_key_rejected():
-    with pytest.raises(ConfigError):
-        build_config({"server": {"p_idle": 1.0, "warp": 9}})
+@pytest.mark.parametrize("section, key", [
+    ("server", "warp"),
+    # keys no part of the model reads, refused like any other unknown key
+    ("server", "mass"), ("hap", "payload_capacity"), ("hap", "rack_mass"),
+    ("cooling", "air_heat_capacity_flow"), ("workload", "small_task_instr"),
+    ("workload", "large_task_instr")])
+def test_unknown_key_rejected(tmp_path, capsys, section, key):
+    from hapdc import cli
+
+    message = f"unknown key '{key}' in config section '{section}'"
+    with pytest.raises(ConfigError, match=message):
+        build_config({section: {key: 9.0}})
+    path = tmp_path / "old.yaml"
+    path.write_text(f"{section}:\n  {key}: 9.0\n")
+    rc = cli.main(["fly", "--config", str(path), "--axis", "day",
+                   "--range", "1:2:1"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert any(message in line for line in err.splitlines()), err
 
 
 def test_non_mapping_section_rejected():
@@ -196,12 +211,6 @@ def test_fan_spec_power():
     assert CoolingSpec().fan_power_w() == 500.0
 
 
-def test_max_hap_servers():
-    p = HapPlatform(payload_capacity=500.0, rack_mass=363.0)
-    assert max_hap_servers(p, ServerSpec(mass=9.0)) == 15
-    assert max_hap_servers(HapPlatform(payload_capacity=363.0), ServerSpec()) == 0
-
-
 def test_channel_resolved_idempotent():
     ch = ChannelConfig().resolved()
     again = ch.resolved()
@@ -278,8 +287,6 @@ def test_validation_messages():
         ServerSpec(p_peak=100.0, p_idle=150.0).validate()
     with pytest.raises(ValidationError):
         CoolingSpec(crac_count=0).validate()
-    with pytest.raises(ValidationError):
-        HapPlatform(payload_capacity=100.0, rack_mass=363.0).validate()
     with pytest.raises(ValidationError):
         Scenario(latitude_deg=91.0).validate()
     with pytest.raises(ValidationError):
@@ -468,12 +475,12 @@ def test_every_field_type_is_checked():
 
 
 def test_values_kept_as_written(shipped_cfg):
-    # YAML integers in number fields stay integers, so the manifest hash
-    # of the shipped config is the one earlier releases wrote
+    # YAML integers in number fields stay integers; the pinned manifest
+    # hash of the shipped config catches any unintended move of it
     assert shipped_cfg.server.service_rate_mips == 580
     assert type(shipped_cfg.server.service_rate_mips) is int
     assert config_hash(shipped_cfg) == (
-        "b6d99d4063912e013114dacd3bdba15f777fdc4b279bd408a3c754c8f6d5d5f7")
+        "17c2e2cf1640a1fd56479f05d01410ee1f6fee158f6197be55dc68fd57c18953")
     cfg = build_config({"channel": {"noise_power": None, "tx_power": 4},
                         "scenario": {"hap_rates": 10, "hap_servers": 4,
                                      "window": [0, 3600]}})

@@ -20,7 +20,25 @@ from hapdc.errors import LinkSaturationWarning, OverloadError
 import offload_reference
 
 
+def _random_cooling(rng, **drawn):
+    """A random cooling spec and an air heat-capacity flow per server, W/K,
+    drawn in one fixed order after the fields already ``drawn``."""
+    drawn.update(supply_temp=float(rng.uniform(285.0, 303.0)),
+                 fan_power=float(rng.uniform(0.0, 900.0)))
+    air_flow = float(rng.uniform(10.0, 120.0))
+    cooling = CoolingSpec(
+        **drawn,
+        recirculation_raise=float(rng.uniform(0.0, 5.0)),
+        crac_influence_rate=float(rng.uniform(0.005, 0.5)),
+        t_in_initial=float(rng.uniform(300.0, 320.0)),
+        t_cpu_initial=float(rng.uniform(305.0, 330.0)),
+    )
+    return cooling, air_flow
+
+
 def _random_instance(rng):
+    """Loads on one random server, a cooling spec, a task length and an air
+    heat-capacity flow, W/K."""
     server = ServerSpec(
         service_rate_mips=float(rng.uniform(100.0, 2000.0)),
         p_idle=float(rng.uniform(50.0, 400.0)),
@@ -28,21 +46,30 @@ def _random_instance(rng):
         heat_capacity=float(rng.uniform(100.0, 900.0)),
         thermal_resistance=float(rng.uniform(0.05, 1.5)),
     )
-    cooling = CoolingSpec(
-        supply_temp=float(rng.uniform(285.0, 303.0)),
-        fan_power=float(rng.uniform(0.0, 900.0)),
-        air_heat_capacity_flow=float(rng.uniform(10.0, 120.0)),
-        recirculation_raise=float(rng.uniform(0.0, 5.0)),
-        crac_influence_rate=float(rng.uniform(0.005, 0.5)),
-        t_in_initial=float(rng.uniform(300.0, 320.0)),
-        t_cpu_initial=float(rng.uniform(305.0, 330.0)),
-    )
+    cooling, air_flow = _random_cooling(rng)
     task_len = float(rng.uniform(1e5, 1e7))
     loads = []
     for _ in range(rng.integers(1, 5)):
         u = float(rng.uniform(0.0, 1.0))
         loads.append((server, u * server.service_rate_ips / task_len))
-    return loads, cooling, task_len
+    return loads, cooling, task_len, air_flow
+
+
+def _trace_heat(server, rate, task_len, cooling, air_flow, t):
+    """Heat one server's airflow carries off at time t, W, by the component
+    route: the transient inlet and CPU temperatures give the outlet
+    temperature, and the heat is air_flow * (t_out - t_in), ``air_flow``
+    being the air's heat capacity times its mass flow per server, W/K."""
+    t_steady = cooling.supply_temp + cooling.recirculation_raise
+    t_in = t_steady + (cooling.t_in_initial - t_steady) * math.exp(
+        -cooling.crac_influence_rate * t)
+    r = server.thermal_resistance
+    rp = r * thermal.compute_power(server, rate, task_len)
+    t_cpu = t_in + rp + (cooling.t_cpu_initial - t_in - rp) * math.exp(
+        -t / (r * server.heat_capacity))
+    share = 1.0 / (air_flow * r)
+    t_out = (1.0 - share) * t_in + share * t_cpu
+    return air_flow * (t_out - t_in)
 
 
 def test_cop_shipped_supply_temperature():
@@ -91,10 +118,10 @@ def test_trace_matches_aggregate_heat():
     """Per-server component route must equal the aggregated closed form."""
     rng = np.random.default_rng(7)
     for _ in range(20):
-        loads, cooling, task_len = _random_instance(rng)
+        loads, cooling, task_len, air_flow = _random_instance(rng)
         for t in (0.0, 1.0, 10.0, 300.0, 5000.0):
             by_trace = sum(
-                thermal.ThermalTrace(srv, rate, task_len, cooling).heat(t)
+                _trace_heat(srv, rate, task_len, cooling, air_flow, t)
                 for srv, rate in loads)
             agg = thermal.heat_removed(loads, cooling, task_len, t)
             assert math.isclose(by_trace, agg, rel_tol=1e-12, abs_tol=1e-9)
@@ -103,7 +130,7 @@ def test_trace_matches_aggregate_heat():
 def test_heat_removed_settles_to_compute_power():
     rng = np.random.default_rng(11)
     for _ in range(10):
-        loads, cooling, task_len = _random_instance(rng)
+        loads, cooling, task_len, _ = _random_instance(rng)
         rc = max(s.thermal_resistance * s.heat_capacity for s, _ in loads)
         late = 25.0 * max(rc, 1.0 / cooling.crac_influence_rate)
         total_comp = sum(thermal.compute_power(s, r, task_len) for s, r in loads)
@@ -125,7 +152,7 @@ def test_cooling_energy_matches_quadrature():
 
     rng = np.random.default_rng(3)
     for _ in range(10):
-        loads, cooling, task_len = _random_instance(rng)
+        loads, cooling, task_len, _ = _random_instance(rng)
         t1 = float(rng.uniform(0.0, 50.0))
         t2 = t1 + float(rng.uniform(10.0, 2000.0))
         closed = thermal.cooling_energy(loads, cooling, task_len, (t1, t2))
@@ -275,16 +302,7 @@ def _random_fleet(rng):
         heat_capacity=float(rng.uniform(100.0, 900.0)),
         thermal_resistance=float(rng.uniform(0.05, 1.5)),
     )
-    cooling = CoolingSpec(
-        crac_count=int(rng.integers(1, 7)),
-        supply_temp=float(rng.uniform(285.0, 303.0)),
-        fan_power=float(rng.uniform(0.0, 900.0)),
-        air_heat_capacity_flow=float(rng.uniform(10.0, 120.0)),
-        recirculation_raise=float(rng.uniform(0.0, 5.0)),
-        crac_influence_rate=float(rng.uniform(0.005, 0.5)),
-        t_in_initial=float(rng.uniform(300.0, 320.0)),
-        t_cpu_initial=float(rng.uniform(305.0, 330.0)),
-    )
+    cooling, _ = _random_cooling(rng, crac_count=int(rng.integers(1, 7)))
     task_len = float(rng.uniform(1e5, 1e7))
     t1 = float(rng.uniform(0.0, 500.0))
     window = (t1, t1 + float(rng.uniform(10.0, 86400.0)))
