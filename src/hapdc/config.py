@@ -5,14 +5,14 @@ defaults are the shipped study, ``configs/default.yaml`` (a test keeps the
 two equal), so a config file may set any subset of fields and an empty file
 is that study.  ``load_config`` / ``dump_config`` round-trip exactly.
 
-YAML is parsed and emitted by libyaml (PyYAML's ``CSafeLoader`` and
-``CSafeDumper``) when the installed PyYAML is built with it, and by the
-pure-Python ``SafeLoader`` and ``SafeDumper`` otherwise.  Both pairs share
-PyYAML's Python safe constructor and representer, so a file loads to the
-same values and a config dumps to the same text, hence the same
-``config_hash``, on either backend.  (The two emitters wrap long escaped
-strings differently; the only string field, ``demand_mapping``, takes one
-of two short names.)
+YAML is parsed by libyaml (PyYAML's ``CSafeLoader``) when PyYAML has it, and
+by the pure-Python ``SafeLoader`` otherwise, to the same values.
+
+``config_hash``, every output's manifest hash, is the sha256 of the scheme
+tag ``hapdc-config/2`` and a line of ``dump_config``'s mapping with sorted
+keys, every number written as the ``repr`` of its float: ``580`` and
+``580.0`` hash alike, an int that no float equals is written in hex, and
+``-0.0`` and ``0.0`` hash apart, as they can print apart in a row.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .errors import ConfigError, ValidationError
 MIPS = 1.0e6  # instructions per second per MIPS
 
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-_YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 # thermal noise floor, W/Hz (-174 dBm/Hz)
 _NOISE_DENSITY_W_PER_HZ = 10.0 ** ((-174.0 - 30.0) / 10.0)
@@ -41,8 +40,7 @@ _NOISE_DENSITY_W_PER_HZ = 10.0 ** ((-174.0 - 30.0) / 10.0)
 class ServerSpec:
     """One compute server: capacity, power envelope and thermal bulk."""
 
-    # an int, as the shipped YAML writes it: config_hash tells 580 from 580.0
-    service_rate_mips: float = 580
+    service_rate_mips: float = 580.0
     p_idle: float = 10000.0
     """Idle power draw, W."""
     p_peak: float = 60000.0
@@ -220,10 +218,8 @@ class WindSpec:
     def validate(self):
         if self.speed < 0:
             raise ValidationError("WindSpec: speed must be non-negative")
-        if self.table:
-            for row in self.table:
-                if row[2] < 0:
-                    raise ValidationError("WindSpec: table wind speeds must be non-negative")
+        if any(row[2] < 0 for row in self.table or ()):
+            raise ValidationError("WindSpec: table wind speeds must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -334,21 +330,15 @@ class Scenario:
     hap_rates: tuple[float, ...] = ()
 
     def __post_init__(self):
-        # scalars in either rate slot mean a uniform total to split
-        if not isinstance(self.ground_rates, tuple):
-            object.__setattr__(
-                self, "ground_rates",
-                uniform_split(float(self.ground_rates), self.ground_servers),
-            )
-        if not isinstance(self.hap_rates, tuple):
-            object.__setattr__(
-                self, "hap_rates",
-                uniform_split(float(self.hap_rates), self.hap_servers),
-            )
-        if self.ground_rates == () and self.ground_servers:
-            object.__setattr__(self, "ground_rates", (0.0,) * self.ground_servers)
-        if self.hap_rates == () and self.hap_servers:
-            object.__setattr__(self, "hap_rates", (0.0,) * self.hap_servers)
+        # a scalar in either rate slot is a uniform total to split; an
+        # empty slot is a fleet at rest
+        for name, count in (("ground_rates", self.ground_servers),
+                            ("hap_rates", self.hap_servers)):
+            rates = getattr(self, name)
+            if not isinstance(rates, tuple):
+                object.__setattr__(self, name, uniform_split(float(rates), count))
+            elif rates == () and count:
+                object.__setattr__(self, name, (0.0,) * count)
 
     @property
     def window_length(self) -> float:
@@ -366,16 +356,13 @@ class Scenario:
             raise ValidationError("Scenario: server counts must be non-negative")
         if self.hap_count < 1:
             raise ValidationError("Scenario: hap_count must be at least 1")
-        if len(self.ground_rates) != self.ground_servers:
-            raise ValidationError(
-                "Scenario: ground_rates length must equal ground_servers "
-                f"({len(self.ground_rates)} != {self.ground_servers})"
-            )
-        if len(self.hap_rates) != self.hap_servers:
-            raise ValidationError(
-                "Scenario: hap_rates length must equal hap_servers "
-                f"({len(self.hap_rates)} != {self.hap_servers})"
-            )
+        for kind, rates, count in (
+                ("ground", self.ground_rates, self.ground_servers),
+                ("hap", self.hap_rates, self.hap_servers)):
+            if len(rates) != count:
+                raise ValidationError(
+                    f"Scenario: {kind}_rates length must equal {kind}_servers "
+                    f"({len(rates)} != {count})")
         if any(r < 0 for r in self.ground_rates + self.hap_rates):
             raise ValidationError("Scenario: arrival rates must be non-negative")
 
@@ -487,13 +474,14 @@ _ACCEPTS = {
 
 
 def _finite(value) -> bool:
-    """False where a float in ``value``, or in a list of them at any depth,
-    is a NaN or an infinity.  An int is finite however long it is."""
-    if isinstance(value, float):
-        return math.isfinite(value)
+    """False where a number in ``value``, or in a list of them at any depth,
+    is a NaN, an infinity or an int too large for a float."""
     if isinstance(value, (list, tuple)):
         return all(map(_finite, value))
-    return True
+    try:
+        return not _is_number(value) or math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _coerce(name: str, value, section: str, annotation: str):
@@ -502,19 +490,14 @@ def _coerce(name: str, value, section: str, annotation: str):
             f"{section}.{name} must be {annotation}, got {value!r}")
     if not _finite(value):
         raise ConfigError(f"{section}.{name} must be finite, got {value!r}")
-    if name == "window":
-        return (float(value[0]), float(value[1]))
-    if name in ("ground_rates", "hap_rates"):
-        if _is_number(value):
-            return float(value)  # scalar total, split in Scenario.__post_init__
-        return tuple(float(v) for v in value)
+    if value is None:
+        return None
+    if name in ("window", "ground_rates", "hap_rates"):
+        # a scalar rate is a total, split in Scenario.__post_init__
+        return float(value) if _is_number(value) else tuple(map(float, value))
     if name == "fan":
-        if value is None:
-            return None
         return _build_section("cooling.fan", FanSpec, value)
     if name == "table":
-        if value is None:
-            return None
         return tuple(tuple(float(x) for x in row) for row in value)
     return value
 
@@ -537,11 +520,8 @@ def _load_wind_table(path: str, base_dir: str):
     try:
         with open(full, newline="") as fh:
             for rec in csv.DictReader(fh):
-                rows.append((
-                    float(rec["latitude_deg"]),
-                    float(rec["day_of_year"]),
-                    float(rec["wind_speed"]),
-                ))
+                rows.append(tuple(float(rec[key]) for key in (
+                    "latitude_deg", "day_of_year", "wind_speed")))
     except (OSError, KeyError, ValueError) as exc:
         raise ConfigError(f"cannot read wind table '{full}': {exc}") from exc
     if not rows:
@@ -557,7 +537,8 @@ def load_config(path: str) -> ModelConfig:
 
     Missing sections and fields take the library defaults, which are the
     shipped study, so an empty file yields it.  Unknown keys, and NaN or
-    infinite numbers, are rejected with a ConfigError that names the key.
+    infinite numbers or ints too large for a float, are rejected with a
+    ConfigError that names the key.
     """
     try:
         with open(path) as fh:
@@ -605,10 +586,26 @@ def dump_config(cfg: ModelConfig) -> dict:
     return out
 
 
-def config_yaml(cfg: ModelConfig) -> str:
-    return yaml.dump(dump_config(cfg), Dumper=_YAML_DUMPER, sort_keys=True)
+def _canonical(value) -> str:
+    """The hashed text of one value of ``dump_config``'s mapping."""
+    if isinstance(value, float):
+        return float.__repr__(value)
+    if isinstance(value, dict):
+        return "{%s}" % ", ".join(
+            [f"{key}: {_canonical(value[key])}" for key in sorted(value)])
+    if isinstance(value, list):
+        if set(map(type, value)) <= {float}:  # the rates and table rows
+            return repr(value)
+        return "[%s]" % ", ".join(map(_canonical, value))
+    if not _is_number(value):
+        return repr(value)  # a bool, None or a string
+    if _finite(value) and float(value) == value:
+        return repr(float(value))
+    return hex(value)
 
 
 def config_hash(cfg: ModelConfig) -> str:
-    """Stable sha256 of the configuration, derived link budget included."""
-    return hashlib.sha256(config_yaml(cfg).encode()).hexdigest()
+    """sha256 of the validated values, derived link budget included, under
+    the scheme the module docstring states."""
+    text = "hapdc-config/2\n" + _canonical(dump_config(cfg))
+    return hashlib.sha256(text.encode()).hexdigest()

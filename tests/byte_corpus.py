@@ -8,8 +8,7 @@ stdout with the config hash masked (the CSV ``# config=`` line and the
 JSON manifest's ``"config"`` value), so a change to the config's surface
 that keeps every number shows as ``stdout`` moving while ``data`` holds.
 The digests depend on numpy's random streams and on float formatting, so
-the file also records the Python and numpy versions and the YAML backend
-it was written under.
+the file also records the Python and numpy versions it was written under.
 
 Run this file to rewrite the corpus after a change that moves output
 bytes on purpose:
@@ -112,11 +111,8 @@ def commands() -> dict[str, list[str]]:
 def environment() -> dict[str, str]:
     """What the digests depend on besides the program."""
     import numpy
-    import yaml
 
-    backend = "libyaml" if hasattr(yaml, "CSafeLoader") else "pure-python"
-    return {"python": platform.python_version(), "numpy": numpy.__version__,
-            "yaml": backend}
+    return {"python": platform.python_version(), "numpy": numpy.__version__}
 
 
 def _sha(text: str) -> str:

@@ -7,7 +7,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import assume, given, reject, settings, strategies as st
 
 from hapdc import channel, config
 
@@ -23,7 +23,6 @@ from hapdc.config import (
     WorkloadSpec,
     build_config,
     config_hash,
-    config_yaml,
     dump_config,
     load_config,
     uniform_split,
@@ -299,15 +298,48 @@ def test_config_hash_stable_and_sensitive(shipped_cfg):
     assert h1 != config_hash(replace(shipped_cfg, wind=WindSpec(speed=21.0)))
 
 
+def test_equal_values_hash_alike():
+    # an int and its float are one value, so one manifest hash
+    def hashed(section, key, value):
+        return config_hash(build_config({section: {key: value}}))
+
+    assert hashed("server", "service_rate_mips", 580) == hashed(
+        "server", "service_rate_mips", 580.0) == config_hash(ModelConfig())
+    assert hashed("channel", "tx_power", 4) == hashed("channel", "tx_power", 4.0)
+    assert hashed("channel", "tx_power", 4) != hashed("channel", "tx_power", 5)
+    # in a list too
+    assert config_hash(ModelConfig(scenario=Scenario(window=(0, 86400)))) == (
+        config_hash(ModelConfig()))
+    # zeros of either sign compare equal but can print apart in a row
+    assert Scenario(latitude_deg=-0.0) == Scenario(latitude_deg=0.0)
+    assert hashed("scenario", "latitude_deg", -0.0) != hashed(
+        "scenario", "latitude_deg", 0.0)
+
+
+def test_any_value_hashes():
+    # a NaN, an infinity or an int of any length hashes without raising,
+    # and an int no float equals hashes apart from that float
+    cfg = ModelConfig()
+    for section, changes in [
+            ("server", {"p_peak": math.nan}), ("server", {"p_peak": math.inf}),
+            ("server", {"p_peak": 10**400}), ("cooling", {"crac_count": 10**5000}),
+            ("scenario", {"window": (0, 10**400)})]:
+        moved = replace(cfg, **{section: replace(getattr(cfg, section),
+                                                 **changes)})
+        assert len(config_hash(moved)) == 64
+    near = [replace(cfg, server=ServerSpec(p_peak=p))
+            for p in (2**53 + 1, float(2**53 + 1))]
+    assert near[0] != near[1] and config_hash(near[0]) != config_hash(near[1])
+
+
 # --- YAML backends -------------------------------------------------------------
 
 def _on_both_yaml_paths(fn):
-    """``fn()`` on the default YAML classes (libyaml when PyYAML has it) and
-    again with the pure-Python ``SafeLoader``/``SafeDumper`` forced."""
+    """``fn()`` on the default YAML loader (libyaml when PyYAML has it) and
+    again with the pure-Python ``SafeLoader`` forced."""
     default = fn()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(config, "_YAML_LOADER", yaml.SafeLoader)
-        mp.setattr(config, "_YAML_DUMPER", yaml.SafeDumper)
         pure = fn()
     return default, pure
 
@@ -315,7 +347,6 @@ def _on_both_yaml_paths(fn):
 def test_yaml_backend_is_libyaml_when_available():
     if yaml.__with_libyaml__:
         assert config._YAML_LOADER is yaml.CSafeLoader
-        assert config._YAML_DUMPER is yaml.CSafeDumper
 
 
 def _config_files(tmp_path):
@@ -333,8 +364,7 @@ def _config_files(tmp_path):
 def test_yaml_backends_load_and_hash_alike(tmp_path):
     for path in _config_files(tmp_path):
         default, pure = _on_both_yaml_paths(
-            lambda: (load_config(path), config_yaml(load_config(path)),
-                     config_hash(load_config(path))))
+            lambda: (load_config(path), config_hash(load_config(path))))
         assert default == pure, path
 
 
@@ -405,13 +435,32 @@ def _any_config(draw):
 @settings(max_examples=60, deadline=None)
 @given(cfg=_any_config())
 def test_yaml_backends_dump_alike(cfg):
-    def dumped():
-        text = config_yaml(cfg)
-        parsed = yaml.load(text, Loader=config._YAML_LOADER)
-        return text, config_hash(cfg), repr(parsed)
-
-    default, pure = _on_both_yaml_paths(dumped)
+    # a dumped config, non-finite numbers included, reads back alike on
+    # both loaders
+    text = yaml.safe_dump(dump_config(cfg), sort_keys=True)
+    default, pure = _on_both_yaml_paths(
+        lambda: repr(yaml.load(text, Loader=config._YAML_LOADER)))
     assert default == pure
+
+
+_FIELDS = [(section.name, f.name) for section in fields(ModelConfig)
+           for f in fields(section.default_factory)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=_any_config(), other=_any_config(),
+       path=st.sampled_from(_FIELDS))
+def test_changing_one_field_moves_the_hash(cfg, other, path):
+    section, name = path
+    new = getattr(getattr(other, section), name)
+    # the drawn configs hold no int where an equal float could stand
+    assume(repr(new) != repr(getattr(getattr(cfg, section), name)))
+    try:
+        moved = replace(cfg, **{section: replace(getattr(cfg, section),
+                                                 **{name: new})})
+    except ValidationError:
+        reject()  # a reference-draw budget past the float range
+    assert config_hash(moved) != config_hash(cfg)
 
 
 # --- value types -------------------------------------------------------------
@@ -452,6 +501,15 @@ def test_yaml_backends_dump_alike(cfg):
     ("cooling: {fan: {air_flow_rate: .inf, pressure_loss: 1.0,"
      " fan_efficiency: 0.5, motor_efficiency: 0.5}}",
      "cooling.fan.air_flow_rate"),
+    # integers whose float overflows
+    pytest.param("server: {p_peak: 1%s}" % ("0" * 400), "server.p_peak",
+                 id="p_peak-400-digits"),
+    pytest.param("hap: {pv_area: 1%s}" % ("0" * 400), "hap.pv_area",
+                 id="pv_area-400-digits"),
+    pytest.param("scenario: {window: [0, 1%s]}" % ("0" * 400),
+                 "scenario.window", id="window-400-digits"),
+    pytest.param("cooling: {crac_count: 1%s}" % ("0" * 400),
+                 "cooling.crac_count", id="crac_count-400-digits"),
 ])
 def test_wrongly_typed_value_exits_usage_naming_the_key(tmp_path, capsys,
                                                         text, key):
@@ -480,7 +538,7 @@ def test_values_kept_as_written(shipped_cfg):
     assert shipped_cfg.server.service_rate_mips == 580
     assert type(shipped_cfg.server.service_rate_mips) is int
     assert config_hash(shipped_cfg) == (
-        "17c2e2cf1640a1fd56479f05d01410ee1f6fee158f6197be55dc68fd57c18953")
+        "e6069d39152e8e38f5858e3af10dc1cc57f53a6926b7657b5da412338326e09e")
     cfg = build_config({"channel": {"noise_power": None, "tx_power": 4},
                         "scenario": {"hap_rates": 10, "hap_servers": 4,
                                      "window": [0, 3600]}})
