@@ -8,11 +8,12 @@ is that study.  ``load_config`` / ``dump_config`` round-trip exactly.
 YAML is parsed by libyaml (PyYAML's ``CSafeLoader``) when PyYAML has it, and
 by the pure-Python ``SafeLoader`` otherwise, to the same values.
 
-``config_hash``, every output's manifest hash, is the sha256 of the scheme
-tag ``hapdc-config/2`` and a line of ``dump_config``'s mapping with sorted
-keys, every number written as the ``repr`` of its float: ``580`` and
-``580.0`` hash alike, an int that no float equals is written in hex, and
-``-0.0`` and ``0.0`` hash apart, as they can print apart in a row.
+``config_hash``, every output's manifest hash, is the sha256 of the tag
+``hapdc-config/2`` and ``dump_config``'s mapping in sorted order, every
+number written as the ``repr`` of its float (an int no float equals in
+hex).  It names the values, not the bytes printed from them: ``80`` and
+``80.0`` hash alike, though a polar error cell prints each as written, and
+``-0.0`` and ``0.0`` hash apart, as their ``repr``s differ.
 """
 
 from __future__ import annotations
@@ -218,8 +219,10 @@ class WindSpec:
     def validate(self):
         if self.speed < 0:
             raise ValidationError("WindSpec: speed must be non-negative")
-        if any(row[2] < 0 for row in self.table or ()):
-            raise ValidationError("WindSpec: table wind speeds must be non-negative")
+        if self.table:
+            for row in self.table:
+                if row[2] < 0:
+                    raise ValidationError("WindSpec: table wind speeds must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -330,15 +333,21 @@ class Scenario:
     hap_rates: tuple[float, ...] = ()
 
     def __post_init__(self):
-        # a scalar in either rate slot is a uniform total to split; an
-        # empty slot is a fleet at rest
-        for name, count in (("ground_rates", self.ground_servers),
-                            ("hap_rates", self.hap_servers)):
-            rates = getattr(self, name)
-            if not isinstance(rates, tuple):
-                object.__setattr__(self, name, uniform_split(float(rates), count))
-            elif rates == () and count:
-                object.__setattr__(self, name, (0.0,) * count)
+        # scalars in either rate slot mean a uniform total to split
+        if not isinstance(self.ground_rates, tuple):
+            object.__setattr__(
+                self, "ground_rates",
+                uniform_split(float(self.ground_rates), self.ground_servers),
+            )
+        if not isinstance(self.hap_rates, tuple):
+            object.__setattr__(
+                self, "hap_rates",
+                uniform_split(float(self.hap_rates), self.hap_servers),
+            )
+        if self.ground_rates == () and self.ground_servers:
+            object.__setattr__(self, "ground_rates", (0.0,) * self.ground_servers)
+        if self.hap_rates == () and self.hap_servers:
+            object.__setattr__(self, "hap_rates", (0.0,) * self.hap_servers)
 
     @property
     def window_length(self) -> float:
@@ -356,13 +365,16 @@ class Scenario:
             raise ValidationError("Scenario: server counts must be non-negative")
         if self.hap_count < 1:
             raise ValidationError("Scenario: hap_count must be at least 1")
-        for kind, rates, count in (
-                ("ground", self.ground_rates, self.ground_servers),
-                ("hap", self.hap_rates, self.hap_servers)):
-            if len(rates) != count:
-                raise ValidationError(
-                    f"Scenario: {kind}_rates length must equal {kind}_servers "
-                    f"({len(rates)} != {count})")
+        if len(self.ground_rates) != self.ground_servers:
+            raise ValidationError(
+                "Scenario: ground_rates length must equal ground_servers "
+                f"({len(self.ground_rates)} != {self.ground_servers})"
+            )
+        if len(self.hap_rates) != self.hap_servers:
+            raise ValidationError(
+                "Scenario: hap_rates length must equal hap_servers "
+                f"({len(self.hap_rates)} != {self.hap_servers})"
+            )
         if any(r < 0 for r in self.ground_rates + self.hap_rates):
             raise ValidationError("Scenario: arrival rates must be non-negative")
 
@@ -490,14 +502,19 @@ def _coerce(name: str, value, section: str, annotation: str):
             f"{section}.{name} must be {annotation}, got {value!r}")
     if not _finite(value):
         raise ConfigError(f"{section}.{name} must be finite, got {value!r}")
-    if value is None:
-        return None
-    if name in ("window", "ground_rates", "hap_rates"):
-        # a scalar rate is a total, split in Scenario.__post_init__
-        return float(value) if _is_number(value) else tuple(map(float, value))
+    if name == "window":
+        return (float(value[0]), float(value[1]))
+    if name in ("ground_rates", "hap_rates"):
+        if _is_number(value):
+            return float(value)  # scalar total, split in Scenario.__post_init__
+        return tuple(float(v) for v in value)
     if name == "fan":
+        if value is None:
+            return None
         return _build_section("cooling.fan", FanSpec, value)
     if name == "table":
+        if value is None:
+            return None
         return tuple(tuple(float(x) for x in row) for row in value)
     return value
 
@@ -520,8 +537,11 @@ def _load_wind_table(path: str, base_dir: str):
     try:
         with open(full, newline="") as fh:
             for rec in csv.DictReader(fh):
-                rows.append(tuple(float(rec[key]) for key in (
-                    "latitude_deg", "day_of_year", "wind_speed")))
+                rows.append((
+                    float(rec["latitude_deg"]),
+                    float(rec["day_of_year"]),
+                    float(rec["wind_speed"]),
+                ))
     except (OSError, KeyError, ValueError) as exc:
         raise ConfigError(f"cannot read wind table '{full}': {exc}") from exc
     if not rows:
@@ -588,20 +608,16 @@ def dump_config(cfg: ModelConfig) -> dict:
 
 def _canonical(value) -> str:
     """The hashed text of one value of ``dump_config``'s mapping."""
-    if isinstance(value, float):
-        return float.__repr__(value)
+    if isinstance(value, float) or (
+            _is_number(value) and _finite(value) and float(value) == value):
+        return repr(float(value))
     if isinstance(value, dict):
         return "{%s}" % ", ".join(
             [f"{key}: {_canonical(value[key])}" for key in sorted(value)])
     if isinstance(value, list):
-        if set(map(type, value)) <= {float}:  # the rates and table rows
-            return repr(value)
         return "[%s]" % ", ".join(map(_canonical, value))
-    if not _is_number(value):
-        return repr(value)  # a bool, None or a string
-    if _finite(value) and float(value) == value:
-        return repr(float(value))
-    return hex(value)
+    # an int no float equals, a bool, None or a string
+    return hex(value) if type(value) is int else repr(value)
 
 
 def config_hash(cfg: ModelConfig) -> str:

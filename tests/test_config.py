@@ -1,6 +1,7 @@
 """Configuration model, YAML loading and hashing."""
 
 import math
+import re
 import sys
 from dataclasses import fields, replace
 
@@ -27,7 +28,8 @@ from hapdc.config import (
     load_config,
     uniform_split,
 )
-from hapdc.errors import ConfigError, ValidationError
+from hapdc.errors import ConfigError, PolarError, ValidationError
+from hapdc.solar import day_fraction
 
 from conftest import SHIPPED_CONFIG
 
@@ -310,10 +312,20 @@ def test_equal_values_hash_alike():
     # in a list too
     assert config_hash(ModelConfig(scenario=Scenario(window=(0, 86400)))) == (
         config_hash(ModelConfig()))
-    # zeros of either sign compare equal but can print apart in a row
+    # zeros of either sign compare equal but their reprs differ
     assert Scenario(latitude_deg=-0.0) == Scenario(latitude_deg=0.0)
     assert hashed("scenario", "latitude_deg", -0.0) != hashed(
         "scenario", "latitude_deg", 0.0)
+
+
+def test_hash_names_the_values_not_the_printed_bytes():
+    # values are kept as written: 80 and 80.0 hash alike, yet a polar error
+    # cell prints each as written
+    cfgs = [build_config({"scenario": {"latitude_deg": v}}) for v in (80, 80.0)]
+    assert config_hash(cfgs[0]) == config_hash(cfgs[1])
+    for cfg, shown in zip(cfgs, ("80", "80.0")):
+        with pytest.raises(PolarError, match=re.escape(f"latitude {shown} deg,")):
+            day_fraction(cfg.scenario.latitude_deg, 172)
 
 
 def test_any_value_hashes():
