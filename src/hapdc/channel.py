@@ -30,6 +30,7 @@ import warnings
 
 import numpy as np
 
+from ._threads import ordered_map
 from .config import ChannelConfig, WorkloadSpec
 from .errors import LinkRateError, LinkSaturationWarning
 from .specfun import marcum_log_bound, marcum_q
@@ -45,9 +46,9 @@ _UNSURE = math.log1p(-1e-9)
 # Airtime share above which the offered traffic saturates the link.
 SATURATION = 1.0 + 1e-12
 
-# Monte Carlo draws are taken in chunks of this many rates, which bounds
-# the memory of one draw; ``empirical_ccdf`` draws chunk ``c`` from the
-# ``c``-th child its generator spawns, then sorts and counts it.
+# Monte Carlo draws are taken in chunks of this many rates, one per usable
+# CPU at a time; ``empirical_ccdf`` draws chunk ``c`` from the ``c``-th
+# child its generator spawns, then sorts and counts it.
 MC_CHUNK = 20_000
 
 
@@ -251,22 +252,26 @@ def empirical_ccdf(ch: ChannelConfig, demands, samples: int = 100_000,
     the generator of ``SeedSequence(seed, spawn_key=(c,))``.  Each chunk
     is sorted once and counts, per demand, the rates strictly above
     ``demand * bandwidth``; every demand is counted against the same
-    draws.  Returns the exceedance probability and its standard error
-    over ``samples`` draws; the error takes a half-count continuity
-    adjustment where a count is 0 or ``samples``, so it never collapses
-    to zero.
+    draws.  The chunks run through ``ordered_map``, and their counts are
+    summed in chunk order, exactly.  Returns the exceedance probability
+    and its standard error over ``samples`` draws; the error takes a
+    half-count continuity adjustment where a count is 0 or ``samples``,
+    so it never collapses to zero.
     """
     if rng is None:
         rng = np.random.default_rng()
     demands = np.atleast_1d(np.asarray(demands, dtype=float))
     thresholds = demands * ch.bandwidth_hz
-    counts = np.zeros(demands.shape, dtype=np.int64)
     starts = range(0, samples, MC_CHUNK)
-    for done, chunk_rng in zip(starts, rng.spawn(len(starts))):
+
+    def count(chunk):
+        done, chunk_rng = chunk
         rates = np.sort(sample_rates(ch, min(MC_CHUNK, samples - done),
                                      chunk_rng))
-        counts += len(rates) - np.searchsorted(rates, thresholds,
-                                               side="right")
+        return len(rates) - np.searchsorted(rates, thresholds, side="right")
+
+    counts = sum(ordered_map(count, zip(starts, rng.spawn(len(starts)))),
+                 np.zeros(demands.shape, dtype=np.int64))
     prob = counts / samples
     edge = (counts == 0) | (counts == samples)
     adjusted = np.where(edge, (counts + 0.5) / (samples + 1.0), prob)

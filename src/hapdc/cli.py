@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--samples", type=int, default=100_000,
                        help="Monte Carlo draws per outage sweep; "
                             "simulated tasks per delay grid point")
-    # ignored; bench/run.py passes it until ROADMAP item 1 drops it
+    # ignored: sampled sweeps take one thread per CPU of the affinity mask
     sweep.add_argument("--workers", type=int, default=1,
                        help=argparse.SUPPRESS)
     sweep.add_argument("--out", default="-",

@@ -560,13 +560,30 @@ def load_config(path: str) -> ModelConfig:
     infinite numbers or ints too large for a float, are rejected with a
     ConfigError that names the key.
     """
+    loader = None
     try:
         with open(path) as fh:
-            raw = yaml.load(fh, Loader=_YAML_LOADER)
-    except OSError as exc:
+            loader = _YAML_LOADER(fh)
+            raw = loader.get_single_data()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file '{path}': {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed YAML in '{path}': {exc}") from exc
+    except ValueError as exc:
+        # an int past Python's digit limit or a date with no such day: name
+        # the scalar PyYAML was building by its keys up the mappings
+        if len(getattr(loader, "recursive_objects", ())) != 1:
+            raise
+        [node], keys = loader.recursive_objects, []
+        where = f"line {node.start_mark.line + 1} of config file '{path}'"
+        owners = {value: (parent, key) for parent in loader.constructed_objects
+                  if isinstance(parent, yaml.MappingNode)
+                  for key, value in parent.value}
+        while node in owners:
+            node, key = owners[node]
+            keys.insert(0, str(loader.constructed_objects[key]))
+        raise ConfigError(f"cannot read {'.'.join(keys) or 'the value'} on "
+                          f"{where}: {exc}") from exc
     return build_config(raw or {}, base_dir=os.path.dirname(os.path.abspath(path)))
 
 

@@ -6,19 +6,20 @@ CSV (with a ``#`` manifest header) or as a JSON mirror.  Reruns with the
 same config and seed produce byte-identical files: an outage sweep's
 Monte Carlo draws through ``channel.empirical_ccdf`` from the seed, a
 delay sweep's simulation at each grid point from the seed and the
-point's grid index.
+point's grid index.  These streams are drawn on one thread per usable CPU
+(``_threads.ordered_map``), and no byte depends on how many.
 
 Each analysis (flying condition, energy saving, outage, delay) is one
 ``_Analysis`` record: its metric columns, its fleet and axis needs, and
-one function that answers the whole grid in one process with a
-``_Columns`` record: a column of cells per metric name, each point's
-error and the count of points whose offered traffic saturates the link
-(read from their evaluation's airtime; the count goes to the result's
-``notes``, not to the rows).  One engine, ``_run``, refuses ``outputs``
-that name an unknown column or no metric column before the grid is
-priced, then zips the grid values, the selected columns and the errors
-into rows.  Delay answers point by point (``_each_point``); flying
-condition and energy read the grid's flight check, and energy its
+one function that answers the whole grid with a ``_Columns`` record: a
+column of cells per metric name, each point's error and the count of
+points whose offered traffic saturates the link (read from their
+evaluation's airtime; the count goes to the result's ``notes``, not to
+the rows).  One engine, ``_run``, refuses ``outputs`` that name an
+unknown column or no metric column before the grid is priced, then zips
+the grid values, the selected columns and the errors into rows.  Delay
+prices its points in order, then simulates them (``_delay_columns``);
+flying condition and energy read the grid's flight check, and energy its
 station-keeping power, from one ``offload.fly_points`` call.  Energy and
 outage price the grid one fleet shape at a time, each shape's points in
 one ``offload.evaluate_offload`` call (an outage grid has one shape and
@@ -49,6 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import channel, offload, queueing
+from ._threads import ordered_map
 from ._version import __version__
 from .config import ModelConfig, config_hash, uniform_split
 from .errors import (ConfigError, LinkRateError, NumericsError, OverloadError,
@@ -61,8 +63,9 @@ _ROW_ERRORS = (PolarError, OverloadError, StabilityError, LinkRateError)
 # Largest grid a sweep takes; the shipped grids have at most 401 points.
 MAX_GRID_POINTS = 1_000_000
 # Most Monte Carlo draws or simulated tasks a grid point takes; at the cap
-# the delay simulation holds about 32 B per task, some 3.2 GB.
+# the delay simulation holds up to 40 B per task, some 4 GB.
 MAX_SAMPLES = 10**8
+DELAY_MEMORY = 2**28  # bytes the delay simulations may hold at once
 
 
 @dataclass(frozen=True)
@@ -207,24 +210,6 @@ class _Columns:
                 self.cells[name][index] = column[row]
 
 
-def _each_point(point, names, cfg, spec, values) -> _Columns:
-    """The columns ``names`` of grid values answered one by one:
-    ``point(cfg, spec, index, value)`` gives a point's cells in ``names``
-    order, and a ``_ROW_ERRORS`` exception that escapes it leaves them
-    empty and gives the point's error.  No analysis answered so offers the
-    link traffic, so no point is saturated."""
-    rows, errors, blank = [], [], (None,) * len(names)
-    for index, value in enumerate(values):
-        try:
-            rows.append(point(cfg, spec, index, value))
-        except _ROW_ERRORS as exc:
-            rows.append(blank)
-            errors.append(str(exc))
-        else:
-            errors.append(None)
-    return _Columns(dict(zip(names, map(list, zip(*rows)))), errors)
-
-
 def _fly_columns(cfg, spec, values):
     """Flying columns of the grid values from one ``offload.fly_points``
     call, each cell and error as ``offload.fly_point`` gives it."""
@@ -342,25 +327,46 @@ def _outage_columns(cfg, spec, values):
     return answer
 
 
-def _delay_row(cfg, spec, index, value):
-    rep = offload.end_to_end_delay(cfg, value)
-    regime = "transport" if rep.transport_dominated else "queueing"
-    des_wait = des_se = None
-    if value > 0.0:
+def _delay_columns(cfg, spec, values):
+    """Delay columns of the grid values: each point's analytic report, or
+    its ``_ROW_ERRORS`` error, in grid order, then the points of positive
+    rate simulated through ``ordered_map``, point ``index`` drawing from
+    ``SeedSequence(seed, spawn_key=(index,))``.  A simulation holds up to
+    40 B per task, so at most ``DELAY_MEMORY // (40 * samples)`` of them
+    (256 MiB in all) run at once: 6 at a million tasks, one above 3.4
+    million."""
+    rows, errors, drawn = [], [], []
+    for index, value in enumerate(values):
+        try:
+            rep = offload.end_to_end_delay(cfg, value)
+        except _ROW_ERRORS as exc:
+            rows.append([None] * len(_DELAY.columns))
+            errors.append(str(exc))
+            continue
+        regime = "transport" if rep.transport_dominated else "queueing"
+        rows.append([rep.mean_wait_s, None, None, rep.rtt_s,
+                     rep.total_delay_s, regime])
+        errors.append(None)
+        if value > 0.0:
+            drawn.append((index, rep.service_rate))
+
+    def simulate(job):
+        index, service_rate = job
         rng = np.random.default_rng(
             np.random.SeedSequence(spec.seed, spawn_key=(index,)))
         try:
             sim = queueing.simulate_mm1_vacations(
-                value, rep.service_rate, cfg.workload.vacation_rate,
+                values[index], service_rate, cfg.workload.vacation_rate,
                 spec.samples, rng)
         except NumericsError:
-            sim = None  # over the vacation budget: nothing simulated
+            return  # over the vacation budget: nothing simulated
         # a run of fewer than two regeneration cycles has no error bar,
         # and a mean without one is not reported
-        if sim is not None and sim.stderr is not None:
-            des_wait, des_se = sim.mean_wait, sim.stderr
-    return [rep.mean_wait_s, des_wait, des_se, rep.rtt_s,
-            rep.total_delay_s, regime]
+        if sim.stderr is not None:
+            rows[index][1:3] = sim.mean_wait, sim.stderr
+
+    ordered_map(simulate, drawn, max(1, DELAY_MEMORY // (40 * spec.samples)))
+    return _Columns(dict(zip(_DELAY.columns, map(list, zip(*rows)))), errors)
 
 
 _FLY = _Analysis("flying", ("lambda_max", "threshold", "binding"),
@@ -373,7 +379,7 @@ _OUTAGE = _Analysis("outage", ("ccdf_lb", "ccdf_ub", "ccdf_mc", "ccdf_mc_se",
                     _outage_columns, needs_fleet=True, offload_rate=True)
 _DELAY = _Analysis("delay", ("analytic_wait", "des_wait", "des_se", "rtt",
                              "total", "regime"),
-                   lambda *grid: _each_point(_delay_row, _DELAY.columns, *grid),
+                   _delay_columns,
                    needs_fleet=True, offload_rate=True, min_samples=2)
 
 
@@ -459,6 +465,8 @@ def run_delay_sweep(cfg: ModelConfig, spec: SweepSpec) -> SweepResult:
     simulation saw fewer than two regeneration cycles, and where it would
     draw more vacations than ``queueing.simulate_mm1_vacations`` allows (a
     load so small that the server takes vacations for ages between tasks).
+    The simulations run on one thread per usable CPU, as ``DELAY_MEMORY``
+    allows, each on its point's own stream, so no row moves with them.
     """
     return _run(_DELAY, cfg, spec)
 

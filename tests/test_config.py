@@ -10,7 +10,7 @@ import pytest
 import yaml
 from hypothesis import assume, given, reject, settings, strategies as st
 
-from hapdc import channel, config
+from hapdc import channel, cli, config
 
 from hapdc.config import (
     ChannelConfig,
@@ -112,6 +112,44 @@ def test_malformed_yaml(tmp_path):
     p.write_text("server: [unclosed\n")
     with pytest.raises(ConfigError):
         load_config(str(p))
+
+
+@pytest.mark.parametrize("text, where", [
+    ("server:\n  p_peak: 1%s\n" % ("0" * 5000), "server.p_peak on line 2"),
+    ("scenario:\n  window: [0, 1%s]\n" % ("0" * 5000), "the value on line 2"),
+    ("scenario:\n  day_of_year: 2023-02-30\n",
+     "scenario.day_of_year on line 2"),
+])
+def test_unreadable_scalar_names_file_and_key(tmp_path, capsys, text, where):
+    # an int past Python's 4,300-digit limit, or a date with no such day,
+    # fails while PyYAML builds it, before any key is validated
+    path = tmp_path / "long.yaml"
+    path.write_text(text)
+
+    def outcome():
+        with pytest.raises(ConfigError) as info:
+            load_config(str(path))
+        return str(info.value)
+
+    default, pure = _on_both_yaml_paths(outcome)
+    assert default == pure
+    assert default.startswith(f"cannot read {where} of config file "
+                              f"'{path}': ")
+    assert cli.main(["fly", "--config", str(path), "--axis", "day",
+                     "--range", "1:2:1"]) == 2
+    assert capsys.readouterr().err == f"error: {default}\n"
+
+
+def test_undecodable_file_names_the_file(tmp_path):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(b"server:\n  p_peak: \xff\n")
+
+    def outcome():
+        with pytest.raises(ConfigError, match=re.escape(
+                f"cannot read config file '{path}': ")):
+            load_config(str(path))
+
+    _on_both_yaml_paths(outcome)
 
 
 def test_missing_file():

@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from dataclasses import replace
 
@@ -985,6 +986,50 @@ def test_cli_omitted_and_empty_config_share_a_manifest(tmp_path, capsys):
     assert capsys.readouterr().out == omitted
 
 
+def test_sampled_sweeps_do_not_move_with_the_cpu_count(monkeypatch, capsys):
+    # three Monte Carlo chunks and eleven delay simulations, drawn on the
+    # caller's thread alone and on four threads
+    outputs = []
+    for count in (1, 4):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(count)))
+        for argv in (["outage", "--range", "0:12000:1000", "--samples",
+                      "60000"],
+                     ["delay", "--range", "0:20000:2000", "--samples",
+                      "5000"]):
+            assert cli.main(argv + ["--axis", "arrival_rate", "--seed",
+                                    "11"]) == 0
+            outputs.append(capsys.readouterr().out)
+    assert outputs[:2] == outputs[2:]
+
+
+def test_delay_rows_run_one_at_a_time_over_the_memory_budget(shipped_cfg,
+                                                             monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    real, threads = queueing.simulate_mm1_vacations, []
+    spec = sweeps.SweepSpec("arrival_rate", 0.0, 2000.0, 1000.0, samples=100)
+
+    def on_thread(*args):
+        threads.append(threading.get_ident())
+        return real(*args)
+
+    def meeting(*args):
+        meet.wait()
+        return on_thread(*args)
+
+    # within the budget the two simulated rows meet on two threads
+    meet = threading.Barrier(2, timeout=10)
+    monkeypatch.setattr(queueing, "simulate_mm1_vacations", meeting)
+    sweeps.run_delay_sweep(shipped_cfg, spec)
+    assert len(set(threads)) == 2
+    # a budget below two rows of 40 B per task runs them on the caller's
+    monkeypatch.setattr(sweeps, "DELAY_MEMORY", 2 * 40 * 100 - 1)
+    monkeypatch.setattr(queueing, "simulate_mm1_vacations", on_thread)
+    threads.clear()
+    sweeps.run_delay_sweep(shipped_cfg, spec)
+    assert threads == [threading.get_ident()] * 2
+
+
 def test_delay_sweep_simulates_at_the_report_service_rate(shipped_cfg,
                                                           monkeypatch):
     seen = []
@@ -1006,7 +1051,8 @@ def test_cli_import_leaves_pool_and_validate_unloaded():
     # a single-process sweep pays for neither the process pool nor the
     # cross-check module; both load only when used.  No sweep loads scipy
     # either: the acceptance tests take it as an oracle independent of the
-    # library
+    # library.  The sampled sweeps' threads (two chunks, two delay points)
+    # load neither concurrent.futures nor the logging it imports
     probe = f"""
 import contextlib, io, sys, hapdc.cli
 print(sorted(m for m in ('concurrent.futures', 'multiprocessing',
@@ -1018,13 +1064,15 @@ with contextlib.redirect_stdout(io.StringIO()):
              for command, grid, extra in (
                  ('fly', '1000:1000:1', []),
                  ('energy', '1000:1000:1', []),
-                 ('outage', '2000:2000:1', ['--samples', '10']),
-                 ('delay', '1000:1000:1', ['--samples', '10']))]
+                 ('outage', '2000:2000:1', ['--samples', '20010']),
+                 ('delay', '1000:2000:1000', ['--samples', '10']))]
 print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+print(sorted(m for m in ('concurrent.futures', 'multiprocessing', 'logging')
+             if m in sys.modules))
 """
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, timeout=60, check=True)
-    assert proc.stdout.splitlines() == ["[]", "[0, 0, 0, 0] []"]
+    assert proc.stdout.splitlines() == ["[]", "[0, 0, 0, 0] []", "[]"]
 
 
 # --- the energy sweep's batched bills ---------------------------------------
