@@ -17,8 +17,9 @@ Goodman 1963 for the complex case).  The reference draw is
 directly, at the configured mean receive SNR as well, and that sampler is
 tested against them.
 
-Each link quantity has one route.  ``_threshold`` maps a spectral demand
-to its Marcum threshold for both CCDF bounds, the drop probability and the
+Each link quantity has one route.  ``spectral_demand`` is the offered bit
+rate over the bandwidth, bit/s/Hz, and ``_threshold`` maps it to its
+Marcum threshold for both CCDF bounds, the drop probability and the
 reliable-rate bisection, which yields its brackets step by step;
 ``empirical_ccdf`` draws, sorts and counts the Monte Carlo estimate.
 """
@@ -121,16 +122,8 @@ def offered_bit_rate(workload: WorkloadSpec,
 def spectral_demand(ch: ChannelConfig, workload: WorkloadSpec,
                     arrival_rate: float | np.ndarray) -> float | np.ndarray:
     """Rate argument of the outage CCDF for a given arrival rate, or for
-    each of an ndarray of them.
-
-    The default mapping converts offered bits/s to bits/s/Hz; the
-    ``identity`` mapping feeds the arrival rate through unchanged.
-    """
-    if ch.demand_mapping == "identity":
-        _non_negative("arrival_rate", arrival_rate)
-        if isinstance(arrival_rate, np.ndarray):
-            return arrival_rate.astype(float)
-        return float(arrival_rate)
+    each of an ndarray of them: the offered bits/s over the bandwidth,
+    bit/s/Hz."""
     return offered_bit_rate(workload, arrival_rate) / ch.bandwidth_hz
 
 

@@ -2,18 +2,20 @@
 
 Every model parameter lives in one of the frozen dataclasses below.  Their
 defaults are the shipped study, ``configs/default.yaml`` (a test keeps the
-two equal), so a config file may set any subset of fields and an empty file
-is that study.  ``load_config`` / ``dump_config`` round-trip exactly.
+two equal), so a config file may set any subset of the fields a file may
+set, ``_file_fields`` (all but the scenario's per-server rate vectors, which
+only the API sets), and an empty file is that study.  ``load_config`` /
+``dump_config`` round-trip exactly.
 
 YAML is parsed by libyaml (PyYAML's ``CSafeLoader``) when PyYAML has it, and
 by the pure-Python ``SafeLoader`` otherwise, to the same values.
 
 ``config_hash``, every output's manifest hash, is the sha256 of the tag
-``hapdc-config/2`` and ``dump_config``'s mapping in sorted order, every
-number written as the ``repr`` of its float (an int no float equals in
-hex).  It names the values, not the bytes printed from them: ``80`` and
-``80.0`` hash alike, though a polar error cell prints each as written, and
-``-0.0`` and ``0.0`` hash apart, as their ``repr``s differ.
+``hapdc-config/2`` and ``dump_config``'s mapping of those fields in sorted
+order, every number written as the ``repr`` of its float (an int no float
+equals in hex).  It names those values, not the bytes printed from them:
+``80`` and ``80.0`` hash alike, though a polar error cell prints each as
+written, and ``-0.0`` and ``0.0`` hash apart, as their ``repr``s differ.
 """
 
 from __future__ import annotations
@@ -143,8 +145,6 @@ class CoolingSpec:
     """Rate at which inlet air relaxes toward the CRAC supply, 1/s."""
     t_in_initial: float = 310.0
     t_cpu_initial: float = 318.0
-    cop_in_celsius: bool = True
-    """Evaluate the COP polynomial on deg-C (Kelvin input converted)."""
 
     def fan_power_w(self) -> float:
         return self.fan.power() if self.fan is not None else self.fan_power
@@ -252,10 +252,6 @@ class ChannelConfig:
     """Receiver noise power, W; thermal over the bandwidth when omitted."""
     avg_rx_snr: float | None = None
     """Mean per-antenna receive SNR; derived from the link budget when omitted."""
-    demand_mapping: str = "bits_per_hz"
-    """How workload maps to the outage-bound rate argument:
-    'bits_per_hz' divides offered bits/s by the bandwidth, 'identity' uses
-    the arrival rate unchanged."""
 
     def __post_init__(self):
         if self.noise_power is None:
@@ -313,10 +309,6 @@ class ChannelConfig:
             raise ValidationError("ChannelConfig: noise_power must be positive")
         if self.avg_rx_snr is not None and self.avg_rx_snr <= 0:
             raise ValidationError("ChannelConfig: avg_rx_snr must be positive")
-        if self.demand_mapping not in ("bits_per_hz", "identity"):
-            raise ValidationError(
-                "ChannelConfig: demand_mapping must be 'bits_per_hz' or 'identity'"
-            )
 
 
 @dataclass(frozen=True)
@@ -394,16 +386,6 @@ class ModelConfig:
     def validate(self):
         for section in fields(self):
             getattr(self, section.name).validate()
-        # cross-section: configured rates must respect the utilization ceiling
-        cap = self.server.desired_utilization * self.server.service_rate_ips
-        for kind, rates in (("ground", self.scenario.ground_rates),
-                            ("hap", self.scenario.hap_rates)):
-            for r in rates:
-                if r * self.workload.task_length_instr > cap * (1 + 1e-12):
-                    raise ValidationError(
-                        f"Scenario: {kind} rate {r} task/s exceeds the utilization "
-                        "ceiling desired_utilization*service_rate/task_length"
-                    )
 
 
 def uniform_split(total: float | np.ndarray,
@@ -464,9 +446,9 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _is_numbers(value, count: int | None = None) -> bool:
-    return (isinstance(value, (list, tuple)) and all(map(_is_number, value))
-            and count in (None, len(value)))
+def _is_numbers(value, count: int) -> bool:
+    return (isinstance(value, (list, tuple)) and len(value) == count
+            and all(map(_is_number, value)))
 
 
 # What a YAML value may be for each field annotation; values are kept as
@@ -475,10 +457,7 @@ _ACCEPTS = {
     "float": _is_number,
     "float | None": lambda v: v is None or _is_number(v),
     "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "bool": lambda v: isinstance(v, bool),
-    "str": lambda v: isinstance(v, str),
     "tuple[float, float]": lambda v: _is_numbers(v, 2),
-    "tuple[float, ...]": lambda v: _is_number(v) or _is_numbers(v),
     "FanSpec | None": lambda v: v is None or isinstance(v, dict),
     "tuple[tuple[float, float, float], ...] | None": lambda v: v is None or (
         isinstance(v, (list, tuple)) and all(_is_numbers(r, 3) for r in v)),
@@ -502,27 +481,27 @@ def _coerce(name: str, value, section: str, annotation: str):
             f"{section}.{name} must be {annotation}, got {value!r}")
     if not _finite(value):
         raise ConfigError(f"{section}.{name} must be finite, got {value!r}")
+    if value is None:
+        return None
     if name == "window":
         return (float(value[0]), float(value[1]))
-    if name in ("ground_rates", "hap_rates"):
-        if _is_number(value):
-            return float(value)  # scalar total, split in Scenario.__post_init__
-        return tuple(float(v) for v in value)
     if name == "fan":
-        if value is None:
-            return None
         return _build_section("cooling.fan", FanSpec, value)
     if name == "table":
-        if value is None:
-            return None
         return tuple(tuple(float(x) for x in row) for row in value)
     return value
+
+
+def _file_fields(cls) -> dict[str, str]:
+    """Each field a config file may set in a ``cls`` section: its type."""
+    return {f.name: f.type for f in fields(cls)
+            if f.name not in ("ground_rates", "hap_rates")}
 
 
 def _build_section(section: str, cls, data: dict):
     if not isinstance(data, dict):
         raise ConfigError(f"config section '{section}' must be a mapping")
-    annotations = {f.name: f.type for f in fields(cls)}
+    annotations = _file_fields(cls)
     kwargs = {}
     for key, value in data.items():
         if key not in annotations:
@@ -570,6 +549,8 @@ def load_config(path: str) -> ModelConfig:
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed YAML in '{path}': {exc}") from exc
     except ValueError as exc:
+        if loader is None:  # open refused the path, as for an embedded NUL
+            raise ConfigError(f"cannot read config file '{path}': {exc}") from exc
         # an int past Python's digit limit or a date with no such day: name
         # the scalar PyYAML was building by its keys up the mappings
         if len(getattr(loader, "recursive_objects", ())) != 1:
@@ -612,13 +593,13 @@ def dump_config(cfg: ModelConfig) -> dict:
     for section in fields(cfg):
         obj = getattr(cfg, section.name)
         sec = {}
-        for f in fields(obj):
-            value = getattr(obj, f.name)
+        for name in _file_fields(type(obj)):
+            value = getattr(obj, name)
             if isinstance(value, FanSpec):
                 value = {sf.name: getattr(value, sf.name) for sf in fields(value)}
             elif isinstance(value, tuple):
                 value = [list(v) if isinstance(v, tuple) else v for v in value]
-            sec[f.name] = value
+            sec[name] = value
         out[section.name] = sec
     return out
 

@@ -116,9 +116,19 @@ def fleet_compute_energy(server: ServerSpec, rates, task_len: float,
 
 
 def cop(cooling: CoolingSpec, temp_k: float) -> float:
-    """CRAC coefficient of performance at the given air temperature."""
-    t = temp_k - KELVIN_OFFSET if cooling.cop_in_celsius else temp_k
+    """CRAC coefficient of performance at an air temperature in K; the
+    polynomial is fitted in deg C (Moore et al., USENIX ATC 2005)."""
+    t = temp_k - KELVIN_OFFSET
     return 0.0068 * t * t + 0.008 * t + 0.458
+
+
+def _relaxation(server: ServerSpec, cooling: CoolingSpec):
+    """The inlet relaxation rate nu, the CPU and inlet offsets from the
+    steady inlet, r and the time constant r * C of a server under its CRAC."""
+    base = cooling.supply_temp + cooling.recirculation_raise
+    r = server.thermal_resistance
+    return (cooling.crac_influence_rate, cooling.t_cpu_initial - base,
+            cooling.t_in_initial - base, r, r * server.heat_capacity)
 
 
 def heat_removed(server_loads: list[ServerLoad], cooling: CoolingSpec,
@@ -127,14 +137,9 @@ def heat_removed(server_loads: list[ServerLoad], cooling: CoolingSpec,
 
     Closed aggregate of the per-server relaxations; approaches the summed
     compute power as t grows."""
-    nu = cooling.crac_influence_rate
-    base = cooling.supply_temp + cooling.recirculation_raise
-    d_cpu = cooling.t_cpu_initial - base
-    d_in = cooling.t_in_initial - base
     total = 0.0
     for server, rate in server_loads:
-        r = server.thermal_resistance
-        rc = r * server.heat_capacity
+        nu, d_cpu, d_in, r, rc = _relaxation(server, cooling)
         p = compute_power(server, rate, task_len)
         decay = math.exp(-t / rc)
         total += (r * (1.0 - decay) * p
@@ -171,13 +176,8 @@ def _heat_integral(server: ServerSpec, power, cooling: CoolingSpec,
     window, so they are taken once for the whole power array."""
     t1, t2 = window
     span = t2 - t1
-    nu = cooling.crac_influence_rate
-    base = cooling.supply_temp + cooling.recirculation_raise
-    d_cpu = cooling.t_cpu_initial - base
-    d_in = cooling.t_in_initial - base
-    r = server.thermal_resistance
+    nu, d_cpu, d_in, _, rc = _relaxation(server, cooling)
     cap = server.heat_capacity
-    rc = r * cap
     k = nu + 1.0 / rc
     relax = span + rc * (math.exp(-t2 / rc) - math.exp(-t1 / rc))
     cpu = cap * d_cpu * (math.exp(-t1 / rc) - math.exp(-t2 / rc))

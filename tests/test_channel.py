@@ -129,8 +129,9 @@ def test_spectral_demand_mappings():
     lam = 3.0
     want = lam * w.bits_per_task() / ch.bandwidth_hz
     assert math.isclose(channel.spectral_demand(ch, w, lam), want, rel_tol=1e-12)
-    ident = ChannelConfig(demand_mapping="identity")
-    assert channel.spectral_demand(ident, w, lam) == 3.0
+    # the rate that offers a demand of 3 bit/s/Hz through the workload
+    rate = 3.0 * ch.bandwidth_hz / w.bits_per_task()
+    assert channel.spectral_demand(ch, w, rate) == 3.0
     with pytest.raises(ValueError):
         channel.spectral_demand(ch, w, -1.0)
     # the demand reads the workload's task length
@@ -386,14 +387,15 @@ def test_reference_rates_read_the_configured_snr():
         assert math.isclose(r, ref, rel_tol=1e-4)
 
 
+# "identity" draws the demands, bit/s/Hz, and derives their rates through
+# the workload; "bits_per_hz" draws the rates, task/s
 @pytest.mark.parametrize("tx, rx, zeta, mapping", [
     (2, 16, 10.0, "bits_per_hz"),     # the shipped link
     (1, 1, 0.0, "bits_per_hz"),       # Rayleigh: a = 0, the Erlang path
     (4, 3, 2.5, "identity"),
 ])
 def test_bounds_and_drops_on_arrays_equal_scalar_calls(tx, rx, zeta, mapping):
-    ch = ChannelConfig(tx_antennas=tx, rx_antennas=rx, rician_factor=zeta,
-                       demand_mapping=mapping)
+    ch = ChannelConfig(tx_antennas=tx, rx_antennas=rx, rician_factor=zeta)
     w = WorkloadSpec()
     rng = np.random.default_rng(tx * 100 + rx)
     # demands <= 0 skip the series, demand * ln 2 > 700 gives 0 without it
@@ -411,7 +413,7 @@ def test_bounds_and_drops_on_arrays_equal_scalar_calls(tx, rx, zeta, mapping):
 
     rates = np.concatenate([[0.0], rng.uniform(0.0, 3.0e4, 30)])
     if mapping == "identity":
-        rates /= 3.0e3
+        rates = rates / 3.0e3 * ch.bandwidth_hz / w.bits_per_task()
     # the reference drop is one minus the lower bound at the rate's demand
     want = [1.0 - channel.ccdf_lower(
         ch, channel.spectral_demand(ch, w, float(r))) for r in rates]
@@ -426,11 +428,13 @@ def test_bounds_are_zero_where_the_threshold_overflows():
     # under the 700 / ln 2 cap per stream, a weak link's threshold y can
     # still overflow to inf; Q is 0 there, as past the cap
     ch = replace(ChannelConfig(tx_antennas=4, rx_antennas=4,
-                               rician_factor=20.0, demand_mapping="identity"),
+                               rician_factor=20.0),
                  avg_rx_snr=1e-8)
+    w = WorkloadSpec()
     assert channel.ccdf_upper(ch, 4030.0) == 0.0
     assert channel.ccdf_lower(ch, 1005.0) == 0.0
-    assert channel.drop_probability(ch, WorkloadSpec(), 1005.0) == 1.0
+    rate = 1005.0 * ch.bandwidth_hz / w.bits_per_task()
+    assert channel.drop_probability(ch, w, rate) == 1.0
 
 
 def _prune_edge(orders, a):
@@ -459,7 +463,7 @@ def test_drop_probability_array_equals_scalar_across_the_prune(
     # the edge where the Chernoff bound starts to settle the drop: the
     # drops must keep the bits of one minus the lower bound on both sides
     ch = ChannelConfig(tx_antennas=tx, rx_antennas=rx, rician_factor=zeta,
-                       avg_rx_snr=snr, demand_mapping="identity")
+                       avg_rx_snr=snr)
     w = WorkloadSpec()
     orders, a, scale = channel._bound_params(ch)
     mean = a * a + 2 * orders
@@ -467,7 +471,9 @@ def test_drop_probability_array_equals_scalar_across_the_prune(
     near = st.floats(min_value=-1.0, max_value=1.0).map(
         lambda x: edge * math.exp(x))
     anywhere = st.floats(min_value=-3.0, max_value=4.0).map(math.exp)
-    pool = [math.log2(1.0 + mean * ratio / (2.0 * scale)) for ratio in
+    # each rate offers its drawn demand through the workload
+    pool = [math.log2(1.0 + mean * ratio / (2.0 * scale))
+            * ch.bandwidth_hz / w.bits_per_task() for ratio in
             data.draw(st.lists(near | anywhere, min_size=1, max_size=8))]
     rates = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=1,
                                         max_size=20)))

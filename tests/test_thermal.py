@@ -77,12 +77,6 @@ def test_cop_shipped_supply_temperature():
     assert math.isclose(thermal.cop(c, 299.15), 5.2628, rel_tol=1e-12)
 
 
-def test_cop_kelvin_mode_differs():
-    c = CoolingSpec(cop_in_celsius=False)
-    raw = 0.0068 * 299.15**2 + 0.008 * 299.15 + 0.458
-    assert math.isclose(thermal.cop(c, 299.15), raw, rel_tol=1e-12)
-
-
 def test_compute_power_endpoints():
     s = ServerSpec()
     assert thermal.compute_power(s, 0.0, 1e6) == s.p_idle
