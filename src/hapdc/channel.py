@@ -54,8 +54,8 @@ MC_CHUNK = 20_000
 
 
 def sample_channel(ch: ChannelConfig, count: int,
-                   rng: np.random.Generator | None = None) -> np.ndarray:
-    """Draw ``count`` Rician channel matrices, shape (count, rx, tx).
+                   rng: np.random.Generator) -> np.ndarray:
+    """Draw ``count`` Rician channel matrices (count, rx, tx) from ``rng``.
 
     This is the reference draw of the channel itself; the Monte Carlo
     estimate samples rates through ``sample_rates`` instead.  The
@@ -64,8 +64,6 @@ def sample_channel(ch: ChannelConfig, count: int,
     array: the real parts take the first normal draw, the imaginary parts
     the second.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     shape = (count, ch.rx_antennas, ch.tx_antennas)
     h = np.empty(shape, dtype=complex)
     h.real = rng.standard_normal(shape)
@@ -233,9 +231,8 @@ def sample_rates(ch: ChannelConfig, count: int,
     return ch.bandwidth_hz * np.log2(np.maximum(det, 1.0))
 
 
-def empirical_ccdf(ch: ChannelConfig, demands, samples: int = 100_000,
-                   rng: np.random.Generator | None = None
-                   ) -> tuple[np.ndarray, np.ndarray]:
+def empirical_ccdf(ch: ChannelConfig, demands, samples: int,
+                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo CCDF of the full-covariance rate at each spectral demand.
 
     The rates are drawn by ``sample_rates`` from the law of the Gram
@@ -251,8 +248,6 @@ def empirical_ccdf(ch: ChannelConfig, demands, samples: int = 100_000,
     half-count continuity adjustment where a count is 0 or ``samples``,
     so it never collapses to zero.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     demands = np.atleast_1d(np.asarray(demands, dtype=float))
     thresholds = demands * ch.bandwidth_hz
     starts = range(0, samples, MC_CHUNK)

@@ -313,7 +313,8 @@ class ChannelConfig:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A concrete deployment: site, date, fleet split and per-server rates."""
+    """A concrete deployment: site, date, fleet split and one rate per
+    server, as tuples; an empty tuple is all zeros."""
 
     latitude_deg: float = 40.0
     day_of_year: float = 150.0
@@ -325,17 +326,6 @@ class Scenario:
     hap_rates: tuple[float, ...] = ()
 
     def __post_init__(self):
-        # scalars in either rate slot mean a uniform total to split
-        if not isinstance(self.ground_rates, tuple):
-            object.__setattr__(
-                self, "ground_rates",
-                uniform_split(float(self.ground_rates), self.ground_servers),
-            )
-        if not isinstance(self.hap_rates, tuple):
-            object.__setattr__(
-                self, "hap_rates",
-                uniform_split(float(self.hap_rates), self.hap_servers),
-            )
         if self.ground_rates == () and self.ground_servers:
             object.__setattr__(self, "ground_rates", (0.0,) * self.ground_servers)
         if self.hap_rates == () and self.hap_servers:

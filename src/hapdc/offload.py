@@ -83,19 +83,12 @@ def _link_gate(ch, bits_per_instruction: float, task_len: float) -> _Gate:
 
 
 def _gate(cfg: ModelConfig) -> _Gate:
+    """The config's cached gate: ``refine()`` gives the per-link rate,
+    task/s, from which a drop is charged, or inf.  Below it the link counts
+    as lossless and every delivery policy agrees; a link that offloads
+    nothing drops nothing and never looks the gate up."""
     return _link_gate(cfg.channel, cfg.workload.bits_per_instruction,
                       cfg.workload.task_length_instr)
-
-
-def drop_gate(cfg: ModelConfig) -> float:
-    """Per-link offload rate from which a drop probability is charged,
-    task/s: the link's cached bisection run to its end, or inf.
-
-    Below it the drop bound is vanishingly small, so the link counts as
-    lossless there and every delivery policy agrees; a link that offloads
-    nothing drops nothing and never looks the gate up.
-    """
-    return _gate(cfg).refine()
 
 
 HARVEST_BOUND = "harvest"
@@ -240,8 +233,7 @@ def _allocate(sc: Scenario, hap_servers: int, totals: np.ndarray, per_server,
     None; a failed row holds zero ground rates."""
     airborne = hap_servers * sc.hap_count
     offered = np.asarray(per_server * airborne, dtype=float)
-    hap_total = (np.where(offered < totals, offered, totals) if airborne
-                 else np.zeros(len(totals)))
+    hap_total = np.where(offered < totals, offered, totals)
     ground_total = totals - hap_total
     cap = high_load_threshold(cfg.server, cfg.workload.task_length_instr)
     failed = (ground_total / sc.ground_servers > cap * (1 + 1e-12)

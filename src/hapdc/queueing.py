@@ -77,8 +77,7 @@ class SimulationResult:
 
 def simulate_mm1_vacations(arrival_rate: float, service_rate: float,
                            vacation_rate: float, n_tasks: int,
-                           rng: np.random.Generator | None = None
-                           ) -> SimulationResult:
+                           rng: np.random.Generator) -> SimulationResult:
     """Simulate ``n_tasks`` Poisson arrivals through the vacation queue.
 
     FIFO order, one server.  Whenever the system empties the server leaves
@@ -92,7 +91,7 @@ def simulate_mm1_vacations(arrival_rate: float, service_rate: float,
     run back to back, so their ends form one increasing sequence.  Task
     ``j`` starts at the first vacation end past the running maximum of the
     virtual arrival times (a cumulative-max Lindley recursion), plus the
-    work ahead of it.  The draws are taken in the order arrivals, services,
+    work ahead of it.  ``rng`` is drawn in the order arrivals, services,
     then vacations in pools of 8192, and each pool is searched as it is
     drawn, so memory holds one pool of ends, not all of them.  The run
     draws about ``vacation_rate`` times the last virtual arrival time of
@@ -113,8 +112,6 @@ def simulate_mm1_vacations(arrival_rate: float, service_rate: float,
     u = arrival_rate / service_rate
     if u >= 1.0:
         raise StabilityError(f"cannot simulate an unstable queue (utilization {u:.6g})")
-    if rng is None:
-        rng = np.random.default_rng()
 
     arrivals = rng.exponential(1.0 / arrival_rate, n_tasks)
     np.cumsum(arrivals, out=arrivals)

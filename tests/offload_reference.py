@@ -41,7 +41,7 @@ def apply_axis(cfg, axis, value):
 def _charged(per_link, cfg):
     """Whether a link offloading ``per_link`` task/s is charged a drop:
     at or above the reliable-rate gate, looked up only when it offloads."""
-    return per_link > 0 and per_link >= offload.drop_gate(cfg)
+    return per_link > 0 and per_link >= offload._gate(cfg).refine()
 
 
 def evaluate(scenario, cfg, drop=None):

@@ -171,13 +171,6 @@ def test_unopenable_path_names_the_file(capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_scalar_rate_split():
-    s = Scenario(ground_servers=7, ground_rates=100.0, hap_servers=0,
-                 hap_rates=())
-    assert len(s.ground_rates) == 7
-    assert math.fsum(s.ground_rates) == 100.0
-
-
 def test_default_rates_are_zero_vectors():
     s = Scenario(ground_servers=3, hap_servers=2)
     assert s.ground_rates == (0.0, 0.0, 0.0)
@@ -242,6 +235,18 @@ def test_wind_table_missing_csv(tmp_path):
     yml.write_text("wind:\n  table_path: nope.csv\n")
     with pytest.raises(ConfigError):
         load_config(str(yml))
+
+
+def test_wind_table_csv_with_no_rows(tmp_path, capsys):
+    (tmp_path / "wind.csv").write_text("latitude_deg,day_of_year,wind_speed\n")
+    yml = tmp_path / "cfg.yaml"
+    yml.write_text("wind:\n  table_path: wind.csv\n")
+    message = f"wind table '{tmp_path / 'wind.csv'}' has no rows"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(str(yml))
+    assert cli.main(["fly", "--config", str(yml), "--axis", "day",
+                     "--range", "1:2:1"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_fan_spec_power():
@@ -330,6 +335,126 @@ def test_validation_messages():
         CoolingSpec(crac_count=0).validate()
     with pytest.raises(ValidationError):
         Scenario(latitude_deg=91.0).validate()
+
+
+_FAN = {"air_flow_rate": 10.0, "pressure_loss": 100.0,
+        "fan_efficiency": 0.7, "motor_efficiency": 0.9}
+
+
+@pytest.mark.parametrize("raw, message", [
+    ({"server": {"service_rate_mips": 0}},
+     "ServerSpec: service_rate_mips must be positive"),
+    ({"server": {"p_idle": -1}}, "ServerSpec: p_idle must be non-negative"),
+    ({"server": {"p_peak": 10000}}, "ServerSpec: p_peak must exceed p_idle"),
+    ({"server": {"desired_utilization": 0}},
+     "ServerSpec: desired_utilization must be in (0, 1]"),
+    ({"server": {"desired_utilization": 1.5}},
+     "ServerSpec: desired_utilization must be in (0, 1]"),
+    ({"server": {"heat_capacity": 0}},
+     "ServerSpec: thermal parameters must be positive"),
+    ({"server": {"thermal_resistance": 0}},
+     "ServerSpec: thermal parameters must be positive"),
+    ({"workload": {"arrival_rate_total": -1}},
+     "WorkloadSpec: arrival_rate_total must be non-negative"),
+    ({"workload": {"task_length_instr": 0}},
+     "WorkloadSpec: task_length_instr must be positive"),
+    ({"workload": {"bits_per_instruction": 0}},
+     "WorkloadSpec: bits_per_instruction must be positive"),
+    ({"workload": {"overhead_ratio": 0.99}},
+     "WorkloadSpec: overhead_ratio must be >= 1"),
+    ({"workload": {"vacation_rate": 0}},
+     "WorkloadSpec: vacation_rate must be positive"),
+    ({"cooling": {"fan": {**_FAN, "air_flow_rate": 0}}},
+     "FanSpec: air_flow_rate and pressure_loss must be positive"),
+    ({"cooling": {"fan": {**_FAN, "pressure_loss": 0}}},
+     "FanSpec: air_flow_rate and pressure_loss must be positive"),
+    ({"cooling": {"fan": {**_FAN, "fan_efficiency": 0}}},
+     "FanSpec: fan_efficiency must be in (0, 1]"),
+    ({"cooling": {"fan": {**_FAN, "motor_efficiency": 1.5}}},
+     "FanSpec: motor_efficiency must be in (0, 1]"),
+    ({"cooling": {"crac_count": 0}},
+     "CoolingSpec: crac_count must be at least 1"),
+    ({"cooling": {"supply_temp": 0}},
+     "CoolingSpec: supply_temp must be positive (Kelvin)"),
+    ({"cooling": {"fan_power": -1}},
+     "CoolingSpec: fan_power must be non-negative"),
+    ({"cooling": {"recirculation_raise": -1}},
+     "CoolingSpec: recirculation_raise must be non-negative"),
+    ({"cooling": {"crac_influence_rate": 0}},
+     "CoolingSpec: crac_influence_rate must be positive"),
+    ({"cooling": {"t_in_initial": 0}},
+     "CoolingSpec: initial temperatures must be positive (Kelvin)"),
+    ({"cooling": {"t_cpu_initial": 0}},
+     "CoolingSpec: initial temperatures must be positive (Kelvin)"),
+    ({"hap": {"pv_efficiency": 1.5}},
+     "HapPlatform: pv_efficiency must be in (0, 1]"),
+    ({"hap": {"propeller_efficiency": 0}},
+     "HapPlatform: propeller_efficiency must be in (0, 1]"),
+    *[({"hap": {name: 0}}, f"HapPlatform: {name} must be positive")
+      for name in ("pv_area", "air_density", "air_viscosity", "body_length",
+                   "body_diameter", "hap_velocity", "drag_constant")],
+    ({"wind": {"speed": -1}}, "WindSpec: speed must be non-negative"),
+    ({"wind": {"table": [[40, 1, -1]]}},
+     "WindSpec: table wind speeds must be non-negative"),
+    ({"channel": {"tx_antennas": 0}},
+     "ChannelConfig: antenna counts must be at least 1"),
+    ({"channel": {"rx_antennas": 0}},
+     "ChannelConfig: antenna counts must be at least 1"),
+    ({"channel": {"bandwidth_hz": 0}},
+     "ChannelConfig: bandwidth_hz must be positive"),
+    ({"channel": {"rician_factor": -1}},
+     "ChannelConfig: rician_factor must be non-negative"),
+    ({"channel": {"ref_gain": 0}},
+     "ChannelConfig: ref_gain and link_distance must be positive"),
+    ({"channel": {"link_distance": 0}},
+     "ChannelConfig: ref_gain and link_distance must be positive"),
+    ({"channel": {"tx_power": 0}}, "ChannelConfig: tx_power must be positive"),
+    ({"channel": {"noise_power": 0}},
+     "ChannelConfig: noise_power must be positive"),
+    ({"channel": {"avg_rx_snr": 0}},
+     "ChannelConfig: avg_rx_snr must be positive"),
+    ({"scenario": {"latitude_deg": 91}},
+     "Scenario: latitude_deg must be in [-90, 90]"),
+    ({"scenario": {"day_of_year": 367}},
+     "Scenario: day_of_year must be in [0, 366]"),
+    ({"scenario": {"window": [5, 5]}},
+     "Scenario: window must satisfy 0 <= t1 < t2"),
+    ({"scenario": {"window": [-1, 5]}},
+     "Scenario: window must satisfy 0 <= t1 < t2"),
+    ({"scenario": {"ground_servers": -1}},
+     "Scenario: server counts must be non-negative"),
+    ({"scenario": {"hap_servers": -1}},
+     "Scenario: server counts must be non-negative"),
+    ({"scenario": {"hap_count": 0}}, "Scenario: hap_count must be at least 1"),
+])
+def test_every_bound_refuses_the_first_value_outside_it(raw, message):
+    with pytest.raises(ValidationError) as got:
+        build_config(raw)
+    assert str(got.value).startswith(message)
+
+
+@pytest.mark.parametrize("scenario, message", [
+    (Scenario(ground_servers=3, ground_rates=(1.0, 2.0)),
+     "Scenario: ground_rates length must equal ground_servers (2 != 3)"),
+    (Scenario(hap_servers=2, hap_rates=(1.0,)),
+     "Scenario: hap_rates length must equal hap_servers (1 != 2)"),
+    (Scenario(ground_servers=2, ground_rates=(1.0, -1.0)),
+     "Scenario: arrival rates must be non-negative"),
+])
+def test_scenario_rate_vector_bounds(scenario, message):
+    # no config file sets the rates, so these rules are reached in code only
+    with pytest.raises(ValidationError) as got:
+        scenario.validate()
+    assert str(got.value) == message
+
+
+def test_out_of_range_value_exits_usage(tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text("server: {p_idle: -1}\n")
+    assert cli.main(["fly", "--config", str(path), "--axis", "day",
+                     "--range", "1:2:1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: ServerSpec: p_idle must be non-negative\n")
 
 
 def test_config_hash_stable_and_sensitive(shipped_cfg):

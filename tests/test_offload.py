@@ -342,7 +342,7 @@ def test_link_that_never_drops_charges_no_drop(shipped_cfg, monkeypatch):
     with pytest.raises(LinkRateError, match="never drops"):
         channel.max_reliable_rate(cfg.channel, cfg.workload)
     offload._link_gate.cache_clear()
-    assert offload.drop_gate(cfg) == math.inf
+    assert offload._gate(cfg).refine() == math.inf
     monkeypatch.setattr(channel, "drop_probability",
                         lambda *args: pytest.fail("a drop was evaluated"))
     out = sweeps.run_energy_sweep(
@@ -439,14 +439,14 @@ def test_gate_whose_step_raised_raises_again(shipped_cfg, monkeypatch):
     try:
         for _ in range(2):
             with pytest.raises(NumericsError):
-                offload.drop_gate(shipped_cfg)
+                offload._gate(shipped_cfg).refine()
         assert offload._gate(shipped_cfg).lo > 1000.0
         with pytest.raises(NumericsError):
             offload.saving(below, shipped_cfg)
     finally:
         offload._link_gate.cache_clear()
     assert failed == [1]
-    assert offload.drop_gate(shipped_cfg) == 5361.783167347312
+    assert offload._gate(shipped_cfg).refine() == 5361.783167347312
 
 
 def test_retransmission_budget_formula(shipped_cfg):

@@ -28,7 +28,8 @@ def test_unstable_raises():
     with pytest.raises(StabilityError):
         queueing.mean_wait(2.5, 2.0, 1.0)
     with pytest.raises(StabilityError):
-        queueing.simulate_mm1_vacations(2.0, 2.0, 1.0, 1000)
+        queueing.simulate_mm1_vacations(2.0, 2.0, 1.0, 1000,
+                                        np.random.default_rng(0))
 
 
 def test_bad_rates_rejected():
@@ -154,9 +155,11 @@ def test_simulation_stderr_matches_replication_spread():
 
 def test_simulation_guards():
     with pytest.raises(ValueError):
-        queueing.simulate_mm1_vacations(0.0, 1.0, 1.0, 1000)
+        queueing.simulate_mm1_vacations(0.0, 1.0, 1.0, 1000,
+                                        np.random.default_rng(0))
     with pytest.raises(ValueError):
-        queueing.simulate_mm1_vacations(1.0, 2.0, 1.0, 1)
+        queueing.simulate_mm1_vacations(1.0, 2.0, 1.0, 1,
+                                        np.random.default_rng(0))
     # a vacation lasting hours gathers all 50 arrivals into one busy
     # period: a single cycle, which leaves no spread for an error bar
     sim = queueing.simulate_mm1_vacations(0.99, 1.0, 1e-4, 50,

@@ -5,6 +5,7 @@ import ast
 import contextlib
 import csv
 import importlib
+import inspect
 import io
 import json
 import math
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 import hapdc
-from hapdc import channel, cli, offload, queueing, sweeps, thermal
+from hapdc import channel, cli, offload, queueing, solar, sweeps, thermal
 from hapdc.config import ModelConfig, WindSpec, WorkloadSpec, load_config
 from hapdc.errors import ConfigError, LinkSaturationWarning, OverloadError
 
@@ -244,6 +245,29 @@ def test_sweep_passes_other_warnings_on(shipped_cfg, monkeypatch):
         out = sweeps.run_energy_sweep(
             shipped_cfg, sweeps.SweepSpec("day", 150.0, 150.0, 1.0))
     assert out.notes[0].startswith("1 grid point(s)")
+
+
+def test_all_ground_energy_sweep(tmp_path, capsys):
+    # with no platform server every total stays on the ground, so the hybrid
+    # bill is the baseline up to the ground capacity, 40 x 580 = 23,200
+    # task/s, and every total past it is refused
+    path = tmp_path / "ground.yaml"
+    path.write_text("scenario: {hap_servers: 0}\n")
+    assert cli.main(["energy", "--config", str(path), "--axis",
+                     "arrival_rate", "--range", "0:40000:10000"]) == 0
+    text = capsys.readouterr().out
+    rows = list(csv.DictReader(ln for ln in text.splitlines()
+                               if not ln.startswith("#")))
+    assert [row["arrival_rate"] for row in rows] == [
+        "0.0", "10000.0", "20000.0", "30000.0", "40000.0"]
+    for row in rows[:3]:
+        assert row["error"] == ""
+        assert row["e_hybrid"] == row["e_tdc"]
+        assert (row["saved_rate"], row["n_retx"]) == ("0.0", "0")
+    for row, total in zip(rows[3:], ("30000", "40000")):
+        assert row["error"] == (f"residual workload {total} task/s exceeds "
+                                "ground capacity")
+        assert row["e_tdc"] == row["e_hybrid"] == ""
 
 
 # --- outage sweep ------------------------------------------------------------
@@ -961,6 +985,23 @@ def test_cli_validate_passes(capsys):
     assert lines[-1].endswith("checks passed")
 
 
+@pytest.mark.parametrize("module, name, wrong, line", [
+    (solar, "declination", lambda day: 1.0,
+     "FAIL solar identities: declination(79.75) != 0; "
+     "declination(171) != 0.4093"),
+    (channel, "ccdf_upper", lambda ch, demand: -1.0,
+     "FAIL outage bounds sandwich monte carlo: demand 2.00: "),
+], ids=["solar", "outage"])
+def test_cli_validate_fails(monkeypatch, capsys, module, name, wrong, line):
+    # a library quantity that drifts from its cross-check fails the command
+    monkeypatch.setattr(module, name, wrong)
+    assert cli.main(["validate", "--config", SHIPPED_CONFIG]) == 3
+    lines = capsys.readouterr().out.strip().split("\n")
+    [fail] = [ln for ln in lines if ln.startswith("FAIL ")]
+    assert fail.startswith(line)
+    assert lines[-1] == "5/6 checks passed"
+
+
 @pytest.mark.parametrize("key, message", [
     ("bandwidth_hz", "error: ChannelConfig: bandwidth_hz must be positive"),
     ("link_distance",
@@ -974,6 +1015,13 @@ def test_cli_zero_link_budget_field_is_usage_error(tmp_path, capsys, key,
                    "--range", "1:2:1"])
     assert rc == 2
     assert capsys.readouterr().err.strip() == message
+
+
+def test_package_has_one_version():
+    # the manifest prints hapdc.__version__; the build reads pyproject.toml
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(os.path.join(REPO_ROOT, "pyproject.toml"), "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == hapdc.__version__
 
 
 def test_cli_omitted_and_empty_config_share_a_manifest(tmp_path, capsys):
@@ -1001,6 +1049,16 @@ def test_sampled_sweeps_do_not_move_with_the_cpu_count(monkeypatch, capsys):
                                     "11"]) == 0
             outputs.append(capsys.readouterr().out)
     assert outputs[:2] == outputs[2:]
+
+
+@pytest.mark.parametrize("sampler", [channel.sample_channel,
+                                     channel.empirical_ccdf,
+                                     queueing.simulate_mm1_vacations])
+def test_every_draw_takes_its_generator(sampler):
+    # no sampler falls back to an unseeded generator or a sample count
+    params = inspect.signature(sampler).parameters
+    assert "rng" in params
+    assert all(p.default is inspect.Parameter.empty for p in params.values())
 
 
 def test_delay_rows_run_one_at_a_time_over_the_memory_budget(shipped_cfg,
@@ -1100,7 +1158,7 @@ def _energy_grids(shipped_cfg):
 def test_energy_cells_equal_saving_per_point(shipped_cfg):
     # each row holds what saving() and the one-scenario reference report
     seen = {"polar": 0, "overload": 0, "closed": 0, "open": 0, "shapes": 0}
-    gate = offload.drop_gate(shipped_cfg)
+    gate = offload._gate(shipped_cfg).refine()
     for cfg, spec in _energy_grids(shipped_cfg):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -1213,7 +1271,7 @@ def test_energy_gate_and_drops_looked_up_once_per_sweep(shipped_cfg,
     real_gate, real_drop = offload._gate, channel.drop_probability
     real_inversion = channel.reliable_brackets
     cfg = shipped_cfg
-    gate = offload.drop_gate(cfg)
+    gate = offload._gate(cfg).refine()
     monkeypatch.setattr(offload, "_gate",
                         lambda cfg: gates.append(1) or real_gate(cfg))
     monkeypatch.setattr(channel, "drop_probability",
@@ -1281,7 +1339,7 @@ def test_energy_sweeps_step_the_gate_only_as_far_as_their_rates_need(
             sweeps.run_energy_sweep(shipped_cfg, spec)
         assert len(calls) <= most, spec.axis
         # the bisection the sweep left part-way ends where the full one does
-        assert offload.drop_gate(shipped_cfg) == 5361.783167347312
+        assert offload._gate(shipped_cfg).refine() == 5361.783167347312
 
 
 def test_energy_drops_run_the_series_once_per_distinct_shallow_rate(
@@ -1289,7 +1347,8 @@ def test_energy_drops_run_the_series_once_per_distinct_shallow_rate(
     # the shipped ramp hands the drop 331 links at or above the gate, at
     # 100 distinct rates; the Chernoff bound settles 44 of those, so the
     # series sees 56 thresholds.  The seasonal sweep's 249 links keep 91.
-    offload.drop_gate(shipped_cfg)  # the inversion's own series is not counted
+    # the inversion's own series is not counted
+    offload._gate(shipped_cfg).refine()
     links, thresholds = [], []
     real_drop, real_q = channel.drop_probability, channel.marcum_q
     monkeypatch.setattr(channel, "drop_probability",
