@@ -24,7 +24,7 @@ import csv
 import hashlib
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 import yaml
@@ -40,170 +40,184 @@ _NOISE_DENSITY_W_PER_HZ = 10.0 ** ((-174.0 - 30.0) / 10.0)
 
 
 @dataclass(frozen=True)
-class ServerSpec:
+class Interval:
+    """The values a config field may take, ``lo`` to ``hi`` with each end
+    open or closed, and the words its refusal uses (by default, ``be in``
+    the interval).  A value is inside only where both comparisons hold, so
+    NaN lies outside every interval."""
+
+    lo: float
+    hi: float = math.inf
+    words: str = ""
+    lo_open: bool = False
+    hi_open: bool = False
+
+    def __contains__(self, value) -> bool:
+        return ((self.lo < value if self.lo_open else self.lo <= value)
+                and (value < self.hi if self.hi_open else value <= self.hi))
+
+    def __str__(self) -> str:
+        return (f"{'(' if self.lo_open else '['}{self.lo:g}, "
+                f"{self.hi:g}{')' if self.hi_open else ']'}")
+
+
+_POSITIVE = Interval(0.0, words="be positive", lo_open=True)
+_KELVIN = Interval(0.0, words="be positive (Kelvin)", lo_open=True)
+_NON_NEGATIVE = Interval(0.0, words="be non-negative")
+_AT_LEAST_1 = Interval(1, words="be at least 1")
+_FRACTION = Interval(0.0, 1.0, lo_open=True)
+
+
+def _param(default, unit: str, bound: Interval | None = None,
+           group: str | None = None):
+    """A section field: its default (``MISSING`` for none), its SI unit, the
+    interval its value must lie in, and the group a refusal names in place
+    of the field."""
+    return field(default=default,
+                 metadata={"unit": unit, "bound": bound, "group": group})
+
+
+class _Section:
+    """A config section, whose fields are ``_param``s, or a bundle of them."""
+
+    def validate(self):
+        """Refuse the first field outside its interval (a None, a link
+        budget left underived, is skipped) or whose own section refuses it,
+        then the section's rules."""
+        for f in fields(self):
+            value, bound = getattr(self, f.name), f.metadata.get("bound")
+            if isinstance(value, _Section):
+                value.validate()
+            elif bound is not None and value is not None and value not in bound:
+                raise ValidationError(
+                    f"{type(self).__name__}: {f.metadata['group'] or f.name} "
+                    f"must {bound.words or f'be in {bound}'}")
+        self._rules()
+
+    def _rules(self):
+        """The checks that read more than one field; none by default."""
+
+
+@dataclass(frozen=True)
+class ServerSpec(_Section):
     """One compute server: capacity, power envelope and thermal bulk."""
 
-    service_rate_mips: float = 580.0
-    p_idle: float = 10000.0
-    """Idle power draw, W."""
-    p_peak: float = 60000.0
-    """Power draw at full utilization, W."""
-    desired_utilization: float = 1.0
-    heat_capacity: float = 340.0
-    """Lumped thermal capacitance of the server, J/K."""
-    thermal_resistance: float = 0.34
-    """CPU-to-air thermal resistance, K/W."""
+    service_rate_mips: float = _param(580.0, "Minstr/s", _POSITIVE)
+    p_idle: float = _param(10000.0, "W", _NON_NEGATIVE)
+    """Idle power draw."""
+    p_peak: float = _param(60000.0, "W")
+    """Power draw at full utilization."""
+    desired_utilization: float = _param(1.0, "1", _FRACTION)
+    heat_capacity: float = _param(340.0, "J/K", _POSITIVE, "thermal parameters")
+    """Lumped thermal capacitance of the server."""
+    thermal_resistance: float = _param(0.34, "K/W", _POSITIVE, "thermal parameters")
+    """CPU-to-air thermal resistance."""
 
     @property
     def service_rate_ips(self) -> float:
         """Service rate in instructions per second."""
         return self.service_rate_mips * MIPS
 
-    def validate(self):
-        if self.service_rate_mips <= 0:
-            raise ValidationError("ServerSpec: service_rate_mips must be positive")
-        if self.p_idle < 0:
-            raise ValidationError("ServerSpec: p_idle must be non-negative")
-        if self.p_peak <= self.p_idle:
+    def _rules(self):
+        if not self.p_peak > self.p_idle:
             raise ValidationError(
                 "ServerSpec: p_peak must exceed p_idle "
                 f"(p_idle={self.p_idle}, p_peak={self.p_peak})"
             )
-        if not 0.0 < self.desired_utilization <= 1.0:
-            raise ValidationError("ServerSpec: desired_utilization must be in (0, 1]")
-        if self.heat_capacity <= 0 or self.thermal_resistance <= 0:
-            raise ValidationError("ServerSpec: thermal parameters must be positive")
 
 
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(_Section):
     """Task stream characteristics shared by both data centers."""
 
-    arrival_rate_total: float = 20000.0
-    """Aggregate task arrival rate for the whole system, task/s."""
-    task_length_instr: float = 1.0e6
+    arrival_rate_total: float = _param(20000.0, "task/s", _NON_NEGATIVE)
+    """Aggregate task arrival rate for the whole system."""
+    task_length_instr: float = _param(1.0e6, "instr", _POSITIVE)
     """Instructions per task: the one task length the energy and link
     models read."""
-    bits_per_instruction: float = 0.02
+    bits_per_instruction: float = _param(0.02, "bit/instr", _POSITIVE)
     """Offloaded data bits carried per instruction of compute."""
-    overhead_ratio: float = 1.1
+    overhead_ratio: float = _param(1.1, "1", Interval(1.0, words="be >= 1"))
     """Transmission overhead multiplier applied to offered bits."""
-    vacation_rate: float = 10.0
-    """Rate of the exponential server vacations, 1/s."""
+    vacation_rate: float = _param(10.0, "1/s", _POSITIVE)
+    """Rate of the exponential server vacations."""
 
     def bits_per_task(self) -> float:
         return self.task_length_instr * self.bits_per_instruction
 
-    def validate(self):
-        if self.arrival_rate_total < 0:
-            raise ValidationError("WorkloadSpec: arrival_rate_total must be non-negative")
-        if self.task_length_instr <= 0:
-            raise ValidationError("WorkloadSpec: task_length_instr must be positive")
-        if self.bits_per_instruction <= 0:
-            raise ValidationError("WorkloadSpec: bits_per_instruction must be positive")
-        if self.overhead_ratio < 1.0:
-            raise ValidationError("WorkloadSpec: overhead_ratio must be >= 1")
-        if self.vacation_rate <= 0:
-            raise ValidationError("WorkloadSpec: vacation_rate must be positive")
-
 
 @dataclass(frozen=True)
-class FanSpec:
+class FanSpec(_Section):
     """CRAC fan sized from airflow and pressure loss instead of a fixed power."""
 
-    air_flow_rate: float
-    pressure_loss: float
-    fan_efficiency: float
-    motor_efficiency: float
+    air_flow_rate: float = _param(MISSING, "m^3/s", _POSITIVE, "air_flow_rate and pressure_loss")
+    pressure_loss: float = _param(MISSING, "Pa", _POSITIVE, "air_flow_rate and pressure_loss")
+    fan_efficiency: float = _param(MISSING, "1", _FRACTION)
+    motor_efficiency: float = _param(MISSING, "1", _FRACTION)
 
     def power(self) -> float:
         return self.air_flow_rate * self.pressure_loss / (
             self.fan_efficiency * self.motor_efficiency
         )
 
-    def validate(self):
-        if self.air_flow_rate <= 0 or self.pressure_loss <= 0:
-            raise ValidationError("FanSpec: air_flow_rate and pressure_loss must be positive")
-        for name in ("fan_efficiency", "motor_efficiency"):
-            if not 0.0 < getattr(self, name) <= 1.0:
-                raise ValidationError(f"FanSpec: {name} must be in (0, 1]")
-
 
 @dataclass(frozen=True)
-class CoolingSpec:
+class CoolingSpec(_Section):
     """CRAC room model: supply air, fan power and recirculation dynamics."""
 
-    crac_count: int = 4
-    supply_temp: float = 299.15
-    """CRAC supply air temperature, K."""
-    fan_power: float = 500.0
-    """Fan power per CRAC, W (ignored when ``fan`` is given)."""
-    fan: FanSpec | None = None
-    recirculation_raise: float = 2.0
-    """Steady inlet temperature rise above supply air, K."""
-    crac_influence_rate: float = 0.05
-    """Rate at which inlet air relaxes toward the CRAC supply, 1/s."""
-    t_in_initial: float = 310.0
-    t_cpu_initial: float = 318.0
+    crac_count: int = _param(4, "1", _AT_LEAST_1)
+    supply_temp: float = _param(299.15, "K", _KELVIN)
+    """CRAC supply air temperature."""
+    fan_power: float = _param(500.0, "W")
+    """Fan power per CRAC (ignored when ``fan`` is given)."""
+    fan: FanSpec | None = _param(None, "W")
+    """The fan that sets the power per CRAC in place of ``fan_power``."""
+    recirculation_raise: float = _param(2.0, "K", _NON_NEGATIVE)
+    """Steady inlet temperature rise above supply air."""
+    crac_influence_rate: float = _param(0.05, "1/s", _POSITIVE)
+    """Rate at which inlet air relaxes toward the CRAC supply."""
+    t_in_initial: float = _param(310.0, "K", _KELVIN, "initial temperatures")
+    t_cpu_initial: float = _param(318.0, "K", _KELVIN, "initial temperatures")
 
     def fan_power_w(self) -> float:
         return self.fan.power() if self.fan is not None else self.fan_power
 
-    def validate(self):
-        if self.crac_count < 1:
-            raise ValidationError("CoolingSpec: crac_count must be at least 1")
-        if self.supply_temp <= 0:
-            raise ValidationError("CoolingSpec: supply_temp must be positive (Kelvin)")
-        if self.fan is None and self.fan_power < 0:
+    def _rules(self):
+        if self.fan is None and self.fan_power not in _NON_NEGATIVE:
             raise ValidationError("CoolingSpec: fan_power must be non-negative")
-        if self.fan is not None:
-            self.fan.validate()
-        if self.recirculation_raise < 0:
-            raise ValidationError("CoolingSpec: recirculation_raise must be non-negative")
-        if self.crac_influence_rate <= 0:
-            raise ValidationError("CoolingSpec: crac_influence_rate must be positive")
-        if self.t_in_initial <= 0 or self.t_cpu_initial <= 0:
-            raise ValidationError("CoolingSpec: initial temperatures must be positive (Kelvin)")
 
 
 @dataclass(frozen=True)
-class HapPlatform:
+class HapPlatform(_Section):
     """Airship geometry and solar harvest chain."""
 
-    pv_area: float = 8000.0
-    pv_efficiency: float = 0.4
-    propeller_efficiency: float = 0.8
-    air_density: float = 0.08891
-    """Stratospheric air density, kg/m^3."""
-    air_viscosity: float = 1.422e-5
-    """Dynamic viscosity, N*s/m^2."""
-    body_length: float = 115.0
-    body_diameter: float = 34.0
-    hap_velocity: float = 8.0
-    drag_constant: float = 1.8
+    pv_area: float = _param(8000.0, "m^2", _POSITIVE)
+    pv_efficiency: float = _param(0.4, "1", _FRACTION)
+    propeller_efficiency: float = _param(0.8, "1", _FRACTION)
+    air_density: float = _param(0.08891, "kg/m^3", _POSITIVE)
+    """Stratospheric air density."""
+    air_viscosity: float = _param(1.422e-5, "N*s/m^2", _POSITIVE)
+    """Dynamic viscosity."""
+    body_length: float = _param(115.0, "m", _POSITIVE)
+    body_diameter: float = _param(34.0, "m", _POSITIVE)
+    hap_velocity: float = _param(8.0, "m^3", _POSITIVE)
+    """A volume, despite the name: the drag law reads its 2/3 power as the
+    drag reference area, so 8.0 gives 4 m^2."""
+    drag_constant: float = _param(1.8, "1", _POSITIVE)
     """Hull-to-envelope drag multiplier."""
 
     @property
     def fineness_ratio(self) -> float:
         return self.body_length / self.body_diameter
 
-    def validate(self):
-        if not 0.0 < self.pv_efficiency <= 1.0:
-            raise ValidationError("HapPlatform: pv_efficiency must be in (0, 1]")
-        if not 0.0 < self.propeller_efficiency <= 1.0:
-            raise ValidationError("HapPlatform: propeller_efficiency must be in (0, 1]")
-        for name in ("pv_area", "air_density", "air_viscosity", "body_length",
-                     "body_diameter", "hap_velocity", "drag_constant"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"HapPlatform: {name} must be positive")
-
 
 @dataclass(frozen=True)
-class WindSpec:
+class WindSpec(_Section):
     """Wind forcing: constant speed or a per-(latitude, day) lookup table."""
 
-    speed: float = 20.0
-    table: tuple[tuple[float, float, float], ...] | None = None
+    speed: float = _param(20.0, "m/s", _NON_NEGATIVE)
+    table: tuple[tuple[float, float, float], ...] | None = _param(
+        None, "(deg, d, m/s)")
     """Rows of (latitude_deg, day_of_year, wind_speed); nearest-neighbor lookup."""
 
     def speed_at(self, latitude_deg: float, day: float) -> float:
@@ -216,17 +230,13 @@ class WindSpec:
 
         return min(self.table, key=gap)[2]
 
-    def validate(self):
-        if self.speed < 0:
-            raise ValidationError("WindSpec: speed must be non-negative")
-        if self.table:
-            for row in self.table:
-                if row[2] < 0:
-                    raise ValidationError("WindSpec: table wind speeds must be non-negative")
+    def _rules(self):
+        if any(row[2] not in _NON_NEGATIVE for row in self.table or ()):
+            raise ValidationError("WindSpec: table wind speeds must be non-negative")
 
 
 @dataclass(frozen=True)
-class ChannelConfig:
+class ChannelConfig(_Section):
     """Offloading link: antenna geometry, Rician fading and power budget.
 
     The link budget is derived once, at construction: a ``noise_power`` or
@@ -240,17 +250,17 @@ class ChannelConfig:
     ``avg_rx_snr=None`` (and ``noise_power=None``) to derive them again.
     """
 
-    tx_antennas: int = 2
-    rx_antennas: int = 16
-    bandwidth_hz: float = 100.0e6
-    rician_factor: float = 10.0
-    ref_gain: float = 1.0e-6
+    tx_antennas: int = _param(2, "1", _AT_LEAST_1, "antenna counts")
+    rx_antennas: int = _param(16, "1", _AT_LEAST_1, "antenna counts")
+    bandwidth_hz: float = _param(100.0e6, "Hz", _POSITIVE)
+    rician_factor: float = _param(10.0, "1", _NON_NEGATIVE)
+    ref_gain: float = _param(1.0e-6, "1", _POSITIVE, "ref_gain and link_distance")
     """Path gain at 1 m reference distance (linear, -60 dB default)."""
-    link_distance: float = 20.0e3
-    tx_power: float = 10.0
-    noise_power: float | None = None
-    """Receiver noise power, W; thermal over the bandwidth when omitted."""
-    avg_rx_snr: float | None = None
+    link_distance: float = _param(20.0e3, "m", _POSITIVE, "ref_gain and link_distance")
+    tx_power: float = _param(10.0, "W", _POSITIVE)
+    noise_power: float | None = _param(None, "W", _POSITIVE)
+    """Receiver noise power; thermal over the bandwidth when omitted."""
+    avg_rx_snr: float | None = _param(None, "1", _POSITIVE)
     """Mean per-antenna receive SNR; derived from the link budget when omitted."""
 
     def __post_init__(self):
@@ -290,40 +300,20 @@ class ChannelConfig:
         is tx_power / noise_power to within a few ulps."""
         return self.avg_rx_snr * self._path_loss() / self.ref_gain
 
-    def resolved(self) -> "ChannelConfig":
-        """The config itself: its link budget is derived at construction."""
-        return self
-
-    def validate(self):
-        if self.tx_antennas < 1 or self.rx_antennas < 1:
-            raise ValidationError("ChannelConfig: antenna counts must be at least 1")
-        if self.bandwidth_hz <= 0:
-            raise ValidationError("ChannelConfig: bandwidth_hz must be positive")
-        if self.rician_factor < 0:
-            raise ValidationError("ChannelConfig: rician_factor must be non-negative")
-        if self.ref_gain <= 0 or self.link_distance <= 0:
-            raise ValidationError("ChannelConfig: ref_gain and link_distance must be positive")
-        if self.tx_power <= 0:
-            raise ValidationError("ChannelConfig: tx_power must be positive")
-        if self.noise_power is not None and self.noise_power <= 0:
-            raise ValidationError("ChannelConfig: noise_power must be positive")
-        if self.avg_rx_snr is not None and self.avg_rx_snr <= 0:
-            raise ValidationError("ChannelConfig: avg_rx_snr must be positive")
-
 
 @dataclass(frozen=True)
-class Scenario:
+class Scenario(_Section):
     """A concrete deployment: site, date, fleet split and one rate per
     server, as tuples; an empty tuple is all zeros."""
 
-    latitude_deg: float = 40.0
-    day_of_year: float = 150.0
-    window: tuple[float, float] = (0.0, 86400.0)
-    ground_servers: int = 40
-    hap_servers: int = 40
-    hap_count: int = 1
-    ground_rates: tuple[float, ...] = ()
-    hap_rates: tuple[float, ...] = ()
+    latitude_deg: float = _param(40.0, "deg", Interval(-90.0, 90.0))
+    day_of_year: float = _param(150.0, "d", Interval(0.0, 366.0))
+    window: tuple[float, float] = _param((0.0, 86400.0), "s")
+    ground_servers: int = _param(40, "1", _NON_NEGATIVE, "server counts")
+    hap_servers: int = _param(40, "1", _NON_NEGATIVE, "server counts")
+    hap_count: int = _param(1, "1", _AT_LEAST_1)
+    ground_rates: tuple[float, ...] = _param((), "task/s")
+    hap_rates: tuple[float, ...] = _param((), "task/s")
 
     def __post_init__(self):
         if self.ground_rates == () and self.ground_servers:
@@ -335,34 +325,22 @@ class Scenario:
     def window_length(self) -> float:
         return self.window[1] - self.window[0]
 
-    def validate(self):
-        if not -90.0 <= self.latitude_deg <= 90.0:
-            raise ValidationError("Scenario: latitude_deg must be in [-90, 90]")
-        if not 0.0 <= self.day_of_year <= 366.0:
-            raise ValidationError("Scenario: day_of_year must be in [0, 366]")
+    def _rules(self):
         t1, t2 = self.window
-        if t1 < 0 or t2 <= t1:
+        if not 0 <= t1 < t2:
             raise ValidationError("Scenario: window must satisfy 0 <= t1 < t2")
-        if self.ground_servers < 0 or self.hap_servers < 0:
-            raise ValidationError("Scenario: server counts must be non-negative")
-        if self.hap_count < 1:
-            raise ValidationError("Scenario: hap_count must be at least 1")
-        if len(self.ground_rates) != self.ground_servers:
-            raise ValidationError(
-                "Scenario: ground_rates length must equal ground_servers "
-                f"({len(self.ground_rates)} != {self.ground_servers})"
-            )
-        if len(self.hap_rates) != self.hap_servers:
-            raise ValidationError(
-                "Scenario: hap_rates length must equal hap_servers "
-                f"({len(self.hap_rates)} != {self.hap_servers})"
-            )
-        if any(r < 0 for r in self.ground_rates + self.hap_rates):
+        for rates, count in (("ground_rates", "ground_servers"),
+                             ("hap_rates", "hap_servers")):
+            size, servers = len(getattr(self, rates)), getattr(self, count)
+            if size != servers:
+                raise ValidationError(f"Scenario: {rates} length must equal "
+                                      f"{count} ({size} != {servers})")
+        if any(r not in _NON_NEGATIVE for r in self.ground_rates + self.hap_rates):
             raise ValidationError("Scenario: arrival rates must be non-negative")
 
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(_Section):
     """Top-level bundle of all model sections."""
 
     server: ServerSpec = field(default_factory=ServerSpec)
@@ -372,10 +350,6 @@ class ModelConfig:
     wind: WindSpec = field(default_factory=WindSpec)
     channel: ChannelConfig = field(default_factory=ChannelConfig)
     scenario: Scenario = field(default_factory=Scenario)
-
-    def validate(self):
-        for section in fields(self):
-            getattr(self, section.name).validate()
 
 
 def uniform_split(total: float | np.ndarray,
@@ -497,6 +471,11 @@ def _build_section(section: str, cls, data: dict):
         if key not in annotations:
             raise ConfigError(f"unknown key '{key}' in config section '{section}'")
         kwargs[key] = _coerce(key, value, section, annotations[key])
+    missing = [f.name for f in fields(cls) if f.name not in kwargs
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"missing key(s) {', '.join(map(repr, missing))} "
+                          f"in config section '{section}'")
     return cls(**kwargs)
 
 
@@ -578,20 +557,16 @@ def build_config(raw: dict, base_dir: str = ".") -> ModelConfig:
 
 
 def dump_config(cfg: ModelConfig) -> dict:
-    """Plain-type mapping that ``build_config`` parses back to an equal config."""
-    out: dict = {}
-    for section in fields(cfg):
-        obj = getattr(cfg, section.name)
-        sec = {}
-        for name in _file_fields(type(obj)):
-            value = getattr(obj, name)
-            if isinstance(value, FanSpec):
-                value = {sf.name: getattr(value, sf.name) for sf in fields(value)}
-            elif isinstance(value, tuple):
-                value = [list(v) if isinstance(v, tuple) else v for v in value]
-            sec[name] = value
-        out[section.name] = sec
-    return out
+    """Plain-type mapping that ``build_config`` parses back to an equal
+    config: each section, ``fan`` included, a mapping of the fields a file
+    may set, and each tuple a list."""
+    def plain(value):
+        if isinstance(value, _Section):
+            return {name: plain(getattr(value, name))
+                    for name in _file_fields(type(value))}
+        return list(map(plain, value)) if isinstance(value, tuple) else value
+
+    return plain(cfg)
 
 
 def _canonical(value) -> str:

@@ -52,7 +52,7 @@ import numpy as np
 from . import channel, offload, queueing
 from ._threads import ordered_map
 from ._version import __version__
-from .config import ModelConfig, config_hash, uniform_split
+from .config import ModelConfig, Scenario, config_hash, uniform_split
 from .errors import (ConfigError, LinkRateError, NumericsError, OverloadError,
                      PolarError, StabilityError)
 
@@ -121,12 +121,11 @@ class SweepSpec:
     def values(self) -> list[float]:
         """Grid points, start-inclusive, stop-inclusive up to float slack."""
         vals = [self.start + k * self.step for k in range(self._count())]
-        if self.axis == "latitude":
-            if any(v < -90.0 or v > 90.0 for v in vals):
-                raise ConfigError("latitude axis must stay within [-90, 90]")
-        elif self.axis == "day":
-            if any(v < 0.0 or v > 366.0 for v in vals):
-                raise ConfigError("day axis must stay within [0, 366]")
+        if self.axis in ("latitude", "day"):
+            name = "latitude_deg" if self.axis == "latitude" else "day_of_year"
+            bound = Scenario.__dataclass_fields__[name].metadata["bound"]
+            if any(v not in bound for v in vals):
+                raise ConfigError(f"{self.axis} axis must stay within {bound}")
         elif self.axis == "hap_servers":
             for v in vals:
                 if abs(v - round(v)) > 1e-9 or round(v) < 1:

@@ -76,7 +76,7 @@ def test_criterion_2_outage_sandwich():
             rx_antennas=int(rng.integers(4, 17)),
             rician_factor=zeta,
             tx_power=float(rng.uniform(1.0, 20.0)),
-        ).resolved()
+        )
         # straddle the transition region of this link's spectral efficiency
         r_bar = math.log2(1.0 + ch.tx_antennas * ch.rx_antennas * ch.avg_rx_snr)
         demands = np.linspace(0.3 * r_bar, 2.2 * r_bar, 8)

@@ -13,7 +13,7 @@ from hapdc.errors import LinkRateError, LinkSaturationWarning
 
 
 def test_resolved_noise_and_snr():
-    ch = ChannelConfig().resolved()
+    ch = ChannelConfig()
     assert math.isclose(ch.noise_power, 3.98107e-13, rel_tol=1e-4)
     assert math.isclose(ch.avg_rx_snr, 0.062797, rel_tol=1e-3)
 
@@ -48,7 +48,6 @@ def _sample_channel_out_of_place(ch, count, rng):
     """The draw as one expression with its temporaries: LOS matrix plus
     scaled scatter, then the gain.  Kept as the reference of the in-place
     build."""
-    ch = ch.resolved()
     shape = (count, ch.rx_antennas, ch.tx_antennas)
     scatter = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     scatter *= math.sqrt(0.5)
@@ -90,7 +89,7 @@ def test_sampling_is_seed_deterministic():
 
 
 def test_channel_rate_against_slogdet():
-    ch = ChannelConfig().resolved()
+    ch = ChannelConfig()
     rng = np.random.default_rng(4)
     h = channel.sample_channel(ch, 8, rng)
     got = channel.channel_rate(ch, h)
@@ -115,7 +114,7 @@ def test_single_antenna_det_equals_beamformed():
 
 
 def test_rate_phase_invariance():
-    ch = ChannelConfig().resolved()
+    ch = ChannelConfig()
     rng = np.random.default_rng(6)
     h = channel.sample_channel(ch, 8, rng)
     rotated = h * np.exp(0.91j)
@@ -252,7 +251,7 @@ def test_max_reliable_rate_through_the_threshold_cap(shipped_cfg,
 
 
 def test_airtime_and_transmission_energy():
-    ch = ChannelConfig().resolved()
+    ch = ChannelConfig()
     w = WorkloadSpec()
     ref = channel.reference_rate(ch)
     lam_full = ref / (w.overhead_ratio * w.bits_per_task())

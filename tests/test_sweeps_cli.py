@@ -319,7 +319,7 @@ def test_outage_fleet_overload_keeps_link_columns(shipped_cfg):
     spec = sweeps.SweepSpec("arrival_rate", 2000.0, 6000.0, 2000.0,
                             seed=4, samples=2000)
     out = sweeps.run_outage_sweep(longer, spec)
-    ch = longer.channel.resolved()
+    ch = longer.channel
     for lam, lb, ub, mc, se, drop, with_r, without, err in out.rows:
         demand = channel.spectral_demand(ch, longer.workload, lam)
         assert lb == channel.ccdf_lower(ch, demand)
@@ -943,6 +943,25 @@ def test_cli_delay_refuses_one_sample_before_pricing(monkeypatch, capsys):
     rows = capsys.readouterr().out.splitlines()
     assert "# samples=2" in rows and len(rows) == 10
     assert priced == [0.0, 1000.0, 2000.0]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fly", "--axis", "latitude", "--range", "80:100:10"],
+     "latitude axis must stay within [-90, 90]"),
+    (["fly", "--axis", "latitude", "--range=-95:0:5"],
+     "latitude axis must stay within [-90, 90]"),
+    (["fly", "--axis", "day", "--range", "360:370:5"],
+     "day axis must stay within [0, 366]"),
+    (["fly", "--axis", "hap_servers", "--range", "0:2:1"],
+     "hap_servers axis needs whole numbers >= 1"),
+    (["fly", "--axis", "hap_servers", "--range", "1:2:0.5"],
+     "hap_servers axis needs whole numbers >= 1"),
+    (["energy", "--axis", "arrival_rate", "--range=-10:10:10"],
+     "arrival_rate axis must be non-negative"),
+])
+def test_cli_axis_outside_its_domain_exits_usage(argv, message, capsys):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_cli_zero_step_is_usage_error(capsys):
