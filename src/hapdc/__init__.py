@@ -9,14 +9,10 @@ The package splits into physics (solar, aero, thermal), the offload link
 from ._version import __version__
 from .config import (ChannelConfig, CoolingSpec, FanSpec, HapPlatform,
                      ModelConfig, Scenario, ServerSpec, WindSpec,
-                     WorkloadSpec, build_config, config_hash, load_config,
-                     uniform_split)
+                     WorkloadSpec, build_config, config_hash, load_config)
 from .errors import (ConfigError, LinkRateError, LinkSaturationWarning,
                      NumericsError, OverloadError, PolarError, StabilityError,
                      ValidationError)
-from .offload import (DelayReport, FlyingAssessment, SavingReport,
-                      allocate_rates, end_to_end_delay, flying_condition,
-                      fly_point, lambda_max, saving)
 from .sweeps import (SweepResult, SweepSpec, run_delay_sweep,
                      run_energy_sweep, run_flying_sweep, run_outage_sweep)
 
@@ -24,12 +20,9 @@ __all__ = [
     "__version__",
     "ChannelConfig", "CoolingSpec", "FanSpec", "HapPlatform", "ModelConfig",
     "Scenario", "ServerSpec", "WindSpec", "WorkloadSpec",
-    "build_config", "config_hash", "load_config", "uniform_split",
+    "build_config", "config_hash", "load_config",
     "ConfigError", "LinkRateError", "LinkSaturationWarning", "NumericsError",
     "OverloadError", "PolarError", "StabilityError", "ValidationError",
-    "DelayReport", "FlyingAssessment", "SavingReport",
-    "allocate_rates", "end_to_end_delay", "flying_condition", "fly_point",
-    "lambda_max", "saving",
     "SweepResult", "SweepSpec", "run_delay_sweep", "run_energy_sweep",
     "run_flying_sweep", "run_outage_sweep",
 ]

@@ -393,6 +393,9 @@ def warn_if_saturated(duty: float) -> None:
 
 def round_trip_time(ch: ChannelConfig, workload: WorkloadSpec,
                     arrival_rate: float) -> float:
-    """Two-way transport delay of one second of offered traffic, s."""
+    """2 x offered bit/s / the link's reference bit/s, overhead excluded:
+    the two-way airtime of one second of offered traffic.  It grows with
+    the load and is not one task's delay; the delay sweep's ``regime``
+    compares it with the mean wait."""
     rate = reference_rate(ch)
     return 2.0 * offered_bit_rate(workload, arrival_rate) / rate

@@ -2,10 +2,11 @@
 
 Every model parameter lives in one of the frozen dataclasses below.  Their
 defaults are the shipped study, ``configs/default.yaml`` (a test keeps the
-two equal), so a config file may set any subset of the fields a file may
-set, ``_file_fields`` (all but the scenario's per-server rate vectors, which
-only the API sets), and an empty file is that study.  ``load_config`` /
-``dump_config`` round-trip exactly.
+two equal), so a config file may set any subset of the section fields and
+an empty file is that study.  ``load_config`` / ``dump_config`` round-trip
+exactly.  The scenario holds the site, date, window and fleet shape, not
+per-server rates: the one-row API takes those as arguments
+(``offload.saving(cfg, ground_rates, hap_rates)``).
 
 YAML is parsed by libyaml (PyYAML's ``CSafeLoader``) when PyYAML has it, and
 by the pure-Python ``SafeLoader`` otherwise, to the same values.
@@ -245,7 +246,9 @@ class ChannelConfig(_Section):
     cannot be derived stays None and ``validate()`` names the bad field).
     Construction also fails, with a ValidationError, where the reference
     draw's budget leaves the float range: a ``link_distance`` whose square
-    overflows, or a ``power_over_noise`` that is not finite.
+    overflows, or a ``power_over_noise`` that is not finite; for the
+    latter the field walk runs first, so an input out of its bounds (a
+    NaN ``bandwidth_hz``, ``tx_power`` or ``noise_power``) is the one named.
     ``dataclasses.replace(ch, tx_power=...)`` keeps the derived SNR; pass
     ``avg_rx_snr=None`` (and ``noise_power=None``) to derive them again.
     """
@@ -277,6 +280,7 @@ class ChannelConfig(_Section):
         if self.avg_rx_snr is not None and self.ref_gain:
             ratio = self.power_over_noise()
             if not math.isfinite(ratio):
+                self.validate()
                 raise ValidationError(
                     f"channel.avg_rx_snr {self.avg_rx_snr!r} with "
                     f"link_distance {self.link_distance!r} and ref_gain "
@@ -303,8 +307,7 @@ class ChannelConfig(_Section):
 
 @dataclass(frozen=True)
 class Scenario(_Section):
-    """A concrete deployment: site, date, fleet split and one rate per
-    server, as tuples; an empty tuple is all zeros."""
+    """A concrete deployment: site, date, window and fleet shape."""
 
     latitude_deg: float = _param(40.0, "deg", Interval(-90.0, 90.0))
     day_of_year: float = _param(150.0, "d", Interval(0.0, 366.0))
@@ -312,14 +315,6 @@ class Scenario(_Section):
     ground_servers: int = _param(40, "1", _NON_NEGATIVE, "server counts")
     hap_servers: int = _param(40, "1", _NON_NEGATIVE, "server counts")
     hap_count: int = _param(1, "1", _AT_LEAST_1)
-    ground_rates: tuple[float, ...] = _param((), "task/s")
-    hap_rates: tuple[float, ...] = _param((), "task/s")
-
-    def __post_init__(self):
-        if self.ground_rates == () and self.ground_servers:
-            object.__setattr__(self, "ground_rates", (0.0,) * self.ground_servers)
-        if self.hap_rates == () and self.hap_servers:
-            object.__setattr__(self, "hap_rates", (0.0,) * self.hap_servers)
 
     @property
     def window_length(self) -> float:
@@ -329,14 +324,6 @@ class Scenario(_Section):
         t1, t2 = self.window
         if not 0 <= t1 < t2:
             raise ValidationError("Scenario: window must satisfy 0 <= t1 < t2")
-        for rates, count in (("ground_rates", "ground_servers"),
-                             ("hap_rates", "hap_servers")):
-            size, servers = len(getattr(self, rates)), getattr(self, count)
-            if size != servers:
-                raise ValidationError(f"Scenario: {rates} length must equal "
-                                      f"{count} ({size} != {servers})")
-        if any(r not in _NON_NEGATIVE for r in self.ground_rates + self.hap_rates):
-            raise ValidationError("Scenario: arrival rates must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -456,16 +443,10 @@ def _coerce(name: str, value, section: str, annotation: str):
     return value
 
 
-def _file_fields(cls) -> dict[str, str]:
-    """Each field a config file may set in a ``cls`` section: its type."""
-    return {f.name: f.type for f in fields(cls)
-            if f.name not in ("ground_rates", "hap_rates")}
-
-
 def _build_section(section: str, cls, data: dict):
     if not isinstance(data, dict):
         raise ConfigError(f"config section '{section}' must be a mapping")
-    annotations = _file_fields(cls)
+    annotations = {f.name: f.type for f in fields(cls)}
     kwargs = {}
     for key, value in data.items():
         if key not in annotations:
@@ -558,12 +539,12 @@ def build_config(raw: dict, base_dir: str = ".") -> ModelConfig:
 
 def dump_config(cfg: ModelConfig) -> dict:
     """Plain-type mapping that ``build_config`` parses back to an equal
-    config: each section, ``fan`` included, a mapping of the fields a file
-    may set, and each tuple a list."""
+    config: each section, ``fan`` included, a mapping of its fields, and
+    each tuple a list."""
     def plain(value):
         if isinstance(value, _Section):
-            return {name: plain(getattr(value, name))
-                    for name in _file_fields(type(value))}
+            return {f.name: plain(getattr(value, f.name))
+                    for f in fields(value)}
         return list(map(plain, value)) if isinstance(value, tuple) else value
 
     return plain(cfg)

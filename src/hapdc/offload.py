@@ -20,14 +20,16 @@ the drops (one ``channel.drop_probability`` call) and the uplinks
 evaluates one group per shape.  A policy then charges the dropped traffic
 as column arithmetic: ``retransmit_savings`` resends it over the link,
 ``reroute_savings`` recomputes it on the ground.  A row that cannot be
-priced holds its error beside the columns, and its cells mean nothing;
-``saving``, the one-row call, raises it.
+priced holds its error beside the columns, and its cells mean nothing.
+The one-row calls ``saving(cfg, ground_rates, hap_rates)`` and
+``hybrid_total_energy(cfg, ground_rates, hap_rates)`` price the config's
+scenario at the per-server rates passed, and raise the row's error.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -97,17 +99,6 @@ PAYLOAD_BOUND = "payload"
 
 
 @dataclass(frozen=True)
-class FlyingAssessment:
-    """Energy balance of one platform over the window, J."""
-
-    harvested_j: float
-    payload_j: float
-    propulsion_j: float
-    slack_j: float
-    feasible: bool
-
-
-@dataclass(frozen=True)
 class SavingReport:
     e_tdc_j: float
     e_hybrid_j: float
@@ -125,6 +116,8 @@ class DelayReport:
     """Aggregate service rate of the airborne fleet, task/s."""
     mean_wait_s: float
     rtt_s: float
+    """``channel.round_trip_time``, a ratio that grows with the load, not
+    one task's delay; ``transport_dominated`` is it >= the mean wait."""
     total_delay_s: float
     transport_dominated: bool
 
@@ -132,13 +125,6 @@ class DelayReport:
 def high_load_threshold(server: ServerSpec, task_len: float) -> float:
     """Per-server arrival rate at the utilization ceiling, task/s."""
     return server.desired_utilization * server.service_rate_ips / task_len
-
-
-def lambda_max(latitude_deg: float, day: float, hap_servers: int,
-               cfg: ModelConfig) -> float:
-    """Largest admissible per-server arrival rate on the platform, task/s:
-    the first element of ``fly_point``."""
-    return fly_point(latitude_deg, day, hap_servers, cfg)[0]
 
 
 def fly_point(latitude_deg: float, day: float, hap_servers: int,
@@ -185,23 +171,6 @@ def fly_points(latitudes, days, hap_servers, cfg: ModelConfig):
                 low, HARVEST_BOUND, HIGH_LOAD_BOUND)).tolist(), errors, power)
 
 
-def flying_condition(scenario: Scenario, cfg: ModelConfig) -> FlyingAssessment:
-    """Energy balance of one platform carrying ``scenario.hap_rates``."""
-    window = scenario.window
-    harvested = solar.harvested_energy(cfg.hap, scenario.latitude_deg,
-                                       scenario.day_of_year, window)
-    (power,) = station_keeping(cfg, [scenario.latitude_deg],
-                               [scenario.day_of_year]).tolist()
-    propulsion = power * scenario.window_length
-    payload = thermal.fleet_compute_energy(
-        cfg.server, scenario.hap_rates, cfg.workload.task_length_instr, window)
-    slack = harvested - payload - propulsion
-    return FlyingAssessment(
-        harvested_j=harvested, payload_j=payload, propulsion_j=propulsion,
-        slack_j=slack, feasible=slack >= 0.0,
-    )
-
-
 def allocate_rates(cfg: ModelConfig, total_rate: float | None = None,
                    ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Split the total workload between ground and airborne servers.
@@ -215,8 +184,8 @@ def allocate_rates(cfg: ModelConfig, total_rate: float | None = None,
         total_rate = cfg.workload.arrival_rate_total
     if total_rate < 0:
         raise ValueError("total_rate must be non-negative")
-    per_server = (lambda_max(sc.latitude_deg, sc.day_of_year, sc.hap_servers,
-                             cfg) if sc.hap_servers * sc.hap_count else 0.0)
+    per_server = (fly_point(sc.latitude_deg, sc.day_of_year, sc.hap_servers,
+                            cfg)[0] if sc.hap_servers * sc.hap_count else 0.0)
     ground, hap, (error,) = _allocate(
         sc, sc.hap_servers, np.array([float(total_rate)]), per_server, cfg)
     if error is not None:
@@ -249,11 +218,6 @@ def _allocate(sc: Scenario, hap_servers: int, totals: np.ndarray, per_server,
     return ground, uniform_split(hap_total / sc.hap_count, hap_servers), errors
 
 
-def allocated_scenario(cfg: ModelConfig) -> Scenario:
-    ground, hap = allocate_rates(cfg)
-    return replace(cfg.scenario, ground_rates=ground, hap_rates=hap)
-
-
 @dataclass(frozen=True)
 class Fleets:
     """Offload scenarios sharing one fleet shape and window, one per row.
@@ -271,13 +235,14 @@ class Fleets:
     window: tuple[float, float]
 
     @classmethod
-    def of(cls, scenario: Scenario, cfg: ModelConfig) -> "Fleets":
-        """The one-row group of ``scenario``, its site priced by ``cfg``."""
-        return cls(np.array([scenario.ground_rates], dtype=float),
-                   np.array([scenario.hap_rates], dtype=float),
-                   station_keeping(cfg, [scenario.latitude_deg],
-                                   [scenario.day_of_year]),
-                   scenario.hap_count, scenario.window)
+    def of(cls, cfg: ModelConfig, ground_rates, hap_rates) -> "Fleets":
+        """The one-row group of the config's scenario at the per-server
+        ``ground_rates`` and per-platform ``hap_rates``."""
+        sc = cfg.scenario
+        return cls(np.array([ground_rates], dtype=float),
+                   np.array([hap_rates], dtype=float),
+                   station_keeping(cfg, [sc.latitude_deg], [sc.day_of_year]),
+                   sc.hap_count, sc.window)
 
     def __len__(self) -> int:
         return len(self.power)
@@ -299,30 +264,31 @@ def split_bills(fleets: Fleets, cfg: ModelConfig):
         for ground, hap in zip(errors, hap_errors)]
 
 
-def hybrid_total_energy(scenario: Scenario, cfg: ModelConfig) -> thermal.EnergyBreakdown:
-    """Energy of the split system over the window, J, by destination.
+def hybrid_total_energy(cfg: ModelConfig, ground_rates,
+                        hap_rates) -> thermal.EnergyBreakdown:
+    """Energy of the split system over the window, J, by destination: the
+    config's scenario at the per-server ``ground_rates`` and per-platform
+    ``hap_rates``.
 
     Ground servers pay compute plus CRAC cooling; each platform pays its
     payload compute, station-keeping propulsion, and uplink transmission at
-    its aggregate offload rate.  With no airborne servers this reduces to
-    the all-ground baseline (no platform deployed).
+    its aggregate offload rate.  With no airborne rates this reduces to
+    the all-ground baseline (no platform deployed).  The row's
+    OverloadError is raised.
     """
-    ground = thermal.ground_energy(scenario.ground_rates, cfg, scenario.window)
-    if scenario.hap_servers == 0:
-        return ground
-    payload = thermal.fleet_compute_energy(cfg.server, scenario.hap_rates,
-                                           cfg.workload.task_length_instr,
-                                           scenario.window)
-    k = scenario.hap_count
-    (power,) = station_keeping(cfg, [scenario.latitude_deg],
-                               [scenario.day_of_year]).tolist()
-    link = channel.transmission_energy(
-        cfg.channel, cfg.workload, math.fsum(scenario.hap_rates),
-        scenario.window_length)
+    fleets = Fleets.of(cfg, ground_rates, hap_rates)
+    compute, cooling, payload, (error,) = split_bills(fleets, cfg)
+    if error is not None:
+        raise error
+    ground = float(compute[0]), float(cooling[0])
+    if not len(hap_rates):
+        return thermal.EnergyBreakdown.from_parts(*ground)
+    k, span = fleets.hap_count, cfg.scenario.window_length
+    link = channel.transmission_energy(cfg.channel, cfg.workload,
+                                       math.fsum(hap_rates), span)
     return thermal.EnergyBreakdown.from_parts(
-        compute_j=ground.compute_j, cooling_j=ground.cooling_j,
-        payload_j=k * payload,
-        propulsion_j=k * (power * scenario.window_length),
+        *ground, payload_j=k * float(payload[0]),
+        propulsion_j=k * (float(fleets.power[0]) * span),
         transmission_j=k * link,
     )
 
@@ -509,9 +475,11 @@ def reroute_savings(ev: OffloadEvaluation, cfg: ModelConfig) -> Savings:
                     [0] * len(total), errors)
 
 
-def saving(scenario: Scenario, cfg: ModelConfig,
+def saving(cfg: ModelConfig, ground_rates, hap_rates,
            with_retransmission: bool = False) -> SavingReport:
-    """Energy saved by the split system against the all-ground baseline.
+    """Energy saved by the split system against the all-ground baseline,
+    the config's scenario at the per-server ``ground_rates`` and
+    per-platform ``hap_rates``.
 
     Both systems serve the identical rate vector on the same total server
     count.  This is the one-row call of ``evaluate_offload`` and a policy,
@@ -520,7 +488,7 @@ def saving(scenario: Scenario, cfg: ModelConfig,
     ``LinkSaturationWarning`` is issued when the offered traffic is more
     than the link carries, and negative savings are reported, not raised.
     """
-    ev = evaluate_offload(Fleets.of(scenario, cfg), cfg)
+    ev = evaluate_offload(Fleets.of(cfg, ground_rates, hap_rates), cfg)
     if ev.errors[0] is None:
         channel.warn_if_saturated(ev.airtime[0])
     policy = retransmit_savings if with_retransmission else reroute_savings
@@ -528,7 +496,7 @@ def saving(scenario: Scenario, cfg: ModelConfig,
 
 
 def end_to_end_delay(cfg: ModelConfig, arrival_rate: float) -> DelayReport:
-    """Queueing wait at the airborne fleet plus two-way transport delay.
+    """Queueing wait at the airborne fleet plus ``DelayReport.rtt_s``.
 
     The fleet is modeled as one fast server at the aggregate service rate,
     which the report carries; StabilityError beyond it.

@@ -82,8 +82,9 @@ def max_radiation(latitude_deg, day):
 
 
 def _irradiance(latitudes, days) -> tuple[np.ndarray, list]:
-    """``irradiance`` at each (latitude, day) and its PolarError or None;
-    the incidence check goes before the day fraction's."""
+    """Mean daily radiation on the platform's panels at each (latitude,
+    day), W/m^2, and its PolarError or None; the incidence check goes
+    before the day fraction's."""
     lat, day = np.asarray(latitudes, float), np.asarray(days, float)
     xi = max_incidence_angle(lat, day)
     tau, errors = _day_fractions(latitudes, days)
@@ -98,11 +99,6 @@ def _one(values: np.ndarray, errors: list) -> float:
     return float(values[0])
 
 
-def irradiance(latitude_deg: float, day: float) -> float:
-    """Mean daily radiation on the platform's panels, W/m^2."""
-    return _one(*_irradiance([latitude_deg], [day]))
-
-
 def harvest(platform: HapPlatform, latitudes, days) -> tuple[np.ndarray, list]:
     """``harvested_power`` at each (latitude, day), W, and its PolarError."""
     power, errors = _irradiance(latitudes, days)
@@ -112,9 +108,3 @@ def harvest(platform: HapPlatform, latitudes, days) -> tuple[np.ndarray, list]:
 def harvested_power(platform: HapPlatform, latitude_deg: float, day: float) -> float:
     """Mean harvested electrical power over the day, W."""
     return _one(*harvest(platform, [latitude_deg], [day]))
-
-
-def harvested_energy(platform: HapPlatform, latitude_deg: float, day: float,
-                     window: tuple[float, float]) -> float:
-    """Harvested energy across the observation window, J."""
-    return harvested_power(platform, latitude_deg, day) * (window[1] - window[0])

@@ -224,7 +224,7 @@ def _fly_columns(cfg, spec, values):
 
 def _energy_columns(cfg, spec, values):
     """Energy columns of the grid values, each cell as
-    ``saving(allocated_scenario(point), point, with_retransmission=True)``
+    ``saving(point, *allocate_rates(point), with_retransmission=True)``
     gives it at the point's config, error text included, and the count of
     points whose offered traffic saturates the link.
 
@@ -289,7 +289,9 @@ def _outage_columns(cfg, spec, values):
     """Outage columns of the grid values, and the count of points that
     price a saving on offered traffic that saturates the link: the link
     columns, kept at every point, and both policies priced on the grid's
-    evaluation, each saving cell as ``saving`` gives it.
+    evaluation, each saving cell as ``saving(cfg, ground_rates, hap_rates,
+    with_retransmission)`` gives it at the point's split of
+    ``_offload_rates``.
 
     The Monte Carlo cells are ``channel.empirical_ccdf`` of the sweep's
     whole sample at every point's demand, drawn from ``default_rng(seed)``
@@ -459,6 +461,11 @@ def run_outage_sweep(cfg: ModelConfig, spec: SweepSpec) -> SweepResult:
 
 def run_delay_sweep(cfg: ModelConfig, spec: SweepSpec) -> SweepResult:
     """Analytic and simulated offload delay over the arrival-rate axis.
+
+    ``rtt`` is ``channel.round_trip_time``, the two-way airtime of one
+    second of offered traffic: it grows with the load and is not one
+    task's delay.  ``regime`` reads ``transport`` where it is at least
+    the analytic wait, ``queueing`` otherwise.
 
     ``des_wait`` and ``des_se`` stay empty at zero load, where the
     simulation saw fewer than two regeneration cycles, and where it would

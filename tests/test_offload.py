@@ -26,14 +26,17 @@ import offload_reference
 
 def test_payload_energy_idle_fleet():
     s = ServerSpec()
-    e = thermal.fleet_compute_energy(s, (0.0,) * 12, 1e6, (0.0, 3600.0))
+    (e,), _ = thermal.fleet_compute_energy(s, np.zeros((1, 12)), 1e6,
+                                           (0.0, 3600.0))
     assert math.isclose(e, 12 * s.p_idle * 3600.0, rel_tol=1e-12)
 
 
 def test_payload_energy_full_server():
     s = ServerSpec()
     cap = offload.high_load_threshold(s, 1e6)
-    e = thermal.fleet_compute_energy(s, (cap,), 1e6, (0.0, 100.0))
+    (e,), errors = thermal.fleet_compute_energy(s, np.array([[cap]]), 1e6,
+                                                (0.0, 100.0))
+    assert errors == [None]
     assert math.isclose(e, s.p_peak * 100.0, rel_tol=1e-12)
 
 
@@ -44,11 +47,11 @@ def test_high_load_threshold_shipped(shipped_cfg):
 
 
 def test_lambda_max_shipped_values(shipped_cfg):
-    assert math.isclose(offload.lambda_max(40.0, 150.0, 40, shipped_cfg),
+    assert math.isclose(offload.fly_point(40.0, 150.0, 40, shipped_cfg)[0],
                         380.0672, rel_tol=1e-4)
-    assert math.isclose(offload.lambda_max(60.0, 150.0, 40, shipped_cfg),
+    assert math.isclose(offload.fly_point(60.0, 150.0, 40, shipped_cfg)[0],
                         407.0531, rel_tol=1e-4)
-    assert math.isclose(offload.lambda_max(40.0, 355.0, 40, shipped_cfg),
+    assert math.isclose(offload.fly_point(40.0, 355.0, 40, shipped_cfg)[0],
                         41.8717, rel_tol=1e-4)
 
 
@@ -60,13 +63,13 @@ def test_lambda_max_harvest_algebra(shipped_cfg):
     srv = cfg.server
     u = (budget - srv.p_idle) / (srv.p_peak - srv.p_idle)
     want = u * srv.service_rate_ips / cfg.workload.task_length_instr
-    assert math.isclose(offload.lambda_max(40.0, 150.0, 40, cfg), want,
+    assert math.isclose(offload.fly_point(40.0, 150.0, 40, cfg)[0], want,
                         rel_tol=1e-12)
 
 
 def test_lambda_max_clamped_at_zero(shipped_cfg):
     dark = replace(shipped_cfg, hap=replace(shipped_cfg.hap, pv_efficiency=1e-6))
-    assert offload.lambda_max(40.0, 150.0, 40, dark) == 0.0
+    assert offload.fly_point(40.0, 150.0, 40, dark)[0] == 0.0
     lam, threshold, binding = offload.fly_point(40.0, 150.0, 40, dark)
     assert (lam, binding) == (0.0, offload.PAYLOAD_BOUND)
     assert threshold == 580.0
@@ -139,19 +142,18 @@ def test_fly_points_equal_the_scalar_flight_check_bit_for_bit(shipped_cfg,
 def test_fly_point_needs_servers(shipped_cfg):
     with pytest.raises(ValueError):
         offload.fly_point(40.0, 150.0, 0, shipped_cfg)
-    with pytest.raises(ValueError):
-        offload.lambda_max(40.0, 150.0, 0, shipped_cfg)
 
 
 def test_flying_condition_components(shipped_cfg):
     cfg = shipped_cfg
-    lam = offload.lambda_max(40.0, 150.0, 40, cfg)
-    scen = replace(cfg.scenario, hap_rates=uniform_split(lam * 40.0, 40))
-    out = offload.flying_condition(scen, cfg)
-    window = scen.window
+    lam = offload.fly_point(40.0, 150.0, 40, cfg)[0]
+    out = offload_reference.flying_condition(cfg,
+                                             uniform_split(lam * 40.0, 40))
+    window = cfg.scenario.window
     assert math.isclose(
         out.harvested_j,
-        solar.harvested_energy(cfg.hap, 40.0, 150.0, window), rel_tol=1e-12)
+        solar.harvested_power(cfg.hap, 40.0, 150.0) * (window[1] - window[0]),
+        rel_tol=1e-12)
     assert math.isclose(
         out.propulsion_j,
         aero.propulsion_power_reduced(cfg.hap, 20.0)
@@ -167,7 +169,7 @@ def test_flying_condition_components(shipped_cfg):
 def test_allocate_rates_greedy(shipped_cfg):
     cfg = shipped_cfg
     ground, hap = offload.allocate_rates(cfg)
-    lam = offload.lambda_max(40.0, 150.0, 40, cfg)
+    lam = offload.fly_point(40.0, 150.0, 40, cfg)[0]
     assert len(ground) == 40 and len(hap) == 40
     assert math.isclose(math.fsum(hap), lam * 40.0, rel_tol=1e-12)
     total = math.fsum(ground) + math.fsum(hap) * cfg.scenario.hap_count
@@ -184,7 +186,7 @@ def test_allocate_rates_small_total(shipped_cfg):
 
 
 def test_allocate_rates_overload(shipped_cfg):
-    scen = replace(shipped_cfg.scenario, ground_servers=0, ground_rates=())
+    scen = replace(shipped_cfg.scenario, ground_servers=0)
     cfg = replace(shipped_cfg, scenario=scen)
     with pytest.raises(OverloadError):
         offload.allocate_rates(cfg)  # 20000 task/s will not fit airborne
@@ -214,9 +216,7 @@ def test_propulsion_priced_once_per_wind_speed(shipped_cfg, monkeypatch):
 
 
 def test_saving_no_fleet_is_zero(shipped_cfg):
-    scen = Scenario(latitude_deg=40.0, day_of_year=150.0, ground_servers=40,
-                    hap_servers=0, ground_rates=uniform_split(8000.0, 40))
-    report = offload.saving(scen, shipped_cfg)
+    report = offload.saving(shipped_cfg, uniform_split(8000.0, 40), ())
     assert report.saved_j == 0.0
     assert report.saved_rate == 0.0
     assert report.retransmissions == 0
@@ -228,9 +228,9 @@ def test_saving_study_point(shipped_cfg):
     twice what it carries, which saving() reports as a warning."""
     cfg = replace(shipped_cfg,
                   scenario=replace(shipped_cfg.scenario, latitude_deg=60.0))
-    scen = offload.allocated_scenario(cfg)
     with pytest.warns(LinkSaturationWarning):
-        report = offload.saving(scen, cfg, with_retransmission=True)
+        report = offload.saving(cfg, *offload.allocate_rates(cfg),
+                                with_retransmission=True)
     assert 0.05 <= report.saved_rate <= 0.25
     assert report.e_tdc_j > report.e_hybrid_j
 
@@ -240,9 +240,8 @@ def test_saving_monotone_in_wind(shipped_cfg):
     with pytest.warns(LinkSaturationWarning):
         for w in (0.0, 10.0, 20.0, 30.0):
             cfg = replace(shipped_cfg, wind=WindSpec(speed=w))
-            scen = offload.allocated_scenario(cfg)
-            rates.append(
-                offload.saving(scen, cfg, with_retransmission=True).saved_rate)
+            rates.append(offload.saving(cfg, *offload.allocate_rates(cfg),
+                                        with_retransmission=True).saved_rate)
     for a, b in zip(rates, rates[1:]):
         assert b <= a + 1e-12
 
@@ -257,9 +256,9 @@ def test_saving_grows_with_fleet_size(faint_link_cfg):
             scen = Scenario(latitude_deg=40.0, day_of_year=150.0,
                             ground_servers=40, hap_servers=servers)
             cfg = replace(faint_link_cfg, scenario=scen)
-            alloc = offload.allocated_scenario(cfg)
             rates.append(offload.saving(
-                alloc, cfg, with_retransmission=True).saved_rate)
+                cfg, *offload.allocate_rates(cfg),
+                with_retransmission=True).saved_rate)
     for a, b in zip(rates, rates[1:]):
         assert b >= a - 1e-12
 
@@ -271,21 +270,19 @@ def test_saving_second_platform_helps(shipped_cfg, faint_link_cfg):
             scen = Scenario(latitude_deg=40.0, day_of_year=150.0,
                             ground_servers=40, hap_servers=40, hap_count=k)
             cfg = replace(base, scenario=scen)
-            alloc = offload.allocated_scenario(cfg)
             with pytest.warns(LinkSaturationWarning):
                 by_count.append(offload.saving(
-                    alloc, cfg, with_retransmission=True).saved_rate)
+                    cfg, *offload.allocate_rates(cfg),
+                    with_retransmission=True).saved_rate)
         assert by_count[1] >= by_count[0] - 1e-12
 
 
 def test_saving_branches_agree_below_drop_onset(shipped_cfg):
     # the reliable-rate gate zeroes the drop bound, so the two accounting
     # branches describe the same system
-    lam = 3000.0
-    scen = Scenario(latitude_deg=40.0, day_of_year=150.0, ground_servers=40,
-                    hap_servers=40, hap_rates=uniform_split(lam, 40))
-    with_r = offload.saving(scen, shipped_cfg, with_retransmission=True)
-    without = offload.saving(scen, shipped_cfg, with_retransmission=False)
+    rates = (0.0,) * 40, uniform_split(3000.0, 40)
+    with_r = offload.saving(shipped_cfg, *rates, with_retransmission=True)
+    without = offload.saving(shipped_cfg, *rates, with_retransmission=False)
     assert with_r.e_hybrid_j == without.e_hybrid_j
     assert with_r.retransmissions == 0
 
@@ -296,12 +293,10 @@ def test_saving_with_beats_without_above_onset(shipped_cfg):
     # 8000 task/s saturates the link
     with pytest.warns(LinkSaturationWarning):
         for lam in (6000.0, 7000.0, 8000.0):
-            scen = Scenario(latitude_deg=40.0, day_of_year=150.0,
-                            ground_servers=40, hap_servers=40,
-                            hap_rates=uniform_split(lam, 40))
-            with_r = offload.saving(scen, shipped_cfg,
+            rates = (0.0,) * 40, uniform_split(lam, 40)
+            with_r = offload.saving(shipped_cfg, *rates,
                                     with_retransmission=True)
-            without = offload.saving(scen, shipped_cfg,
+            without = offload.saving(shipped_cfg, *rates,
                                      with_retransmission=False)
             assert with_r.saved_j >= without.saved_j
             assert with_r.retransmissions > 0
@@ -432,8 +427,7 @@ def test_gate_whose_step_raised_raises_again(shipped_cfg, monkeypatch):
             raise NumericsError("Marcum series did not converge")
         return real(*args)
 
-    below = Scenario(latitude_deg=40.0, day_of_year=150.0, ground_servers=40,
-                     hap_servers=40, hap_rates=uniform_split(1000.0, 40))
+    below = (0.0,) * 40, uniform_split(1000.0, 40)
     monkeypatch.setattr(channel, "marcum_q", once)
     offload._link_gate.cache_clear()
     try:
@@ -442,7 +436,7 @@ def test_gate_whose_step_raised_raises_again(shipped_cfg, monkeypatch):
                 offload._gate(shipped_cfg).refine()
         assert offload._gate(shipped_cfg).lo > 1000.0
         with pytest.raises(NumericsError):
-            offload.saving(below, shipped_cfg)
+            offload.saving(shipped_cfg, *below)
     finally:
         offload._link_gate.cache_clear()
     assert failed == [1]
@@ -452,39 +446,43 @@ def test_gate_whose_step_raised_raises_again(shipped_cfg, monkeypatch):
 def test_retransmission_budget_formula(shipped_cfg):
     cfg = shipped_cfg
     lam = 7000.0
-    scen = Scenario(latitude_deg=40.0, day_of_year=150.0, ground_servers=40,
-                    hap_servers=40, hap_rates=uniform_split(lam, 40))
-    report = offload.saving(scen, cfg, with_retransmission=True)
+    rates = (0.0,) * 40, uniform_split(lam, 40)
+    report = offload.saving(cfg, *rates, with_retransmission=True)
     pr = channel.drop_probability(cfg.channel, cfg.workload, lam)
     e_round = channel.transmission_energy(cfg.channel, cfg.workload, lam * pr,
-                                          scen.window_length)
-    e_base = offload.hybrid_total_energy(scen, cfg).total_j
+                                          cfg.scenario.window_length)
+    e_base = offload.hybrid_total_energy(cfg, *rates).total_j
     gross = report.e_tdc_j - e_base
     assert report.e_hybrid_j == pytest.approx(e_base + e_round, rel=1e-12)
     assert report.retransmissions == math.ceil(gross / e_round)
 
 
 def test_hybrid_reduces_to_baseline_without_fleet(shipped_cfg):
-    scen = Scenario(latitude_deg=40.0, day_of_year=150.0, ground_servers=40,
-                    hap_servers=0, ground_rates=uniform_split(9000.0, 40))
-    hybrid = offload.hybrid_total_energy(scen, shipped_cfg)
-    baseline = thermal.tdc_total_energy(scen, shipped_cfg)
-    assert hybrid.total_j == baseline.total_j
+    ground = uniform_split(9000.0, 40)
+    hybrid = offload.hybrid_total_energy(shipped_cfg, ground, ())
+    (compute,), (cooling,), _ = thermal.tdc_total_energy(
+        offload.Fleets.of(shipped_cfg, ground, ()), shipped_cfg)
+    assert hybrid.total_j == math.fsum([compute, cooling])
     assert hybrid.propulsion_j == 0.0 and hybrid.transmission_j == 0.0
 
 
 def test_ground_bill_shared_by_baseline_and_hybrid(shipped_cfg):
-    scen = offload.allocated_scenario(shipped_cfg)
-    ground = thermal.ground_energy(scen.ground_rates, shipped_cfg, scen.window)
+    cfg, window = shipped_cfg, shipped_cfg.scenario.window
+    ground_rates, hap_rates = offload.allocate_rates(cfg)
+    (compute,), (cooling,), _ = thermal.ground_energy(
+        np.array([ground_rates]), cfg, window)
     with pytest.warns(LinkSaturationWarning):
-        hybrid = offload.hybrid_total_energy(scen, shipped_cfg)
-    assert (hybrid.compute_j, hybrid.cooling_j) == (ground.compute_j,
-                                                    ground.cooling_j)
-    everything = scen.ground_rates + scen.hap_rates * scen.hap_count
-    assert thermal.tdc_total_energy(scen, shipped_cfg) == thermal.ground_energy(
-        everything, shipped_cfg, scen.window)
-    grounded = replace(scen, hap_servers=0, hap_rates=())
-    assert offload.hybrid_total_energy(grounded, shipped_cfg) == ground
+        hybrid = offload.hybrid_total_energy(cfg, ground_rates, hap_rates)
+    assert (hybrid.compute_j, hybrid.cooling_j) == (compute, cooling)
+    everything = ground_rates + hap_rates * cfg.scenario.hap_count
+    baseline = thermal.tdc_total_energy(
+        offload.Fleets.of(cfg, ground_rates, hap_rates), cfg)
+    want = thermal.ground_energy(np.array([everything]), cfg, window)
+    assert [baseline[0].tolist(), baseline[1].tolist(), baseline[2]] == [
+        want[0].tolist(), want[1].tolist(), want[2]]
+    assert offload.hybrid_total_energy(cfg, ground_rates, ()) == (
+        thermal.EnergyBreakdown.from_parts(compute_j=compute,
+                                           cooling_j=cooling))
 
 
 def test_end_to_end_delay_identity(shipped_cfg):

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -95,11 +96,15 @@ def test_hybrid_without_airborne_fleet_is_baseline(shipped_cfg, data, ground,
     rates = data.draw(st.lists(
         st.floats(min_value=0.0, max_value=0.95 * capacity),
         min_size=ground, max_size=ground))
-    sc = Scenario(latitude_deg=latitude, day_of_year=day,
-                  ground_servers=ground, hap_servers=0, hap_count=hap_count,
-                  ground_rates=tuple(rates), hap_rates=())
-    assert (offload.hybrid_total_energy(sc, shipped_cfg)
-            == thermal.tdc_total_energy(sc, shipped_cfg))
+    cfg = replace(shipped_cfg, scenario=Scenario(
+        latitude_deg=latitude, day_of_year=day, ground_servers=ground,
+        hap_servers=0, hap_count=hap_count))
+    compute, cooling, errors = thermal.tdc_total_energy(
+        offload.Fleets.of(cfg, rates, ()), cfg)
+    assert errors == [None]
+    assert offload.hybrid_total_energy(cfg, rates, ()) == (
+        thermal.EnergyBreakdown.from_parts(compute_j=float(compute[0]),
+                                           cooling_j=float(cooling[0])))
 
 
 # the plain Python cells the sweeps build (``test_sweeps_cli.py`` checks

@@ -15,6 +15,15 @@ from hapdc.config import HapPlatform
 from hapdc.errors import PolarError
 
 
+def irradiance(latitude_deg, day):
+    """Mean daily radiation at one site, W/m^2, from ``solar._irradiance``;
+    its PolarError is raised."""
+    (value,), (error,) = solar._irradiance([latitude_deg], [day])
+    if error is not None:
+        raise error
+    return float(value)
+
+
 def test_declination_zero_crossing_exact():
     assert solar.declination(79.75) == 0.0
 
@@ -58,7 +67,7 @@ def test_polar_night_raises():
 def test_irradiance_bounded_by_max_radiation():
     for lat in (-50.0, -20.0, 0.0, 20.0, 50.0):
         for day in (15.0, 100.0, 200.0, 330.0):
-            g = solar.irradiance(lat, day)
+            g = irradiance(lat, day)
             assert 0.0 < g <= solar.max_radiation(lat, day)
 
 
@@ -73,8 +82,8 @@ def test_equator_irradiance_even_in_declination():
         mirror = (159.5 - day) % 365.0
         assert math.isclose(solar.declination(mirror), -solar.declination(day),
                             rel_tol=1e-12, abs_tol=1e-15)
-        a = solar.irradiance(0.0, day) / ecc(day)
-        b = solar.irradiance(0.0, mirror) / ecc(mirror)
+        a = irradiance(0.0, day) / ecc(day)
+        b = irradiance(0.0, mirror) / ecc(mirror)
         assert math.isclose(a, b, rel_tol=1e-14), (day, a, b)
 
 
@@ -92,7 +101,7 @@ def test_max_radiation_seasonal_asymmetry():
 def test_harvested_power_scaling():
     """Harvested power is irradiance times area times efficiency."""
     p = HapPlatform()
-    g = solar.irradiance(40.0, 150.0)
+    g = irradiance(40.0, 150.0)
     expect = p.pv_efficiency * p.pv_area * g
     assert math.isclose(solar.harvested_power(p, 40.0, 150.0), expect,
                         rel_tol=1e-12)
@@ -102,10 +111,16 @@ def test_harvested_power_scaling():
 
 
 def test_harvested_energy_is_power_times_span():
+    # an energy over a window is the harvest column times the span, as the
+    # flight check bills it, and each point's power is the one-point call's
     p = HapPlatform()
-    power = solar.harvested_power(p, 30.0, 120.0)
-    energy = solar.harvested_energy(p, 30.0, 120.0, (1000.0, 4600.0))
-    assert math.isclose(energy, power * 3600.0, rel_tol=1e-12)
+    power, errors = solar.harvest(p, [30.0, 60.0], [120.0, 200.0])
+    assert errors == [None, None]
+    energy = power * (4600.0 - 1000.0)
+    for k, (lat, day) in enumerate([(30.0, 120.0), (60.0, 200.0)]):
+        assert math.isclose(energy[k],
+                            solar.harvested_power(p, lat, day) * 3600.0,
+                            rel_tol=1e-12)
 
 
 def test_solar_constant_value():

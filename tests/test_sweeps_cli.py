@@ -172,8 +172,7 @@ def test_flying_day_sweep_flattest_at_equator(shipped_cfg):
 
 def test_flying_sweep_needs_fleet(shipped_cfg):
     cfg = replace(shipped_cfg,
-                  scenario=replace(shipped_cfg.scenario, hap_servers=0,
-                                   hap_rates=()))
+                  scenario=replace(shipped_cfg.scenario, hap_servers=0))
     with pytest.raises(ConfigError):
         sweeps.run_flying_sweep(cfg, sweeps.SweepSpec("day", 1.0, 2.0, 1.0))
 
@@ -336,7 +335,7 @@ def test_outage_without_ground_servers_errs_per_row(shipped_cfg, tmp_path,
     # a residual with no ground server to take it, or dropped traffic with
     # none to absorb it, lands in its own row's error cell with the link
     # columns kept, and the sweep carries on
-    no_ground = _with_scenario(shipped_cfg, ground_servers=0, ground_rates=())
+    no_ground = _with_scenario(shipped_cfg, ground_servers=0)
     spec = sweeps.SweepSpec("arrival_rate", 0.0, 20_000.0, 4000.0, samples=1)
     out = sweeps.run_outage_sweep(no_ground, spec)
     fleet = sweeps.run_outage_sweep(shipped_cfg, spec)
@@ -384,10 +383,10 @@ def _outage_cases(shipped_cfg):
     seeded = sorted(rng.uniform(0.0, 12_000.0, 12).tolist())
     two = replace(shipped_cfg, scenario=replace(shipped_cfg.scenario,
                                                 hap_count=2))
-    grounded = _with_scenario(shipped_cfg, hap_servers=0, hap_rates=())
+    grounded = _with_scenario(shipped_cfg, hap_servers=0)
     longer = replace(shipped_cfg, workload=replace(shipped_cfg.workload,
                                                    task_length_instr=4.0e6))
-    no_ground = _with_scenario(shipped_cfg, ground_servers=0, ground_rates=())
+    no_ground = _with_scenario(shipped_cfg, ground_servers=0)
     idle = replace(no_ground, workload=replace(no_ground.workload,
                                                arrival_rate_total=0.0))
     return [(shipped_cfg, [0.0, 3000.0, 5400.0, 7000.0, 11_000.0] + seeded),
@@ -398,10 +397,11 @@ def _outage_cases(shipped_cfg):
             (idle, [0.0, 3000.0, 6000.0, 9000.0])]
 
 
-def _priced(price, sc, cfg, flag):
-    """The report ``price`` gives, or the text of its OverloadError."""
+def _priced(price, cfg, rates, flag):
+    """The report ``price`` gives at the (ground, per-platform) ``rates``,
+    or the text of its OverloadError."""
     try:
-        return price(sc, cfg, with_retransmission=flag)
+        return price(cfg, *rates, with_retransmission=flag)
     except OverloadError as exc:
         return str(exc)
 
@@ -435,13 +435,11 @@ def test_outage_saving_cells_equal_saving_bit_for_bit(shipped_cfg):
             if exc is not None:
                 reports = [str(exc)] * 2
             else:
-                sc = replace(cfg.scenario,
-                             ground_rates=tuple(ground[0].tolist()),
-                             hap_rates=tuple(hap[0].tolist()))
-                reports = [_priced(offload.saving, sc, cfg, flag)
+                rates = tuple(ground[0].tolist()), tuple(hap[0].tolist())
+                reports = [_priced(offload.saving, cfg, rates, flag)
                            for flag in (True, False)]
                 assert reports == [
-                    _priced(offload_reference.saving, sc, cfg, flag)
+                    _priced(offload_reference.saving, cfg, rates, flag)
                     for flag in (True, False)], value
             # a policy's error blanks both cells; the reroute's comes last
             errors = [r for r in reports if isinstance(r, str)]
@@ -1188,10 +1186,11 @@ def test_energy_cells_equal_saving_per_point(shipped_cfg):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 try:
-                    sc = offload.allocated_scenario(point)
-                    rep = offload.saving(sc, point, with_retransmission=True)
+                    rates = offload.allocate_rates(point)
+                    rep = offload.saving(point, *rates,
+                                         with_retransmission=True)
                     assert rep == offload_reference.saving(
-                        sc, point, with_retransmission=True)
+                        point, *rates, with_retransmission=True)
                     want = [rep.e_tdc_j, rep.e_hybrid_j, rep.saved_rate,
                             rep.retransmissions]
                     error = None
@@ -1199,8 +1198,8 @@ def test_energy_cells_equal_saving_per_point(shipped_cfg):
                     want, error = [None] * 4, str(exc)
             assert row == [value, *want, error], (spec.axis, value)
             if error is None:
-                shapes.add(sc.hap_servers)
-                per_link = math.fsum(sc.hap_rates)
+                shapes.add(point.scenario.hap_servers)
+                per_link = math.fsum(rates[1])
                 seen["open" if per_link >= gate else "closed"] += 1
             elif "ground capacity" in error:
                 seen["overload"] += 1
@@ -1315,10 +1314,10 @@ def test_energy_gate_and_drops_looked_up_once_per_sweep(shipped_cfg,
                 if row[-1] is None:
                     point = offload_reference.apply_axis(cfg, spec.axis,
                                                          value)
-                    sc = offload.allocated_scenario(point)
+                    _, hap = offload.allocate_rates(point)
                     shape = point.scenario.hap_servers
                     lossy[shape] = (lossy.get(shape, 0)
-                                    + (math.fsum(sc.hap_rates) >= gate))
+                                    + (math.fsum(hap) >= gate))
             assert inversions == [1], spec.axis
             if spec.axis == "hap_servers":
                 # one drop call per fleet shape with a lossy link, each
@@ -1398,8 +1397,7 @@ def test_energy_error_cells_are_the_allocation_errors(shipped_cfg):
     # ground servers fails wherever the platforms leave a residual, and
     # small platform fleets at a high load overload the ground
     sc = shipped_cfg.scenario
-    no_ground = replace(shipped_cfg, scenario=replace(
-        sc, ground_servers=0, ground_rates=()))
+    no_ground = replace(shipped_cfg, scenario=replace(sc, ground_servers=0))
     high = replace(shipped_cfg, workload=replace(shipped_cfg.workload,
                                                  arrival_rate_total=20_000.0))
     cases = [(shipped_cfg, sweeps.SweepSpec("arrival_rate", 0, 40_000, 100)),
@@ -1412,7 +1410,7 @@ def test_energy_error_cells_are_the_allocation_errors(shipped_cfg):
             at = cfg
             if spec.axis == "hap_servers":
                 at = replace(cfg, scenario=replace(
-                    cfg.scenario, hap_servers=int(value), hap_rates=()))
+                    cfg.scenario, hap_servers=int(value)))
             try:
                 offload.allocate_rates(at, value if spec.axis == "arrival_rate"
                                        else None)
@@ -1453,7 +1451,7 @@ def test_energy_ramp_derives_lambda_max_once(shipped_cfg, monkeypatch):
     errors = [row[-1] for row in out.rows]
     assert errors[0] and errors == [errors[0]] * 3
     with pytest.raises(sweeps._ROW_ERRORS) as exc:
-        offload.allocated_scenario(polar)
+        offload.allocate_rates(polar)
     assert str(exc.value) == errors[0]
 
 
@@ -1501,7 +1499,7 @@ def test_energy_link_rate_error_lands_after_the_bills(shipped_cfg):
     for row, value in zip(out.rows, spec.values()):
         point = offload_reference.apply_axis(cfg, spec.axis, value)
         with pytest.raises(sweeps._ROW_ERRORS) as exc:
-            offload.saving(offload.allocated_scenario(point), point,
+            offload.saving(point, *offload.allocate_rates(point),
                            with_retransmission=True)
         assert row == [value, None, None, None, None, str(exc.value)]
     errors = [row[-1] for row in out.rows]
@@ -1531,11 +1529,11 @@ def test_retry_count_left_empty_where_it_overflows(tmp_path):
     assert rows["outage"]["saved_with_retx"] and rows["outage"]["error"] == ""
     cfg = load_config(str(faint))
     point = offload_reference.apply_axis(cfg, "arrival_rate", 6000.0)
-    sc = offload.allocated_scenario(point)
+    rates = offload.allocate_rates(point)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LinkSaturationWarning)
-        report = offload.saving(sc, point, with_retransmission=True)
-        assert report == offload_reference.saving(sc, point,
+        report = offload.saving(point, *rates, with_retransmission=True)
+        assert report == offload_reference.saving(point, *rates,
                                                   with_retransmission=True)
     assert report.retransmissions is None
     assert repr(report.saved_rate) == energy["saved_rate"]

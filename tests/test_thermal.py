@@ -20,6 +20,15 @@ from hapdc.errors import LinkSaturationWarning, OverloadError
 import offload_reference
 
 
+def _one(bill):
+    """The entry of each column of a one-fleet bill, as floats; the row's
+    OverloadError is raised."""
+    *columns, (error,) = bill
+    if error is not None:
+        raise error
+    return [float(column[0]) for column in columns]
+
+
 def _random_cooling(rng, **drawn):
     """A random cooling spec and an air heat-capacity flow per server, W/K,
     drawn in one fixed order after the fields already ``drawn``."""
@@ -103,7 +112,8 @@ def test_compute_power_overload():
 
 def test_compute_energy_is_power_times_span():
     s = ServerSpec()
-    e = thermal.fleet_compute_energy(s, (100.0,), 1e6, (500.0, 2300.0))
+    (e,) = _one(thermal.fleet_compute_energy(s, np.array([[100.0]]), 1e6,
+                                             (500.0, 2300.0)))
     assert math.isclose(e, thermal.compute_power(s, 100.0, 1e6) * 1800.0,
                         rel_tol=1e-12)
 
@@ -174,27 +184,25 @@ def test_grouped_cooling_matches_manual_split():
         group = [(server, r) for r in rates[start:start + n]]
         manual += thermal.cooling_energy(group, cooling, 1e6, window)
         start += n
-    got = thermal.grouped_cooling_energy(rates, server, cooling, 1e6, window)
+    (got,) = _one(thermal.grouped_cooling_energy(np.array([rates]), server,
+                                                 cooling, 1e6, window))
     assert math.isclose(got, manual, rel_tol=1e-12)
 
 
 def test_tdc_total_energy_composition():
-    cfg = ModelConfig()
-    scen = Scenario(ground_servers=4, hap_servers=2, hap_count=2,
-                    ground_rates=(10.0, 20.0, 30.0, 40.0),
-                    hap_rates=(5.0, 15.0))
-    out = thermal.tdc_total_energy(scen, cfg)
+    cfg = ModelConfig(scenario=Scenario(ground_servers=4, hap_servers=2,
+                                        hap_count=2))
+    fleets = offload.Fleets.of(cfg, (10.0, 20.0, 30.0, 40.0), (5.0, 15.0))
+    out_compute, out_cooling = _one(thermal.tdc_total_energy(fleets, cfg))
     rates = [10.0, 20.0, 30.0, 40.0, 5.0, 15.0, 5.0, 15.0]
-    task_len = cfg.workload.task_length_instr
+    task_len, sc = cfg.workload.task_length_instr, cfg.scenario
     compute = math.fsum(
-        thermal.compute_power(cfg.server, r, task_len) * scen.window_length
+        thermal.compute_power(cfg.server, r, task_len) * sc.window_length
         for r in rates)
-    cool = thermal.grouped_cooling_energy(rates, cfg.server, cfg.cooling,
-                                           task_len, scen.window)
-    assert math.isclose(out.compute_j, compute, rel_tol=1e-12)
-    assert math.isclose(out.cooling_j, cool, rel_tol=1e-12)
-    assert math.isclose(out.total_j, compute + cool, rel_tol=1e-12)
-    assert out.payload_j == 0.0 and out.propulsion_j == 0.0
+    (cool,) = _one(thermal.grouped_cooling_energy(
+        np.array([rates]), cfg.server, cfg.cooling, task_len, sc.window))
+    assert math.isclose(out_compute, compute, rel_tol=1e-12)
+    assert math.isclose(out_cooling, cool, rel_tol=1e-12)
 
 
 def test_energy_breakdown_total():
@@ -254,31 +262,32 @@ def _grouped_cooling_loop(rates, server, cooling, task_len, window):
     return total
 
 
-def _tdc_loop(scenario, cfg):
-    rates = list(scenario.ground_rates) + list(scenario.hap_rates) * scenario.hap_count
+def _tdc_loop(cfg, ground_rates, hap_rates):
+    sc = cfg.scenario
+    rates = list(ground_rates) + list(hap_rates) * sc.hap_count
     task_len = cfg.workload.task_length_instr
-    compute = _compute_sum_loop(rates, cfg.server, task_len, scenario.window)
+    compute = _compute_sum_loop(rates, cfg.server, task_len, sc.window)
     cooling = _grouped_cooling_loop(rates, cfg.server, cfg.cooling, task_len,
-                                    scenario.window)
+                                    sc.window)
     return thermal.EnergyBreakdown.from_parts(compute_j=compute, cooling_j=cooling)
 
 
-def _hybrid_loop(scenario, cfg):
+def _hybrid_loop(cfg, ground_rates, hap_rates):
     task_len = cfg.workload.task_length_instr
-    window = scenario.window
-    compute = _compute_sum_loop(scenario.ground_rates, cfg.server, task_len, window)
-    cooling = _grouped_cooling_loop(list(scenario.ground_rates), cfg.server,
+    sc = cfg.scenario
+    window = sc.window
+    compute = _compute_sum_loop(ground_rates, cfg.server, task_len, window)
+    cooling = _grouped_cooling_loop(list(ground_rates), cfg.server,
                                     cfg.cooling, task_len, window)
-    if scenario.hap_servers == 0:
+    if not hap_rates:
         return thermal.EnergyBreakdown.from_parts(compute_j=compute, cooling_j=cooling)
-    k = scenario.hap_count
-    payload = k * _compute_sum_loop(scenario.hap_rates, cfg.server, task_len, window)
-    wind = cfg.wind.speed_at(scenario.latitude_deg, scenario.day_of_year)
+    k = sc.hap_count
+    payload = k * _compute_sum_loop(hap_rates, cfg.server, task_len, window)
+    wind = cfg.wind.speed_at(sc.latitude_deg, sc.day_of_year)
     propulsion = k * (aero.propulsion_power_reduced(cfg.hap, wind)
                       * (window[1] - window[0]))
     transmission = k * channel.transmission_energy(
-        cfg.channel, cfg.workload, math.fsum(scenario.hap_rates),
-        scenario.window_length)
+        cfg.channel, cfg.workload, math.fsum(hap_rates), sc.window_length)
     return thermal.EnergyBreakdown.from_parts(
         compute_j=compute, cooling_j=cooling, payload_j=payload,
         propulsion_j=propulsion, transmission_j=transmission)
@@ -316,26 +325,30 @@ def test_fleet_sums_bitwise_equal_to_loops():
         server, cooling, task_len, window, rates = _random_fleet(rng)
         uniform = bool(trial % 2)
         ground = rates(int(rng.integers(0, 90)), uniform)
-        got = thermal.grouped_cooling_energy(list(ground), server, cooling,
-                                             task_len, window)
-        assert got == _grouped_cooling_loop(list(ground), server, cooling,
-                                            task_len, window)
+        got = _one(thermal.grouped_cooling_energy(
+            np.array([ground], dtype=float), server, cooling, task_len,
+            window))
+        assert got == [_grouped_cooling_loop(list(ground), server, cooling,
+                                             task_len, window)]
         hap = rates(int(rng.integers(1, 50)), uniform)
-        assert thermal.fleet_compute_energy(server, hap, task_len, window) \
-            == _compute_sum_loop(hap, server, task_len, window)
-        cfg = ModelConfig(server=server, cooling=cooling,
-                          workload=WorkloadSpec(task_length_instr=task_len))
+        assert _one(thermal.fleet_compute_energy(
+            server, np.array([hap]), task_len, window)) \
+            == [_compute_sum_loop(hap, server, task_len, window)]
         for hap_count in (0, 1, 3):
-            scen = Scenario(ground_servers=len(ground),
-                            hap_servers=len(hap) if hap_count else 0,
-                            hap_count=max(hap_count, 1), window=window,
-                            ground_rates=ground,
-                            hap_rates=hap if hap_count else ())
-            assert thermal.tdc_total_energy(scen, cfg) == _tdc_loop(scen, cfg)
+            cfg = ModelConfig(
+                server=server, cooling=cooling,
+                workload=WorkloadSpec(task_length_instr=task_len),
+                scenario=Scenario(ground_servers=len(ground),
+                                  hap_servers=len(hap) if hap_count else 0,
+                                  hap_count=max(hap_count, 1), window=window))
+            airborne = hap if hap_count else ()
+            fleets = offload.Fleets.of(cfg, ground, airborne)
+            assert _bills(*thermal.tdc_total_energy(fleets, cfg)) \
+                == [_tdc_loop(cfg, ground, airborne)]
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", LinkSaturationWarning)
-                assert offload.hybrid_total_energy(scen, cfg) \
-                    == _hybrid_loop(scen, cfg)
+                assert offload.hybrid_total_energy(cfg, ground, airborne) \
+                    == _hybrid_loop(cfg, ground, airborne)
 
 
 def test_grouped_cooling_with_an_empty_crac():
@@ -344,14 +357,12 @@ def test_grouped_cooling_with_an_empty_crac():
         np.random.default_rng(5))
     cooling = dataclasses.replace(cooling, crac_count=4)
     assert thermal.partition_servers(3, 4)[-1] == 0
-    for uniform in (True, False):
-        ground = rates(3, uniform)
-        assert thermal.grouped_cooling_energy(ground, server, cooling,
-                                              task_len, window) \
-            == _grouped_cooling_loop(ground, server, cooling, task_len, window)
-    assert thermal.grouped_cooling_energy((), server, cooling, task_len,
-                                          window) \
-        == _grouped_cooling_loop((), server, cooling, task_len, window)
+    for ground in (rates(3, True), rates(3, False), ()):
+        assert _one(thermal.grouped_cooling_energy(
+            np.array([ground], dtype=float), server, cooling, task_len,
+            window)) \
+            == [_grouped_cooling_loop(ground, server, cooling, task_len,
+                                      window)]
 
 
 def test_overload_message_names_the_first_server_as_the_loop_did():
@@ -362,15 +373,15 @@ def test_overload_message_names_the_first_server_as_the_loop_did():
     with pytest.raises(OverloadError) as loop:
         _compute_sum_loop(rates, server, task_len, (0.0, 60.0))
     assert "1.0400" in str(loop.value)
+    cfg, batch = ModelConfig(server=server), np.array([rates])
     calls = (
         lambda: thermal.compute_power(server, np.array(rates), task_len),
-        lambda: thermal.grouped_cooling_energy(rates, server, CoolingSpec(),
-                                               task_len, (0.0, 60.0)),
-        lambda: thermal.fleet_compute_energy(server, rates, task_len,
-                                             (0.0, 60.0)),
-        lambda: thermal.tdc_total_energy(
-            Scenario(ground_servers=5, hap_servers=0, ground_rates=rates),
-            ModelConfig(server=server)),
+        lambda: _one(thermal.grouped_cooling_energy(
+            batch, server, CoolingSpec(), task_len, (0.0, 60.0))),
+        lambda: _one(thermal.fleet_compute_energy(server, batch, task_len,
+                                                  (0.0, 60.0))),
+        lambda: _one(thermal.tdc_total_energy(
+            offload.Fleets.of(cfg, rates, ()), cfg)),
     )
     for call in calls:
         with pytest.raises(OverloadError) as got:
@@ -380,13 +391,11 @@ def test_overload_message_names_the_first_server_as_the_loop_did():
 
 # --- batched bills: one fleet per row, each row bit for bit its own loop ----
 
-def _scenario_batch(rng, rates, rows, ground_n, hap_n, hap_count, window):
-    """``rows`` scenarios of one fleet shape with independent rate draws."""
-    return [Scenario(ground_servers=ground_n, hap_servers=hap_n,
-                     hap_count=hap_count, window=window,
-                     ground_rates=rates(ground_n, bool(rng.integers(2))),
-                     hap_rates=rates(hap_n, bool(rng.integers(2))))
-            for _ in range(rows)]
+def _rate_batch(rng, rates, rows, ground_n, hap_n):
+    """``rows`` (ground, per-platform) rate pairs of one fleet shape with
+    independent draws."""
+    return [(rates(ground_n, bool(rng.integers(2))),
+             rates(hap_n, bool(rng.integers(2)))) for _ in range(rows)]
 
 
 def _ground_loop(rates, cfg, window):
@@ -397,15 +406,16 @@ def _ground_loop(rates, cfg, window):
                                         task_len, window))
 
 
-def _fleets(scenarios, cfg):
-    """``scenarios``, which share one fleet shape and window, as one group
-    whose sites are priced under ``cfg``."""
+def _fleets(batch, cfg):
+    """The (ground, per-platform) rate pairs of ``batch``, which share one
+    fleet shape, as one group at the config's scenario."""
+    sc = cfg.scenario
     return offload.Fleets(
-        np.array([s.ground_rates for s in scenarios], dtype=float),
-        np.array([s.hap_rates for s in scenarios], dtype=float),
-        offload.station_keeping(cfg, [s.latitude_deg for s in scenarios],
-                                [s.day_of_year for s in scenarios]),
-        scenarios[0].hap_count, scenarios[0].window)
+        np.array([ground for ground, _ in batch], dtype=float),
+        np.array([hap for _, hap in batch], dtype=float),
+        offload.station_keeping(cfg, [sc.latitude_deg] * len(batch),
+                                [sc.day_of_year] * len(batch)),
+        sc.hap_count, sc.window)
 
 
 def _bills(compute, cooling, errors):
@@ -416,49 +426,51 @@ def _bills(compute, cooling, errors):
             for c, k, error in zip(compute.tolist(), cooling.tolist(), errors)]
 
 
-def _assert_batch_matches_loops(scenarios, cfg, server, cooling, task_len,
+def _assert_batch_matches_loops(batch, cfg, server, cooling, task_len,
                                 window):
-    ground = np.array([s.ground_rates for s in scenarios])
-    hap = np.array([s.hap_rates for s in scenarios])
-    fine = [None] * len(scenarios)
+    ground = np.array([g for g, _ in batch], dtype=float)
+    hap = np.array([h for _, h in batch], dtype=float)
+    fine = [None] * len(batch)
     energy, errors = thermal.fleet_compute_energy(server, ground, task_len,
                                                   window)
     assert (energy.tolist(), errors) == (
-        [_compute_sum_loop(s.ground_rates, server, task_len, window)
-         for s in scenarios], fine)
+        [_compute_sum_loop(g, server, task_len, window) for g, _ in batch],
+        fine)
     energy, errors = thermal.grouped_cooling_energy(ground, server, cooling,
                                                     task_len, window)
     assert (energy.tolist(), errors) == (
-        [_grouped_cooling_loop(list(s.ground_rates), server, cooling,
-                               task_len, window) for s in scenarios], fine)
+        [_grouped_cooling_loop(list(g), server, cooling, task_len, window)
+         for g, _ in batch], fine)
     assert _bills(*thermal.ground_energy(ground, cfg, window)) \
-        == [_ground_loop(s.ground_rates, cfg, window) for s in scenarios]
+        == [_ground_loop(g, cfg, window) for g, _ in batch]
     energy, errors = thermal.fleet_compute_energy(server, hap, task_len,
                                                   window)
     assert (energy.tolist(), errors) == (
-        [_compute_sum_loop(s.hap_rates, server, task_len, window)
-         for s in scenarios], fine)
-    fleets = _fleets(scenarios, cfg)
+        [_compute_sum_loop(h, server, task_len, window) for _, h in batch],
+        fine)
+    fleets = _fleets(batch, cfg)
     assert _bills(*thermal.tdc_total_energy(fleets, cfg)) \
-        == [_tdc_loop(s, cfg) for s in scenarios]
+        == [_tdc_loop(cfg, *pair) for pair in batch]
     compute, cool, payload, errors = offload.split_bills(fleets, cfg)
     assert list(zip(_bills(compute, cool, errors), payload.tolist())) \
-        == [(_ground_loop(s.ground_rates, cfg, window),
-             _compute_sum_loop(s.hap_rates, server, task_len, window))
-            for s in scenarios]
+        == [(_ground_loop(g, cfg, window),
+             _compute_sum_loop(h, server, task_len, window))
+            for g, h in batch]
 
 
 def test_batched_bills_bitwise_equal_to_loops():
     rng = np.random.default_rng(909)
     for trial in range(12):
         server, cooling, task_len, window, rates = _random_fleet(rng)
+        rows, ground_n, hap_n, hap_count = (int(rng.integers(1, top))
+                                            for top in (9, 60, 30, 4))
         cfg = ModelConfig(server=server, cooling=cooling,
-                          workload=WorkloadSpec(task_length_instr=task_len))
-        scenarios = _scenario_batch(
-            rng, rates, int(rng.integers(1, 9)), int(rng.integers(1, 60)),
-            int(rng.integers(1, 30)), int(rng.integers(1, 4)), window)
-        _assert_batch_matches_loops(scenarios, cfg, server, cooling,
-                                    task_len, window)
+                          workload=WorkloadSpec(task_length_instr=task_len),
+                          scenario=Scenario(hap_count=hap_count,
+                                            window=window))
+        batch = _rate_batch(rng, rates, rows, ground_n, hap_n)
+        _assert_batch_matches_loops(batch, cfg, server, cooling, task_len,
+                                    window)
 
 
 @pytest.mark.parametrize("ground_n, hap_n, crac_count", [
@@ -472,9 +484,10 @@ def test_batched_bills_edge_fleets(ground_n, hap_n, crac_count):
     server, cooling, task_len, window, rates = _random_fleet(rng)
     cooling = dataclasses.replace(cooling, crac_count=crac_count)
     cfg = ModelConfig(server=server, cooling=cooling,
-                      workload=WorkloadSpec(task_length_instr=task_len))
-    scenarios = _scenario_batch(rng, rates, 4, ground_n, hap_n, 2, window)
-    _assert_batch_matches_loops(scenarios, cfg, server, cooling, task_len,
+                      workload=WorkloadSpec(task_length_instr=task_len),
+                      scenario=Scenario(hap_count=2, window=window))
+    batch = _rate_batch(rng, rates, 4, ground_n, hap_n)
+    _assert_batch_matches_loops(batch, cfg, server, cooling, task_len,
                                 window)
 
 
@@ -484,10 +497,11 @@ def test_batched_overloaded_row_keeps_the_other_rows(faint_link_cfg,
     # its ground fleet (the last assertion); the shipped link drops ~8e-14
     server = dataclasses.replace(faint_link_cfg.server,
                                  desired_utilization=0.8)
-    cfg = dataclasses.replace(faint_link_cfg, server=server)
+    window = (0.0, 3600.0)
+    cfg = dataclasses.replace(faint_link_cfg, server=server, scenario=Scenario(
+        ground_servers=2, hap_servers=5, window=window))
     task_len = cfg.workload.task_length_instr
     cap = 0.8 * server.service_rate_ips / task_len
-    window = (0.0, 3600.0)
     fine = [tuple(f * cap for f in (0.1, 0.5, 0.9, 1.0, 0.3)),
             tuple(f * cap for f in (0.7, 0.2, 0.0, 0.6, 0.4))]
     bad = tuple(f * cap for f in (0.5, 0.9, 1.3, 0.2, 2.0))
@@ -514,14 +528,12 @@ def test_batched_overloaded_row_keeps_the_other_rows(faint_link_cfg,
             == [want(fine[0]), want(fine[1])]
 
     # the same rows as the airborne side of three scenarios
-    scenarios = [Scenario(ground_servers=2, hap_servers=5, window=window,
-                          ground_rates=(0.1 * cap, 0.2 * cap), hap_rates=r)
-                 for r in rows]
-    fleets = _fleets(scenarios, cfg)
+    pairs = [((0.1 * cap, 0.2 * cap), r) for r in rows]
+    fleets = _fleets(pairs, cfg)
     baseline = _bills(*thermal.tdc_total_energy(fleets, cfg))
     assert str(baseline[1]) == str(loop.value)
-    assert [baseline[0], baseline[2]] == [_tdc_loop(scenarios[0], cfg),
-                                          _tdc_loop(scenarios[2], cfg)]
+    assert [baseline[0], baseline[2]] == [_tdc_loop(cfg, *pairs[0]),
+                                          _tdc_loop(cfg, *pairs[2])]
     *_, errors = offload.split_bills(fleets, cfg)
     assert str(errors[1]) == str(loop.value)
 
@@ -563,8 +575,8 @@ def test_batched_overloaded_row_keeps_the_other_rows(faint_link_cfg,
         warnings.simplefilter("ignore", LinkSaturationWarning)
         for flag, got in ((True, priced), (False, rerouted)):
             want = reported(lambda k: offload.saving(
-                scenarios[k], cfg, with_retransmission=flag))
+                cfg, *pairs[k], with_retransmission=flag))
             assert reported(got.report) == want
             assert want == reported(lambda k: offload_reference.saving(
-                scenarios[k], cfg, with_retransmission=flag))
+                cfg, *pairs[k], with_retransmission=flag))
     assert all(isinstance(error, OverloadError) for error in rerouted.errors)
